@@ -6,7 +6,7 @@
 #include "core/api.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/backend.hpp"
 #include "solver/laplacian_solver.hpp"
 
 int main() {
@@ -16,7 +16,7 @@ int main() {
 
   const Graph g = graph::random_connected_gnm(48, 192, 51);
   const auto l = graph::laplacian(g);
-  const auto exact = linalg::LaplacianFactor::factor(l);
+  const auto exact = linalg::BackendLaplacianFactor::factor(l);
   std::vector<double> b(48, 0.0);
   b[0] = 1.0;
   b[47] = -1.0;

@@ -103,14 +103,11 @@ int main(int argc, char** argv) {
     ckpt::CheckpointWriter writer(path, 1);
     flow::MaxFlowIpmOptions copt = opt;
     copt.checkpoint.writer = &writer;
-    double preempted_ms = 0;
     try {
-      const double t0 = bench::now_ms();
       (void)flow::max_flow_clique(g, s, t, net, copt);
     } catch (const fault::PreemptError&) {
-      preempted_ms = bench::now_ms();
+      // Expected: preempt=8 stops the run once batch 8's snapshot commits.
     }
-    (void)preempted_ms;
 
     const ckpt::Checkpoint ck = ckpt::load_checkpoint(path);
     clique::Network net2(n);

@@ -9,7 +9,7 @@
 #include "spectral/random_sparsify.hpp"
 #include "graph/laplacian.hpp"
 #include "linalg/chebyshev.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/backend.hpp"
 
 int main() {
   using namespace lapclique;
@@ -39,7 +39,7 @@ int main() {
     net.charge((3 * h.num_edges() + nn - 1) / nn + 1);
     const auto lg = graph::laplacian(g);
     const auto lh = graph::laplacian(h);
-    const auto hf = linalg::LaplacianFactor::factor(lh);
+    const auto hf = linalg::BackendLaplacianFactor::factor(lh);
     // Estimate kappa from the pencil via a few power iterations is part of
     // the deterministic machinery; for the randomized baseline we use the
     // standard w.h.p. bound kappa <= 4.

@@ -4,7 +4,6 @@
 
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
-#include "linalg/cg.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/sparse_cholesky.hpp"
 #include "spectral/sparsify.hpp"
@@ -62,20 +61,6 @@ void BM_SparseLdltFactor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseLdltFactor)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_ConjugateGradient(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  const graph::Graph g = graph::random_connected_gnm(n, 6 * n, 4);
-  const auto l = graph::laplacian(g);
-  linalg::Vec b(static_cast<std::size_t>(n), 0.0);
-  b[0] = 1.0;
-  b[static_cast<std::size_t>(n - 1)] = -1.0;
-  for (auto _ : state) {
-    auto r = linalg::conjugate_gradient(l, b, 1e-8);
-    benchmark::DoNotOptimize(&r);
-  }
-}
-BENCHMARK(BM_ConjugateGradient)->Arg(128)->Arg(512);
 
 void BM_DeterministicSparsify(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));

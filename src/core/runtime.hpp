@@ -48,7 +48,7 @@ struct Runtime {
   /// linalg::resolve_backend.  Defaults to the LAPCLIQUE_NUMERICS
   /// environment variable, else kAuto.  The facades copy this into solver
   /// options whose own backend field is kAuto, so per-call options win only
-  /// when they hard-pick a backend (docs/PERFORMANCE.md migration notes).
+  /// when they hard-pick a backend (docs/PERFORMANCE.md, "Numerics backends").
   linalg::Backend numerics = linalg::default_backend();
   /// When non-empty, the flow IPM entry points attach a ckpt::CheckpointWriter
   /// that atomically commits a resumable snapshot to this path at every

@@ -62,9 +62,7 @@ DecideResult decide(const Graph& g, int s, int t, double target_f,
       const double r = (w[i] + opt.eps * total_w / md) / (e.w * e.w);
       ee.push_back(ElectricalEdge{e.u, e.v, r});
     }
-    ElectricalOptions eopt;
-    eopt.solver.backend = opt.numerics;
-    ElectricalSolver solver(g.num_vertices(), std::move(ee), eopt);
+    const ElectricalSolver solver(g.num_vertices(), std::move(ee), opt.numerics);
     out.factor = solver.factor_stats();
     const linalg::Vec phi = solver.potentials(chi);
     const std::vector<double> f = solver.induced_flow(phi);
@@ -117,11 +115,8 @@ ApproxMaxFlowReport approx_max_flow_undirected(const Graph& g, int s, int t,
   {
     std::vector<ElectricalEdge> ee;
     for (const graph::Edge& e : g.edges()) ee.push_back({e.u, e.v, 1.0 / e.w});
-    ElectricalOptions eopt;
-    eopt.mode = ElectricalMode::kSparsified;
-    eopt.solver.backend = opt.numerics;
     rep.rounds_per_solve =
-        ElectricalSolver(g.num_vertices(), std::move(ee), eopt).calibrate(opt.solve_eps);
+        calibrate_solve_rounds(g.num_vertices(), ee, opt.solve_eps, opt.numerics);
     net.charge(rep.rounds_per_solve);
   }
 

@@ -4,40 +4,46 @@
 
 #include "exec/pool.hpp"
 #include "graph/laplacian.hpp"
+#include "solver/laplacian_solver.hpp"
 
 namespace lapclique::flow {
 
-ElectricalSolver::ElectricalSolver(int n, std::vector<ElectricalEdge> edges,
-                                   const ElectricalOptions& opt)
-    : n_(n), edges_(std::move(edges)), opt_(opt), conductance_graph_(n) {
-  for (const ElectricalEdge& e : edges_) {
+namespace {
+
+graph::Graph conductance_graph(int n, std::span<const ElectricalEdge> edges) {
+  graph::Graph g(n);
+  for (const ElectricalEdge& e : edges) {
     if (!(e.resistance > 0)) {
       throw std::invalid_argument("ElectricalSolver: resistances must be positive");
     }
-    conductance_graph_.add_edge(e.u, e.v, 1.0 / e.resistance);
+    g.add_edge(e.u, e.v, 1.0 / e.resistance);
   }
-  laplacian_ = graph::laplacian(conductance_graph_);
-  if (opt_.mode == ElectricalMode::kDirect) {
-    factor_ = linalg::BackendLaplacianFactor::factor(laplacian_,
-                                                     opt_.solver.backend);
-  } else {
-    solver_ = std::make_unique<solver::LaplacianSolver>(conductance_graph_,
-                                                        opt_.solver);
-  }
+  return g;
 }
 
-linalg::Vec ElectricalSolver::potentials(std::span<const double> chi,
-                                         clique::Network* net) const {
+}  // namespace
+
+ElectricalSolver::ElectricalSolver(int n, std::vector<ElectricalEdge> edges,
+                                   linalg::Backend backend)
+    : n_(n),
+      edges_(std::move(edges)),
+      factor_(linalg::BackendLaplacianFactor::factor(
+          graph::laplacian(conductance_graph(n, edges_)), backend)) {}
+
+linalg::Vec ElectricalSolver::potentials(std::span<const double> chi) const {
   if (static_cast<int>(chi.size()) != n_) {
     throw std::invalid_argument("ElectricalSolver::potentials: size mismatch");
   }
-  if (opt_.mode == ElectricalMode::kDirect) {
-    return factor_.solve(chi);
-  }
-  LAPCLIQUE_TRACE_SPAN(net != nullptr ? net->tracer() : nullptr,
-                       "electrical_solve");
-  obs::count(net != nullptr ? net->tracer() : nullptr, "electrical_solves");
-  return solver_->solve(chi, opt_.eps, nullptr, net);
+  return factor_.solve(chi);
+}
+
+linalg::Vec ElectricalSolver::potentials(std::span<const double> chi,
+                                         clique::Network& net,
+                                         std::int64_t rounds_per_solve) const {
+  LAPCLIQUE_TRACE_SPAN(net.tracer(), "electrical_solve");
+  obs::count(net.tracer(), "electrical_solves");
+  net.charge_all_to_all(rounds_per_solve);
+  return potentials(chi);
 }
 
 std::vector<double> ElectricalSolver::induced_flow(std::span<const double> phi) const {
@@ -56,16 +62,16 @@ std::vector<double> ElectricalSolver::induced_flow(std::span<const double> phi) 
   return f;
 }
 
-std::int64_t ElectricalSolver::calibrate(double eps) const {
-  // Run one full Theorem 1.1 solve against a unit demand pair and report the
-  // rounds it charges.  The count depends on topology and eps only.
-  if (n_ < 2) return 0;
-  clique::Network net(n_);
-  solver::LaplacianSolverOptions sopt = opt_.solver;
-  solver::LaplacianSolver s(conductance_graph_, sopt, &net);
-  linalg::Vec chi(static_cast<std::size_t>(n_), 0.0);
+std::int64_t calibrate_solve_rounds(int n, std::span<const ElectricalEdge> edges,
+                                    double eps, linalg::Backend backend) {
+  if (n < 2) return 0;
+  clique::Network net(n);
+  solver::LaplacianSolverOptions sopt;
+  sopt.backend = backend;
+  const solver::LaplacianSolver s(conductance_graph(n, edges), sopt, &net);
+  linalg::Vec chi(static_cast<std::size_t>(n), 0.0);
   chi[0] = -1.0;
-  chi[static_cast<std::size_t>(n_ - 1)] = 1.0;
+  chi[static_cast<std::size_t>(n - 1)] = 1.0;
   (void)s.solve(chi, eps, nullptr, &net);
   return net.rounds();
 }

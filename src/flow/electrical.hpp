@@ -3,27 +3,23 @@
 // Laplacian system L(G) phi = chi where L uses conductances 1/r_e, then read
 // off f_e = (phi_v - phi_u) / r_e for e = (u, v) (Algorithm 3, line 2-3).
 //
-// Two solver modes:
-//  * Sparsified — the full Theorem 1.1 pipeline (deterministic sparsifier +
-//    preconditioned Chebyshev); this is what the round accounting of the
-//    flow theorems is calibrated from.
-//  * Direct — exact internal LDL^T solve.  The IPMs use this for the bulk of
-//    their iterations for wall-clock reasons while charging the Theorem 1.1
-//    round cost measured from a calibration solve (see DESIGN.md §3: round
-//    complexity of a Thm 1.1 solve depends on the topology/eps, not on the
-//    resistance values, so the charge is exact, not an estimate).
+// Every solve is an exact internal LDL^T solve (linalg::BackendLaplacianFactor).
+// Its model cost is the round count of one full Theorem 1.1 solve
+// (deterministic sparsifier + preconditioned Chebyshev) at the same topology
+// and eps, measured once per run by calibrate_solve_rounds() and charged per
+// solve by the charging potentials() overload.  DESIGN.md §3: the round
+// complexity of a Theorem 1.1 solve depends on the topology and eps, not on
+// the resistance values, so the charge is exact, not an estimate.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cliquesim/network.hpp"
 #include "linalg/backend.hpp"
-#include "solver/laplacian_solver.hpp"
 
 namespace lapclique::flow {
-
-enum class ElectricalMode { kDirect, kSparsified };
 
 struct ElectricalEdge {
   int u = -1;
@@ -31,49 +27,44 @@ struct ElectricalEdge {
   double resistance = 1.0;
 };
 
-struct ElectricalOptions {
-  ElectricalMode mode = ElectricalMode::kDirect;
-  double eps = 1e-10;  ///< for the sparsified mode
-  /// Both modes take their numerics backend from solver.backend — one knob,
-  /// so a Direct-mode factor and a Sparsified-mode preconditioner can never
-  /// disagree about the backend within one IPM run.
-  solver::LaplacianSolverOptions solver;
-};
-
 class ElectricalSolver {
  public:
-  /// Builds the conductance Laplacian for the given resistances.
+  /// Builds the conductance Laplacian for the given resistances and factors
+  /// it with the requested numerics backend.
   ElectricalSolver(int n, std::vector<ElectricalEdge> edges,
-                   const ElectricalOptions& opt = {});
+                   linalg::Backend backend = linalg::Backend::kAuto);
 
-  /// phi with L phi = chi (chi must sum to ~0).  If `net` is given and mode
-  /// is Sparsified, Theorem 1.1 rounds are charged on it.
+  /// phi with L phi = chi (chi must sum to ~0).  Charges nothing.
+  [[nodiscard]] linalg::Vec potentials(std::span<const double> chi) const;
+
+  /// potentials(chi) as one model-visible solve on `net`: opens the
+  /// "electrical_solve" span, counts it under "electrical_solves", and
+  /// charges `rounds_per_solve` all-to-all rounds (each Theorem 1.1 round is
+  /// a clique-wide broadcast) before solving.
   [[nodiscard]] linalg::Vec potentials(std::span<const double> chi,
-                                       clique::Network* net = nullptr) const;
+                                       clique::Network& net,
+                                       std::int64_t rounds_per_solve) const;
 
   /// Induced flow: f_e = (phi_v - phi_u) / r_e.
   [[nodiscard]] std::vector<double> induced_flow(std::span<const double> phi) const;
 
   [[nodiscard]] int size() const { return n_; }
-  /// Rounds one Theorem 1.1 solve would charge at this topology/eps
-  /// (available after the first potentials() call in Sparsified mode, or via
-  /// calibrate()).
-  [[nodiscard]] std::int64_t calibrate(double eps) const;
-  /// Factorization stats of whichever factor this mode built (the direct
-  /// factor, or the sparsified solver's preconditioner factor).
   [[nodiscard]] const linalg::FactorStats& factor_stats() const {
-    return opt_.mode == ElectricalMode::kDirect ? factor_.stats()
-                                                : solver_->factor_stats();
+    return factor_.stats();
   }
 
  private:
   int n_;
   std::vector<ElectricalEdge> edges_;
-  ElectricalOptions opt_;
-  linalg::CsrMatrix laplacian_;
-  linalg::BackendLaplacianFactor factor_;   // Direct mode
-  std::unique_ptr<solver::LaplacianSolver> solver_;  // Sparsified mode
-  graph::Graph conductance_graph_;
+  linalg::BackendLaplacianFactor factor_;
 };
+
+/// Rounds one Theorem 1.1 solve charges at this topology and eps: builds one
+/// solver::LaplacianSolver on the conductance graph, charged on a private
+/// Network, and solves a unit demand from vertex 0 to vertex n-1.  Returns 0
+/// when n < 2.
+[[nodiscard]] std::int64_t calibrate_solve_rounds(
+    int n, std::span<const ElectricalEdge> edges, double eps,
+    linalg::Backend backend = linalg::Backend::kAuto);
 
 }  // namespace lapclique::flow

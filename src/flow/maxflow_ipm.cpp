@@ -91,22 +91,10 @@ linalg::Vec solve_potentials(const Transformed& tr, std::span<const double> chi,
   for (const TEdge& e : tr.edges) {
     ee.push_back(ElectricalEdge{e.u, e.v, resistance(e)});
   }
-  ElectricalOptions eopt;
-  eopt.mode = opt.electrical_mode;
-  eopt.eps = opt.solve_eps;
-  eopt.solver.backend = opt.numerics;
-  ElectricalSolver solver(tr.nv, std::move(ee), eopt);
+  const ElectricalSolver solver(tr.nv, std::move(ee), opt.numerics);
   if (fstats != nullptr) *fstats = solver.factor_stats();
   ++*solves;
-  if (opt.electrical_mode == ElectricalMode::kDirect) {
-    LAPCLIQUE_TRACE_SPAN(net.tracer(), "electrical_solve");
-    obs::count(net.tracer(), "electrical_solves");
-    // Each solve round is a clique-wide broadcast (the same words the
-    // kSparsified path charges through LaplacianSolver::solve).
-    net.charge_all_to_all(rounds_per_solve);
-    return solver.potentials(chi);
-  }
-  return solver.potentials(chi, &net);
+  return solver.potentials(chi, net, rounds_per_solve);
 }
 
 std::vector<double> induced_flow(const Transformed& tr, std::span<const double> phi) {
@@ -282,21 +270,17 @@ void boosting(Transformed& tr, const std::vector<double>& rho,
   net.charge_announcement();
 }
 
-/// Snap the fractional flow to the Delta grid and repair conservation along
-/// a BFS tree so FlowRounding's precondition holds exactly.
-void snap_and_repair(Transformed& tr, int s, int t, double delta_grid) {
-  const double inv = 1.0 / delta_grid;
-  std::vector<std::int64_t> units(tr.edges.size());
+/// Restores exact conservation at every vertex other than s and t: pushes
+/// each vertex's excess to its parent in a BFS tree of the transformed graph
+/// rooted at s, children first.  `flow` holds one entry per edge, in grid
+/// units (snap_and_repair) or as raw fractional flow (repair_conservation).
+template <typename T>
+void push_excess_to_source(const Transformed& tr, int s, int t, std::vector<T>& flow) {
+  std::vector<T> excess(static_cast<std::size_t>(tr.nv), 0);
   for (std::size_t i = 0; i < tr.edges.size(); ++i) {
-    units[i] = static_cast<std::int64_t>(std::llround(tr.edges[i].f * inv));
+    excess[static_cast<std::size_t>(tr.edges[i].v)] += flow[i];
+    excess[static_cast<std::size_t>(tr.edges[i].u)] -= flow[i];
   }
-  // Per-vertex excess in grid units.
-  std::vector<std::int64_t> excess(static_cast<std::size_t>(tr.nv), 0);
-  for (std::size_t i = 0; i < tr.edges.size(); ++i) {
-    excess[static_cast<std::size_t>(tr.edges[i].v)] += units[i];
-    excess[static_cast<std::size_t>(tr.edges[i].u)] -= units[i];
-  }
-  // BFS tree rooted at s over the transformed graph.
   std::vector<int> parent_edge(static_cast<std::size_t>(tr.nv), -1);
   std::vector<int> bfs_order;
   {
@@ -324,25 +308,35 @@ void snap_and_repair(Transformed& tr, int s, int t, double delta_grid) {
       }
     }
   }
-  // Push excesses to the root, children first.
   for (auto it = bfs_order.rbegin(); it != bfs_order.rend(); ++it) {
     const int v = *it;
     if (v == s || v == t) continue;
-    const std::int64_t ex = excess[static_cast<std::size_t>(v)];
+    const T ex = excess[static_cast<std::size_t>(v)];
     if (ex == 0) continue;
     const int ei = parent_edge[static_cast<std::size_t>(v)];
     if (ei < 0) continue;
-    TEdge& e = tr.edges[static_cast<std::size_t>(ei)];
-    // Push ex units from v toward its parent.
+    const TEdge& e = tr.edges[static_cast<std::size_t>(ei)];
+    // Push ex from v toward its parent.
     if (e.v == v) {
-      units[static_cast<std::size_t>(ei)] -= ex;
+      flow[static_cast<std::size_t>(ei)] -= ex;
       excess[static_cast<std::size_t>(e.u)] += ex;
     } else {
-      units[static_cast<std::size_t>(ei)] += ex;
+      flow[static_cast<std::size_t>(ei)] += ex;
       excess[static_cast<std::size_t>(e.v)] += ex;
     }
     excess[static_cast<std::size_t>(v)] = 0;
   }
+}
+
+/// Snap the fractional flow to the Delta grid and repair conservation in
+/// integral grid units so FlowRounding's precondition holds exactly.
+void snap_and_repair(Transformed& tr, int s, int t, double delta_grid) {
+  const double inv = 1.0 / delta_grid;
+  std::vector<std::int64_t> units(tr.edges.size());
+  for (std::size_t i = 0; i < tr.edges.size(); ++i) {
+    units[i] = static_cast<std::int64_t>(std::llround(tr.edges[i].f * inv));
+  }
+  push_excess_to_source(tr, s, t, units);
   for (std::size_t i = 0; i < tr.edges.size(); ++i) {
     tr.edges[i].f = static_cast<double>(units[i]) * delta_grid;
   }
@@ -452,59 +446,13 @@ IpmLoopState decode_ipm_state(const ckpt::Checkpoint& ck,
   return st;
 }
 
-/// Restore exact conservation at every non-terminal vertex by pushing the
-/// per-vertex excess toward s along a BFS tree, children first — the
-/// fractional twin of snap_and_repair's integral push.
+/// Restore exact conservation of the fractional flow at every non-terminal
+/// vertex (the warm-start twin of snap_and_repair).
 void repair_conservation(Transformed& tr, int s, int t) {
-  std::vector<double> excess(static_cast<std::size_t>(tr.nv), 0.0);
-  for (const TEdge& e : tr.edges) {
-    excess[static_cast<std::size_t>(e.v)] += e.f;
-    excess[static_cast<std::size_t>(e.u)] -= e.f;
-  }
-  std::vector<int> parent_edge(static_cast<std::size_t>(tr.nv), -1);
-  std::vector<int> bfs_order;
-  {
-    std::vector<std::vector<int>> adj(static_cast<std::size_t>(tr.nv));
-    for (std::size_t i = 0; i < tr.edges.size(); ++i) {
-      adj[static_cast<std::size_t>(tr.edges[i].u)].push_back(static_cast<int>(i));
-      adj[static_cast<std::size_t>(tr.edges[i].v)].push_back(static_cast<int>(i));
-    }
-    std::vector<char> seen(static_cast<std::size_t>(tr.nv), 0);
-    std::queue<int> q;
-    q.push(s);
-    seen[static_cast<std::size_t>(s)] = 1;
-    while (!q.empty()) {
-      const int v = q.front();
-      q.pop();
-      bfs_order.push_back(v);
-      for (int ei : adj[static_cast<std::size_t>(v)]) {
-        const TEdge& e = tr.edges[static_cast<std::size_t>(ei)];
-        const int o = e.u == v ? e.v : e.u;
-        if (seen[static_cast<std::size_t>(o)] == 0) {
-          seen[static_cast<std::size_t>(o)] = 1;
-          parent_edge[static_cast<std::size_t>(o)] = ei;
-          q.push(o);
-        }
-      }
-    }
-  }
-  for (auto it = bfs_order.rbegin(); it != bfs_order.rend(); ++it) {
-    const int v = *it;
-    if (v == s || v == t) continue;
-    const double ex = excess[static_cast<std::size_t>(v)];
-    if (ex == 0) continue;
-    const int ei = parent_edge[static_cast<std::size_t>(v)];
-    if (ei < 0) continue;
-    TEdge& e = tr.edges[static_cast<std::size_t>(ei)];
-    if (e.v == v) {
-      e.f -= ex;
-      excess[static_cast<std::size_t>(e.u)] += ex;
-    } else {
-      e.f += ex;
-      excess[static_cast<std::size_t>(e.v)] += ex;
-    }
-    excess[static_cast<std::size_t>(v)] = 0;
-  }
+  std::vector<double> f(tr.edges.size());
+  for (std::size_t i = 0; i < tr.edges.size(); ++i) f[i] = tr.edges[i].f;
+  push_excess_to_source(tr, s, t, f);
+  for (std::size_t i = 0; i < tr.edges.size(); ++i) tr.edges[i].f = f[i];
 }
 
 /// Seed a freshly built Transformed from a checkpointed iterate of a
@@ -638,11 +586,8 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
       net.set_phase("maxflow/calibration");
       std::vector<ElectricalEdge> cal;
       for (const TEdge& e : st.tr.edges) cal.push_back({e.u, e.v, resistance(e)});
-      ElectricalOptions eopt;
-      eopt.mode = ElectricalMode::kSparsified;
-      eopt.solver.backend = opt.numerics;
       rep.rounds_per_solve =
-          ElectricalSolver(st.tr.nv, std::move(cal), eopt).calibrate(opt.solve_eps);
+          calibrate_solve_rounds(st.tr.nv, cal, opt.solve_eps, opt.numerics);
       {
         // The calibration solve itself (broadcast rounds, like every solve).
         net.charge_all_to_all(rep.rounds_per_solve);

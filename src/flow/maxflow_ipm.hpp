@@ -20,11 +20,10 @@
 // of finishing paths is reported — the paper predicts O(1) for a fully
 // converged IPM, and EXPERIMENTS.md records the measured values.
 //
-// Round accounting: each IPM iteration's Laplacian solves are charged at the
-// measured Theorem 1.1 cost for this topology/eps ("calibration"; see
-// DESIGN.md §3).  Set `electrical_mode = kSparsified` to run every solve
-// through the full sparsifier pipeline instead (slow; used by one
-// integration test on a small instance).
+// Round accounting: every Laplacian solve is an exact internal solve
+// (flow/electrical.hpp) charged at the Theorem 1.1 round cost measured once
+// per run by one full sparsifier-pipeline solve at this topology and eps
+// ("calibration"; see DESIGN.md §3).
 #pragma once
 
 #include <cstdint>
@@ -49,10 +48,9 @@ struct MaxFlowIpmOptions {
   /// Ablation switch: with boosting off, high-congestion iterations fall
   /// back to (smaller-step) augmentation instead of arc surgery.
   bool enable_boosting = true;
-  ElectricalMode electrical_mode = ElectricalMode::kDirect;
   /// Numerics backend for every Laplacian factorization this run performs
-  /// (both modes).  kAuto resolves per instance; the facade copies
-  /// Runtime::numerics in here when left at kAuto.
+  /// (the per-solve factors and the calibration solver).  kAuto resolves per
+  /// instance; the facade copies Runtime::numerics in here when left at kAuto.
   linalg::Backend numerics = linalg::Backend::kAuto;
   double solve_eps = 1e-10;
   SsspOptions sssp;

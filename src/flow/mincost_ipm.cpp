@@ -399,12 +399,9 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                                         (lf.f[static_cast<std::size_t>(e)] *
                                          lf.f[static_cast<std::size_t>(e)]);
     }
-    BipartiteElectrical be = make_electrical(lf, r0);
-    ElectricalOptions eopt;
-    eopt.mode = ElectricalMode::kSparsified;
-    eopt.solver.backend = opt.numerics;
+    const BipartiteElectrical be = make_electrical(lf, r0);
     rep.rounds_per_solve =
-        ElectricalSolver(be.nv, std::move(be.edges), eopt).calibrate(opt.solve_eps);
+        calibrate_solve_rounds(be.nv, be.edges, opt.solve_eps, opt.numerics);
     // The calibration solve itself (broadcast rounds, like every solve).
     net.charge_all_to_all(rep.rounds_per_solve);
   }
@@ -557,24 +554,10 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                      1e-18);
       }
       BipartiteElectrical be = make_electrical(lf, r);
-      ElectricalOptions eopt;
-      eopt.mode = opt.electrical_mode;
-      eopt.eps = opt.solve_eps;
-      eopt.solver.backend = opt.numerics;
-      ElectricalSolver solver1(be.nv, be.edges, eopt);
+      const ElectricalSolver solver1(be.nv, std::move(be.edges), opt.numerics);
       fstats = solver1.factor_stats();
       ++rep.laplacian_solves;
-      linalg::Vec phi;
-      if (opt.electrical_mode == ElectricalMode::kDirect) {
-        LAPCLIQUE_TRACE_SPAN(net.tracer(), "electrical_solve");
-        obs::count(net.tracer(), "electrical_solves");
-        // Each solve round is a clique-wide broadcast (the same words the
-        // kSparsified path charges through LaplacianSolver::solve).
-        net.charge_all_to_all(rep.rounds_per_solve);
-        phi = solver1.potentials(chi);
-      } else {
-        phi = solver1.potentials(chi, &net);
-      }
+      const linalg::Vec phi = solver1.potentials(chi, net, rep.rounds_per_solve);
       std::vector<double> ftilde(static_cast<std::size_t>(me));
       for (int e = 0; e < me; ++e) {
         ftilde[static_cast<std::size_t>(e)] =
@@ -631,19 +614,9 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                      1e-18);
       }
       BipartiteElectrical be2 = make_electrical(lf, r2);
-      ElectricalSolver solver2(be2.nv, be2.edges, eopt);
+      const ElectricalSolver solver2(be2.nv, std::move(be2.edges), opt.numerics);
       ++rep.laplacian_solves;
-      linalg::Vec phi2;
-      if (opt.electrical_mode == ElectricalMode::kDirect) {
-        LAPCLIQUE_TRACE_SPAN(net.tracer(), "electrical_solve");
-        obs::count(net.tracer(), "electrical_solves");
-        // Each solve round is a clique-wide broadcast (the same words the
-        // kSparsified path charges through LaplacianSolver::solve).
-        net.charge_all_to_all(rep.rounds_per_solve);
-        phi2 = solver2.potentials(chi2);
-      } else {
-        phi2 = solver2.potentials(chi2, &net);
-      }
+      const linalg::Vec phi2 = solver2.potentials(chi2, net, rep.rounds_per_solve);
       for (int e = 0; e < me; ++e) {
         const double ft2 = (phi2[static_cast<std::size_t>(lf.q_of_edge(e))] -
                             phi2[static_cast<std::size_t>(lf.p_of_edge(e))]) /

@@ -42,10 +42,9 @@ struct MinCostIpmOptions {
   /// Scales the pseudocode's c_T * m^{1/2-3 eta} x m^{2 eta} budget.
   double iteration_scale = 1.0;
   std::int64_t max_iterations = 200000;
-  ElectricalMode electrical_mode = ElectricalMode::kDirect;
   /// Numerics backend for every Laplacian factorization this run performs
-  /// (both modes).  kAuto resolves per instance; the facade copies
-  /// Runtime::numerics in here when left at kAuto.
+  /// (the per-solve factors and the calibration solver).  kAuto resolves per
+  /// instance; the facade copies Runtime::numerics in here when left at kAuto.
   linalg::Backend numerics = linalg::Backend::kAuto;
   double solve_eps = 1e-10;
   SsspOptions sssp;

@@ -56,11 +56,19 @@ struct FactorStats {
   std::int64_t fill_nnz = 0;           ///< nonzeros in the factor (diag incl.)
 };
 
-/// The pluggable Laplacian pseudoinverse factor: dispatches between
-/// linalg::LaplacianFactor (dense) and linalg::SparseLaplacianFactor by the
-/// resolved backend.  Both wrappers share the grounding/projection
-/// arithmetic, so swapping backends changes substitution bits only — round
-/// counts stay pinned by the golden tests under either choice.
+/// The Laplacian pseudoinverse, x = L^+ b, for a connected or disconnected
+/// Laplacian.  Factoring finds the components once and grounds the first
+/// vertex reached in each; the resolved backend then factors the grounded,
+/// SPD matrix with its own kernel:
+///   * dense: a dense copy with grounded rows/cols pinned to the identity,
+///     factored by DenseLdlt;
+///   * sparse: entries touching a grounded vertex dropped and its diagonal
+///     pinned to 1, RCM-permuted (rcm_ordering), factored by SparseLdlt.
+/// Every solve projects b onto range(L) (per-component mean removed, grounded
+/// entries zeroed) and normalizes x to per-component mean zero with the same
+/// arithmetic under either backend, so swapping backends changes
+/// substitution bits only — round counts stay pinned by the golden tests
+/// under either choice.
 class BackendLaplacianFactor {
  public:
   BackendLaplacianFactor() = default;
@@ -75,16 +83,27 @@ class BackendLaplacianFactor {
   /// x = L^+ b.
   [[nodiscard]] Vec solve(std::span<const double> b) const;
 
-  /// Multi-RHS pseudoinverse action; column c bit-identical to solve(b[c]).
+  /// Multi-RHS pseudoinverse action: column c is bit-identical to
+  /// solve(b[c]) — projection, substitution, and normalization all run the
+  /// per-column arithmetic of the scalar path while sharing the factor walk.
   [[nodiscard]] std::vector<Vec> solve_block(std::span<const Vec> b) const;
 
  private:
+  /// Overwrites each column b with L^+ b.
+  void solve_columns(std::vector<Vec>& xs) const;
+  /// Subtracts from x its mean over each component, in ascending vertex order.
+  void remove_component_means(Vec& x) const;
+
   int n_ = 0;
   FactorStats stats_;
-  // Exactly one is populated (the other stays empty); dispatch is a branch
-  // on stats_.chosen, fixed at factor time.
-  LaplacianFactor dense_;
-  SparseLaplacianFactor sparse_;
+  std::vector<int> comp_;       ///< component id per vertex
+  std::vector<int> comp_size_;  ///< vertex count per component
+  std::vector<int> grounded_;   ///< one grounded vertex per component
+  std::vector<int> perm_;       ///< sparse only: RCM order, perm_[new] = old
+  // Exactly one kernel is populated (the other stays empty); dispatch is a
+  // branch on stats_.chosen, fixed at factor time.
+  DenseLdlt dense_;
+  SparseLdlt sparse_;
 };
 
 }  // namespace lapclique::linalg

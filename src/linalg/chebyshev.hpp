@@ -55,7 +55,7 @@ Vec preconditioned_chebyshev(const ApplyFn& apply_a, const ApplyFn& solve_b,
 
 /// Multi-RHS operator application: one call applies A (or B^{-1}) to every
 /// column, sharing the matrix pass (CsrMatrix::multiply_block,
-/// LaplacianFactor::solve_block).
+/// BackendLaplacianFactor::solve_block).
 using BlockApplyFn = std::function<std::vector<Vec>(std::span<const Vec>)>;
 
 /// Batched PreconCheby over k right-hand sides.  The Chebyshev recurrence

@@ -261,149 +261,4 @@ void DenseLdlt::solve_block_inplace(std::span<Vec> xs) const {
   }
 }
 
-LaplacianFactor LaplacianFactor::factor(const CsrMatrix& laplacian) {
-  LaplacianFactor f;
-  const int n = laplacian.size();
-  f.n_ = n;
-  f.comp_.assign(static_cast<std::size_t>(n), -1);
-
-  // Components via DFS over the sparsity pattern.
-  const auto rowptr = laplacian.row_ptr();
-  const auto colidx = laplacian.col_idx();
-  int comps = 0;
-  std::vector<int> stack;
-  for (int s = 0; s < n; ++s) {
-    if (f.comp_[static_cast<std::size_t>(s)] != -1) continue;
-    const int c = comps++;
-    stack.push_back(s);
-    f.comp_[static_cast<std::size_t>(s)] = c;
-    f.grounded_.push_back(s);
-    while (!stack.empty()) {
-      const int v = stack.back();
-      stack.pop_back();
-      for (int k = rowptr[static_cast<std::size_t>(v)];
-           k < rowptr[static_cast<std::size_t>(v) + 1]; ++k) {
-        const int u = colidx[static_cast<std::size_t>(k)];
-        if (f.comp_[static_cast<std::size_t>(u)] == -1) {
-          f.comp_[static_cast<std::size_t>(u)] = c;
-          stack.push_back(u);
-        }
-      }
-    }
-  }
-  f.num_components_ = comps;
-
-  // Pin grounded rows/cols to identity; the result is SPD.  Row-sharded:
-  // each row is written by exactly one task.
-  std::vector<double> dense = laplacian.to_dense();
-  std::vector<char> is_grounded(static_cast<std::size_t>(n), 0);
-  for (int g : f.grounded_) is_grounded[static_cast<std::size_t>(g)] = 1;
-  exec::parallel_for(n, 64, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t r = b; r < e; ++r) {
-      const auto ru = static_cast<std::size_t>(r);
-      const bool gr = is_grounded[ru] != 0;
-      double* row = dense.data() + ru * static_cast<std::size_t>(n);
-      for (int c = 0; c < n; ++c) {
-        if (gr || is_grounded[static_cast<std::size_t>(c)] != 0) {
-          row[static_cast<std::size_t>(c)] = (static_cast<int>(r) == c) ? 1.0 : 0.0;
-        }
-      }
-    }
-  });
-  f.ldlt_ = DenseLdlt::factor(n, dense);
-  return f;
-}
-
-Vec LaplacianFactor::solve(std::span<const double> b) const {
-  if (static_cast<int>(b.size()) != n_) {
-    throw std::invalid_argument("LaplacianFactor::solve: size mismatch");
-  }
-  // Project b onto range(L): per component, subtract the mean.
-  std::vector<double> mean(static_cast<std::size_t>(num_components_), 0.0);
-  std::vector<int> count(static_cast<std::size_t>(num_components_), 0);
-  for (int v = 0; v < n_; ++v) {
-    mean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])] +=
-        b[static_cast<std::size_t>(v)];
-    ++count[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-  }
-  for (int c = 0; c < num_components_; ++c) {
-    mean[static_cast<std::size_t>(c)] /= static_cast<double>(count[static_cast<std::size_t>(c)]);
-  }
-  Vec rhs(b.begin(), b.end());
-  for (int v = 0; v < n_; ++v) {
-    rhs[static_cast<std::size_t>(v)] -= mean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-  }
-  for (int g : grounded_) rhs[static_cast<std::size_t>(g)] = 0.0;
-
-  Vec x = ldlt_.solve(rhs);
-
-  // Normalize: per component, make the solution mean-zero (pseudoinverse).
-  std::vector<double> xmean(static_cast<std::size_t>(num_components_), 0.0);
-  for (int v = 0; v < n_; ++v) {
-    xmean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])] +=
-        x[static_cast<std::size_t>(v)];
-  }
-  for (int c = 0; c < num_components_; ++c) {
-    xmean[static_cast<std::size_t>(c)] /= static_cast<double>(count[static_cast<std::size_t>(c)]);
-  }
-  for (int v = 0; v < n_; ++v) {
-    x[static_cast<std::size_t>(v)] -= xmean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-  }
-  return x;
-}
-
-std::vector<Vec> LaplacianFactor::solve_block(std::span<const Vec> b) const {
-  const std::size_t ncols = b.size();
-  std::vector<Vec> xs(ncols);
-  if (ncols == 0) return xs;
-  for (const Vec& col : b) {
-    if (static_cast<int>(col.size()) != n_) {
-      throw std::invalid_argument("LaplacianFactor::solve_block: size mismatch");
-    }
-  }
-  // Projection and normalization are per-column reductions over the same
-  // vertex order as solve(); the substitution itself is the blocked kernel.
-  for (std::size_t c = 0; c < ncols; ++c) {
-    std::vector<double> mean(static_cast<std::size_t>(num_components_), 0.0);
-    std::vector<int> count(static_cast<std::size_t>(num_components_), 0);
-    for (int v = 0; v < n_; ++v) {
-      mean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])] +=
-          b[c][static_cast<std::size_t>(v)];
-      ++count[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-    }
-    for (int cc = 0; cc < num_components_; ++cc) {
-      mean[static_cast<std::size_t>(cc)] /=
-          static_cast<double>(count[static_cast<std::size_t>(cc)]);
-    }
-    Vec rhs(b[c].begin(), b[c].end());
-    for (int v = 0; v < n_; ++v) {
-      rhs[static_cast<std::size_t>(v)] -=
-          mean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-    }
-    for (int g : grounded_) rhs[static_cast<std::size_t>(g)] = 0.0;
-    xs[c] = std::move(rhs);
-  }
-
-  ldlt_.solve_block_inplace(xs);
-
-  for (std::size_t c = 0; c < ncols; ++c) {
-    std::vector<double> xmean(static_cast<std::size_t>(num_components_), 0.0);
-    std::vector<int> count(static_cast<std::size_t>(num_components_), 0);
-    for (int v = 0; v < n_; ++v) {
-      xmean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])] +=
-          xs[c][static_cast<std::size_t>(v)];
-      ++count[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-    }
-    for (int cc = 0; cc < num_components_; ++cc) {
-      xmean[static_cast<std::size_t>(cc)] /=
-          static_cast<double>(count[static_cast<std::size_t>(cc)]);
-    }
-    for (int v = 0; v < n_; ++v) {
-      xs[c][static_cast<std::size_t>(v)] -=
-          xmean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-    }
-  }
-  return xs;
-}
-
 }  // namespace lapclique::linalg

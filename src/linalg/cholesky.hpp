@@ -1,26 +1,17 @@
-// Dense LDL^T factorization for symmetric positive (semi-)definite systems,
-// plus a Laplacian-aware wrapper that handles the all-ones kernel by
-// grounding one vertex per connected component.
+// Dense LDL^T factorization for symmetric positive definite systems: the
+// `dense` kernel of linalg::BackendLaplacianFactor (backend.hpp), which
+// grounds one vertex per component of a Laplacian and hands the pinned, SPD
+// matrix to DenseLdlt.
 //
 // The congested-clique Laplacian solver (Theorem 1.1) solves systems in the
 // *sparsifier* L_H internally at every node; since H is globally known and
-// has O(n log n) edges this dense factorization is the "internal computation"
-// the model charges zero rounds for.
-//
-// MIGRATION (sparse-first numerics): constructing LaplacianFactor directly is
-// deprecated for solver code.  Factor through linalg::BackendLaplacianFactor
-// (linalg/backend.hpp), which picks dense LDL^T or the RCM-ordered sparse
-// LDL^T per the Runtime::numerics / LaplacianSolverOptions::backend request
-// and reports FactorStats.  This header stays as the dense backend's
-// implementation and as a compat shim for existing callers; see
-// docs/PERFORMANCE.md ("Numerics backends") for the migration contract.
+// has O(n log n) edges this factorization is the "internal computation" the
+// model charges zero rounds for.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "linalg/csr.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace lapclique::linalg {
@@ -51,36 +42,6 @@ class DenseLdlt {
   std::vector<double> lt_;  ///< transpose of l_ (row i = column i of L), so
                             ///< backward substitution streams contiguously
   std::vector<double> d_;   ///< diagonal of D
-};
-
-/// Solves Laplacian systems L x = b exactly (up to fp error) for a connected
-/// or disconnected Laplacian: per component, one vertex is grounded, the
-/// reduced SPD system is LDL^T-factored, and inputs/outputs are projected so
-/// the result is the pseudoinverse action x = L^+ b.
-class LaplacianFactor {
- public:
-  LaplacianFactor() = default;
-  static LaplacianFactor factor(const CsrMatrix& laplacian);
-
-  [[nodiscard]] int size() const { return n_; }
-
-  /// x = L^+ b.  (b is projected onto the range of L per component first.)
-  [[nodiscard]] Vec solve(std::span<const double> b) const;
-
-  /// Multi-RHS pseudoinverse action: column c is bit-identical to
-  /// solve(b[c]) — projection, substitution, and normalization all run the
-  /// per-column arithmetic of the scalar path while sharing the factor walk.
-  [[nodiscard]] std::vector<Vec> solve_block(std::span<const Vec> b) const;
-
-  [[nodiscard]] int num_components() const { return num_components_; }
-  [[nodiscard]] std::span<const int> component_of() const { return comp_; }
-
- private:
-  int n_ = 0;
-  int num_components_ = 0;
-  std::vector<int> comp_;      ///< component id per vertex
-  std::vector<int> grounded_;  ///< one grounded vertex per component
-  DenseLdlt ldlt_;             ///< factor of L with grounded rows/cols pinned
 };
 
 }  // namespace lapclique::linalg

@@ -277,170 +277,4 @@ void SparseLdlt::solve_block_inplace(std::span<Vec> xs) const {
   }
 }
 
-SparseLaplacianFactor SparseLaplacianFactor::factor(const CsrMatrix& laplacian) {
-  SparseLaplacianFactor f;
-  const int n = laplacian.size();
-  f.n_ = n;
-  f.comp_.assign(static_cast<std::size_t>(n), -1);
-
-  // Components via DFS over the sparsity pattern — the exact walk of
-  // linalg::LaplacianFactor::factor, so comp_/grounded_ (and therefore the
-  // projection arithmetic) match the dense wrapper vertex for vertex.
-  const auto rowptr = laplacian.row_ptr();
-  const auto colidx = laplacian.col_idx();
-  const auto avals = laplacian.values();
-  int comps = 0;
-  std::vector<int> stack;
-  for (int s = 0; s < n; ++s) {
-    if (f.comp_[static_cast<std::size_t>(s)] != -1) continue;
-    const int c = comps++;
-    stack.push_back(s);
-    f.comp_[static_cast<std::size_t>(s)] = c;
-    f.grounded_.push_back(s);
-    while (!stack.empty()) {
-      const int v = stack.back();
-      stack.pop_back();
-      for (int k = rowptr[static_cast<std::size_t>(v)];
-           k < rowptr[static_cast<std::size_t>(v) + 1]; ++k) {
-        const int u = colidx[static_cast<std::size_t>(k)];
-        if (f.comp_[static_cast<std::size_t>(u)] == -1) {
-          f.comp_[static_cast<std::size_t>(u)] = c;
-          stack.push_back(u);
-        }
-      }
-    }
-  }
-  f.num_components_ = comps;
-
-  // Grounded matrix, kept sparse: drop every entry touching a grounded
-  // vertex and pin those diagonals to 1 — the sparse twin of the dense
-  // wrapper's row/col identity pinning.  The result is SPD.
-  std::vector<char> is_grounded(static_cast<std::size_t>(n), 0);
-  for (int g : f.grounded_) is_grounded[static_cast<std::size_t>(g)] = 1;
-  std::vector<Triplet> t;
-  t.reserve(avals.size() + static_cast<std::size_t>(comps));
-  for (int r = 0; r < n; ++r) {
-    if (is_grounded[static_cast<std::size_t>(r)] != 0) {
-      t.push_back({r, r, 1.0});
-      continue;
-    }
-    for (int k = rowptr[static_cast<std::size_t>(r)];
-         k < rowptr[static_cast<std::size_t>(r) + 1]; ++k) {
-      const int c = colidx[static_cast<std::size_t>(k)];
-      if (is_grounded[static_cast<std::size_t>(c)] != 0) continue;
-      t.push_back({r, c, avals[static_cast<std::size_t>(k)]});
-    }
-  }
-  const CsrMatrix grounded = CsrMatrix::from_triplets(n, t);
-
-  // Deterministic fill-reducing ordering of the grounded pattern, then
-  // factor the permuted matrix.
-  f.perm_ = rcm_ordering(grounded);
-  f.iperm_.assign(static_cast<std::size_t>(n), 0);
-  for (int p = 0; p < n; ++p) {
-    f.iperm_[static_cast<std::size_t>(f.perm_[static_cast<std::size_t>(p)])] = p;
-  }
-  std::vector<Triplet> pt;
-  pt.reserve(grounded.values().size());
-  const auto grp = grounded.row_ptr();
-  const auto gci = grounded.col_idx();
-  const auto gv = grounded.values();
-  for (int r = 0; r < n; ++r) {
-    const int pr = f.iperm_[static_cast<std::size_t>(r)];
-    for (int k = grp[static_cast<std::size_t>(r)];
-         k < grp[static_cast<std::size_t>(r) + 1]; ++k) {
-      pt.push_back({pr, f.iperm_[static_cast<std::size_t>(gci[static_cast<std::size_t>(k)])],
-                    gv[static_cast<std::size_t>(k)]});
-    }
-  }
-  f.ldlt_ = SparseLdlt::factor(CsrMatrix::from_triplets(n, pt));
-  return f;
-}
-
-Vec SparseLaplacianFactor::project_rhs(std::span<const double> b) const {
-  // Per-component mean subtraction in ascending vertex order — the same
-  // accumulation sequence as LaplacianFactor::solve, bit for bit.
-  std::vector<double> mean(static_cast<std::size_t>(num_components_), 0.0);
-  std::vector<int> count(static_cast<std::size_t>(num_components_), 0);
-  for (int v = 0; v < n_; ++v) {
-    mean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])] +=
-        b[static_cast<std::size_t>(v)];
-    ++count[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-  }
-  for (int c = 0; c < num_components_; ++c) {
-    mean[static_cast<std::size_t>(c)] /= static_cast<double>(count[static_cast<std::size_t>(c)]);
-  }
-  Vec rhs(b.begin(), b.end());
-  for (int v = 0; v < n_; ++v) {
-    rhs[static_cast<std::size_t>(v)] -= mean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-  }
-  for (int g : grounded_) rhs[static_cast<std::size_t>(g)] = 0.0;
-  return rhs;
-}
-
-void SparseLaplacianFactor::normalize(std::span<double> x) const {
-  std::vector<double> xmean(static_cast<std::size_t>(num_components_), 0.0);
-  std::vector<int> count(static_cast<std::size_t>(num_components_), 0);
-  for (int v = 0; v < n_; ++v) {
-    xmean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])] +=
-        x[static_cast<std::size_t>(v)];
-    ++count[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-  }
-  for (int c = 0; c < num_components_; ++c) {
-    xmean[static_cast<std::size_t>(c)] /= static_cast<double>(count[static_cast<std::size_t>(c)]);
-  }
-  for (int v = 0; v < n_; ++v) {
-    x[static_cast<std::size_t>(v)] -= xmean[static_cast<std::size_t>(comp_[static_cast<std::size_t>(v)])];
-  }
-}
-
-Vec SparseLaplacianFactor::solve(std::span<const double> b) const {
-  if (static_cast<int>(b.size()) != n_) {
-    throw std::invalid_argument("SparseLaplacianFactor::solve: size mismatch");
-  }
-  const Vec rhs = project_rhs(b);
-  Vec prhs(static_cast<std::size_t>(n_));
-  for (int p = 0; p < n_; ++p) {
-    prhs[static_cast<std::size_t>(p)] = rhs[static_cast<std::size_t>(perm_[static_cast<std::size_t>(p)])];
-  }
-  const Vec px = ldlt_.solve(prhs);
-  Vec x(static_cast<std::size_t>(n_));
-  for (int p = 0; p < n_; ++p) {
-    x[static_cast<std::size_t>(perm_[static_cast<std::size_t>(p)])] = px[static_cast<std::size_t>(p)];
-  }
-  normalize(x);
-  return x;
-}
-
-std::vector<Vec> SparseLaplacianFactor::solve_block(std::span<const Vec> b) const {
-  const std::size_t ncols = b.size();
-  std::vector<Vec> xs(ncols);
-  if (ncols == 0) return xs;
-  for (const Vec& col : b) {
-    if (static_cast<int>(col.size()) != n_) {
-      throw std::invalid_argument("SparseLaplacianFactor::solve_block: size mismatch");
-    }
-  }
-  for (std::size_t c = 0; c < ncols; ++c) {
-    const Vec rhs = project_rhs(b[c]);
-    Vec prhs(static_cast<std::size_t>(n_));
-    for (int p = 0; p < n_; ++p) {
-      prhs[static_cast<std::size_t>(p)] =
-          rhs[static_cast<std::size_t>(perm_[static_cast<std::size_t>(p)])];
-    }
-    xs[c] = std::move(prhs);
-  }
-  ldlt_.solve_block_inplace(xs);
-  for (std::size_t c = 0; c < ncols; ++c) {
-    Vec x(static_cast<std::size_t>(n_));
-    for (int p = 0; p < n_; ++p) {
-      x[static_cast<std::size_t>(perm_[static_cast<std::size_t>(p)])] =
-          xs[c][static_cast<std::size_t>(p)];
-    }
-    normalize(x);
-    xs[c] = std::move(x);
-  }
-  return xs;
-}
-
 }  // namespace lapclique::linalg

@@ -1,15 +1,16 @@
-// Sparse left-looking LDL^T for symmetric positive definite matrices in CSR,
-// a deterministic fill-reducing ordering, and a Laplacian-aware wrapper that
-// mirrors linalg::LaplacianFactor on sparse storage.
+// Sparse left-looking LDL^T for symmetric positive definite matrices in CSR
+// and a deterministic fill-reducing ordering: the `sparse` kernel of
+// linalg::BackendLaplacianFactor (backend.hpp).
 //
-// This is the `sparse` half of the linalg::Backend seam (backend.hpp): the
-// sparsifiers this library factors have O(n log n) edges, so past a few
-// hundred vertices an RCM-ordered sparse factor beats the dense O(n^3) path
-// by orders of magnitude (the committed BENCH_laplacian.json records the
-// crossover).  Everything here is sequential and therefore trivially
-// bit-stable across thread counts; determinism only requires that the
-// ordering itself be a pure function of the sparsity pattern, which
-// rcm_ordering guarantees by breaking every tie on the smaller vertex id.
+// The sparsifiers this library factors have O(n log n) edges.  On the
+// committed BENCH_laplacian.json crossover (L_G of gnm graphs with m = 4n)
+// the RCM-ordered sparse factor carries about half the dense fill and is
+// about 2x faster on factor+solve from n >= 1024 (n = 1024: 72 vs 160 ms to
+// factor; n = 2048: 745 vs 1421 ms); at n = 256 the dense factor is faster.
+// Everything here is sequential and therefore trivially bit-stable across
+// thread counts; determinism only requires that the ordering itself be a
+// pure function of the sparsity pattern, which rcm_ordering guarantees by
+// breaking every tie on the smaller vertex id.
 #pragma once
 
 #include <span>
@@ -51,46 +52,6 @@ class SparseLdlt {
   std::vector<int> rowidx_;
   std::vector<double> vals_;
   std::vector<double> d_;
-};
-
-/// Sparse twin of linalg::LaplacianFactor: solves L x = b exactly (up to fp
-/// error) via per-component grounding, an RCM-permuted SparseLdlt of the
-/// grounded matrix, and the same range-projection / mean-zero normalization
-/// arithmetic as the dense wrapper (identical accumulation order, so the
-/// projection bits match the dense path even though the substitution bits
-/// legitimately differ with the ordering).
-class SparseLaplacianFactor {
- public:
-  SparseLaplacianFactor() = default;
-  static SparseLaplacianFactor factor(const CsrMatrix& laplacian);
-
-  [[nodiscard]] int size() const { return n_; }
-
-  /// x = L^+ b.  (b is projected onto the range of L per component first.)
-  [[nodiscard]] Vec solve(std::span<const double> b) const;
-
-  /// Multi-RHS pseudoinverse action: column c is bit-identical to
-  /// solve(b[c]) — projection, substitution, and normalization all run the
-  /// per-column arithmetic of the scalar path while sharing the factor walk.
-  [[nodiscard]] std::vector<Vec> solve_block(std::span<const Vec> b) const;
-
-  [[nodiscard]] int num_components() const { return num_components_; }
-  [[nodiscard]] std::span<const int> component_of() const { return comp_; }
-  [[nodiscard]] std::int64_t fill_nnz() const { return ldlt_.fill_nnz(); }
-
- private:
-  /// Project b per component onto range(L) and zero the grounded entries.
-  [[nodiscard]] Vec project_rhs(std::span<const double> b) const;
-  /// Subtract the per-component mean from x (pseudoinverse normalization).
-  void normalize(std::span<double> x) const;
-
-  int n_ = 0;
-  int num_components_ = 0;
-  std::vector<int> comp_;      ///< component id per vertex
-  std::vector<int> grounded_;  ///< one grounded vertex per component
-  std::vector<int> perm_;      ///< RCM: perm_[new] = old
-  std::vector<int> iperm_;     ///< inverse: iperm_[old] = new
-  SparseLdlt ldlt_;            ///< factor of the permuted grounded matrix
 };
 
 }  // namespace lapclique::linalg

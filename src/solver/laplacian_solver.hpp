@@ -35,8 +35,8 @@ struct LaplacianSolverOptions {
   /// fallback factor.  The canonical way to pick a backend is
   /// Runtime::numerics — the facade entry points copy it in here when this
   /// field is kAuto, so per-call options win only when they hard-pick dense
-  /// or sparse (the compatibility-shim contract, docs/PERFORMANCE.md).
-  /// kAuto resolves by instance size/sparsity (linalg::resolve_backend).
+  /// or sparse.  kAuto resolves by instance size/sparsity
+  /// (linalg::resolve_backend).
   linalg::Backend backend = linalg::Backend::kAuto;
 };
 

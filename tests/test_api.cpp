@@ -10,7 +10,7 @@
 #include "flow/ssp_mincost.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/jacobi_eigen.hpp"
 
 namespace lapclique {
@@ -24,7 +24,7 @@ TEST(Api, SolveLaplacianEndToEnd) {
   const auto rep = solve_laplacian(g, b, 1e-6);
   EXPECT_GT(rep.run.rounds, 0);
   const auto l = graph::laplacian(g);
-  const auto exact = linalg::LaplacianFactor::factor(l);
+  const auto exact = linalg::BackendLaplacianFactor::factor(l);
   const auto xstar = exact.solve(b);
   auto diff = linalg::sub(rep.x, xstar);
   EXPECT_LT(graph::laplacian_norm(l, diff),

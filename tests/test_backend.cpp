@@ -144,8 +144,8 @@ TEST(Backend, SparseFactorMatchesDenseOnConnectedGraph) {
   EXPECT_NEAR(sum, 0.0, 1e-9);
 }
 
-TEST(Backend, SparseFactorHandlesMultipleComponents) {
-  // Two triangles: per-component grounding and normalization.
+/// Two triangles: exercises per-component grounding and normalization.
+Graph two_triangles() {
   Graph g(6);
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 2.0);
@@ -153,7 +153,11 @@ TEST(Backend, SparseFactorHandlesMultipleComponents) {
   g.add_edge(3, 4, 1.0);
   g.add_edge(4, 5, 3.0);
   g.add_edge(5, 3, 1.0);
-  const linalg::CsrMatrix lap = graph::laplacian(g);
+  return g;
+}
+
+TEST(Backend, SparseFactorHandlesMultipleComponents) {
+  const linalg::CsrMatrix lap = graph::laplacian(two_triangles());
   const auto dense = linalg::BackendLaplacianFactor::factor(lap, Backend::kDense);
   const auto sparse = linalg::BackendLaplacianFactor::factor(lap, Backend::kSparse);
   // Per-component mean-zero RHS.
@@ -166,21 +170,24 @@ TEST(Backend, SparseFactorHandlesMultipleComponents) {
 }
 
 TEST(Backend, SolveBlockColumnsBitIdenticalToScalarSolves) {
-  const Graph g = graph::random_connected_gnm(50, 140, test::base_seed() + 321);
-  const linalg::CsrMatrix lap = graph::laplacian(g);
-  for (const Backend backend : {Backend::kDense, Backend::kSparse}) {
-    const auto factor = linalg::BackendLaplacianFactor::factor(lap, backend);
-    const std::vector<linalg::Vec> bs = {mean_zero(random_vec(50, 322)),
-                                         mean_zero(random_vec(50, 323)),
-                                         mean_zero(random_vec(50, 324))};
-    const std::vector<linalg::Vec> block = factor.solve_block(bs);
-    ASSERT_EQ(block.size(), bs.size());
-    for (std::size_t c = 0; c < bs.size(); ++c) {
-      const linalg::Vec single = factor.solve(bs[c]);
-      ASSERT_EQ(block[c].size(), single.size());
-      for (std::size_t i = 0; i < single.size(); ++i) {
-        EXPECT_EQ(bits_of(block[c][i]), bits_of(single[i]))
-            << linalg::to_string(backend) << " col " << c << " row " << i;
+  const Graph connected = graph::random_connected_gnm(50, 140, test::base_seed() + 321);
+  for (const Graph& g : {connected, two_triangles()}) {
+    const linalg::CsrMatrix lap = graph::laplacian(g);
+    const int n = g.num_vertices();
+    for (const Backend backend : {Backend::kDense, Backend::kSparse}) {
+      const auto factor = linalg::BackendLaplacianFactor::factor(lap, backend);
+      const std::vector<linalg::Vec> bs = {mean_zero(random_vec(n, 322)),
+                                           mean_zero(random_vec(n, 323)),
+                                           mean_zero(random_vec(n, 324))};
+      const std::vector<linalg::Vec> block = factor.solve_block(bs);
+      ASSERT_EQ(block.size(), bs.size());
+      for (std::size_t c = 0; c < bs.size(); ++c) {
+        const linalg::Vec single = factor.solve(bs[c]);
+        ASSERT_EQ(block[c].size(), single.size());
+        for (std::size_t i = 0; i < single.size(); ++i) {
+          EXPECT_EQ(bits_of(block[c][i]), bits_of(single[i]))
+              << linalg::to_string(backend) << " n " << n << " col " << c << " row " << i;
+        }
       }
     }
   }
@@ -263,7 +270,7 @@ TEST(BackendDifferential, PerBackendBitStabilityAcrossThreadsAndRouting) {
 }
 
 TEST(BackendDifferential, RuntimeBackendAppliesOnlyWhenOptionIsAuto) {
-  // The compatibility-shim contract: the per-call option wins when it
+  // The precedence contract: the per-call option wins when it
   // hard-picks a backend; Runtime::numerics fills in only kAuto.
   const Graph g = graph::random_connected_gnm(30, 80, test::base_seed() + 351);
   std::vector<double> b(30, 0.0);

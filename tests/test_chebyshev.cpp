@@ -6,7 +6,7 @@
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "linalg/chebyshev.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace lapclique::linalg {
@@ -53,7 +53,7 @@ TEST_P(ChebyshevLaplacianTest, EnergyNormErrorBoundHolds) {
   const double eps = GetParam();
   const graph::Graph g = graph::random_connected_gnm(24, 60, 5);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor exact = LaplacianFactor::factor(l);
+  const BackendLaplacianFactor exact = BackendLaplacianFactor::factor(l);
 
   // Preconditioner: B = 3 L (so A <= B' <= kappa A with the scaling below).
   const double kappa = 3.0;
@@ -92,8 +92,8 @@ TEST(Chebyshev, ConvergesWithGenuinelyWeakPreconditioner) {
   graph::Graph h = g;
   h.scale_weights(2.0);
   const CsrMatrix lh = graph::laplacian(h);
-  const LaplacianFactor hf = LaplacianFactor::factor(lh);
-  const LaplacianFactor exact = LaplacianFactor::factor(l);
+  const BackendLaplacianFactor hf = BackendLaplacianFactor::factor(lh);
+  const BackendLaplacianFactor exact = BackendLaplacianFactor::factor(l);
 
   const ApplyFn apply_a = [&l](std::span<const double> x) { return l.multiply(x); };
   const ApplyFn solve_b = [&hf](std::span<const double> r) { return hf.solve(r); };
@@ -116,7 +116,7 @@ TEST(Chebyshev, ConvergesWithGenuinelyWeakPreconditioner) {
 TEST(Chebyshev, ResidualTraceDecreasesMonotonically) {
   const graph::Graph g = graph::random_connected_gnm(16, 40, 2);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor lf = LaplacianFactor::factor(l);
+  const BackendLaplacianFactor lf = BackendLaplacianFactor::factor(l);
   const ApplyFn apply_a = [&l](std::span<const double> x) { return l.multiply(x); };
   const ApplyFn solve_b = [&lf](std::span<const double> r) { return lf.solve(r); };
   Vec b(16, 0.0);
@@ -137,7 +137,7 @@ TEST(Chebyshev, IterationCountMatchesTheoremRate) {
   // implementation uses exactly the bound when no override is given.
   const graph::Graph g = graph::cycle(10);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor lf = LaplacianFactor::factor(l);
+  const BackendLaplacianFactor lf = BackendLaplacianFactor::factor(l);
   const ApplyFn apply_a = [&l](std::span<const double> x) { return l.multiply(x); };
   const ApplyFn solve_b = [&lf](std::span<const double> r) { return lf.solve(r); };
   Vec b(10, 0.0);

@@ -4,10 +4,11 @@
 
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
-#include "linalg/cg.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/sparse_cholesky.hpp"
 #include "linalg/vector_ops.hpp"
+#include "support/cg.hpp"
 
 namespace lapclique::linalg {
 namespace {
@@ -54,43 +55,51 @@ TEST(DenseLdlt, MatchesCgOnSpdSystem) {
   for (int i = 0; i < 20; ++i) b[static_cast<std::size_t>(i)] = std::cos(i * 1.3);
   const DenseLdlt f = DenseLdlt::factor(20, a.to_dense());
   const Vec x1 = f.solve(b);
-  const CgResult x2 = conjugate_gradient(a, b, 1e-13, 10000, false);
+  const test::CgResult x2 = test::conjugate_gradient(a, b, 1e-13, 10000, false);
   for (int i = 0; i < 20; ++i) {
     EXPECT_NEAR(x1[static_cast<std::size_t>(i)], x2.x[static_cast<std::size_t>(i)],
                 1e-7);
   }
 }
 
+// The pseudoinverse wrapper, run over both kernels behind it.
+constexpr Backend kBackends[] = {Backend::kDense, Backend::kSparse};
+
 TEST(LaplacianFactor, PseudoinverseActionOnConnectedGraph) {
   const graph::Graph g = graph::random_connected_gnm(12, 28, 9);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
-  EXPECT_EQ(f.num_components(), 1);
   Vec b(12, 0.0);
   b[0] = 3.0;
   b[7] = -3.0;
-  const Vec x = f.solve(b);
-  // L x = b and mean(x) = 0.
-  const Vec lx = l.multiply(x);
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_NEAR(lx[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-9);
+  for (const Backend backend : kBackends) {
+    const BackendLaplacianFactor f = BackendLaplacianFactor::factor(l, backend);
+    const Vec x = f.solve(b);
+    // L x = b and mean(x) = 0.
+    const Vec lx = l.multiply(x);
+    for (int i = 0; i < 12; ++i) {
+      EXPECT_NEAR(lx[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-9)
+          << to_string(backend);
+    }
+    EXPECT_NEAR(sum(x), 0.0, 1e-9) << to_string(backend);
   }
-  EXPECT_NEAR(sum(x), 0.0, 1e-9);
 }
 
 TEST(LaplacianFactor, ProjectsOffRangeRhs) {
   const graph::Graph g = graph::cycle(6);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
   // b with nonzero mean: the solver should act on the projected b.
   Vec b(6, 1.0);
   b[0] = 4.0;
-  const Vec x = f.solve(b);
   Vec bp = b;
   project_out_ones(bp);
-  const Vec lx = l.multiply(x);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_NEAR(lx[static_cast<std::size_t>(i)], bp[static_cast<std::size_t>(i)], 1e-9);
+  for (const Backend backend : kBackends) {
+    const BackendLaplacianFactor f = BackendLaplacianFactor::factor(l, backend);
+    const Vec x = f.solve(b);
+    const Vec lx = l.multiply(x);
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_NEAR(lx[static_cast<std::size_t>(i)], bp[static_cast<std::size_t>(i)], 1e-9)
+          << to_string(backend);
+    }
   }
 }
 
@@ -101,13 +110,18 @@ TEST(LaplacianFactor, HandlesDisconnectedComponents) {
   g.add_edge(3, 4);
   g.add_edge(4, 5);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
-  EXPECT_EQ(f.num_components(), 2);
   Vec b{1.0, 0.0, -1.0, 2.0, 0.0, -2.0};
-  const Vec x = f.solve(b);
-  const Vec lx = l.multiply(x);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_NEAR(lx[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-9);
+  for (const Backend backend : kBackends) {
+    const BackendLaplacianFactor f = BackendLaplacianFactor::factor(l, backend);
+    const Vec x = f.solve(b);
+    const Vec lx = l.multiply(x);
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_NEAR(lx[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-9)
+          << to_string(backend);
+    }
+    // The pseudoinverse is mean-zero on each component {0,1,2} and {3,4,5}.
+    EXPECT_NEAR(x[0] + x[1] + x[2], 0.0, 1e-9) << to_string(backend);
+    EXPECT_NEAR(x[3] + x[4] + x[5], 0.0, 1e-9) << to_string(backend);
   }
 }
 

@@ -5,7 +5,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/backend.hpp"
 #include "solver/clique_laplacian.hpp"
 
 namespace lapclique::solver {
@@ -29,7 +29,7 @@ TEST(CliqueLaplacian, SolvesAndCharges) {
   EXPECT_GT(rep.run.words, 0);
   // Verify the answer.
   const auto l = graph::laplacian(g);
-  const auto exact = linalg::LaplacianFactor::factor(l);
+  const auto exact = linalg::BackendLaplacianFactor::factor(l);
   const Vec xstar = exact.solve(b);
   Vec diff = linalg::sub(rep.x, xstar);
   EXPECT_LT(graph::laplacian_norm(l, diff),

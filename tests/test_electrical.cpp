@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "flow/electrical.hpp"
+#include "solver/laplacian_solver.hpp"
 
 namespace lapclique::flow {
 namespace {
@@ -14,6 +15,12 @@ linalg::Vec pair_demand(int n, int s, int t, double f = 1.0) {
   chi[static_cast<std::size_t>(s)] = -f;
   chi[static_cast<std::size_t>(t)] = f;
   return chi;
+}
+
+graph::Graph conductances(int n, const std::vector<ElectricalEdge>& edges) {
+  graph::Graph g(n);
+  for (const ElectricalEdge& e : edges) g.add_edge(e.u, e.v, 1.0 / e.resistance);
+  return g;
 }
 
 TEST(Electrical, SeriesResistorsShareTheCurrent) {
@@ -83,19 +90,18 @@ TEST(Electrical, RejectsSizeMismatchedDemand) {
 }
 
 TEST(Electrical, SparsifiedModeMatchesDirect) {
+  // The exact electrical solve against the Theorem 1.1 sparsifier-
+  // preconditioned solver on the same conductance graph.
   std::vector<ElectricalEdge> edges;
   for (int i = 0; i < 12; ++i) {
     edges.push_back({i, (i + 1) % 12, 1.0 + (i % 3)});
     edges.push_back({i, (i + 4) % 12, 2.0});
   }
-  ElectricalSolver direct(12, edges, {});
-  ElectricalOptions sopt;
-  sopt.mode = ElectricalMode::kSparsified;
-  sopt.eps = 1e-9;
-  ElectricalSolver sparsified(12, edges, sopt);
+  const ElectricalSolver direct(12, edges);
+  const solver::LaplacianSolver sparsified(conductances(12, edges));
   const auto chi = pair_demand(12, 0, 6);
   const auto pd = direct.potentials(chi);
-  const auto ps = sparsified.potentials(chi);
+  const auto ps = sparsified.solve(chi, 1e-9);
   for (int v = 0; v < 12; ++v) {
     EXPECT_NEAR(pd[static_cast<std::size_t>(v)], ps[static_cast<std::size_t>(v)],
                 1e-5);
@@ -105,11 +111,15 @@ TEST(Electrical, SparsifiedModeMatchesDirect) {
 TEST(Electrical, CalibrateIsDeterministicAndPositive) {
   std::vector<ElectricalEdge> edges;
   for (int i = 0; i < 10; ++i) edges.push_back({i, (i + 1) % 10, 1.0});
-  ElectricalSolver solver(10, edges, {});
-  const auto a = solver.calibrate(1e-8);
-  const auto b = solver.calibrate(1e-8);
+  const auto a = calibrate_solve_rounds(10, edges, 1e-8);
+  const auto b = calibrate_solve_rounds(10, edges, 1e-8);
   EXPECT_GT(a, 0);
   EXPECT_EQ(a, b);
+  // It is exactly the cost of building and running one Theorem 1.1 solver.
+  clique::Network net(10);
+  const solver::LaplacianSolver s(conductances(10, edges), {}, &net);
+  (void)s.solve(pair_demand(10, 0, 9), 1e-8, nullptr, &net);
+  EXPECT_EQ(a, net.rounds());
 }
 
 }  // namespace

@@ -291,7 +291,7 @@ TEST(SolverGuardRail, ExhaustedRestartsFallBackToExactFactorization) {
   // The fallback is a direct factorization: the answer is exact even though
   // every Chebyshev certification was poisoned.
   const auto l = graph::laplacian(g);
-  const auto xstar = linalg::LaplacianFactor::factor(l).solve(b);
+  const auto xstar = linalg::BackendLaplacianFactor::factor(l).solve(b);
   auto diff = linalg::sub(rep.x, xstar);
   EXPECT_LT(graph::laplacian_norm(l, diff),
             1e-8 * std::max(graph::laplacian_norm(l, xstar), 1e-12));

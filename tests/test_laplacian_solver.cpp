@@ -9,7 +9,7 @@
 #include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/vector_ops.hpp"
 #include "solver/laplacian_solver.hpp"
 #include "test_seed.hpp"
@@ -23,7 +23,7 @@ using linalg::Vec;
 double energy_error(const Graph& g, const Vec& x, const Vec& b) {
   // ||x - L^+ b||_L / ||L^+ b||_L via an exact factorization.
   const auto l = graph::laplacian(g);
-  const auto exact = linalg::LaplacianFactor::factor(l);
+  const auto exact = linalg::BackendLaplacianFactor::factor(l);
   const Vec xstar = exact.solve(b);
   Vec diff = linalg::sub(x, xstar);
   const double ref = graph::laplacian_norm(l, xstar);

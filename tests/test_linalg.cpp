@@ -7,12 +7,12 @@
 #include "exec/pool.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
-#include "linalg/cg.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/chebyshev.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/vector_ops.hpp"
+#include "support/cg.hpp"
 #include "test_seed.hpp"
 
 namespace lapclique::linalg {
@@ -177,7 +177,7 @@ TEST(Cg, SolvesLaplacianSystem) {
   Vec b(15, 0.0);
   b[0] = 1.0;
   b[14] = -1.0;
-  const CgResult r = conjugate_gradient(l, b, 1e-12);
+  const test::CgResult r = test::conjugate_gradient(l, b, 1e-12);
   EXPECT_TRUE(r.converged);
   const Vec lx = l.multiply(r.x);
   for (int i = 0; i < 15; ++i) {
@@ -191,8 +191,8 @@ TEST(Cg, OperatorFormMatchesMatrixForm) {
   Vec b(9, 0.0);
   b[2] = 2.0;
   b[6] = -2.0;
-  const CgResult r1 = conjugate_gradient(l, b, 1e-12);
-  const CgResult r2 = conjugate_gradient(
+  const test::CgResult r1 = test::conjugate_gradient(l, b, 1e-12);
+  const test::CgResult r2 = test::conjugate_gradient(
       [&l](std::span<const double> x) { return l.multiply(x); }, 9, b, 1e-12);
   for (int i = 0; i < 9; ++i) {
     EXPECT_NEAR(r1.x[static_cast<std::size_t>(i)], r2.x[static_cast<std::size_t>(i)],
@@ -257,7 +257,7 @@ TEST_P(BlockKernels, LaplacianFactorSolveBlockBitwiseEqualsScalar) {
   const exec::ThreadScope scope(threads);
   std::mt19937_64 rng(test::base_seed() + 100 + static_cast<std::uint64_t>(k));
   const graph::Graph g = graph::random_connected_gnm(35, 110, test::base_seed() + 1);
-  const LaplacianFactor f = LaplacianFactor::factor(graph::laplacian(g));
+  const BackendLaplacianFactor f = BackendLaplacianFactor::factor(graph::laplacian(g));
   const std::vector<Vec> bs = random_columns(35, k, rng);
 
   std::vector<Vec> want;
@@ -272,7 +272,7 @@ TEST_P(BlockKernels, PreconditionedChebyshevBlockBitwiseEqualsScalar) {
   std::mt19937_64 rng(test::base_seed() + 200 + static_cast<std::uint64_t>(k));
   const graph::Graph g = graph::random_connected_gnm(30, 90, test::base_seed() + 2);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
+  const BackendLaplacianFactor f = BackendLaplacianFactor::factor(l);
   std::vector<Vec> bs = random_columns(30, k, rng);
   for (Vec& b : bs) project_out_ones(b);
 
@@ -320,8 +320,7 @@ TEST(BlockKernels, SolveBlockHandlesDisconnectedComponents) {
   g.add_edge(1, 2, 2.0);
   g.add_edge(3, 4, 1.0);
   g.add_edge(4, 5, 0.5);
-  const LaplacianFactor f = LaplacianFactor::factor(graph::laplacian(g));
-  ASSERT_EQ(f.num_components(), 2);
+  const BackendLaplacianFactor f = BackendLaplacianFactor::factor(graph::laplacian(g));
   std::mt19937_64 rng(test::base_seed() + 300);
   const std::vector<Vec> bs = random_columns(6, 4, rng);
   std::vector<Vec> want;
@@ -332,7 +331,7 @@ TEST(BlockKernels, SolveBlockHandlesDisconnectedComponents) {
 TEST(BlockKernels, EmptyAndSingleColumnEdgeCases) {
   const graph::Graph g = graph::cycle(8);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
+  const BackendLaplacianFactor f = BackendLaplacianFactor::factor(l);
   EXPECT_TRUE(l.multiply_block({}).empty());
   EXPECT_TRUE(f.solve_block({}).empty());
   const std::vector<Vec> one{Vec(8, 1.5)};

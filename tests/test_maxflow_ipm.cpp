@@ -119,20 +119,6 @@ TEST(MaxFlowIpm, NoPathGivesZero) {
   EXPECT_EQ(r.value, 0);
 }
 
-TEST(MaxFlowIpm, SparsifiedModeAgreesOnTinyInstance) {
-  // Full Theorem 1.1 pipeline inside every IPM iteration (slow; tiny case).
-  Digraph g(4);
-  g.add_arc(0, 1, 2);
-  g.add_arc(1, 3, 2);
-  g.add_arc(0, 2, 1);
-  g.add_arc(2, 3, 1);
-  MaxFlowIpmOptions opt = quick_options();
-  opt.electrical_mode = ElectricalMode::kSparsified;
-  opt.max_iterations = 12;
-  const auto r = run(g, 0, 3, opt);
-  EXPECT_EQ(r.value, 3);
-}
-
 TEST(MaxFlowIpm, DeterministicAcrossRuns) {
   const Digraph g = graph::random_flow_network(10, 26, 4, 11);
   const auto a = run(g, 0, 9, quick_options());

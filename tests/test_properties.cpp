@@ -11,7 +11,7 @@
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "graph/rng.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/backend.hpp"
 #include "solver/laplacian_solver.hpp"
 #include "spectral/random_sparsify.hpp"
 #include "spectral/sparsify.hpp"
@@ -74,7 +74,7 @@ class SolverRandomRhs : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SolverRandomRhs, OperatorSandwich) {
   const Graph g = graph::random_connected_gnm(28, 96, GetParam());
   const solver::LaplacianSolver s(g);
-  const auto exact = linalg::LaplacianFactor::factor(graph::laplacian(g));
+  const auto exact = linalg::BackendLaplacianFactor::factor(graph::laplacian(g));
   graph::SplitMix64 rng(GetParam() + 1000);
   for (int probe = 0; probe < 8; ++probe) {
     Vec b = random_probe(28, rng);
