@@ -46,16 +46,19 @@ int main() {
     linalg::ChebyshevOptions copt;
     copt.kappa = 16.0;
     copt.eps = 1e-6;
-    linalg::ChebyshevStats stats;
+    std::vector<linalg::ChebyshevStats> stats;
+    const std::vector<linalg::Vec> bs{b};
     (void)linalg::preconditioned_chebyshev(
-        [&lg](std::span<const double> x) { return lg.multiply(x); },
-        [&hf](std::span<const double> r) {
-          auto z = hf.solve(r);
-          for (double& v : z) v /= 4.0;
-          return z;
+        lg,
+        [&hf](std::span<const linalg::Vec> rs) {
+          std::vector<linalg::Vec> zs = hf.solve_block(rs);
+          for (linalg::Vec& z : zs) {
+            for (double& v : z) v /= 4.0;
+          }
+          return zs;
         },
-        b, copt, &stats);
-    net.charge(stats.iterations);
+        bs, copt, &stats);
+    net.charge(stats[0].iterations);
 
     bench::row("%-6d | %12d | %12lld | %12d | %12lld", n,
                det.stats.sparsifier_edges, static_cast<long long>(det.run.rounds),

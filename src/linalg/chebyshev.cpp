@@ -13,80 +13,11 @@ int chebyshev_iteration_bound(double kappa, double eps) {
   return static_cast<int>(std::ceil(std::sqrt(kappa) * std::log(2.0 / eps))) + 1;
 }
 
-Vec preconditioned_chebyshev(const ApplyFn& apply_a, const ApplyFn& solve_b,
-                             std::span<const double> b, const ChebyshevOptions& opt,
-                             ChebyshevStats* stats) {
-  // Eigenvalues of B^{-1} A lie in [1/kappa, 1] because A <= B <= kappa A.
-  const double lmin = 1.0 / opt.kappa;
-  const double lmax = 1.0;
-  const double d = (lmax + lmin) / 2.0;
-  const double c = (lmax - lmin) / 2.0;
-
-  const int iters = opt.max_iterations > 0 ? opt.max_iterations
-                                           : chebyshev_iteration_bound(opt.kappa, opt.eps);
-
-  const std::size_t n = b.size();
-  Vec x(n, 0.0);
-  Vec r(b.begin(), b.end());
-  Vec p(n, 0.0);
-  double alpha = 0.0;
-
-  for (int k = 0; k < iters; ++k) {
-    Vec z = solve_b(r);
-    if (k == 0) {
-      p = z;
-      alpha = 1.0 / d;
-      axpy(alpha, p, x);
-    } else {
-      const double beta_num = c * alpha / 2.0;
-      const double beta = beta_num * beta_num;
-      alpha = 1.0 / (d - beta / alpha);
-      if (opt.a_matrix != nullptr) {
-        // Fused triad: the p recurrence and the x accumulation share one
-        // pass.  Per element the two statements are exactly the unfused
-        // pair below, so fusing cannot change a bit.
-        const double a = alpha;
-        exec::parallel_for(static_cast<std::int64_t>(n),
-                           [&](std::int64_t lo, std::int64_t hi) {
-                             for (std::int64_t i = lo; i < hi; ++i) {
-                               const auto iu = static_cast<std::size_t>(i);
-                               p[iu] = z[iu] + beta * p[iu];
-                               x[iu] += a * p[iu];
-                             }
-                           });
-      } else {
-        exec::parallel_for(static_cast<std::int64_t>(n),
-                           [&](std::int64_t lo, std::int64_t hi) {
-                             for (std::int64_t i = lo; i < hi; ++i) {
-                               const auto iu = static_cast<std::size_t>(i);
-                               p[iu] = z[iu] + beta * p[iu];
-                             }
-                           });
-        axpy(alpha, p, x);
-      }
-    }
-    if (opt.a_matrix != nullptr) {
-      // r -= alpha * (A p) without materializing ap.
-      opt.a_matrix->multiply_axpy_into(-alpha, p, r);
-    } else {
-      Vec ap = apply_a(p);
-      axpy(-alpha, ap, r);
-    }
-    if (stats != nullptr && opt.record_trace) {
-      stats->residual_trace.push_back(norm2(r));
-    }
-    if (stats != nullptr) stats->iterations = k + 1;
-  }
-  if (stats != nullptr) stats->final_residual = norm2(r);
-  obs::count(opt.ledger, "chebyshev_iterations", iters);
-  return x;
-}
-
-std::vector<Vec> preconditioned_chebyshev_block(const BlockApplyFn& apply_a,
-                                                const BlockApplyFn& solve_b,
-                                                std::span<const Vec> b,
-                                                const ChebyshevOptions& opt,
-                                                std::vector<ChebyshevStats>* stats) {
+std::vector<Vec> preconditioned_chebyshev(const CsrMatrix& a,
+                                          const BlockApplyFn& solve_b,
+                                          std::span<const Vec> b,
+                                          const ChebyshevOptions& opt,
+                                          std::vector<ChebyshevStats>* stats) {
   const std::size_t k = b.size();
   if (stats != nullptr) {
     stats->clear();
@@ -94,12 +25,12 @@ std::vector<Vec> preconditioned_chebyshev_block(const BlockApplyFn& apply_a,
   }
   if (k == 0) return {};
 
+  // Eigenvalues of B^{-1} A lie in [1/kappa, 1] because A <= B <= kappa A.
   const double lmin = 1.0 / opt.kappa;
   const double lmax = 1.0;
   const double d = (lmax + lmin) / 2.0;
   const double c = (lmax - lmin) / 2.0;
-  const int iters = opt.max_iterations > 0 ? opt.max_iterations
-                                           : chebyshev_iteration_bound(opt.kappa, opt.eps);
+  const int iters = chebyshev_iteration_bound(opt.kappa, opt.eps);
 
   const std::size_t n = b[0].size();
   std::vector<Vec> x(k, Vec(n, 0.0));
@@ -107,11 +38,10 @@ std::vector<Vec> preconditioned_chebyshev_block(const BlockApplyFn& apply_a,
   std::vector<Vec> p(k, Vec(n, 0.0));
   double alpha = 0.0;
 
-  // The scalar iteration's alpha/beta sequence is a pure function of the
-  // iteration index, so every column shares it; each elementwise update and
-  // per-column reduction below repeats the scalar kernel's arithmetic
-  // exactly, which is what makes column c bit-identical to a standalone
-  // preconditioned_chebyshev(b[c]).
+  // The alpha/beta sequence is a pure function of the iteration index, so
+  // every column shares it, and every elementwise update and per-column
+  // reduction below touches its own column only: column c never depends on
+  // how many other columns ride along.
   for (int it = 0; it < iters; ++it) {
     std::vector<Vec> z = solve_b(r);
     if (it == 0) {
@@ -122,44 +52,26 @@ std::vector<Vec> preconditioned_chebyshev_block(const BlockApplyFn& apply_a,
       const double beta_num = c * alpha / 2.0;
       const double beta = beta_num * beta_num;
       alpha = 1.0 / (d - beta / alpha);
-      if (opt.a_matrix != nullptr) {
-        // Fused triad, block form: per column the p/x statements are the
-        // unfused pair below, element for element.
-        const double a = alpha;
-        exec::parallel_for(static_cast<std::int64_t>(n),
-                           [&](std::int64_t lo, std::int64_t hi) {
-                             for (std::size_t col = 0; col < k; ++col) {
-                               double* pc = p[col].data();
-                               double* xc = x[col].data();
-                               const double* zc = z[col].data();
-                               for (std::int64_t i = lo; i < hi; ++i) {
-                                 const auto iu = static_cast<std::size_t>(i);
-                                 pc[iu] = zc[iu] + beta * pc[iu];
-                                 xc[iu] += a * pc[iu];
-                               }
+      // Fused triad: the p recurrence and the x accumulation share one pass.
+      // Per element the two statements are exactly the textbook pair
+      // `p = z + beta p; x += alpha p`, so fusing cannot change a bit.
+      const double al = alpha;
+      exec::parallel_for(static_cast<std::int64_t>(n),
+                         [&](std::int64_t lo, std::int64_t hi) {
+                           for (std::size_t col = 0; col < k; ++col) {
+                             double* pc = p[col].data();
+                             double* xc = x[col].data();
+                             const double* zc = z[col].data();
+                             for (std::int64_t i = lo; i < hi; ++i) {
+                               const auto iu = static_cast<std::size_t>(i);
+                               pc[iu] = zc[iu] + beta * pc[iu];
+                               xc[iu] += al * pc[iu];
                              }
-                           });
-      } else {
-        exec::parallel_for(static_cast<std::int64_t>(n),
-                           [&](std::int64_t lo, std::int64_t hi) {
-                             for (std::size_t col = 0; col < k; ++col) {
-                               double* pc = p[col].data();
-                               const double* zc = z[col].data();
-                               for (std::int64_t i = lo; i < hi; ++i) {
-                                 const auto iu = static_cast<std::size_t>(i);
-                                 pc[iu] = zc[iu] + beta * pc[iu];
-                               }
-                             }
-                           });
-        for (std::size_t col = 0; col < k; ++col) axpy(alpha, p[col], x[col]);
-      }
+                           }
+                         });
     }
-    if (opt.a_matrix != nullptr) {
-      opt.a_matrix->multiply_block_axpy_into(-alpha, p, r);
-    } else {
-      std::vector<Vec> ap = apply_a(p);
-      for (std::size_t col = 0; col < k; ++col) axpy(-alpha, ap[col], r[col]);
-    }
+    // r -= alpha * (A p) without materializing A p.
+    a.multiply_block_axpy_into(-alpha, p, r);
     if (stats != nullptr) {
       for (std::size_t col = 0; col < k; ++col) {
         if (opt.record_trace) (*stats)[col].residual_trace.push_back(norm2(r[col]));
@@ -172,8 +84,6 @@ std::vector<Vec> preconditioned_chebyshev_block(const BlockApplyFn& apply_a,
       (*stats)[col].final_residual = norm2(r[col]);
     }
   }
-  obs::count(opt.ledger, "chebyshev_iterations",
-             static_cast<std::int64_t>(iters) * static_cast<std::int64_t>(k));
   return x;
 }
 

@@ -131,100 +131,6 @@ void CsrMatrix::multiply_into(std::span<const double> x, std::span<double> y) co
   });
 }
 
-void CsrMatrix::multiply_axpy_into(double coef, std::span<const double> x,
-                                   std::span<double> y) const {
-  if (static_cast<int>(x.size()) != n_ || static_cast<int>(y.size()) != n_) {
-    throw std::invalid_argument("CsrMatrix::multiply_axpy: size mismatch");
-  }
-  // multiply_into's SELL walk with a fused epilogue: the row product s lands
-  // as y[r] += coef*s, the same multiply-add the separate axpy pass performs
-  // on the stored ap[r] — so fusing cannot change a single bit.
-  constexpr int C = kSellSlice;
-  const std::int64_t slices = (static_cast<std::int64_t>(n_) + C - 1) / C;
-  exec::parallel_for(slices, kSliceGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t s = lo; s < hi; ++s) {
-      const int r0 = static_cast<int>(s) * C;
-      const int lanes = std::min(C, n_ - r0);
-      const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
-      const std::int64_t width = (sell_ptr_[static_cast<std::size_t>(s) + 1] - base) / C;
-      double acc[C] = {};
-      int len[C] = {};
-      for (int l = 0; l < lanes; ++l) {
-        len[l] = rowptr_[static_cast<std::size_t>(r0 + l) + 1] -
-                 rowptr_[static_cast<std::size_t>(r0 + l)];
-      }
-      for (std::int64_t j = 0; j < width; ++j) {
-        const auto slot = static_cast<std::size_t>(base + j * C);
-        for (int l = 0; l < lanes; ++l) {
-          if (j < len[l]) {
-            acc[l] += sell_vals_[slot + static_cast<std::size_t>(l)] *
-                      x[static_cast<std::size_t>(
-                          sell_cols_[slot + static_cast<std::size_t>(l)])];
-          }
-        }
-      }
-      for (int l = 0; l < lanes; ++l) {
-        y[static_cast<std::size_t>(r0 + l)] += coef * acc[l];
-      }
-    }
-  });
-}
-
-std::vector<Vec> CsrMatrix::multiply_block(std::span<const Vec> x) const {
-  std::vector<Vec> y(x.size(), Vec(static_cast<std::size_t>(n_), 0.0));
-  multiply_block_into(x, y);
-  return y;
-}
-
-void CsrMatrix::multiply_block_into(std::span<const Vec> x, std::span<Vec> y) const {
-  const std::size_t k = x.size();
-  if (y.size() != k) {
-    throw std::invalid_argument("CsrMatrix::multiply_block: column count mismatch");
-  }
-  for (std::size_t c = 0; c < k; ++c) {
-    if (static_cast<int>(x[c].size()) != n_ || static_cast<int>(y[c].size()) != n_) {
-      throw std::invalid_argument("CsrMatrix::multiply_block: size mismatch");
-    }
-  }
-  if (k == 0) return;
-  // SELL kernel over RHS columns: per slice, every nonzero is read once and
-  // applied to all k columns; lane l's accumulators see row (slice*C+l)'s
-  // entries in ascending column order, exactly as multiply_into does — so
-  // column c of the block product is bit-identical to multiply(x[c]).
-  constexpr int C = kSellSlice;
-  const std::int64_t slices = (static_cast<std::int64_t>(n_) + C - 1) / C;
-  exec::parallel_for(slices, kSliceGrain, [&](std::int64_t lo, std::int64_t hi) {
-    std::vector<double> acc(static_cast<std::size_t>(C) * k);
-    for (std::int64_t s = lo; s < hi; ++s) {
-      const int r0 = static_cast<int>(s) * C;
-      const int lanes = std::min(C, n_ - r0);
-      const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
-      const std::int64_t width = (sell_ptr_[static_cast<std::size_t>(s) + 1] - base) / C;
-      std::fill(acc.begin(), acc.end(), 0.0);
-      int len[C] = {};
-      for (int l = 0; l < lanes; ++l) {
-        len[l] = rowptr_[static_cast<std::size_t>(r0 + l) + 1] -
-                 rowptr_[static_cast<std::size_t>(r0 + l)];
-      }
-      for (std::int64_t j = 0; j < width; ++j) {
-        const auto slot = static_cast<std::size_t>(base + j * C);
-        for (int l = 0; l < lanes; ++l) {
-          if (j >= len[l]) continue;
-          const double v = sell_vals_[slot + static_cast<std::size_t>(l)];
-          const auto col = static_cast<std::size_t>(
-              sell_cols_[slot + static_cast<std::size_t>(l)]);
-          double* a = acc.data() + static_cast<std::size_t>(l) * k;
-          for (std::size_t c = 0; c < k; ++c) a[c] += v * x[c][col];
-        }
-      }
-      for (int l = 0; l < lanes; ++l) {
-        const double* a = acc.data() + static_cast<std::size_t>(l) * k;
-        for (std::size_t c = 0; c < k; ++c) y[c][static_cast<std::size_t>(r0 + l)] = a[c];
-      }
-    }
-  });
-}
-
 void CsrMatrix::multiply_block_axpy_into(double coef, std::span<const Vec> x,
                                          std::span<Vec> y) const {
   const std::size_t k = x.size();
@@ -237,39 +143,39 @@ void CsrMatrix::multiply_block_axpy_into(double coef, std::span<const Vec> x,
     }
   }
   if (k == 0) return;
-  // multiply_block_into's SELL walk with the fused y[c][r] += coef*s
-  // epilogue — see multiply_axpy_into for the bit-identity argument.
+  // multiply_into's SELL walk, once per column: a slice's entries stay in
+  // cache across its k column passes, and lane l's accumulator sees row
+  // (slice*C+l)'s entries in ascending column order, exactly as
+  // multiply_into does.  The row product s lands as y[c][r] += coef*s, the
+  // same multiply-add a separate axpy pass performs on a stored A x[c] — so
+  // column c is bitwise `axpy(coef, multiply(x[c]), y[c])`.
   constexpr int C = kSellSlice;
   const std::int64_t slices = (static_cast<std::int64_t>(n_) + C - 1) / C;
   exec::parallel_for(slices, kSliceGrain, [&](std::int64_t lo, std::int64_t hi) {
-    std::vector<double> acc(static_cast<std::size_t>(C) * k);
     for (std::int64_t s = lo; s < hi; ++s) {
       const int r0 = static_cast<int>(s) * C;
       const int lanes = std::min(C, n_ - r0);
       const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
       const std::int64_t width = (sell_ptr_[static_cast<std::size_t>(s) + 1] - base) / C;
-      std::fill(acc.begin(), acc.end(), 0.0);
       int len[C] = {};
       for (int l = 0; l < lanes; ++l) {
         len[l] = rowptr_[static_cast<std::size_t>(r0 + l) + 1] -
                  rowptr_[static_cast<std::size_t>(r0 + l)];
       }
-      for (std::int64_t j = 0; j < width; ++j) {
-        const auto slot = static_cast<std::size_t>(base + j * C);
-        for (int l = 0; l < lanes; ++l) {
-          if (j >= len[l]) continue;
-          const double v = sell_vals_[slot + static_cast<std::size_t>(l)];
-          const auto col = static_cast<std::size_t>(
-              sell_cols_[slot + static_cast<std::size_t>(l)]);
-          double* a = acc.data() + static_cast<std::size_t>(l) * k;
-          for (std::size_t c = 0; c < k; ++c) a[c] += v * x[c][col];
+      for (std::size_t c = 0; c < k; ++c) {
+        const double* xc = x[c].data();
+        double acc[C] = {};
+        for (std::int64_t j = 0; j < width; ++j) {
+          const auto slot = static_cast<std::size_t>(base + j * C);
+          for (int l = 0; l < lanes; ++l) {
+            if (j < len[l]) {
+              acc[l] += sell_vals_[slot + static_cast<std::size_t>(l)] *
+                        xc[sell_cols_[slot + static_cast<std::size_t>(l)]];
+            }
+          }
         }
-      }
-      for (int l = 0; l < lanes; ++l) {
-        const double* a = acc.data() + static_cast<std::size_t>(l) * k;
-        for (std::size_t c = 0; c < k; ++c) {
-          y[c][static_cast<std::size_t>(r0 + l)] += coef * a[c];
-        }
+        double* yc = y[c].data();
+        for (int l = 0; l < lanes; ++l) yc[r0 + l] += coef * acc[l];
       }
     }
   });

@@ -38,25 +38,13 @@ class CsrMatrix {
   [[nodiscard]] Vec multiply(std::span<const double> x) const;
   void multiply_into(std::span<const double> x, std::span<double> y) const;
 
-  /// Multi-RHS matvec: y[c] = A x[c] for every column c.  One pass over the
-  /// matrix serves all columns (the batched-serving hot path), and each
-  /// column's per-row accumulation runs in the same entry order as
-  /// multiply(), so column c of the block product is bit-identical to
-  /// multiply(x[c]) at every thread count.
-  [[nodiscard]] std::vector<Vec> multiply_block(std::span<const Vec> x) const;
-  void multiply_block_into(std::span<const Vec> x, std::span<Vec> y) const;
-
-  /// Fused matvec-accumulate: y += coef * (A x), the epilogue of the fused
-  /// Chebyshev triad (linalg/chebyshev).  Per row the product accumulates in
-  /// the same entry order as multiply(), then lands as a single
-  /// y[r] += coef*s — bitwise identical to the two-pass
-  /// `ap = multiply(x); axpy(coef, ap, y)` it replaces.
-  void multiply_axpy_into(double coef, std::span<const double> x,
-                          std::span<double> y) const;
-
-  /// Block twin of multiply_axpy_into: y[c] += coef * (A x[c]) for every
-  /// column, one shared pass over the matrix.  Column c is bitwise the
-  /// two-pass `ap = multiply_block(x); axpy(coef, ap[c], y[c])` sequence.
+  /// Multi-RHS fused matvec-accumulate: y[c] += coef * (A x[c]) for every
+  /// column, one walk over the matrix whose slices serve every column while
+  /// in cache — the epilogue of the fused Chebyshev triad
+  /// (linalg/chebyshev).  Per row the product accumulates in the same entry
+  /// order as multiply(), then lands as a single y[c][r] += coef*s, so
+  /// column c is bitwise the two-pass `ap = multiply(x[c]); axpy(coef, ap,
+  /// y[c])` at every thread count.
   void multiply_block_axpy_into(double coef, std::span<const Vec> x,
                                 std::span<Vec> y) const;
 

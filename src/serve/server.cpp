@@ -110,6 +110,90 @@ int parse_threads(const json::Value& req) {
   return static_cast<int>(*threads);
 }
 
+/// The demand vector chi_u - chi_v of one resistance query.
+linalg::Vec pair_demand(int n, int u, int v) {
+  linalg::Vec chi(static_cast<std::size_t>(n), 0.0);
+  chi[static_cast<std::size_t>(u)] = 1.0;
+  chi[static_cast<std::size_t>(v)] = -1.0;
+  return chi;
+}
+
+/// The right-hand-side columns of a Laplacian op on an n-vertex graph:
+/// "b" (solve), every "rhs" vector (solve_batch), or the demand of "u"/"v"
+/// (resistance) or of every "pairs" row (resistance_batch).
+std::vector<linalg::Vec> parse_columns(const json::Value& req,
+                                       const std::string& op, int n) {
+  std::vector<linalg::Vec> bs;
+  if (op == "solve") {
+    std::vector<double> b = require_number_array(req, "b");
+    if (static_cast<int>(b.size()) != n) {
+      throw RequestError("bad_request",
+                         "\"b\" must have n = " + std::to_string(n) + " entries");
+    }
+    bs.push_back(std::move(b));
+  } else if (op == "solve_batch") {
+    const json::Value* rhs = find_field(req, "rhs");
+    if (rhs == nullptr || rhs->kind() != json::Value::Kind::kArray) {
+      throw RequestError("bad_request",
+                         "field \"rhs\" must be an array of vectors");
+    }
+    bs.reserve(rhs->as_array().size());
+    for (const json::Value& col : rhs->as_array()) {
+      if (col.kind() != json::Value::Kind::kArray) {
+        throw RequestError("bad_request",
+                           "field \"rhs\" must be an array of vectors");
+      }
+      linalg::Vec b;
+      b.reserve(col.as_array().size());
+      for (const json::Value& e : col.as_array()) {
+        if (e.kind() == json::Value::Kind::kInt) {
+          b.push_back(static_cast<double>(e.as_int()));
+        } else if (e.kind() == json::Value::Kind::kDouble) {
+          b.push_back(e.as_double());
+        } else {
+          throw RequestError("bad_request", "rhs entries must be numbers");
+        }
+      }
+      if (static_cast<int>(b.size()) != n) {
+        throw RequestError("bad_request", "every rhs vector must have n = " +
+                                              std::to_string(n) + " entries");
+      }
+      bs.push_back(std::move(b));
+    }
+  } else if (op == "resistance") {
+    const int u = checked_vertex(require_int(req, "u"), n, "vertex u");
+    const int v = checked_vertex(require_int(req, "v"), n, "vertex v");
+    if (u == v) throw RequestError("bad_request", "u and v must differ");
+    bs.push_back(pair_demand(n, u, v));
+  } else {
+    const json::Value* pairs_v = find_field(req, "pairs");
+    if (pairs_v == nullptr || pairs_v->kind() != json::Value::Kind::kArray) {
+      throw RequestError("bad_request",
+                         "field \"pairs\" must be an array of [u, v] pairs");
+    }
+    bs.reserve(pairs_v->as_array().size());
+    for (const json::Value& row_v : pairs_v->as_array()) {
+      if (row_v.kind() != json::Value::Kind::kArray ||
+          row_v.as_array().size() != 2 ||
+          row_v.as_array()[0].kind() != json::Value::Kind::kInt ||
+          row_v.as_array()[1].kind() != json::Value::Kind::kInt) {
+        throw RequestError("bad_request",
+                           "field \"pairs\" must be an array of [u, v] pairs");
+      }
+      const int u = checked_vertex(row_v.as_array()[0].as_int(), n, "pair vertex");
+      const int v = checked_vertex(row_v.as_array()[1].as_int(), n, "pair vertex");
+      if (u == v) {
+        throw RequestError("bad_request", "pair endpoints must differ");
+      }
+      bs.push_back(pair_demand(n, u, v));
+    }
+    if (bs.empty()) {
+      throw RequestError("bad_request", "\"pairs\" must be non-empty");
+    }
+  }
+  return bs;
+}
+
 void fill_telemetry(RequestTelemetry* telemetry, const obs::RoundLedger& ledger) {
   if (telemetry == nullptr) return;
   static constexpr const char* kPhases[] = {
@@ -309,10 +393,10 @@ std::string Server::dispatch(const json::Value& req, const json::Value& id,
                              RequestTelemetry* telemetry) {
   if (op == "graph.load") return handle_graph_load(req, id);
   if (op == "graph.drop") return handle_graph_drop(req, id);
-  if (op == "solve") return handle_solve(req, id, /*batch=*/false, telemetry);
-  if (op == "solve_batch") return handle_solve(req, id, /*batch=*/true, telemetry);
-  if (op == "resistance") return handle_resistance(req, id, telemetry);
-  if (op == "resistance_batch") return handle_resistance_batch(req, id, telemetry);
+  if (op == "solve" || op == "solve_batch" || op == "resistance" ||
+      op == "resistance_batch") {
+    return handle_laplacian(req, id, op, telemetry);
+  }
   if (op == "flow.max") return handle_flow_max(req, id);
   if (op == "flow.mincost") return handle_flow_mincost(req, id);
   if (op == "cache.stats") return handle_cache_stats(id);
@@ -469,59 +553,28 @@ std::string Server::handle_graph_drop(const json::Value& req,
   return ok_response(id, "graph.drop", std::move(extra));
 }
 
-std::string Server::handle_solve(const json::Value& req, const json::Value& id,
-                                 bool batch, RequestTelemetry* telemetry) {
+std::string Server::handle_laplacian(const json::Value& req,
+                                     const json::Value& id, const std::string& op,
+                                     RequestTelemetry* telemetry) {
+  const bool resistance = op == "resistance" || op == "resistance_batch";
+  const bool batch = op == "solve_batch" || op == "resistance_batch";
+  // solve_batch states its preconditions as "solve ...".
+  const std::string what = op == "solve_batch" ? "solve" : op;
   const std::shared_ptr<const Slot> slot = find_graph(require_string(req, "graph"));
   if (slot->directed) {
-    throw RequestError("bad_request", "solve requires an undirected graph");
+    throw RequestError("bad_request", what + " requires an undirected graph");
   }
   const double eps = parse_eps(req);
   const clique::RoutingMode mode = parse_routing(req);
   const int n = slot->g.num_vertices();
-  if (n < 2) throw RequestError("bad_request", "solve requires n >= 2");
+  if (n < 2) throw RequestError("bad_request", what + " requires n >= 2");
   if (!graph::is_connected(slot->g)) {
     throw RequestError("bad_request",
-                       "graph must be connected (solve components separately)");
+                       resistance
+                           ? "graph must be connected"
+                           : "graph must be connected (solve components separately)");
   }
-
-  std::vector<linalg::Vec> bs;
-  if (batch) {
-    const json::Value* rhs = find_field(req, "rhs");
-    if (rhs == nullptr || rhs->kind() != json::Value::Kind::kArray) {
-      throw RequestError("bad_request",
-                         "field \"rhs\" must be an array of vectors");
-    }
-    bs.reserve(rhs->as_array().size());
-    for (const json::Value& col : rhs->as_array()) {
-      if (col.kind() != json::Value::Kind::kArray) {
-        throw RequestError("bad_request",
-                           "field \"rhs\" must be an array of vectors");
-      }
-      linalg::Vec b;
-      b.reserve(col.as_array().size());
-      for (const json::Value& e : col.as_array()) {
-        if (e.kind() == json::Value::Kind::kInt) {
-          b.push_back(static_cast<double>(e.as_int()));
-        } else if (e.kind() == json::Value::Kind::kDouble) {
-          b.push_back(e.as_double());
-        } else {
-          throw RequestError("bad_request", "rhs entries must be numbers");
-        }
-      }
-      if (static_cast<int>(b.size()) != n) {
-        throw RequestError("bad_request", "every rhs vector must have n = " +
-                                              std::to_string(n) + " entries");
-      }
-      bs.push_back(std::move(b));
-    }
-  } else {
-    std::vector<double> b = require_number_array(req, "b");
-    if (static_cast<int>(b.size()) != n) {
-      throw RequestError("bad_request",
-                         "\"b\" must have n = " + std::to_string(n) + " entries");
-    }
-    bs.push_back(std::move(b));
-  }
+  const std::vector<linalg::Vec> bs = parse_columns(req, op, n);
 
   solver::LaplacianSolverOptions sopt = opt_.solver;
   sopt.backend = parse_numerics(req, opt_.solver.backend);
@@ -539,196 +592,35 @@ std::string Server::handle_solve(const json::Value& req, const json::Value& id,
   clique::Network net(std::max(n, 2));
   net.set_routing_mode(mode);
   net.set_tracer(&ledger);
-
-  json::Object result;
-  if (batch) {
-    std::vector<solver::LaplacianSolveStats> stats;
-    const std::vector<linalg::Vec> columns =
-        acq.artifact->solver->solve_block(bs, eps, &stats, &net);
-    json::Array cols_json;
-    cols_json.reserve(columns.size());
-    for (const linalg::Vec& col : columns) cols_json.push_back(vec_to_json(col));
-    json::Array stats_json;
-    stats_json.reserve(stats.size());
-    for (const solver::LaplacianSolveStats& st : stats) {
-      stats_json.push_back(stats_to_json(st));
-    }
-    result.emplace("columns", json::Value(std::move(cols_json)));
-    result.emplace("stats", json::Value(std::move(stats_json)));
-  } else {
-    solver::LaplacianSolveStats st;
-    const linalg::Vec x = acq.artifact->solver->solve(bs[0], eps, &st, &net);
-    result.emplace("x", vec_to_json(x));
-    result.emplace("stats", stats_to_json(st));
-  }
-  RunInfo run;
-  run.capture(net);
-  fill_telemetry(telemetry, ledger);
-
-  json::Object extra;
-  extra.emplace("artifact", artifact_to_json(*acq.artifact, slot->hash, eps,
-                                             mode, sopt.backend));
-  extra.emplace("result", json::Value(std::move(result)));
-  extra.emplace("run", run_to_json(run));
-  return ok_response(id, batch ? "solve_batch" : "solve", std::move(extra));
-}
-
-std::string Server::handle_resistance(const json::Value& req,
-                                      const json::Value& id,
-                                      RequestTelemetry* telemetry) {
-  const std::shared_ptr<const Slot> slot = find_graph(require_string(req, "graph"));
-  if (slot->directed) {
-    throw RequestError("bad_request", "resistance requires an undirected graph");
-  }
-  const double eps = parse_eps(req);
-  const clique::RoutingMode mode = parse_routing(req);
-  const int n = slot->g.num_vertices();
-  if (n < 2) throw RequestError("bad_request", "resistance requires n >= 2");
-  if (!graph::is_connected(slot->g)) {
-    throw RequestError("bad_request", "graph must be connected");
-  }
-  const int u = checked_vertex(require_int(req, "u"), n, "vertex u");
-  const int v = checked_vertex(require_int(req, "v"), n, "vertex v");
-  if (u == v) throw RequestError("bad_request", "u and v must differ");
-
-  solver::LaplacianSolverOptions sopt = opt_.solver;
-  sopt.backend = parse_numerics(req, opt_.solver.backend);
-
-  const exec::ThreadScope scope(parse_threads(req));
-  obs::RoundLedger ledger;
-  const ArtifactCache::Acquired acq =
-      cache_.acquire(slot->g, slot->hash, eps, mode, sopt, &ledger);
-  if (telemetry != nullptr) {
-    telemetry->cache_lookup = true;
-    telemetry->cache_hit = acq.hit;
-  }
-  check_deadline("artifact construction");
-
-  clique::Network net(std::max(n, 2));
-  net.set_routing_mode(mode);
-  net.set_tracer(&ledger);
-
-  linalg::Vec chi(static_cast<std::size_t>(n), 0.0);
-  chi[static_cast<std::size_t>(u)] = 1.0;
-  chi[static_cast<std::size_t>(v)] = -1.0;
-  solver::LaplacianSolveStats st;
-  const linalg::Vec x = acq.artifact->solver->solve(chi, eps, &st, &net);
-  RunInfo run;
-  run.capture(net);
-  run.rounds += 1;  // + one broadcast of the two potentials
-  fill_telemetry(telemetry, ledger);
-
-  json::Object result;
-  result.emplace("resistance", linalg::dot(chi, x));
-  result.emplace("stats", stats_to_json(st));
-  json::Object extra;
-  extra.emplace("artifact", artifact_to_json(*acq.artifact, slot->hash, eps,
-                                             mode, sopt.backend));
-  extra.emplace("result", json::Value(std::move(result)));
-  extra.emplace("run", run_to_json(run));
-  return ok_response(id, "resistance", std::move(extra));
-}
-
-std::string Server::handle_resistance_batch(const json::Value& req,
-                                            const json::Value& id,
-                                            RequestTelemetry* telemetry) {
-  const std::shared_ptr<const Slot> slot = find_graph(require_string(req, "graph"));
-  if (slot->directed) {
-    throw RequestError("bad_request",
-                       "resistance_batch requires an undirected graph");
-  }
-  const double eps = parse_eps(req);
-  const clique::RoutingMode mode = parse_routing(req);
-  const int n = slot->g.num_vertices();
-  if (n < 2) {
-    throw RequestError("bad_request", "resistance_batch requires n >= 2");
-  }
-  if (!graph::is_connected(slot->g)) {
-    throw RequestError("bad_request", "graph must be connected");
-  }
-
-  const json::Value* pairs_v = find_field(req, "pairs");
-  if (pairs_v == nullptr || pairs_v->kind() != json::Value::Kind::kArray) {
-    throw RequestError("bad_request",
-                       "field \"pairs\" must be an array of [u, v] pairs");
-  }
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(pairs_v->as_array().size());
-  for (const json::Value& row_v : pairs_v->as_array()) {
-    if (row_v.kind() != json::Value::Kind::kArray ||
-        row_v.as_array().size() != 2 ||
-        row_v.as_array()[0].kind() != json::Value::Kind::kInt ||
-        row_v.as_array()[1].kind() != json::Value::Kind::kInt) {
-      throw RequestError("bad_request",
-                         "field \"pairs\" must be an array of [u, v] pairs");
-    }
-    const int u = checked_vertex(row_v.as_array()[0].as_int(), n, "pair vertex");
-    const int v = checked_vertex(row_v.as_array()[1].as_int(), n, "pair vertex");
-    if (u == v) {
-      throw RequestError("bad_request", "pair endpoints must differ");
-    }
-    pairs.emplace_back(u, v);
-  }
-  if (pairs.empty()) {
-    throw RequestError("bad_request", "\"pairs\" must be non-empty");
-  }
-
-  solver::LaplacianSolverOptions sopt = opt_.solver;
-  sopt.backend = parse_numerics(req, opt_.solver.backend);
-
-  const exec::ThreadScope scope(parse_threads(req));
-  obs::RoundLedger ledger;
-  const ArtifactCache::Acquired acq =
-      cache_.acquire(slot->g, slot->hash, eps, mode, sopt, &ledger);
-  if (telemetry != nullptr) {
-    telemetry->cache_lookup = true;
-    telemetry->cache_hit = acq.hit;
-  }
-  check_deadline("artifact construction");
-
-  clique::Network net(std::max(n, 2));
-  net.set_routing_mode(mode);
-  net.set_tracer(&ledger);
-
-  // One blocked solve over all k demand vectors against the cached artifact:
-  // resistances[i] is bit-identical to the scalar "resistance" op for
-  // pairs[i] (the block solve replays each column's solve exactly).
-  std::vector<linalg::Vec> bs;
-  bs.reserve(pairs.size());
-  for (const auto& [u, v] : pairs) {
-    linalg::Vec chi(static_cast<std::size_t>(n), 0.0);
-    chi[static_cast<std::size_t>(u)] = 1.0;
-    chi[static_cast<std::size_t>(v)] = -1.0;
-    bs.push_back(std::move(chi));
-  }
   std::vector<solver::LaplacianSolveStats> stats;
   const std::vector<linalg::Vec> xs =
       acq.artifact->solver->solve_block(bs, eps, &stats, &net);
   RunInfo run;
   run.capture(net);
-  // + one broadcast of the two potentials per pair, matching "resistance".
-  run.rounds += static_cast<std::int64_t>(pairs.size());
+  // + one broadcast of the two potentials per resistance pair.
+  if (resistance) run.rounds += static_cast<std::int64_t>(bs.size());
   fill_telemetry(telemetry, ledger);
 
-  json::Array resistances;
-  resistances.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    resistances.emplace_back(linalg::dot(bs[i], xs[i]));
-  }
+  // Per column: the solution x, or the resistance (chi_u - chi_v)^T x.
+  json::Array values;
   json::Array stats_json;
-  stats_json.reserve(stats.size());
-  for (const solver::LaplacianSolveStats& st : stats) {
-    stats_json.push_back(stats_to_json(st));
+  for (std::size_t c = 0; c < xs.size(); ++c) {
+    values.push_back(resistance ? json::Value(linalg::dot(bs[c], xs[c]))
+                                : vec_to_json(xs[c]));
+    stats_json.push_back(stats_to_json(stats[c]));
   }
+  const char* key = resistance ? (batch ? "resistances" : "resistance")
+                               : (batch ? "columns" : "x");
   json::Object result;
-  result.emplace("resistances", json::Value(std::move(resistances)));
-  result.emplace("stats", json::Value(std::move(stats_json)));
+  result.emplace(key, batch ? json::Value(std::move(values)) : std::move(values[0]));
+  result.emplace("stats",
+                 batch ? json::Value(std::move(stats_json)) : std::move(stats_json[0]));
   json::Object extra;
   extra.emplace("artifact", artifact_to_json(*acq.artifact, slot->hash, eps,
                                              mode, sopt.backend));
   extra.emplace("result", json::Value(std::move(result)));
   extra.emplace("run", run_to_json(run));
-  return ok_response(id, "resistance_batch", std::move(extra));
+  return ok_response(id, op, std::move(extra));
 }
 
 std::string Server::handle_flow_max(const json::Value& req,

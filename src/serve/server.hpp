@@ -76,7 +76,7 @@ struct LoadSnapshot {
 /// Out-of-band per-request observability for tests and benches: never enters
 /// the response body (which must be cache-state independent).
 struct RequestTelemetry {
-  /// The op consulted the ArtifactCache (solve / solve_batch / resistance).
+  /// The op consulted the ArtifactCache (one of the four Laplacian ops).
   bool cache_lookup = false;
   bool cache_hit = false;
   /// Rounds the request's private ledger recorded per phase.  On a cache
@@ -153,13 +153,11 @@ class Server {
                        const std::string& op, RequestTelemetry* telemetry);
   std::string handle_graph_load(const obs::json::Value& req, const obs::json::Value& id);
   std::string handle_graph_drop(const obs::json::Value& req, const obs::json::Value& id);
-  std::string handle_solve(const obs::json::Value& req, const obs::json::Value& id,
-                           bool batch, RequestTelemetry* telemetry);
-  std::string handle_resistance(const obs::json::Value& req, const obs::json::Value& id,
-                                RequestTelemetry* telemetry);
-  std::string handle_resistance_batch(const obs::json::Value& req,
-                                      const obs::json::Value& id,
-                                      RequestTelemetry* telemetry);
+  /// The four Laplacian ops (solve, solve_batch, resistance,
+  /// resistance_batch): one prelude, per-op columns, one solve_block call
+  /// against the cached artifact, and per-op result shaping.
+  std::string handle_laplacian(const obs::json::Value& req, const obs::json::Value& id,
+                               const std::string& op, RequestTelemetry* telemetry);
   std::string handle_flow_max(const obs::json::Value& req, const obs::json::Value& id);
   std::string handle_flow_mincost(const obs::json::Value& req, const obs::json::Value& id);
   std::string handle_cache_stats(const obs::json::Value& id);

@@ -8,15 +8,6 @@ namespace lapclique::solver {
 
 CliqueSolveReport solve_laplacian_clique(const graph::Graph& g,
                                          std::span<const double> b, double eps,
-                                         const LaplacianSolverOptions& opt) {
-  clique::Network net(std::max(g.num_vertices(), 2));
-  net.set_tracer(obs::default_ledger());
-  net.set_fault_plan(fault::default_plan());
-  return solve_laplacian_clique(g, b, eps, opt, net);
-}
-
-CliqueSolveReport solve_laplacian_clique(const graph::Graph& g,
-                                         std::span<const double> b, double eps,
                                          const LaplacianSolverOptions& opt,
                                          clique::Network& net) {
   if (g.num_vertices() < 2) {

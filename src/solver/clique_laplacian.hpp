@@ -22,14 +22,9 @@ struct CliqueSolveReport {
   LaplacianSolveStats stats;
 };
 
-/// One-shot Theorem 1.1 solve.  Requires a connected graph with positive
-/// weights.  eps in (0, 1/2].
-CliqueSolveReport solve_laplacian_clique(const graph::Graph& g,
-                                         std::span<const double> b, double eps,
-                                         const LaplacianSolverOptions& opt = {});
-
-/// As above, but on a caller-configured Network (tracer, fault plan, routing
-/// mode) — the lapclique::Runtime entry points use this.
+/// One-shot Theorem 1.1 solve on a caller-configured Network (tracer, fault
+/// plan, routing mode) — the lapclique::Runtime entry points build it.
+/// Requires a connected graph with positive weights.  eps in (0, 1/2].
 CliqueSolveReport solve_laplacian_clique(const graph::Graph& g,
                                          std::span<const double> b, double eps,
                                          const LaplacianSolverOptions& opt,
@@ -46,8 +41,8 @@ class CliqueLaplacianSolver {
   [[nodiscard]] linalg::Vec solve(std::span<const double> b, double eps,
                                   LaplacianSolveStats* stats = nullptr) const;
 
-  /// Batched multi-RHS solve; column c is bit-identical to solve(b[c], eps)
-  /// and the network charging replays the per-column sequence in order (see
+  /// Multi-RHS solve; column c is bit-identical to solve(b[c], eps) and the
+  /// network charging replays the per-column sequence in order (see
   /// LaplacianSolver::solve_block).
   [[nodiscard]] std::vector<linalg::Vec> solve_block(
       std::span<const linalg::Vec> bs, double eps,

@@ -144,109 +144,11 @@ void LaplacianSolver::init_from_sparsifier(const graph::Graph& g,
 Vec LaplacianSolver::solve(std::span<const double> b, double eps,
                            LaplacianSolveStats* stats,
                            clique::Network* net) const {
-  if (static_cast<int>(b.size()) != lg_.size()) {
-    throw std::invalid_argument("LaplacianSolver::solve: size mismatch");
-  }
-  if (!(eps > 0 && eps <= 0.5)) {
-    throw std::invalid_argument("LaplacianSolver::solve: eps in (0, 1/2]");
-  }
-  Vec rhs(b.begin(), b.end());
-  linalg::project_out_ones(rhs);
-  const double bnorm = std::max(linalg::norm2(rhs), 1e-300);
-
-  // Scale the preconditioner solve so B^{-1}A has spectrum in [1/kappa, 1]:
-  // solve_b(r) = L_H^+ r / lambda_max.
-  const linalg::ApplyFn apply_a = [this](std::span<const double> x) {
-    Vec y = lg_.multiply(x);
-    return y;
-  };
-
-  fault::FaultPlan* plan = net != nullptr ? net->fault_plan() : nullptr;
-  double kappa = kappa_;
-  Vec x;
-  int total_iters = 0;
-  int restarts = 0;
-  double rel = 0;
-  for (; restarts <= opt_.max_restarts; ++restarts) {
-    const double lmax = lambda_max_ * (kappa / kappa_);
-    const linalg::ApplyFn solve_b = [this, lmax](std::span<const double> r) {
-      Vec z = lh_factor_.solve(r);
-      linalg::scale(1.0 / lmax, z);
-      return z;
-    };
-    linalg::ChebyshevOptions copt;
-    copt.eps = eps;
-    copt.kappa = kappa;
-    copt.ledger = net != nullptr ? net->tracer() : nullptr;
-    // apply_a is exactly "multiply by lg_", so the fused triad applies.
-    copt.a_matrix = &lg_;
-    linalg::ChebyshevStats cstats;
-    x = linalg::preconditioned_chebyshev(apply_a, solve_b, rhs, copt, &cstats);
-    total_iters += cstats.iterations;
-    rel = cstats.final_residual / bnorm;
-    if (plan != nullptr && plan->solver_nan_due(restarts)) {
-      // Fault drill: pretend this pass diverged so the restart guard rail
-      // (and, under solver-nan@all, the exact fallback) is exercised.
-      rel = std::numeric_limits<double>::quiet_NaN();
-    }
-    // eps is an energy-norm bound; the 2-norm residual check below is a
-    // conservative proxy used only to trigger robustness restarts.  A NaN
-    // residual fails the comparison, so divergence also restarts.
-    if (rel <= eps) break;
-    kappa *= 2.0;
-  }
-  linalg::project_out_ones(x);
-
-  bool healthy = rel <= eps;
-  for (std::size_t i = 0; healthy && i < x.size(); ++i) {
-    if (!std::isfinite(x[i])) healthy = false;
-  }
-  const bool fallback = !healthy;
-  if (fallback) {
-    // Guard rail: every Chebyshev budget was exhausted without a certified
-    // residual (or the iterate went non-finite).  Degrade to the exact
-    // direct factorization of L_G — slower, but always correct.
-    const std::shared_ptr<const linalg::BackendLaplacianFactor> lg_factor =
-        lg_factor_or_build();
-    x = lg_factor->solve(rhs);
-    linalg::project_out_ones(x);
-    Vec res = lg_.multiply(x);
-    for (std::size_t i = 0; i < res.size(); ++i) res[i] -= rhs[i];
-    rel = linalg::norm2(res) / bnorm;
-    if (plan != nullptr) ++plan->stats().solver_fallbacks;
-  }
-
-  if (net != nullptr) {
-    // One broadcast round per Chebyshev iteration (the matvec by L_G);
-    // vector updates and the L_H solve are internal.
-    net->set_phase("solver/chebyshev");
-    net->charge_all_to_all(total_iters + 1);
-    if (fallback) {
-      // The exact solve is centralized: gather b to a coordinator and
-      // broadcast x back (2 n-word vectors through one node's links).
-      net->set_phase("solver/fallback");
-      const auto nn = static_cast<std::int64_t>(net->size());
-      if (net->routing_mode() == clique::RoutingMode::kBroadcast) {
-        // Gather b is one round (everyone broadcasts its entry); sending x
-        // back is n sequential broadcasts from the coordinator.
-        net->charge(nn + 1, 2 * nn);
-      } else {
-        net->charge(4, 2 * nn);
-      }
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->exact_fallback = fallback;
-    stats->chebyshev_iterations = total_iters;
-    stats->restarts = restarts;
-    stats->kappa = kappa;
-    stats->relative_residual = rel;
-    stats->sparsify_stats = sparsify_stats_;
-    stats->sparsifier_edges = h_.num_edges();
-    stats->factor = lh_factor_.stats();
-  }
-  return x;
+  const std::vector<Vec> bs{Vec(b.begin(), b.end())};
+  std::vector<LaplacianSolveStats> st;
+  std::vector<Vec> x = solve_block(bs, eps, stats != nullptr ? &st : nullptr, net);
+  if (stats != nullptr) *stats = std::move(st[0]);
+  return std::move(x[0]);
 }
 
 std::shared_ptr<const linalg::BackendLaplacianFactor>
@@ -275,23 +177,7 @@ std::vector<Vec> LaplacianSolver::solve_block(
   if (stats != nullptr) stats->resize(k);
   if (k == 0) return {};
 
-  fault::FaultPlan* plan = net != nullptr ? net->fault_plan() : nullptr;
-  if (plan != nullptr) {
-    // A fault plan's counters (solver_nan_due per restart, fallback stats)
-    // advance in the scalar order; run the columns sequentially so drills
-    // observe exactly what k standalone solves would.
-    std::vector<Vec> out;
-    out.reserve(k);
-    for (std::size_t c = 0; c < k; ++c) {
-      LaplacianSolveStats st;
-      out.push_back(solve(bs[c], eps, &st, net));
-      if (stats != nullptr) (*stats)[c] = st;
-    }
-    return out;
-  }
-
-  // Per-column projected rhs and norm, exactly as the scalar path computes
-  // them.
+  // Per-column projected rhs and norm.
   std::vector<Vec> rhs;
   rhs.reserve(k);
   std::vector<double> bnorm(k);
@@ -308,17 +194,16 @@ std::vector<Vec> LaplacianSolver::solve_block(
   std::vector<double> rel(k, 0.0);
   std::vector<char> certified(k, 0);
   // Per column: Chebyshev iteration count of each restart level it ran, for
-  // replaying the scalar path's per-call ledger counters.
+  // replaying the per-pass ledger counters in column order.
   std::vector<std::vector<int>> level_iters(k);
-
-  const linalg::BlockApplyFn apply_a = [this](std::span<const Vec> xs) {
-    return lg_.multiply_block(xs);
-  };
+  // The solver-nan drill is a pure function of the restart level, so a
+  // column sees the same drill whether it is solved alone or in a block.
+  fault::FaultPlan* plan = net != nullptr ? net->fault_plan() : nullptr;
 
   // Restart schedule: level L uses kappa_ * 2^L.  A column still active at
-  // level L restarts from zero on its own rhs — the same trajectory a scalar
-  // solve's L-th restart would take — so the block groups every column that
-  // shares a level into one block-Chebyshev call.
+  // level L restarts from zero on its own rhs — the same trajectory it would
+  // take solved alone — so the block groups every column that shares a level
+  // into one Chebyshev call.
   double kappa = kappa_;
   for (int level = 0; level <= opt_.max_restarts; ++level) {
     std::vector<std::size_t> active;
@@ -337,24 +222,27 @@ std::vector<Vec> LaplacianSolver::solve_block(
     linalg::ChebyshevOptions copt;
     copt.eps = eps;
     copt.kappa = kappa;
-    // The ledger counter is replayed per column below, in column order, so
-    // attached tracers see exactly what sequential scalar solves report.
-    copt.ledger = nullptr;
-    copt.a_matrix = &lg_;
 
     std::vector<Vec> brhs;
     brhs.reserve(active.size());
     for (const std::size_t c : active) brhs.push_back(rhs[c]);
     std::vector<linalg::ChebyshevStats> cstats;
     std::vector<Vec> bx =
-        linalg::preconditioned_chebyshev_block(apply_a, solve_b, brhs, copt, &cstats);
+        linalg::preconditioned_chebyshev(lg_, solve_b, brhs, copt, &cstats);
 
+    const bool drill = plan != nullptr && plan->solver_nan_due(level);
     for (std::size_t i = 0; i < active.size(); ++i) {
       const std::size_t c = active[i];
       total_iters[c] += cstats[i].iterations;
       level_iters[c].push_back(cstats[i].iterations);
       rel[c] = cstats[i].final_residual / bnorm[c];
+      // Fault drill: pretend this pass diverged so the restart guard rail
+      // (and, under solver-nan@all, the exact fallback) is exercised.
+      if (drill) rel[c] = std::numeric_limits<double>::quiet_NaN();
       x[c] = std::move(bx[i]);
+      // eps is an energy-norm bound; the 2-norm residual check is a
+      // conservative proxy used only to trigger robustness restarts.  A NaN
+      // residual fails the comparison, so divergence also restarts.
       if (rel[c] <= eps) {
         certified[c] = 1;
         restarts[c] = level;
@@ -374,6 +262,9 @@ std::vector<Vec> LaplacianSolver::solve_block(
       if (!std::isfinite(x[c][i])) healthy = false;
     }
     if (healthy) continue;
+    // Guard rail: every Chebyshev budget was exhausted without a certified
+    // residual (or the iterate went non-finite).  Degrade to the exact
+    // direct factorization of L_G — slower, but always correct.
     fell[c] = 1;
     const std::shared_ptr<const linalg::BackendLaplacianFactor> lg_factor =
         lg_factor_or_build();
@@ -382,12 +273,15 @@ std::vector<Vec> LaplacianSolver::solve_block(
     Vec res = lg_.multiply(x[c]);
     for (std::size_t i = 0; i < res.size(); ++i) res[i] -= rhs[c][i];
     rel[c] = linalg::norm2(res) / bnorm[c];
+    if (plan != nullptr) ++plan->stats().solver_fallbacks;
   }
 
   if (net != nullptr) {
     // Replay the per-column charging sequence in column order: the Network's
-    // op log, phase ledger, round/word totals, and ledger counters end up
-    // byte-equal to k sequential scalar solves.
+    // op log, phase ledger, round/word totals, ledger counters, and any fault
+    // plan's recovery draws end up byte-equal to k one-column solves.  One
+    // broadcast round per Chebyshev iteration (the matvec by L_G); vector
+    // updates and the L_H solve are internal.
     obs::RoundLedger* tracer = net->tracer();
     const auto nn = static_cast<std::int64_t>(net->size());
     for (std::size_t c = 0; c < k; ++c) {
@@ -397,6 +291,10 @@ std::vector<Vec> LaplacianSolver::solve_block(
       net->set_phase("solver/chebyshev");
       net->charge_all_to_all(total_iters[c] + 1);
       if (fell[c] != 0) {
+        // The exact solve is centralized: gather b to a coordinator and
+        // broadcast x back (2 n-word vectors through one node's links).  In
+        // the broadcast model gathering b is one round (everyone broadcasts
+        // its entry) and sending x back is n sequential broadcasts.
         net->set_phase("solver/fallback");
         if (net->routing_mode() == clique::RoutingMode::kBroadcast) {
           net->charge(nn + 1, 2 * nn);
@@ -413,7 +311,7 @@ std::vector<Vec> LaplacianSolver::solve_block(
       st.exact_fallback = fell[c] != 0;
       st.chebyshev_iterations = total_iters[c];
       st.restarts = restarts[c];
-      // Scalar stats report kappa after `restarts` doublings of the base.
+      // kappa after `restarts` doublings of the base.
       double kap = kappa_;
       for (int r = 0; r < restarts[c]; ++r) kap *= 2.0;
       st.kappa = kap;

@@ -58,7 +58,8 @@ struct LaplacianSolveStats {
 };
 
 /// Reusable solver: the sparsifier and its factorization are built once at
-/// construction, then solve() runs the O(sqrt(kappa) log(1/eps)) iteration.
+/// construction, then solve_block() runs the O(sqrt(kappa) log(1/eps))
+/// iteration.
 ///
 /// When a Network is supplied, every model-visible communication is charged
 /// on it (Theorem 1.1 accounting): sparsifier construction, the gather that
@@ -83,25 +84,25 @@ class LaplacianSolver {
                   const LaplacianSolverOptions& opt = {},
                   clique::Network* net = nullptr);
 
-  /// x ~= L_G^+ b with ||x - L^+ b||_{L_G} <= eps ||L^+ b||_{L_G}.
-  ///
-  /// Thread-safe: solve() only reads the artifacts built at construction
-  /// (the serve daemon issues concurrent solves against one cached solver);
-  /// the lazily-built exact-fallback factor is mutex-guarded.
+  /// x ~= L_G^+ b with ||x - L^+ b||_{L_G} <= eps ||L^+ b||_{L_G}: the
+  /// one-column solve_block.
   [[nodiscard]] linalg::Vec solve(std::span<const double> b, double eps,
                                   LaplacianSolveStats* stats = nullptr,
                                   clique::Network* net = nullptr) const;
 
-  /// Batched multi-RHS solve.  Column c of the result is BIT-IDENTICAL to
-  /// solve(bs[c], eps): the restart schedule, fallback decision, and every
-  /// floating-point reduction replay the scalar path per column, while each
-  /// Chebyshev iteration's matvec and preconditioner solve is one shared
-  /// block pass over all columns still active at that restart level
-  /// (linalg::preconditioned_chebyshev_block).  Network charging replays the
+  /// Multi-RHS solve, the only solve path.  Column c of the result is
+  /// BIT-IDENTICAL to solve(bs[c], eps): the restart schedule, fault drill,
+  /// fallback decision, and every floating-point reduction run per column,
+  /// while each Chebyshev iteration's matvec and preconditioner solve is one
+  /// shared block pass over all columns still active at that restart level
+  /// (linalg::preconditioned_chebyshev).  Network charging replays the
   /// per-column operation sequence in column order, so rounds, words, phase
-  /// ledgers, and trace JSON equal those of sequential scalar solves.  With
-  /// an armed FaultPlan the batch degrades to sequential scalar solves so
-  /// the plan's counters advance in the scalar order.
+  /// ledgers, fault-plan counters, and trace JSON equal those of k
+  /// one-column solves.
+  ///
+  /// Thread-safe: it only reads the artifacts built at construction (the
+  /// serve daemon issues concurrent solves against one cached solver); the
+  /// lazily-built exact-fallback factor is mutex-guarded.
   [[nodiscard]] std::vector<linalg::Vec> solve_block(
       std::span<const linalg::Vec> bs, double eps,
       std::vector<LaplacianSolveStats>* stats = nullptr,

@@ -38,18 +38,6 @@ double effective_resistance_exact(const graph::Graph& g, int u, int v) {
 
 ResistanceReport effective_resistance_clique(const graph::Graph& g, int u, int v,
                                              double eps,
-                                             const LaplacianSolverOptions& opt) {
-  const Vec chi = pair_demand(g.num_vertices(), u, v);
-  CliqueSolveReport rep = solve_laplacian_clique(g, chi, eps, opt);
-  ResistanceReport out;
-  out.resistance = linalg::dot(chi, rep.x);
-  out.run = std::move(rep.run);
-  out.run.rounds += 1;  // + one broadcast of the two potentials
-  return out;
-}
-
-ResistanceReport effective_resistance_clique(const graph::Graph& g, int u, int v,
-                                             double eps,
                                              const LaplacianSolverOptions& opt,
                                              clique::Network& net) {
   const Vec chi = pair_demand(g.num_vertices(), u, v);
@@ -59,15 +47,6 @@ ResistanceReport effective_resistance_clique(const graph::Graph& g, int u, int v
   out.run = std::move(rep.run);
   out.run.rounds += 1;  // + one broadcast of the two potentials
   return out;
-}
-
-BatchResistanceReport query_pairs(const graph::Graph& g,
-                                  std::span<const PairQuery> pairs, double eps,
-                                  const LaplacianSolverOptions& opt) {
-  clique::Network net(std::max(g.num_vertices(), 2));
-  net.set_tracer(obs::default_ledger());
-  net.set_fault_plan(fault::default_plan());
-  return query_pairs(g, pairs, eps, opt, net);
 }
 
 BatchResistanceReport query_pairs(const graph::Graph& g,
@@ -99,18 +78,6 @@ BatchResistanceReport query_pairs(const graph::Graph& g,
   rep.run.numerics = linalg::to_string(fs.chosen);
   rep.run.factor_fill = fs.fill_nnz;
   return rep;
-}
-
-linalg::Vec unit_current_voltages(const graph::Graph& g, int u, double eps,
-                                  const LaplacianSolverOptions& opt) {
-  const int n = g.num_vertices();
-  if (u < 0 || u >= n) throw std::invalid_argument("unit_current_voltages: bad u");
-  // Demand: inject 1 at u, extract 1/(n-1) everywhere else (a balanced,
-  // kernel-orthogonal demand), the standard single-solve voltage profile.
-  Vec chi(static_cast<std::size_t>(n), -1.0 / static_cast<double>(n - 1));
-  chi[static_cast<std::size_t>(u)] = 1.0;
-  CliqueSolveReport rep = solve_laplacian_clique(g, chi, eps, opt);
-  return rep.x;
 }
 
 }  // namespace lapclique::solver

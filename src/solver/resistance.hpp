@@ -20,13 +20,9 @@ struct ResistanceReport {
   RunInfo run;  ///< the solve's rounds + one broadcast of the two potentials
 };
 
-/// Theorem 1.1-powered approximation: one eps-accurate Laplacian solve.
-/// The relative error of the returned resistance is O(eps).
-ResistanceReport effective_resistance_clique(const graph::Graph& g, int u, int v,
-                                             double eps = 1e-8,
-                                             const LaplacianSolverOptions& opt = {});
-
-/// As above on a caller-configured Network (the Runtime entry points).
+/// Theorem 1.1-powered approximation: one eps-accurate Laplacian solve on a
+/// caller-configured Network (the Runtime entry points build it).  The
+/// relative error of the returned resistance is O(eps).
 ResistanceReport effective_resistance_clique(const graph::Graph& g, int u, int v,
                                              double eps,
                                              const LaplacianSolverOptions& opt,
@@ -48,32 +44,17 @@ struct BatchResistanceReport {
 };
 
 /// Batched pairwise resistances over k pairs riding one
-/// LaplacianSolver::solve_block pass: the sparsifier and factorization are
+/// LaplacianSolver::solve_block pass on a caller-configured Network (the
+/// Runtime entry points build it): the sparsifier and factorization are
 /// built once, every Chebyshev iteration's matvec and preconditioner solve
 /// is shared across all pairs, and resistances[i] is BIT-IDENTICAL to
 /// effective_resistance_clique(g, pairs[i]) on a fresh network (per-column
-/// bit-identity of the block kernels + the same dot in pair order).  Charged
+/// bit-identity of the block solve + the same dot in pair order).  Charged
 /// rounds equal k sequential queries' solve rounds against one shared
 /// construction, plus one broadcast round per pair for the potentials.
-BatchResistanceReport query_pairs(const graph::Graph& g,
-                                  std::span<const PairQuery> pairs,
-                                  double eps = 1e-8,
-                                  const LaplacianSolverOptions& opt = {});
-
-/// As above on a caller-configured Network (the Runtime entry points and the
-/// serve daemon's `resistance_batch` op).
 BatchResistanceReport query_pairs(const graph::Graph& g,
                                   std::span<const PairQuery> pairs, double eps,
                                   const LaplacianSolverOptions& opt,
                                   clique::Network& net);
-
-/// All-pairs-to-one resistances: R_eff(u, v) for a fixed u against every v,
-/// from a single solve (the potential vector gives them all at once up to
-/// the diagonal correction, which needs one solve per v in general; this
-/// returns the standard single-solve *voltage* profile phi = L^+ (chi_u)
-/// that downstream sampling schemes use).
-linalg::Vec unit_current_voltages(const graph::Graph& g, int u,
-                                  double eps = 1e-8,
-                                  const LaplacianSolverOptions& opt = {});
 
 }  // namespace lapclique::solver

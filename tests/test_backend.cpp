@@ -29,6 +29,7 @@
 #include "linalg/sparse_cholesky.hpp"
 #include "solver/laplacian_solver.hpp"
 #include "solver/resistance.hpp"
+#include "support/chebyshev_reference.hpp"
 #include "test_seed.hpp"
 
 namespace {
@@ -205,31 +206,42 @@ TEST(Backend, FusedChebyshevBitwiseEqualsUnfused) {
   std::vector<double> diag(64);
   for (int i = 0; i < 64; ++i) diag[static_cast<std::size_t>(i)] = a.at(i, i);
 
-  const linalg::ApplyFn apply_a = [&](std::span<const double> v) {
+  const test::ApplyFn apply_a = [&](std::span<const double> v) {
     return a.multiply(v);
   };
-  const linalg::ApplyFn jacobi = [&](std::span<const double> v) {
+  const test::ApplyFn jacobi = [&](std::span<const double> v) {
     linalg::Vec x(v.begin(), v.end());
     for (std::size_t i = 0; i < x.size(); ++i) x[i] /= diag[i];
     return x;
   };
-  const linalg::Vec b = random_vec(64, 333);
+  const linalg::BlockApplyFn jacobi_block = [&](std::span<const linalg::Vec> vs) {
+    std::vector<linalg::Vec> xs;
+    for (const linalg::Vec& v : vs) xs.push_back(jacobi(v));
+    return xs;
+  };
+  const std::vector<linalg::Vec> bs = {random_vec(64, 333), random_vec(64, 334),
+                                       random_vec(64, 335)};
 
   linalg::ChebyshevOptions opt;
   opt.eps = 1e-10;
   opt.kappa = 16.0;
-  linalg::ChebyshevStats unfused_stats;
-  const linalg::Vec unfused =
-      linalg::preconditioned_chebyshev(apply_a, jacobi, b, opt, &unfused_stats);
-  opt.a_matrix = &a;  // arm the fused triad
-  linalg::ChebyshevStats fused_stats;
-  const linalg::Vec fused =
-      linalg::preconditioned_chebyshev(apply_a, jacobi, b, opt, &fused_stats);
+  std::vector<linalg::ChebyshevStats> fused_stats;
+  const std::vector<linalg::Vec> fused =
+      linalg::preconditioned_chebyshev(a, jacobi_block, bs, opt, &fused_stats);
 
-  EXPECT_EQ(fused_stats.iterations, unfused_stats.iterations);
-  ASSERT_EQ(fused.size(), unfused.size());
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(bits_of(fused[i]), bits_of(unfused[i])) << i;
+  ASSERT_EQ(fused.size(), bs.size());
+  for (std::size_t c = 0; c < bs.size(); ++c) {
+    linalg::ChebyshevStats unfused_stats;
+    const linalg::Vec unfused =
+        test::unfused_chebyshev(apply_a, jacobi, bs[c], opt, &unfused_stats);
+    EXPECT_EQ(fused_stats[c].iterations, unfused_stats.iterations) << c;
+    EXPECT_EQ(bits_of(fused_stats[c].final_residual),
+              bits_of(unfused_stats.final_residual))
+        << c;
+    ASSERT_EQ(fused[c].size(), unfused.size());
+    for (std::size_t i = 0; i < unfused.size(); ++i) {
+      EXPECT_EQ(bits_of(fused[c][i]), bits_of(unfused[i])) << c << "," << i;
+    }
   }
 }
 
@@ -334,7 +346,10 @@ TEST(GoldenRoundsSparse, E1LaplacianEpsSweepUnchangedUnderSparse) {
 }
 
 TEST(GoldenRoundsSparse, E3E4UnchangedUnderSparseRuntime) {
+  // 715 and 1788 are the unicast charged goldens: pin the routing mode so
+  // LAPCLIQUE_ROUTING cannot change what this test measures.
   Runtime rt;
+  rt.routing_mode = clique::RoutingMode::kCharged;
   rt.numerics = Backend::kSparse;
 
   // E3: Eulerian orientation of the 16-cycle.

@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "core/api.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "linalg/backend.hpp"
@@ -24,7 +25,7 @@ Vec demand_pair(int n, int a, int b) {
 TEST(CliqueLaplacian, SolvesAndCharges) {
   const Graph g = graph::random_connected_gnm(24, 80, 2);
   const Vec b = demand_pair(24, 0, 23);
-  const CliqueSolveReport rep = solve_laplacian_clique(g, b, 1e-6);
+  const CliqueSolveReport rep = lapclique::solve_laplacian(g, b, 1e-6);
   EXPECT_GT(rep.run.rounds, 0);
   EXPECT_GT(rep.run.words, 0);
   // Verify the answer.
@@ -39,7 +40,7 @@ TEST(CliqueLaplacian, SolvesAndCharges) {
 TEST(CliqueLaplacian, PhaseLedgerCoversPipeline) {
   const Graph g = graph::random_connected_gnm(24, 80, 3);
   const Vec b = demand_pair(24, 1, 11);
-  const CliqueSolveReport rep = solve_laplacian_clique(g, b, 1e-6);
+  const CliqueSolveReport rep = lapclique::solve_laplacian(g, b, 1e-6);
   const auto& phases = rep.run.phases.rounds_by_phase;
   EXPECT_TRUE(phases.count("solver/sparsify"));
   EXPECT_TRUE(phases.count("solver/gather_sparsifier"));
@@ -73,13 +74,13 @@ TEST(CliqueLaplacian, RejectsDisconnectedGraphs) {
   g.add_edge(0, 1);
   g.add_edge(2, 3);
   const Vec b = demand_pair(4, 0, 3);
-  EXPECT_THROW((void)solve_laplacian_clique(g, b, 1e-4), std::invalid_argument);
+  EXPECT_THROW((void)lapclique::solve_laplacian(g, b, 1e-4), std::invalid_argument);
 }
 
 TEST(CliqueLaplacian, RejectsTinyGraphs) {
   const Graph g(1);
   const Vec b(1, 0.0);
-  EXPECT_THROW((void)solve_laplacian_clique(g, b, 1e-4), std::invalid_argument);
+  EXPECT_THROW((void)lapclique::solve_laplacian(g, b, 1e-4), std::invalid_argument);
 }
 
 TEST(CliqueLaplacian, ReusableSolverAccumulatesRounds) {

@@ -284,7 +284,7 @@ TEST(SolverGuardRail, ExhaustedRestartsFallBackToExactFactorization) {
   b[15] = -2.0;
   FaultPlan plan(parse_fault_spec("solver-nan@all"), base_seed());
   FaultSession session(&plan);
-  const auto rep = solver::solve_laplacian_clique(g, b, 1e-8);
+  const auto rep = solve_laplacian(g, b, 1e-8);
   EXPECT_TRUE(rep.stats.exact_fallback);
   EXPECT_EQ(plan.stats().solver_fallbacks, 1);
   EXPECT_GT(rep.run.phases.rounds_by_phase.count("solver/fallback"), 0u);
@@ -304,7 +304,7 @@ TEST(SolverGuardRail, SingleFailedRestartRecoversWithoutFallback) {
   b[15] = -2.0;
   FaultPlan plan(parse_fault_spec("solver-nan@0"), base_seed());
   FaultSession session(&plan);
-  const auto rep = solver::solve_laplacian_clique(g, b, 1e-8);
+  const auto rep = solve_laplacian(g, b, 1e-8);
   EXPECT_GE(rep.stats.restarts, 1);
   EXPECT_FALSE(rep.stats.exact_fallback);
   EXPECT_EQ(plan.stats().solver_fallbacks, 0);

@@ -217,7 +217,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SolveBlockSweep,
 
 TEST(SolveBlock, NetworkAccountingEqualsSequentialScalarSolves) {
   // One solve_block on net B must leave exactly the accounting of k
-  // sequential scalar solves on net A: rounds, words, per-phase ledger, op
+  // sequential one-column solves on net A: rounds, words, per-phase ledger, op
   // log, and the observing RoundLedger's full JSON (span tree + counters).
   const Graph g = graph::random_connected_gnm(26, 80, test::base_seed() + 7);
   const std::vector<Vec> bs = random_rhs(26, 4, test::base_seed() + 8);
@@ -246,18 +246,35 @@ TEST(SolveBlock, NetworkAccountingEqualsSequentialScalarSolves) {
   EXPECT_EQ(ledger_blk.to_json().dump(), ledger_seq.to_json().dump());
 }
 
-TEST(SolveBlock, ArmedFaultPlanDegradesToScalarOrder) {
-  // With a fault plan armed the batch must consult the drill per column in
-  // scalar order (solver-nan@all forces the exact fallback every time).
+struct FaultCase {
+  const char* spec;
+  bool all_fall_back;     ///< every column ends on the exact fallback
+  int min_restarts;       ///< every column restarts at least this often
+  bool recovery_charged;  ///< the plan's delivery faults charge recovery
+};
+
+/// Test listings name each case by its fault spec.
+void PrintTo(const FaultCase& fc, std::ostream* os) { *os << fc.spec; }
+
+class SolveBlockFaults : public ::testing::TestWithParam<FaultCase> {};
+
+TEST_P(SolveBlockFaults, MatchesOneColumnSolves) {
+  // With a fault plan armed, one k-column solve must leave exactly what k
+  // one-column solves leave: the solver-nan drill is a pure function of the
+  // restart level, and the charges (hence the plan's recovery draws) replay
+  // in column order.
+  const FaultCase& fc = GetParam();
   const Graph g = graph::random_connected_gnm(20, 60, test::base_seed() + 9);
   const std::vector<Vec> bs = random_rhs(20, 3, test::base_seed() + 10);
   const double eps = 1e-6;
   const LaplacianSolver solver(g);
-  const fault::FaultSpec spec = fault::parse_fault_spec("solver-nan@all");
+  const fault::FaultSpec spec = fault::parse_fault_spec(fc.spec);
 
   fault::FaultPlan plan_seq(spec, 5);
+  obs::RoundLedger ledger_seq;
   clique::Network net_seq(20);
   net_seq.set_fault_plan(&plan_seq);
+  net_seq.set_tracer(&ledger_seq);
   std::vector<Vec> want;
   std::vector<LaplacianSolveStats> want_stats(bs.size());
   for (std::size_t c = 0; c < bs.size(); ++c) {
@@ -265,21 +282,44 @@ TEST(SolveBlock, ArmedFaultPlanDegradesToScalarOrder) {
   }
 
   fault::FaultPlan plan_blk(spec, 5);
+  obs::RoundLedger ledger_blk;
   clique::Network net_blk(20);
   net_blk.set_fault_plan(&plan_blk);
+  net_blk.set_tracer(&ledger_blk);
   std::vector<LaplacianSolveStats> stats;
   const std::vector<Vec> got = solver.solve_block(bs, eps, &stats, &net_blk);
 
   ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(stats.size(), want_stats.size());
   for (std::size_t c = 0; c < got.size(); ++c) {
-    EXPECT_TRUE(stats[c].exact_fallback) << c;
     for (std::size_t i = 0; i < got[c].size(); ++i) {
       ASSERT_EQ(bits_of(got[c][i]), bits_of(want[c][i])) << c << "," << i;
     }
+    EXPECT_EQ(stats[c].chebyshev_iterations, want_stats[c].chebyshev_iterations) << c;
+    EXPECT_EQ(stats[c].restarts, want_stats[c].restarts) << c;
+    EXPECT_EQ(stats[c].exact_fallback, want_stats[c].exact_fallback) << c;
+    EXPECT_EQ(bits_of(stats[c].kappa), bits_of(want_stats[c].kappa)) << c;
+    EXPECT_EQ(bits_of(stats[c].relative_residual),
+              bits_of(want_stats[c].relative_residual))
+        << c;
+    EXPECT_EQ(stats[c].exact_fallback, fc.all_fall_back) << c;
+    EXPECT_GE(stats[c].restarts, fc.min_restarts) << c;
   }
   EXPECT_EQ(net_blk.rounds(), net_seq.rounds());
-  EXPECT_EQ(plan_blk.stats().solver_fallbacks, plan_seq.stats().solver_fallbacks);
+  EXPECT_EQ(net_blk.words_sent(), net_seq.words_sent());
+  // The plan's JSON carries every RecoveryStats field.
+  EXPECT_EQ(plan_blk.to_json().dump(), plan_seq.to_json().dump());
+  EXPECT_EQ(ledger_blk.to_json().dump(), ledger_seq.to_json().dump());
+  EXPECT_EQ(plan_blk.stats().solver_fallbacks,
+            fc.all_fall_back ? static_cast<std::int64_t>(bs.size()) : 0);
+  EXPECT_EQ(plan_blk.stats().recovery_rounds > 0, fc.recovery_charged);
 }
+
+INSTANTIATE_TEST_SUITE_P(Specs, SolveBlockFaults,
+                         ::testing::Values(FaultCase{"solver-nan@all", true, 7, false},
+                                           FaultCase{"solver-nan@0", false, 1, false},
+                                           FaultCase{"drop=0.05,corrupt=0.02", false, 0,
+                                                     true}));
 
 TEST(SolveBlock, ValidatesInput) {
   const Graph g = graph::random_connected_gnm(12, 30, test::base_seed() + 11);

@@ -200,7 +200,7 @@ TEST(Cg, OperatorFormMatchesMatrixForm) {
   }
 }
 
-// --- multi-RHS block kernels: per-column bit-identity to the scalar path ---
+// --- multi-RHS block kernels: per-column bit-identity to one-column calls ---
 //
 // The serve daemon's batched requests promise every column of a block solve
 // is BIT-identical to a standalone solve; these property tests pin that at
@@ -238,6 +238,15 @@ void expect_columns_bitwise_equal(const std::vector<Vec>& got,
 
 class BlockKernels : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
+/// Reference for CsrMatrix::multiply_block_axpy_into: per column, the
+/// two-pass `y[c] += coef * multiply(x[c])`.
+std::vector<Vec> multiply_axpy_per_column(const CsrMatrix& a, double coef,
+                                          const std::vector<Vec>& xs,
+                                          std::vector<Vec> ys) {
+  for (std::size_t c = 0; c < xs.size(); ++c) axpy(coef, a.multiply(xs[c]), ys[c]);
+  return ys;
+}
+
 TEST_P(BlockKernels, CsrMultiplyBlockBitwiseEqualsScalar) {
   const auto [k, threads] = GetParam();
   const exec::ThreadScope scope(threads);
@@ -245,11 +254,13 @@ TEST_P(BlockKernels, CsrMultiplyBlockBitwiseEqualsScalar) {
   const graph::Graph g = graph::random_connected_gnm(40, 140, test::base_seed());
   const CsrMatrix l = graph::laplacian(g);
   const std::vector<Vec> xs = random_columns(40, k, rng);
+  const std::vector<Vec> y0 = random_columns(40, k, rng);
+  const double coef = -0.37;
 
-  std::vector<Vec> want;
-  want.reserve(xs.size());
-  for (const Vec& x : xs) want.push_back(l.multiply(x));
-  expect_columns_bitwise_equal(l.multiply_block(xs), want, "csr");
+  const std::vector<Vec> want = multiply_axpy_per_column(l, coef, xs, y0);
+  std::vector<Vec> got = y0;
+  l.multiply_block_axpy_into(coef, xs, got);
+  expect_columns_bitwise_equal(got, want, "csr");
 }
 
 TEST_P(BlockKernels, LaplacianFactorSolveBlockBitwiseEqualsScalar) {
@@ -267,6 +278,7 @@ TEST_P(BlockKernels, LaplacianFactorSolveBlockBitwiseEqualsScalar) {
 }
 
 TEST_P(BlockKernels, PreconditionedChebyshevBlockBitwiseEqualsScalar) {
+  // A k-column call against k one-column calls of the one entry point.
   const auto [k, threads] = GetParam();
   const exec::ThreadScope scope(threads);
   std::mt19937_64 rng(test::base_seed() + 200 + static_cast<std::uint64_t>(k));
@@ -279,26 +291,20 @@ TEST_P(BlockKernels, PreconditionedChebyshevBlockBitwiseEqualsScalar) {
   ChebyshevOptions opt;
   opt.eps = 1e-9;
   opt.kappa = 4.0;
-  const ApplyFn apply_a = [&l](std::span<const double> x) { return l.multiply(x); };
-  const ApplyFn solve_b = [&f](std::span<const double> r) { return f.solve(r); };
-  const BlockApplyFn apply_a_blk = [&l](std::span<const Vec> xs) {
-    return l.multiply_block(xs);
-  };
-  const BlockApplyFn solve_b_blk = [&f](std::span<const Vec> rs) {
+  const BlockApplyFn solve_b = [&f](std::span<const Vec> rs) {
     return f.solve_block(rs);
   };
 
   std::vector<Vec> want;
   std::vector<ChebyshevStats> want_stats;
-  want.reserve(bs.size());
   for (const Vec& b : bs) {
-    ChebyshevStats st;
-    want.push_back(preconditioned_chebyshev(apply_a, solve_b, b, opt, &st));
-    want_stats.push_back(st);
+    std::vector<ChebyshevStats> st;
+    want.push_back(
+        preconditioned_chebyshev(l, solve_b, std::span<const Vec>(&b, 1), opt, &st)[0]);
+    want_stats.push_back(st[0]);
   }
   std::vector<ChebyshevStats> stats;
-  const std::vector<Vec> got =
-      preconditioned_chebyshev_block(apply_a_blk, solve_b_blk, bs, opt, &stats);
+  const std::vector<Vec> got = preconditioned_chebyshev(l, solve_b, bs, opt, &stats);
   expect_columns_bitwise_equal(got, want, "chebyshev");
   ASSERT_EQ(stats.size(), want_stats.size());
   for (std::size_t c = 0; c < stats.size(); ++c) {
@@ -332,16 +338,24 @@ TEST(BlockKernels, EmptyAndSingleColumnEdgeCases) {
   const graph::Graph g = graph::cycle(8);
   const CsrMatrix l = graph::laplacian(g);
   const BackendLaplacianFactor f = BackendLaplacianFactor::factor(l);
-  EXPECT_TRUE(l.multiply_block({}).empty());
+  std::vector<Vec> none;
+  EXPECT_NO_THROW(l.multiply_block_axpy_into(2.0, {}, none));
   EXPECT_TRUE(f.solve_block({}).empty());
   const std::vector<Vec> one{Vec(8, 1.5)};
-  expect_columns_bitwise_equal(l.multiply_block(one), {l.multiply(one[0])}, "k=1");
+  std::vector<Vec> got{Vec(8, 0.25)};
+  l.multiply_block_axpy_into(2.0, one, got);
+  expect_columns_bitwise_equal(got, multiply_axpy_per_column(l, 2.0, one, {Vec(8, 0.25)}),
+                               "k=1");
 }
 
 TEST(BlockKernels, MultiplyBlockRejectsColumnSizeMismatch) {
   const CsrMatrix l = graph::laplacian(graph::cycle(5));
   const std::vector<Vec> bad{Vec(5, 1.0), Vec(4, 1.0)};
-  EXPECT_THROW((void)l.multiply_block(bad), std::invalid_argument);
+  std::vector<Vec> y{Vec(5, 0.0), Vec(5, 0.0)};
+  EXPECT_THROW(l.multiply_block_axpy_into(1.0, bad, y), std::invalid_argument);
+  const std::vector<Vec> two{Vec(5, 1.0), Vec(5, 1.0)};
+  std::vector<Vec> one_y{Vec(5, 0.0)};
+  EXPECT_THROW(l.multiply_block_axpy_into(1.0, two, one_y), std::invalid_argument);
 }
 
 }  // namespace

@@ -313,7 +313,7 @@ TEST(Serve, BatchColumnsBitwiseEqualSingleSolves) {
   std::int64_t single_rounds = 0;
   for (std::size_t c = 0; c < bs.size(); ++c) {
     const json::Value resp = parse_ok(server.handle(
-        solve_request("g", bs[c], 1e-6, "s" + std::to_string(c))));
+        solve_request("g", bs[c], 1e-6, std::string("s").append(std::to_string(c)))));
     singles.push_back(response_x(resp));
     single_rounds += resp.at("run").at("rounds").as_int();
   }
@@ -622,6 +622,61 @@ TEST(Serve, MalformedRequestsGetLocatedErrorsAndLeaveStateIntact) {
   EXPECT_EQ(server.handle(good), baseline);
 }
 
+TEST(Serve, LaplacianOpErrorsKeepTheirCodesAndMessages) {
+  // The four Laplacian ops share one handler, yet each keeps its own error
+  // texts: the exact code and message of every precondition, per op.
+  Server server;
+  parse_ok(server.handle(load_request("g", test_graph(6, 9, 95))));
+  graph::Graph split(4);
+  split.add_edge(0, 1);
+  split.add_edge(2, 3);
+  parse_ok(server.handle(load_request("split", split)));
+  graph::Digraph dg(3);
+  dg.add_arc(0, 1);
+  dg.add_arc(1, 2);
+  parse_ok(server.handle(load_arcs_request("dg", dg)));
+
+  const auto req = [](const std::string& op, const std::string& graph,
+                      const std::string& fields) {
+    return std::string("{\"op\":\"").append(op).append("\",\"graph\":\"")
+        .append(graph).append("\",\"eps\":0.001,").append(fields)
+        .append(",\"id\":\"e\"}");
+  };
+  const std::string connected = "graph must be connected";
+  const std::string connected_solve =
+      "graph must be connected (solve components separately)";
+  const std::vector<std::pair<std::string, std::string>> table = {
+      {req("solve", "dg", "\"b\":[1,-1,0]"), "solve requires an undirected graph"},
+      {req("solve", "split", "\"b\":[1,0,0,-1]"), connected_solve},
+      {req("solve", "g", "\"b\":[1,-1]"), "\"b\" must have n = 6 entries"},
+      {req("solve_batch", "dg", "\"rhs\":[[1,-1,0]]"),
+       "solve requires an undirected graph"},
+      {req("solve_batch", "split", "\"rhs\":[[1,0,0,-1]]"), connected_solve},
+      {req("solve_batch", "g", "\"rhs\":[[1,-1,0,0,0,0],[1,-1]]"),
+       "every rhs vector must have n = 6 entries"},
+      {req("resistance", "dg", "\"u\":0,\"v\":1"),
+       "resistance requires an undirected graph"},
+      {req("resistance", "split", "\"u\":0,\"v\":3"), connected},
+      {req("resistance", "g", "\"u\":2,\"v\":2"), "u and v must differ"},
+      {req("resistance", "g", "\"u\":6,\"v\":0"), "vertex u out of range [0, 6)"},
+      {req("resistance", "g", "\"u\":0,\"v\":-1"), "vertex v out of range [0, 6)"},
+      {req("resistance_batch", "dg", "\"pairs\":[[0,1]]"),
+       "resistance_batch requires an undirected graph"},
+      {req("resistance_batch", "split", "\"pairs\":[[0,3]]"), connected},
+      {req("resistance_batch", "g", "\"pairs\":[[0,1],[3,3]]"),
+       "pair endpoints must differ"},
+      {req("resistance_batch", "g", "\"pairs\":[[0,6]]"),
+       "pair vertex out of range [0, 6)"},
+      {req("resistance_batch", "g", "\"pairs\":[]"), "\"pairs\" must be non-empty"},
+  };
+  for (const auto& [line, message] : table) {
+    const json::Value v = json::parse(server.handle(line));
+    ASSERT_FALSE(v.at("ok").as_bool()) << line;
+    EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request") << line;
+    EXPECT_EQ(v.at("error").at("message").as_string(), message) << line;
+  }
+}
+
 TEST(Serve, OversizedRequestIsRejectedWithoutParsing) {
   ServerOptions opt;
   opt.max_request_bytes = 128;
@@ -671,7 +726,7 @@ TEST(Serve, ConcurrentSubmissionMatchesSequentialBodies) {
     const auto salt = static_cast<std::uint64_t>(120 + i);
     requests.push_back(solve_request(i % 2 == 0 ? "g1" : "g2",
                                      random_b(i % 2 == 0 ? 19 : 15, salt),
-                                     1e-6, "q" + std::to_string(i)));
+                                     1e-6, std::string("q").append(std::to_string(i))));
   }
   requests.push_back(batch_request(
       "g1", {random_b(19, 131), random_b(19, 132)}, 1e-6, "qb"));

@@ -63,7 +63,6 @@
 #include "graph/generators.hpp"
 #include "io/dimacs.hpp"
 #include "obs/round_ledger.hpp"
-#include "solver/resistance.hpp"
 
 namespace {
 
@@ -216,7 +215,7 @@ int cmd_resistance(int argc, char** argv) {
   if (argc < 3) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const Graph g = io::read_edge_list(in);
-  const auto rep = solver::effective_resistance_clique(
+  const auto rep = effective_resistance(
       g,
       static_cast<int>(arg_int("resistance: u", argv[1], 0, g.num_vertices() - 1)),
       static_cast<int>(arg_int("resistance: v", argv[2], 0, g.num_vertices() - 1)));
