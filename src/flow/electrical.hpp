@@ -10,6 +10,16 @@
 // solve by the charging potentials() overload.  DESIGN.md §3: the round
 // complexity of a Theorem 1.1 solve depends on the topology and eps, not on
 // the resistance values, so the charge is exact, not an estimate.
+//
+// A solver is built once per topology.  The constructor fixes the
+// Laplacian's pattern, records for each of its entries which edges'
+// conductances sum into it, in the order graph::laplacian's
+// CsrMatrix::from_triplets would sum them, and runs the factor's pattern
+// analysis.  refactor() turns new resistances on the same edges into new
+// Laplacian values and a numeric refactor, bitwise what a fresh solver on
+// those resistances computes.  The IPMs keep one solver while only the
+// resistances change and build a new one when the topology does (max-flow
+// Boosting).
 #pragma once
 
 #include <cstdint>
@@ -30,9 +40,18 @@ struct ElectricalEdge {
 class ElectricalSolver {
  public:
   /// Builds the conductance Laplacian for the given resistances and factors
-  /// it with the requested numerics backend.
+  /// it with the requested numerics backend.  Throws std::invalid_argument
+  /// or std::out_of_range, with graph::Graph's messages, for a negative n,
+  /// an endpoint out of range, a self-loop, or a conductance 1/r that is not
+  /// positive, and "ElectricalSolver: resistances must be positive" for
+  /// r <= 0 (or NaN).
   ElectricalSolver(int n, std::vector<ElectricalEdge> edges,
                    linalg::Backend backend = linalg::Backend::kAuto);
+
+  /// Refactors for new per-edge resistances (one per constructor edge, same
+  /// order) on the same topology.  Rejects r <= 0 and r = +inf with the
+  /// constructor's messages before changing anything.
+  void refactor(std::span<const double> resistances);
 
   /// phi with L phi = chi (chi must sum to ~0).  Charges nothing.
   [[nodiscard]] linalg::Vec potentials(std::span<const double> chi) const;
@@ -54,8 +73,15 @@ class ElectricalSolver {
   }
 
  private:
+  /// The Laplacian's CSR values for conductances w, one per edge.
+  [[nodiscard]] linalg::Vec laplacian_values(std::span<const double> w) const;
+
   int n_;
   std::vector<ElectricalEdge> edges_;
+  /// Laplacian slot k sums terms_[slot_ptr_[k] .. slot_ptr_[k+1]) in order;
+  /// a term is 2 * edge (diagonal, +w) or 2 * edge + 1 (off-diagonal, -w).
+  std::vector<int> slot_ptr_;
+  std::vector<int> terms_;
   linalg::BackendLaplacianFactor factor_;
 };
 

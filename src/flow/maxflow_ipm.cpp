@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <tuple>
@@ -81,21 +82,38 @@ double resistance(const TEdge& e) {
 
 double min_residual(const TEdge& e) { return std::min(e.up - e.f, e.um + e.f); }
 
-/// One electrical-flow solve on the current resistances.  Returns potentials.
-linalg::Vec solve_potentials(const Transformed& tr, std::span<const double> chi,
-                             const MaxFlowIpmOptions& opt, clique::Network& net,
-                             std::int64_t rounds_per_solve, int* solves,
-                             linalg::FactorStats* fstats) {
-  std::vector<ElectricalEdge> ee;
-  ee.reserve(tr.edges.size());
-  for (const TEdge& e : tr.edges) {
-    ee.push_back(ElectricalEdge{e.u, e.v, resistance(e)});
+/// The electrical solves of one run.  Augmentation and Fixing change only
+/// the resistances, so one ElectricalSolver serves every solve on a
+/// topology and is refactored in place; Boosting, the one step that changes
+/// the topology, drops it and the next solve builds the solver for the new
+/// one.  A resumed or warm-started run starts with none.
+struct Electrical {
+  const MaxFlowIpmOptions& opt;
+  clique::Network& net;
+  std::int64_t rounds_per_solve = 0;
+  int& solves;
+  linalg::FactorStats stats;  ///< of the most recent factor
+  std::optional<ElectricalSolver> solver;
+
+  /// One electrical-flow solve on the current resistances.
+  linalg::Vec potentials(const Transformed& tr, std::span<const double> chi) {
+    std::vector<double> r(tr.edges.size());
+    for (std::size_t i = 0; i < r.size(); ++i) r[i] = resistance(tr.edges[i]);
+    if (solver.has_value()) {
+      solver->refactor(r);
+    } else {
+      std::vector<ElectricalEdge> ee;
+      ee.reserve(tr.edges.size());
+      for (std::size_t i = 0; i < r.size(); ++i) {
+        ee.push_back(ElectricalEdge{tr.edges[i].u, tr.edges[i].v, r[i]});
+      }
+      solver.emplace(tr.nv, std::move(ee), opt.numerics);
+    }
+    stats = solver->factor_stats();
+    ++solves;
+    return solver->potentials(chi, net, rounds_per_solve);
   }
-  const ElectricalSolver solver(tr.nv, std::move(ee), opt.numerics);
-  if (fstats != nullptr) *fstats = solver.factor_stats();
-  ++*solves;
-  return solver.potentials(chi, net, rounds_per_solve);
-}
+};
 
 std::vector<double> induced_flow(const Transformed& tr, std::span<const double> phi) {
   std::vector<double> f(tr.edges.size());
@@ -125,14 +143,13 @@ double safe_step(const Transformed& tr, const std::vector<double>& dir, double d
 /// Algorithm 3 (Augmentation): one electrical solve, step delta along it.
 /// Returns the congestion vector rho.
 std::vector<double> augmentation(Transformed& tr, int s, int t, double target_f,
-                                 double delta, const MaxFlowIpmOptions& opt,
-                                 clique::Network& net, std::int64_t rps,
-                                 int* solves, linalg::FactorStats* fstats) {
+                                 double delta, Electrical& el) {
+  clique::Network& net = el.net;
   LAPCLIQUE_TRACE_SPAN(net.tracer(), "augmentation");
   linalg::Vec chi(static_cast<std::size_t>(tr.nv), 0.0);
   chi[static_cast<std::size_t>(s)] = -target_f;
   chi[static_cast<std::size_t>(t)] = target_f;
-  const linalg::Vec phi = solve_potentials(tr, chi, opt, net, rps, solves, fstats);
+  const linalg::Vec phi = el.potentials(tr, chi);
   const std::vector<double> ftilde = induced_flow(tr, phi);
 
   const double step = safe_step(tr, ftilde, delta);
@@ -155,8 +172,8 @@ std::vector<double> augmentation(Transformed& tr, int s, int t, double target_f,
 
 /// Algorithm 4 (Fixing): local correction + one electrical solve to cancel
 /// the correction's residue.
-void fixing(Transformed& tr, const MaxFlowIpmOptions& opt, clique::Network& net,
-            std::int64_t rps, int* solves, linalg::FactorStats* fstats) {
+void fixing(Transformed& tr, Electrical& el) {
+  clique::Network& net = el.net;
   LAPCLIQUE_TRACE_SPAN(net.tracer(), "fixing");
   const std::size_t m = tr.edges.size();
   std::vector<double> theta(m);
@@ -179,8 +196,7 @@ void fixing(Transformed& tr, const MaxFlowIpmOptions& opt, clique::Network& net,
     residue[static_cast<std::size_t>(e.u)] -= step1 * theta[i];
   }
   for (double& r : residue) r = -r;
-  const linalg::Vec phi =
-      solve_potentials(tr, residue, opt, net, rps, solves, fstats);
+  const linalg::Vec phi = el.potentials(tr, residue);
   const std::vector<double> thetap = induced_flow(tr, phi);
   const double step2 = safe_step(tr, thetap, 1.0);
   for (std::size_t i = 0; i < m; ++i) tr.edges[i].f += step2 * thetap[i];
@@ -190,10 +206,13 @@ void fixing(Transformed& tr, const MaxFlowIpmOptions& opt, clique::Network& net,
   net.charge_announcement();  // step announcement broadcast
 }
 
-/// Algorithm 5 (Boosting): replace the most congested edges by paths.
+/// Algorithm 5 (Boosting): replace the most congested edges by paths.  The
+/// new topology needs a new electrical solver.
 void boosting(Transformed& tr, const std::vector<double>& rho,
-              std::int64_t max_cap, const MaxFlowIpmOptions& opt,
-              clique::Network& net) {
+              std::int64_t max_cap, Electrical& el) {
+  const MaxFlowIpmOptions& opt = el.opt;
+  clique::Network& net = el.net;
+  el.solver.reset();
   LAPCLIQUE_TRACE_SPAN(net.tracer(), "boosting");
   // rho is the congestion vector of the *last augmentation*; boosting steps
   // in between may have grown the edge list, so only the edges rho covers
@@ -596,13 +615,15 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
   }
 
   Transformed& tr = st.tr;
-  // Stats of the most recent Laplacian factorization; every iteration factors
-  // the same topology, so "last" is also "all" for the backend choice.
-  linalg::FactorStats fstats;
+  Electrical el{opt, net, rep.rounds_per_solve, rep.laplacian_solves, {}, {}};
+  // RunInfo reports the most recent factor.  Boosting changes the topology,
+  // and as the transformed graph grows past 512 vertices kAuto moves from
+  // the dense to the sparse factor, so this describes the last topology
+  // solved on, not every one.
   const auto record_numerics = [&] {
     if (rep.laplacian_solves > 0) {
-      rep.run.numerics = linalg::to_string(fstats.chosen);
-      rep.run.factor_fill = fstats.fill_nnz;
+      rep.run.numerics = linalg::to_string(el.stats.chosen);
+      rep.run.factor_fill = el.stats.fill_nnz;
     }
   };
   const double m = static_cast<double>(st.m0);
@@ -663,9 +684,8 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
 
   if (hooks.resume == nullptr) {
     net.set_phase("maxflow/ipm");
-    st.rho = augmentation(tr, s, t, target_f, delta0, opt, net,
-                          rep.rounds_per_solve, &rep.laplacian_solves, &fstats);
-    fixing(tr, opt, net, rep.rounds_per_solve, &rep.laplacian_solves, &fstats);
+    st.rho = augmentation(tr, s, t, target_f, delta0, el);
+    fixing(tr, el);
     ++rep.augmentation_steps;
     if (const char* reason = divergence()) return degrade(reason);
     // Boundary 0: the state after initial augmentation, so even a run
@@ -689,12 +709,11 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     if (rho3 <= rho_threshold || st.boosts >= 60 || !opt.enable_boosting) {
       const double delta =
           std::min(delta0, 1.0 / (33.0 * (1.0 - opt.alpha) * std::max(rho3, 1e-9)));
-      st.rho = augmentation(tr, s, t, target_f, delta, opt, net,
-                            rep.rounds_per_solve, &rep.laplacian_solves, &fstats);
-      fixing(tr, opt, net, rep.rounds_per_solve, &rep.laplacian_solves, &fstats);
+      st.rho = augmentation(tr, s, t, target_f, delta, el);
+      fixing(tr, el);
       ++rep.augmentation_steps;
     } else {
-      boosting(tr, st.rho, max_cap, opt, net);
+      boosting(tr, st.rho, max_cap, el);
       ++st.boosts;
       ++rep.boosting_steps;
     }

@@ -24,6 +24,15 @@
 // (flow/electrical.hpp) charged at the Theorem 1.1 round cost measured once
 // per run by one full sparsifier-pipeline solve at this topology and eps
 // ("calibration"; see DESIGN.md §3).
+//
+// Factor reuse: Augmentation and Fixing change only the resistances, and
+// Boosting is the only step that changes the topology.  A run therefore
+// keeps one flow::ElectricalSolver — one pattern analysis — per topology and
+// refactors it numerically for each solve; Boosting drops it and the next
+// solve builds the solver for the boosted graph.  A refactor is bitwise a
+// fresh factor, so iteration counts, Boosting choices and rounds do not
+// depend on the reuse, and a resumed or warm-started run simply builds its
+// solver at its first solve (checkpoints carry no factor state).
 #pragma once
 
 #include <cstdint>

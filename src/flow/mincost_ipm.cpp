@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 
@@ -412,6 +413,19 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
   const bool boundaries = hooks.writer != nullptr || plan != nullptr;
   const std::int64_t rounds_before = st.rounds_before;
   const std::int64_t words_before = st.words_before;
+  // One electrical solver per run: the bipartite topology plus the v0 star
+  // never changes, so every solve after the first refactors it for the new
+  // resistances.  A resumed run builds it at its first solve.
+  std::optional<ElectricalSolver> solver;
+  const auto factor = [&](BipartiteElectrical be) {
+    if (solver.has_value()) {
+      std::vector<double> r(be.edges.size());
+      for (std::size_t i = 0; i < r.size(); ++i) r[i] = be.edges[i].resistance;
+      solver->refactor(r);
+    } else {
+      solver.emplace(be.nv, std::move(be.edges), opt.numerics);
+    }
+  };
   // Stats of the most recent Laplacian factorization; every Progress step
   // factors the same bipartite topology, so "last" is also "all" for the
   // backend choice.
@@ -553,11 +567,10 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                          lf.f[static_cast<std::size_t>(e)],
                      1e-18);
       }
-      BipartiteElectrical be = make_electrical(lf, r);
-      const ElectricalSolver solver1(be.nv, std::move(be.edges), opt.numerics);
-      fstats = solver1.factor_stats();
+      factor(make_electrical(lf, r));
+      fstats = solver->factor_stats();
       ++rep.laplacian_solves;
-      const linalg::Vec phi = solver1.potentials(chi, net, rep.rounds_per_solve);
+      const linalg::Vec phi = solver->potentials(chi, net, rep.rounds_per_solve);
       std::vector<double> ftilde(static_cast<std::size_t>(me));
       for (int e = 0; e < me; ++e) {
         ftilde[static_cast<std::size_t>(e)] =
@@ -598,7 +611,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
             (sprime[static_cast<std::size_t>(e)] >= 0 ? 1.0 : -1.0);
       }
       // Residue of f' - f# becomes the second solve's demand.
-      linalg::Vec chi2(static_cast<std::size_t>(be.nv), 0.0);
+      linalg::Vec chi2(chi.size(), 0.0);
       for (int e = 0; e < me; ++e) {
         const double d = fprime[static_cast<std::size_t>(e)] -
                          fsharp[static_cast<std::size_t>(e)];
@@ -613,10 +626,9 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                          lf.s[static_cast<std::size_t>(e)],
                      1e-18);
       }
-      BipartiteElectrical be2 = make_electrical(lf, r2);
-      const ElectricalSolver solver2(be2.nv, std::move(be2.edges), opt.numerics);
+      factor(make_electrical(lf, r2));
       ++rep.laplacian_solves;
-      const linalg::Vec phi2 = solver2.potentials(chi2, net, rep.rounds_per_solve);
+      const linalg::Vec phi2 = solver->potentials(chi2, net, rep.rounds_per_solve);
       for (int e = 0; e < me; ++e) {
         const double ft2 = (phi2[static_cast<std::size_t>(lf.q_of_edge(e))] -
                             phi2[static_cast<std::size_t>(lf.p_of_edge(e))]) /

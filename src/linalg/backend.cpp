@@ -1,9 +1,9 @@
 #include "linalg/backend.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
-
-#include "exec/pool.hpp"
+#include <utility>
 
 namespace lapclique::linalg {
 
@@ -55,22 +55,25 @@ Backend resolve_backend(Backend requested, int n, std::int64_t nnz) {
   return nnz * kSparseDensityDivisor <= cells ? Backend::kSparse : Backend::kDense;
 }
 
-BackendLaplacianFactor BackendLaplacianFactor::factor(const CsrMatrix& laplacian,
-                                                      Backend requested) {
+BackendLaplacianFactor BackendLaplacianFactor::analyze(int n,
+                                                       std::span<const int> row_ptr,
+                                                       std::span<const int> col_idx,
+                                                       Backend requested) {
+  if (n < 0 || row_ptr.size() != static_cast<std::size_t>(n) + 1 ||
+      static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(n)]) != col_idx.size()) {
+    throw std::invalid_argument("BackendLaplacianFactor::analyze: malformed CSR pattern");
+  }
   BackendLaplacianFactor f;
-  const int n = laplacian.size();
   const auto nu = static_cast<std::size_t>(n);
+  const auto nnz = static_cast<std::int64_t>(col_idx.size());
   f.n_ = n;
   f.stats_.requested = requested;
-  f.stats_.chosen = resolve_backend(requested, n, laplacian.nnz());
+  f.stats_.chosen = resolve_backend(requested, n, nnz);
   f.stats_.n = n;
-  f.stats_.nnz = laplacian.nnz();
+  f.stats_.nnz = nnz;
 
   // Components via DFS over the sparsity pattern; the first vertex of each
   // component is grounded.
-  const auto rowptr = laplacian.row_ptr();
-  const auto colidx = laplacian.col_idx();
-  const auto avals = laplacian.values();
   f.comp_.assign(nu, -1);
   std::vector<int> stack;
   for (int s = 0; s < n; ++s) {
@@ -84,9 +87,9 @@ BackendLaplacianFactor BackendLaplacianFactor::factor(const CsrMatrix& laplacian
       const int v = stack.back();
       stack.pop_back();
       ++f.comp_size_[static_cast<std::size_t>(c)];
-      for (int k = rowptr[static_cast<std::size_t>(v)];
-           k < rowptr[static_cast<std::size_t>(v) + 1]; ++k) {
-        const int u = colidx[static_cast<std::size_t>(k)];
+      for (int k = row_ptr[static_cast<std::size_t>(v)];
+           k < row_ptr[static_cast<std::size_t>(v) + 1]; ++k) {
+        const int u = col_idx[static_cast<std::size_t>(k)];
         if (f.comp_[static_cast<std::size_t>(u)] == -1) {
           f.comp_[static_cast<std::size_t>(u)] = c;
           stack.push_back(u);
@@ -97,68 +100,108 @@ BackendLaplacianFactor BackendLaplacianFactor::factor(const CsrMatrix& laplacian
   std::vector<char> is_grounded(nu, 0);
   for (int g : f.grounded_) is_grounded[static_cast<std::size_t>(g)] = 1;
 
-  if (f.stats_.chosen == Backend::kDense) {
-    // Pin grounded rows/cols to identity; the result is SPD.  Row-sharded:
-    // each row is written by exactly one task.
-    std::vector<double> dense = laplacian.to_dense();
-    exec::parallel_for(n, 64, [&](std::int64_t b, std::int64_t e) {
-      for (std::int64_t r = b; r < e; ++r) {
-        const auto ru = static_cast<std::size_t>(r);
-        const bool gr = is_grounded[ru] != 0;
-        double* row = dense.data() + ru * nu;
-        for (int c = 0; c < n; ++c) {
-          if (gr || is_grounded[static_cast<std::size_t>(c)] != 0) {
-            row[static_cast<std::size_t>(c)] = (static_cast<int>(r) == c) ? 1.0 : 0.0;
-          }
-        }
+  // The grounded matrix drops every entry touching a grounded vertex and
+  // pins those diagonals to 1; the result is SPD.  Its CSR pattern, each
+  // entry remembering its slot in L (-1 for a pinned diagonal):
+  std::vector<int> gptr(nu + 1, 0);
+  std::vector<int> gcol;
+  std::vector<int> gsrc;
+  gcol.reserve(col_idx.size() + f.grounded_.size());
+  gsrc.reserve(gcol.capacity());
+  for (int r = 0; r < n; ++r) {
+    if (is_grounded[static_cast<std::size_t>(r)] != 0) {
+      gcol.push_back(r);
+      gsrc.push_back(-1);
+    } else {
+      for (int k = row_ptr[static_cast<std::size_t>(r)];
+           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+        const int c = col_idx[static_cast<std::size_t>(k)];
+        if (is_grounded[static_cast<std::size_t>(c)] != 0) continue;
+        gcol.push_back(c);
+        gsrc.push_back(k);
       }
-    });
-    f.dense_ = DenseLdlt::factor(n, dense);
+    }
+    gptr[static_cast<std::size_t>(r) + 1] = static_cast<int>(gcol.size());
+  }
+  // ... and where grounded entry q lands in the kernel's input.
+  f.slot_.assign(col_idx.size(), -1);
+  const auto place = [&](int q, std::int64_t index) {
+    const int k = gsrc[static_cast<std::size_t>(q)];
+    if (k < 0) {
+      f.pinned_.push_back(index);
+    } else {
+      f.slot_[static_cast<std::size_t>(k)] = index;
+    }
+  };
+
+  if (f.stats_.chosen == Backend::kDense) {
+    // Row-major positions of an n x n copy.
+    for (int r = 0; r < n; ++r) {
+      for (int q = gptr[static_cast<std::size_t>(r)]; q < gptr[static_cast<std::size_t>(r) + 1];
+           ++q) {
+        place(q, static_cast<std::int64_t>(r) * n + gcol[static_cast<std::size_t>(q)]);
+      }
+    }
+    f.kernel_values_ = nu * nu;
     // The dense factor stores the full triangle; report its logical fill.
     f.stats_.fill_nnz = static_cast<std::int64_t>(n) * (n + 1) / 2;
     return f;
   }
 
-  // Grounded matrix, kept sparse: drop every entry touching a grounded
-  // vertex and pin those diagonals to 1.  The result is SPD.
-  std::vector<Triplet> t;
-  t.reserve(avals.size() + f.grounded_.size());
-  for (int r = 0; r < n; ++r) {
-    if (is_grounded[static_cast<std::size_t>(r)] != 0) {
-      t.push_back({r, r, 1.0});
-      continue;
-    }
-    for (int k = rowptr[static_cast<std::size_t>(r)];
-         k < rowptr[static_cast<std::size_t>(r) + 1]; ++k) {
-      const int c = colidx[static_cast<std::size_t>(k)];
-      if (is_grounded[static_cast<std::size_t>(c)] != 0) continue;
-      t.push_back({r, c, avals[static_cast<std::size_t>(k)]});
-    }
-  }
-  const CsrMatrix grounded = CsrMatrix::from_triplets(n, t);
-
-  // Deterministic fill-reducing ordering of the grounded pattern, then
-  // factor the permuted matrix.
-  f.perm_ = rcm_ordering(grounded);
+  // Sparse: a deterministic fill-reducing ordering of the grounded pattern,
+  // then the permuted pattern P = A(perm, perm), each row's columns
+  // ascending.
+  f.perm_ = rcm_ordering(n, gptr, gcol);
   std::vector<int> iperm(nu, 0);
   for (int p = 0; p < n; ++p) {
     iperm[static_cast<std::size_t>(f.perm_[static_cast<std::size_t>(p)])] = p;
   }
-  std::vector<Triplet> pt;
-  pt.reserve(grounded.values().size());
-  const auto grp = grounded.row_ptr();
-  const auto gci = grounded.col_idx();
-  const auto gv = grounded.values();
-  for (int r = 0; r < n; ++r) {
-    const int pr = iperm[static_cast<std::size_t>(r)];
-    for (int k = grp[static_cast<std::size_t>(r)];
-         k < grp[static_cast<std::size_t>(r) + 1]; ++k) {
-      pt.push_back({pr, iperm[static_cast<std::size_t>(gci[static_cast<std::size_t>(k)])],
-                    gv[static_cast<std::size_t>(k)]});
+  std::vector<int> pptr(nu + 1, 0);
+  std::vector<int> pcol;
+  pcol.reserve(gcol.size());
+  std::vector<std::pair<int, int>> row;  // (permuted column, grounded entry)
+  for (int pr = 0; pr < n; ++pr) {
+    const int r = f.perm_[static_cast<std::size_t>(pr)];
+    row.clear();
+    for (int q = gptr[static_cast<std::size_t>(r)]; q < gptr[static_cast<std::size_t>(r) + 1];
+         ++q) {
+      row.emplace_back(iperm[static_cast<std::size_t>(gcol[static_cast<std::size_t>(q)])], q);
     }
+    std::sort(row.begin(), row.end());
+    for (const auto& [pc, q] : row) {
+      place(q, static_cast<std::int64_t>(pcol.size()));
+      pcol.push_back(pc);
+    }
+    pptr[static_cast<std::size_t>(pr) + 1] = static_cast<int>(pcol.size());
   }
-  f.sparse_ = SparseLdlt::factor(CsrMatrix::from_triplets(n, pt));
+  f.kernel_values_ = pcol.size();
+  f.sparse_ = SparseLdlt::analyze(n, pptr, pcol);
   f.stats_.fill_nnz = f.sparse_.fill_nnz();
+  return f;
+}
+
+void BackendLaplacianFactor::refactor(std::span<const double> values) {
+  if (values.size() != slot_.size()) {
+    throw std::invalid_argument(
+        "BackendLaplacianFactor::refactor: value count does not match the pattern");
+  }
+  std::vector<double> kv(kernel_values_, 0.0);
+  for (std::size_t k = 0; k < slot_.size(); ++k) {
+    if (slot_[k] >= 0) kv[static_cast<std::size_t>(slot_[k])] = values[k];
+  }
+  for (const std::int64_t p : pinned_) kv[static_cast<std::size_t>(p)] = 1.0;
+  if (stats_.chosen == Backend::kDense) {
+    dense_ = DenseLdlt::factor(n_, kv);
+  } else {
+    sparse_.refactor(kv);
+  }
+}
+
+BackendLaplacianFactor BackendLaplacianFactor::factor(const CsrMatrix& laplacian,
+                                                      Backend requested) {
+  BackendLaplacianFactor f =
+      analyze(laplacian.size(), laplacian.row_ptr(), laplacian.col_idx(), requested);
+  f.refactor(laplacian.values());
   return f;
 }
 

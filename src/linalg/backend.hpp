@@ -57,21 +57,36 @@ struct FactorStats {
 };
 
 /// The Laplacian pseudoinverse, x = L^+ b, for a connected or disconnected
-/// Laplacian.  Factoring finds the components once and grounds the first
-/// vertex reached in each; the resolved backend then factors the grounded,
-/// SPD matrix with its own kernel:
-///   * dense: a dense copy with grounded rows/cols pinned to the identity,
-///     factored by DenseLdlt;
-///   * sparse: entries touching a grounded vertex dropped and its diagonal
-///     pinned to 1, RCM-permuted (rcm_ordering), factored by SparseLdlt.
-/// Every solve projects b onto range(L) (per-component mean removed, grounded
-/// entries zeroed) and normalizes x to per-component mean zero with the same
-/// arithmetic under either backend, so swapping backends changes
-/// substitution bits only — round counts stay pinned by the golden tests
-/// under either choice.
+/// Laplacian.  A factor is two phases:
+///   * analyze() reads only the pattern: it finds the components, grounds
+///     the first vertex reached in each, resolves the backend, and maps
+///     every entry of L to its place in the grounded matrix the kernel
+///     factors (entries touching a grounded vertex dropped, grounded
+///     diagonals pinned to 1, so the matrix is SPD):
+///       - dense: a row-major n x n copy, factored by DenseLdlt;
+///       - sparse: the grounded pattern RCM-permuted (rcm_ordering), whose
+///         elimination tree and L pattern SparseLdlt::analyze fixes here;
+///   * refactor() fills the grounded matrix from L's values through that map
+///     and runs the kernel's numeric factor.  It may run again for new
+///     values on the same pattern; the IPMs refactor one analysis for every
+///     electrical solve between topology changes.
+/// factor() is analyze() + refactor().  Every solve projects b onto range(L)
+/// (per-component mean removed, grounded entries zeroed) and normalizes x to
+/// per-component mean zero with the same arithmetic under either backend,
+/// so swapping backends changes substitution bits only — round counts stay
+/// pinned by the golden tests under either choice.
 class BackendLaplacianFactor {
  public:
   BackendLaplacianFactor() = default;
+
+  /// Pattern-only analysis of an n-vertex Laplacian's CSR pattern.
+  static BackendLaplacianFactor analyze(int n, std::span<const int> row_ptr,
+                                        std::span<const int> col_idx,
+                                        Backend requested = Backend::kAuto);
+
+  /// Numeric factor for `values` in the analyzed pattern's CSR slot order.
+  /// Throws on pivot collapse, leaving the factor unusable.
+  void refactor(std::span<const double> values);
 
   static BackendLaplacianFactor factor(const CsrMatrix& laplacian,
                                        Backend requested = Backend::kAuto);
@@ -100,8 +115,14 @@ class BackendLaplacianFactor {
   std::vector<int> comp_size_;  ///< vertex count per component
   std::vector<int> grounded_;   ///< one grounded vertex per component
   std::vector<int> perm_;       ///< sparse only: RCM order, perm_[new] = old
+  /// Per CSR slot of L: its index in the kernel's input (dense: row-major
+  /// position; sparse: CSR slot of the permuted grounded matrix), or -1 when
+  /// the entry touches a grounded vertex.
+  std::vector<std::int64_t> slot_;
+  std::vector<std::int64_t> pinned_;  ///< kernel-input indices of the 1s
+  std::size_t kernel_values_ = 0;     ///< length of the kernel's input
   // Exactly one kernel is populated (the other stays empty); dispatch is a
-  // branch on stats_.chosen, fixed at factor time.
+  // branch on stats_.chosen, fixed at analysis time.
   DenseLdlt dense_;
   SparseLdlt sparse_;
 };

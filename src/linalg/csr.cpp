@@ -18,6 +18,12 @@ constexpr std::int64_t kRowGrain = 512;
 constexpr std::int64_t kSliceGrain = kRowGrain / CsrMatrix::kSellSlice;
 }  // namespace
 
+void sort_triplets(std::span<Triplet> t) {
+  std::sort(t.begin(), t.end(), [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+}
+
 CsrMatrix CsrMatrix::from_triplets(int n, std::span<const Triplet> triplets) {
   if (n < 0) throw std::invalid_argument("CsrMatrix: negative size");
   std::vector<Triplet> t(triplets.begin(), triplets.end());
@@ -26,9 +32,7 @@ CsrMatrix CsrMatrix::from_triplets(int n, std::span<const Triplet> triplets) {
       throw std::out_of_range("CsrMatrix: triplet index out of range");
     }
   }
-  std::sort(t.begin(), t.end(), [](const Triplet& a, const Triplet& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  sort_triplets(t);
 
   CsrMatrix m;
   m.n_ = n;

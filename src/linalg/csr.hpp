@@ -25,6 +25,13 @@ struct Triplet {
   double value = 0;
 };
 
+/// Sorts by (row, col): the order from_triplets sums duplicates in.  The
+/// sort is not stable, so equal keys land in an order only this function
+/// fixes; it moves triplets by comparing keys alone, so a caller that tags
+/// each triplet through `value` learns the exact summation order
+/// from_triplets would use on the same keys.
+void sort_triplets(std::span<Triplet> t);
+
 class CsrMatrix {
  public:
   CsrMatrix() = default;

@@ -2,15 +2,22 @@
 // and a deterministic fill-reducing ordering: the `sparse` kernel of
 // linalg::BackendLaplacianFactor (backend.hpp).
 //
-// The sparsifiers this library factors have O(n log n) edges.  On the
-// committed BENCH_laplacian.json crossover (L_G of gnm graphs with m = 4n)
-// the RCM-ordered sparse factor carries about half the dense fill and is
-// about 2x faster on factor+solve from n >= 1024 (n = 1024: 72 vs 160 ms to
-// factor; n = 2048: 745 vs 1421 ms); at n = 256 the dense factor is faster.
-// Everything here is sequential and therefore trivially bit-stable across
-// thread counts; determinism only requires that the ordering itself be a
-// pure function of the sparsity pattern, which rcm_ordering guarantees by
-// breaking every tie on the smaller vertex id.
+// A factorization is two phases.  analyze() reads only the sparsity
+// pattern: Liu's elimination tree, then one row-subtree walk per row that
+// appends the row to every column of L it reaches, so L's columns come out
+// sorted and the full structural pattern is fixed before any arithmetic.
+// refactor() runs the numeric left-looking LDL^T on that pattern and can be
+// called again for new values on the same pattern — the IPMs refactor one
+// analysis for every electrical solve between two topology changes.
+// factor() is analyze() + refactor().
+//
+// The structural pattern is exactly the numeric one for the matrices this
+// library factors: grounded Laplacians are M-matrices, so every Schur
+// update to an off-diagonal entry has the same sign and nothing cancels to
+// zero.  Everything here is sequential and therefore trivially bit-stable
+// across thread counts; determinism only requires that the ordering itself
+// be a pure function of the sparsity pattern, which rcm_ordering
+// guarantees by breaking every tie on the smaller vertex id.
 #pragma once
 
 #include <span>
@@ -25,13 +32,26 @@ namespace lapclique::linalg {
 /// deterministic: per component the BFS starts from the minimum-degree
 /// vertex (ties → smallest id) and neighbors enqueue sorted by
 /// (degree, id).  Returns perm with perm[new_pos] = old_index.
+[[nodiscard]] std::vector<int> rcm_ordering(int n, std::span<const int> row_ptr,
+                                            std::span<const int> col_idx);
+/// rcm_ordering of a's pattern.
 [[nodiscard]] std::vector<int> rcm_ordering(const CsrMatrix& a);
 
 class SparseLdlt {
  public:
   SparseLdlt() = default;
 
-  /// Factors an SPD CSR matrix.  Throws on pivot collapse.
+  /// Pattern-only analysis of a symmetric n x n CSR pattern (both
+  /// triangles stored; the diagonal may be absent).  Allocates L's pattern
+  /// with zero values and keeps the pattern for refactor().
+  static SparseLdlt analyze(int n, std::span<const int> row_ptr,
+                            std::span<const int> col_idx);
+
+  /// Numeric LDL^T of the analyzed pattern with `values` in its CSR slot
+  /// order.  Throws on pivot collapse, leaving the factor unusable.
+  void refactor(std::span<const double> values, double min_pivot = 1e-300);
+
+  /// analyze(a's pattern) + refactor(a's values).  Throws on pivot collapse.
   static SparseLdlt factor(const CsrMatrix& a, double min_pivot = 1e-300);
 
   [[nodiscard]] int size() const { return n_; }
@@ -47,6 +67,9 @@ class SparseLdlt {
 
  private:
   int n_ = 0;
+  // The analyzed matrix's CSR pattern, which refactor() scatters from.
+  std::vector<int> a_rowptr_;
+  std::vector<int> a_colidx_;
   // Column-compressed unit lower triangle (strictly below diagonal).
   std::vector<int> colptr_;
   std::vector<int> rowidx_;

@@ -138,17 +138,21 @@ graph::Digraph sweep_flow_network() {
 
 // --- preempt-at-every-batch sweeps ---------------------------------------
 
-// For every batch boundary B: run with `preempt=B` until PreemptError, then
-// resume from the committed checkpoint and demand byte-identity with an
-// uninterrupted reference.  The sweep ends when preempt=B no longer fires
-// (B is past the last boundary); that run must still match the reference,
-// which also pins that a preempt-only plan is accounting-neutral.
-void max_flow_preempt_sweep(clique::RoutingMode mode, int threads) {
-  const graph::Digraph g = sweep_flow_network();
+// For every batch boundary B from `first_batch` on: run with `preempt=B`
+// until PreemptError, then resume from the committed checkpoint and demand
+// byte-identity with an uninterrupted reference.  The sweep ends when
+// preempt=B no longer fires (B is past the last boundary); that run must
+// still match the reference, which also pins that a preempt-only plan is
+// accounting-neutral.  `name` keeps each caller's checkpoint files apart:
+// ctest runs tests in parallel processes.
+void max_flow_preempt_sweep(const std::string& name, const graph::Digraph& g,
+                            const flow::MaxFlowIpmOptions& opt,
+                            std::int64_t first_batch, clique::RoutingMode mode,
+                            int threads) {
   const int s = 0;
-  const int t = 9;
-  const std::string tag =
-      std::string(clique::to_string(mode)) + "_t" + std::to_string(threads);
+  const int t = g.num_vertices() - 1;
+  const std::string tag = name + "_" + clique::to_string(mode) + "_t" +
+                          std::to_string(threads);
 
   Runtime base_rt;
   base_rt.threads = threads;
@@ -158,10 +162,10 @@ void max_flow_preempt_sweep(clique::RoutingMode mode, int threads) {
   Runtime ref_rt = base_rt;
   ref_rt.trace = &ref_ledger;
   ref_rt.checkpoint_path = tmp_path("mf_ref_" + tag);
-  const Observed want = observe(max_flow(g, s, t, quick_max(), ref_rt), ref_ledger);
+  const Observed want = observe(max_flow(g, s, t, opt, ref_rt), ref_ledger);
 
   bool past_last_boundary = false;
-  for (std::int64_t batch = 0; batch < 256 && !past_last_boundary; ++batch) {
+  for (std::int64_t batch = first_batch; batch < 256 && !past_last_boundary; ++batch) {
     const std::string where = tag + " preempt=" + std::to_string(batch);
     const std::string path = tmp_path("mf_sweep_" + tag);
     fault::FaultPlan plan(
@@ -173,7 +177,7 @@ void max_flow_preempt_sweep(clique::RoutingMode mode, int threads) {
     r1.checkpoint_path = path;
     bool preempted = false;
     try {
-      const flow::MaxFlowIpmReport full = max_flow(g, s, t, quick_max(), r1);
+      const flow::MaxFlowIpmReport full = max_flow(g, s, t, opt, r1);
       expect_identical(want, observe(full, preempt_ledger), where + " (ran through)");
       past_last_boundary = true;
     } catch (const fault::PreemptError&) {
@@ -186,7 +190,7 @@ void max_flow_preempt_sweep(clique::RoutingMode mode, int threads) {
     r2.trace = &resumed_ledger;
     r2.checkpoint_path = path;
     r2.resume = true;
-    const flow::MaxFlowIpmReport resumed = max_flow(g, s, t, quick_max(), r2);
+    const flow::MaxFlowIpmReport resumed = max_flow(g, s, t, opt, r2);
     expect_identical(want, observe(resumed, resumed_ledger), where + " (resumed)");
   }
   EXPECT_TRUE(past_last_boundary) << tag << ": sweep never ran past the last boundary";
@@ -246,8 +250,24 @@ TEST(CheckpointSweep, MaxFlowPreemptEveryBatchAllModesAndThreads) {
   for (clique::RoutingMode mode :
        {clique::RoutingMode::kCharged, clique::RoutingMode::kExecuted,
         clique::RoutingMode::kBroadcast}) {
-    for (int threads : {1, 8}) max_flow_preempt_sweep(mode, threads);
+    for (int threads : {1, 8}) {
+      max_flow_preempt_sweep("all", sweep_flow_network(), quick_max(), 0, mode, threads);
+    }
   }
+}
+
+// The sweep instance above spends its whole budget on Boosting, with both of
+// its solves before boundary 0, so none of its resumes lands before a solve.
+// This 24-vertex, 96-arc instance at iteration_scale 0.02 runs 60 Boosting
+// steps in its first 60 iterations and then augments on the boosted
+// topology, so a run resumed at boundary 60 or later builds a fresh
+// electrical solver (and its factor analysis) where the uninterrupted run
+// refactors the one it already has — and must still match it byte for byte.
+TEST(CheckpointSweep, MaxFlowResumeAfterLastBoost) {
+  const graph::Digraph g = graph::random_flow_network(24, 96, 4, base_seed() + 40);
+  flow::MaxFlowIpmOptions opt;
+  opt.iteration_scale = 0.02;
+  max_flow_preempt_sweep("boosted", g, opt, 60, clique::RoutingMode::kCharged, 1);
 }
 
 TEST(CheckpointSweep, MinCostPreemptEveryBatchAllModesAndThreads) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
@@ -26,6 +31,60 @@ CsrMatrix sdd_from_graph(const graph::Graph& g, double shift) {
     t.push_back({r, r, shift});
   }
   return CsrMatrix::from_triplets(l.size(), t);
+}
+
+/// The weighted graph both refactor tests factor: two components, {0..5}
+/// and {6..11}, each a ring plus chords, with parallel edges 0-1 (twice) and
+/// 7-8 (three times).  Weights are drawn per `seed`; the pattern is not.
+graph::Graph parallel_two_component_graph(std::uint64_t seed) {
+  graph::Graph g(12);
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ULL + 1;
+  const auto weight = [&] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return 0.25 + static_cast<double>(x % 1000) / 125.0;
+  };
+  for (int base : {0, 6}) {
+    for (int i = 0; i < 6; ++i) g.add_edge(base + i, base + (i + 1) % 6, weight());
+    g.add_edge(base, base + 3, weight());
+    g.add_edge(base + 1, base + 4, weight());
+  }
+  g.add_edge(0, 1, weight());
+  g.add_edge(7, 8, weight());
+  g.add_edge(7, 8, weight());
+  return g;
+}
+
+/// L(g) with vertices 0 and 6 grounded: their rows and columns dropped and
+/// their diagonals pinned to 1, so the matrix is SPD.
+CsrMatrix grounded_laplacian(const graph::Graph& g) {
+  const CsrMatrix l = graph::laplacian(g);
+  std::vector<Triplet> t;
+  for (int r = 0; r < l.size(); ++r) {
+    if (r == 0 || r == 6) {
+      t.push_back({r, r, 1.0});
+      continue;
+    }
+    for (int k = l.row_ptr()[static_cast<std::size_t>(r)];
+         k < l.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+      const int c = l.col_idx()[static_cast<std::size_t>(k)];
+      if (c == 0 || c == 6) continue;
+      t.push_back({r, c, l.values()[static_cast<std::size_t>(k)]});
+    }
+  }
+  return CsrMatrix::from_triplets(l.size(), t);
+}
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+Vec test_rhs(int n, int k) {
+  Vec b(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) b[static_cast<std::size_t>(i)] = std::sin(1.3 * i + k);
+  return b;
 }
 
 TEST(DenseLdlt, SolvesSmallSpd) {
@@ -125,6 +184,24 @@ TEST(LaplacianFactor, HandlesDisconnectedComponents) {
   }
 }
 
+TEST(LaplacianFactor, RefactorIsBitwiseAFreshFactor) {
+  const CsrMatrix l1 = graph::laplacian(parallel_two_component_graph(1));
+  for (const Backend backend : kBackends) {
+    BackendLaplacianFactor f = BackendLaplacianFactor::factor(l1, backend);
+    for (std::uint64_t seed = 2; seed <= 4; ++seed) {
+      const CsrMatrix l2 = graph::laplacian(parallel_two_component_graph(seed));
+      f.refactor(l2.values());
+      const BackendLaplacianFactor fresh = BackendLaplacianFactor::factor(l2, backend);
+      EXPECT_EQ(f.stats().fill_nnz, fresh.stats().fill_nnz) << to_string(backend);
+      for (int k = 0; k < 3; ++k) {
+        const Vec b = test_rhs(12, k);
+        EXPECT_TRUE(same_bits(f.solve(b), fresh.solve(b)))
+            << to_string(backend) << " seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(SparseLdlt, MatchesDenseOnSpdSystems) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const graph::Graph g = graph::random_connected_gnm(25, 60, seed);
@@ -157,6 +234,41 @@ TEST(SparseLdlt, ThrowsOnIndefinite) {
   const std::vector<Triplet> t{{0, 1, 1.0}, {1, 0, 1.0}};
   const CsrMatrix a = CsrMatrix::from_triplets(2, t);
   EXPECT_THROW(SparseLdlt::factor(a), std::runtime_error);
+}
+
+TEST(SparseLdlt, RefactorIsBitwiseAFreshFactor) {
+  const CsrMatrix a1 = grounded_laplacian(parallel_two_component_graph(1));
+  SparseLdlt f = SparseLdlt::factor(a1);
+  const std::int64_t fill = f.fill_nnz();
+  for (std::uint64_t seed = 2; seed <= 5; ++seed) {
+    const CsrMatrix a2 = grounded_laplacian(parallel_two_component_graph(seed));
+    ASSERT_TRUE(std::ranges::equal(a1.row_ptr(), a2.row_ptr()));
+    ASSERT_TRUE(std::ranges::equal(a1.col_idx(), a2.col_idx()));
+    f.refactor(a2.values());
+    const SparseLdlt fresh = SparseLdlt::factor(a2);
+    EXPECT_EQ(f.fill_nnz(), fill) << "seed " << seed;
+    EXPECT_EQ(fresh.fill_nnz(), fill) << "seed " << seed;
+    for (int k = 0; k < 3; ++k) {
+      const Vec b = test_rhs(12, k);
+      EXPECT_TRUE(same_bits(f.solve(b), fresh.solve(b))) << "seed " << seed;
+    }
+  }
+}
+
+TEST(SparseLdlt, RefactorRejectsIndefiniteAndMismatchedValues) {
+  const std::vector<Triplet> spd{{0, 0, 2.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}};
+  SparseLdlt f = SparseLdlt::factor(CsrMatrix::from_triplets(2, spd));
+  // [[0, 1], [1, 0]] on the same pattern: the first pivot is zero.
+  const std::vector<double> indefinite{0.0, 1.0, 1.0, 0.0};
+  try {
+    f.refactor(indefinite);
+    FAIL() << "expected the pivot-collapse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("pivot collapsed"), std::string::npos)
+        << e.what();
+  }
+  const std::vector<double> short_values{2.0, 1.0, 2.0};
+  EXPECT_THROW(f.refactor(short_values), std::invalid_argument);
 }
 
 TEST(SparseLdlt, LargerRandomSystemAgainstCg) {

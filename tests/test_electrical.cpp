@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "flow/electrical.hpp"
 #include "solver/laplacian_solver.hpp"
@@ -89,7 +93,7 @@ TEST(Electrical, RejectsSizeMismatchedDemand) {
   EXPECT_THROW((void)solver.potentials(bad), std::invalid_argument);
 }
 
-TEST(Electrical, SparsifiedModeMatchesDirect) {
+TEST(Electrical, ExactSolveMatchesLaplacianSolver) {
   // The exact electrical solve against the Theorem 1.1 sparsifier-
   // preconditioned solver on the same conductance graph.
   std::vector<ElectricalEdge> edges;
@@ -106,6 +110,84 @@ TEST(Electrical, SparsifiedModeMatchesDirect) {
     EXPECT_NEAR(pd[static_cast<std::size_t>(v)], ps[static_cast<std::size_t>(v)],
                 1e-5);
   }
+}
+
+/// A 12-vertex ring with chords and parallel edges (0-1 twice, 5-9 three
+/// times), resistances drawn per `seed` on a fixed edge list.
+std::vector<ElectricalEdge> parallel_edges(std::uint64_t seed) {
+  std::vector<ElectricalEdge> edges;
+  for (int i = 0; i < 12; ++i) {
+    edges.push_back({i, (i + 1) % 12, 1.0});
+    edges.push_back({i, (i + 5) % 12, 1.0});
+  }
+  edges.push_back({1, 0, 1.0});
+  edges.push_back({5, 9, 1.0});
+  edges.push_back({9, 5, 1.0});
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ULL + 1;
+  for (ElectricalEdge& e : edges) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    e.resistance = std::ldexp(1.0 + static_cast<double>(x % 997) / 97.0,
+                              static_cast<int>(x % 41) - 20);
+  }
+  return edges;
+}
+
+std::vector<double> resistances(const std::vector<ElectricalEdge>& edges) {
+  std::vector<double> r;
+  for (const ElectricalEdge& e : edges) r.push_back(e.resistance);
+  return r;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Electrical, RefactorIsBitwiseAFreshSolver) {
+  for (const linalg::Backend backend : {linalg::Backend::kDense, linalg::Backend::kSparse}) {
+    ElectricalSolver reused(12, parallel_edges(1), backend);
+    for (std::uint64_t seed = 2; seed <= 5; ++seed) {
+      const std::vector<ElectricalEdge> edges = parallel_edges(seed);
+      reused.refactor(resistances(edges));
+      const ElectricalSolver fresh(12, edges, backend);
+      EXPECT_EQ(reused.factor_stats().fill_nnz, fresh.factor_stats().fill_nnz);
+      EXPECT_EQ(reused.factor_stats().chosen, backend);
+      for (const auto& [s, t] : {std::pair{0, 6}, std::pair{3, 10}}) {
+        const auto phi = reused.potentials(pair_demand(12, s, t));
+        EXPECT_TRUE(same_bits(phi, fresh.potentials(pair_demand(12, s, t))))
+            << linalg::to_string(backend) << " seed " << seed;
+        EXPECT_TRUE(same_bits(reused.induced_flow(phi), fresh.induced_flow(phi)))
+            << linalg::to_string(backend) << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Electrical, RefactorRejectsWhatTheConstructorRejects) {
+  const auto message = [](auto&& build) -> std::string {
+    try {
+      build();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -1.0, nan, inf}) {
+    const std::string want = bad == inf ? "Graph: weight must be positive"
+                                        : "ElectricalSolver: resistances must be positive";
+    EXPECT_EQ(message([&] { ElectricalSolver(3, {{0, 1, 1.0}, {1, 2, bad}}); }), want)
+        << bad;
+    ElectricalSolver solver(3, {{0, 1, 1.0}, {1, 2, 1.0}});
+    const std::vector<double> r{1.0, bad};
+    EXPECT_EQ(message([&] { solver.refactor(r); }), want) << bad;
+  }
+  ElectricalSolver solver(3, {{0, 1, 1.0}, {1, 2, 1.0}});
+  const std::vector<double> one{1.0};
+  EXPECT_THROW(solver.refactor(one), std::invalid_argument);
 }
 
 TEST(Electrical, CalibrateIsDeterministicAndPositive) {
