@@ -138,17 +138,17 @@ BipartiteElectrical make_electrical(const Lifted& lf,
                                       lf.q_of_edge(static_cast<int>(e)),
                                       resist_bip[e]});
   }
+  // a[u] sums nu[e] + nu[e ^ 1] over u's bipartite edges e, in ascending e.
+  std::vector<double> a(static_cast<std::size_t>(lf.np), 0.0);
+  for (int e = 0; e < 2 * lf.nq; ++e) {
+    a[static_cast<std::size_t>(lf.p_of_edge(e))] +=
+        lf.nu[static_cast<std::size_t>(e)] + lf.nu[static_cast<std::size_t>(e ^ 1)];
+  }
   const auto m = static_cast<double>(resist_bip.size());
   const double eta = 1.0 / 14.0;
+  const double scale = std::pow(m, 1.0 + 2.0 * eta);
   for (int u = 0; u < lf.np; ++u) {
-    double a = 0;
-    for (int e = 0; e < 2 * lf.nq; ++e) {
-      if (lf.p_of_edge(e) == u) {
-        a += lf.nu[static_cast<std::size_t>(e)] +
-             lf.nu[static_cast<std::size_t>(e ^ 1)];
-      }
-    }
-    const double r = std::pow(m, 1.0 + 2.0 * eta) / std::max(a, 1e-9);
+    const double r = scale / std::max(a[static_cast<std::size_t>(u)], 1e-9);
     be.edges.push_back(ElectricalEdge{v0, u, r});
   }
   return be;

@@ -15,9 +15,78 @@ namespace {
 constexpr std::int64_t kSolveBlock = 128;
 
 /// Minimum flop count before a loop goes through the pool; below this the
-/// dispatch overhead dominates.  Depends only on problem size, so the
-/// sequential/parallel decision is itself deterministic.
+/// dispatch overhead dominates.  Shard boundaries never change a row's
+/// arithmetic, so the sequential/parallel decision cannot change any bits.
 constexpr std::int64_t kParallelFlops = 16384;
+
+bool negative_zero(double v) { return v == 0.0 && std::signbit(v); }
+
+/// One term of column j: column k of L, scaled by L(j,k) and d(k).
+struct Multiplier {
+  const double* col;
+  double ljk;
+  double dk;
+};
+
+/// col[i] -= (L(i,k) * L(j,k)) * d(k) for the multipliers in order (k
+/// ascending) and rows i in [i0, i1).  Four k share one pass over the rows;
+/// each row still meets them one subtraction at a time, in order.
+void absorb_columns(double* col, std::span<const Multiplier> mul, std::size_t i0,
+                    std::size_t i1) {
+  std::size_t t = 0;
+  for (; t + 4 <= mul.size(); t += 4) {
+    // Locals, so the compiler need not reload them after each store to col.
+    const double* c0 = mul[t].col;
+    const double* c1 = mul[t + 1].col;
+    const double* c2 = mul[t + 2].col;
+    const double* c3 = mul[t + 3].col;
+    const double l0 = mul[t].ljk, l1 = mul[t + 1].ljk, l2 = mul[t + 2].ljk,
+                 l3 = mul[t + 3].ljk;
+    const double d0 = mul[t].dk, d1 = mul[t + 1].dk, d2 = mul[t + 2].dk,
+                 d3 = mul[t + 3].dk;
+    for (std::size_t i = i0; i < i1; ++i) {
+      double acc = col[i];
+      acc -= c0[i] * l0 * d0;
+      acc -= c1[i] * l1 * d1;
+      acc -= c2[i] * l2 * d2;
+      acc -= c3[i] * l3 * d3;
+      col[i] = acc;
+    }
+  }
+  for (; t < mul.size(); ++t) {
+    const double* c0 = mul[t].col;
+    const double l0 = mul[t].ljk;
+    const double d0 = mul[t].dk;
+    for (std::size_t i = i0; i < i1; ++i) col[i] -= c0[i] * l0 * d0;
+  }
+}
+
+/// x[i] -= L(i,k) * x[k] for columns k in [k0, k1) ascending and rows i in
+/// [i0, i1), i0 >= k1: the final x[k0..k1) fan out down their columns.
+void forward_columns(double* xs, const double* lt, std::size_t n, std::size_t k0,
+                     std::size_t k1, std::size_t i0, std::size_t i1) {
+  std::size_t k = k0;
+  for (; k + 4 <= k1; k += 4) {
+    const double* c0 = lt + k * n;
+    const double* c1 = c0 + n;
+    const double* c2 = c1 + n;
+    const double* c3 = c2 + n;
+    const double x0 = xs[k], x1 = xs[k + 1], x2 = xs[k + 2], x3 = xs[k + 3];
+    for (std::size_t i = i0; i < i1; ++i) {
+      double s = xs[i];
+      s -= c0[i] * x0;
+      s -= c1[i] * x1;
+      s -= c2[i] * x2;
+      s -= c3[i] * x3;
+      xs[i] = s;
+    }
+  }
+  for (; k < k1; ++k) {
+    const double* c0 = lt + k * n;
+    const double x0 = xs[k];
+    for (std::size_t i = i0; i < i1; ++i) xs[i] -= c0[i] * x0;
+  }
+}
 
 }  // namespace
 
@@ -27,57 +96,60 @@ DenseLdlt DenseLdlt::factor(int n, std::span<const double> dense, double min_piv
   }
   DenseLdlt f;
   f.n_ = n;
-  f.l_.assign(dense.begin(), dense.end());
-  f.d_.assign(static_cast<std::size_t>(n), 0.0);
   const auto nn = static_cast<std::size_t>(n);
-  double* l = f.l_.data();
+  f.lt_.assign(nn * nn, 0.0);
+  f.d_.assign(nn, 0.0);
+  const double* a = dense.data();
+  double* lt = f.lt_.data();
+  double* d = f.d_.data();
 
-  // Left-looking LDL^T.  For a fixed column j the updates of rows
-  // i = j+1..n-1 are independent and each runs the exact arithmetic the
+  std::vector<Multiplier> mul;
+  mul.reserve(nn);
+  bool finite = true;  // every L and d entry computed so far is finite
+
+  // Left-looking LDL^T, one column of L at a time.  For a fixed column j
+  // the rows i > j are independent and each runs the exact arithmetic the
   // sequential loop would, so sharding rows over the pool is bit-identical
   // to a single-threaded factorization.
-  for (int j = 0; j < n; ++j) {
-    const std::size_t ju = static_cast<std::size_t>(j);
-    double dj = l[ju * nn + ju];
-    for (std::size_t k = 0; k < ju; ++k) {
-      dj -= l[ju * nn + k] * l[ju * nn + k] * f.d_[k];
+  for (std::size_t j = 0; j < nn; ++j) {
+    double* col = lt + j * nn;
+    double dj = a[j * nn + j];
+    bool skip = finite && !negative_zero(dj);
+    for (std::size_t i = j + 1; i < nn; ++i) {
+      col[i] = a[i * nn + j];
+      if (negative_zero(col[i])) skip = false;
+    }
+
+    mul.clear();
+    for (std::size_t k = 0; k < j; ++k) {
+      const double ljk = lt[k * nn + j];
+      if (skip && ljk == 0.0) continue;
+      dj -= ljk * ljk * d[k];
+      mul.push_back({lt + k * nn, ljk, d[k]});
     }
     if (!(std::abs(dj) > min_pivot)) {
       throw std::runtime_error("DenseLdlt: pivot collapsed; matrix not SPD enough");
     }
-    f.d_[ju] = dj;
-    const std::int64_t tail = n - j - 1;
-    const auto row_update = [l, nn, ju, dj, d = f.d_.data()](std::int64_t b,
-                                                             std::int64_t e) {
-      for (std::int64_t t = b; t < e; ++t) {
-        const std::size_t i = ju + 1 + static_cast<std::size_t>(t);
-        double lij = l[i * nn + ju];
-        const double* li = l + i * nn;
-        const double* lj = l + ju * nn;
-        for (std::size_t k = 0; k < ju; ++k) lij -= li[k] * lj[k] * d[k];
-        l[i * nn + ju] = lij / dj;
-      }
-    };
-    if (tail * static_cast<std::int64_t>(ju) >= kParallelFlops) {
-      // Shard so each task carries a few thousand multiply-adds.
-      const std::int64_t grain =
-          std::max<std::int64_t>(1, kParallelFlops / std::max<std::int64_t>(1, ju));
-      exec::parallel_for(tail, grain, row_update);
-    } else {
-      row_update(0, tail);
-    }
-  }
+    d[j] = dj;
 
-  // Transposed copy of the strictly-lower triangle (row i of lt_ holds
-  // column i of L), so backward substitution streams memory contiguously.
-  f.lt_.assign(nn * nn, 0.0);
-  double* lt = f.lt_.data();
-  exec::parallel_for(n, 64, [l, lt, nn](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      const auto iu = static_cast<std::size_t>(i);
-      for (std::size_t k = iu + 1; k < nn; ++k) lt[iu * nn + k] = l[k * nn + iu];
+    const auto rows = [col, j, dj, &mul](std::int64_t b, std::int64_t e) {
+      const std::size_t i0 = j + 1 + static_cast<std::size_t>(b);
+      const std::size_t i1 = j + 1 + static_cast<std::size_t>(e);
+      absorb_columns(col, mul, i0, i1);
+      for (std::size_t i = i0; i < i1; ++i) col[i] /= dj;
+    };
+    const auto tail = static_cast<std::int64_t>(nn - j - 1);
+    const auto work = static_cast<std::int64_t>(mul.size());
+    if (tail * work >= kParallelFlops) {
+      // Shard so each task carries a few thousand multiply-adds.
+      exec::parallel_for(tail, std::max<std::int64_t>(1, kParallelFlops / work), rows);
+    } else {
+      rows(0, tail);
     }
-  });
+    finite = finite && std::isfinite(dj) &&
+             std::all_of(col + j + 1, col + nn,
+                         [](double v) { return std::isfinite(v); });
+  }
   return f;
 }
 
@@ -86,7 +158,6 @@ void DenseLdlt::solve_inplace(std::span<double> x) const {
     throw std::invalid_argument("DenseLdlt::solve: size mismatch");
   }
   const auto n = static_cast<std::size_t>(n_);
-  const double* l = l_.data();
   const double* lt = lt_.data();
   double* xs = x.data();
 
@@ -96,23 +167,15 @@ void DenseLdlt::solve_inplace(std::span<double> x) const {
   // accumulation order is fixed by the block walk (never by the thread
   // count), which is what makes the solver bit-reproducible in parallel.
 
-  // Forward: L y = b.  Row i accumulates columns in ascending order —
-  // identical to the classic row-oriented loop.
+  // Forward: L y = b, column-oriented.  Row i still subtracts its columns
+  // in ascending k, the order of the classic row-oriented loop.
   for (std::size_t c0 = 0; c0 < n; c0 += kSolveBlock) {
     const std::size_t c1 = std::min(n, c0 + static_cast<std::size_t>(kSolveBlock));
-    for (std::size_t i = c0; i < c1; ++i) {
-      double s = xs[i];
-      for (std::size_t k = c0; k < i; ++k) s -= l[i * n + k] * xs[k];
-      xs[i] = s;
-    }
+    for (std::size_t k = c0; k < c1; ++k) forward_columns(xs, lt, n, k, k + 1, k + 1, c1);
     const std::int64_t tail = static_cast<std::int64_t>(n - c1);
-    const auto update = [l, xs, n, c0, c1](std::int64_t b, std::int64_t e) {
-      for (std::int64_t t = b; t < e; ++t) {
-        const std::size_t i = c1 + static_cast<std::size_t>(t);
-        double s = xs[i];
-        for (std::size_t k = c0; k < c1; ++k) s -= l[i * n + k] * xs[k];
-        xs[i] = s;
-      }
+    const auto update = [lt, xs, n, c0, c1](std::int64_t b, std::int64_t e) {
+      forward_columns(xs, lt, n, c0, c1, c1 + static_cast<std::size_t>(b),
+                      c1 + static_cast<std::size_t>(e));
     };
     if (tail * static_cast<std::int64_t>(c1 - c0) >= kParallelFlops) {
       exec::parallel_for(tail, std::max<std::int64_t>(1, kParallelFlops / kSolveBlock),
@@ -133,9 +196,30 @@ void DenseLdlt::solve_inplace(std::span<double> x) const {
     const std::size_t c0 = blk * static_cast<std::size_t>(kSolveBlock);
     const std::size_t c1 = std::min(n, c0 + static_cast<std::size_t>(kSolveBlock));
     const std::int64_t rows = static_cast<std::int64_t>(c1 - c0);
+    // Four rows' dot products at once: four independent chains, each in
+    // ascending k.
     const auto absorb = [lt, xs, n, c0, c1](std::int64_t b, std::int64_t e) {
-      for (std::int64_t t = b; t < e; ++t) {
-        const std::size_t i = c0 + static_cast<std::size_t>(t);
+      std::size_t i = c0 + static_cast<std::size_t>(b);
+      const std::size_t iend = c0 + static_cast<std::size_t>(e);
+      for (; i + 4 <= iend; i += 4) {
+        const double* r0 = lt + i * n;
+        const double* r1 = r0 + n;
+        const double* r2 = r1 + n;
+        const double* r3 = r2 + n;
+        double s0 = xs[i], s1 = xs[i + 1], s2 = xs[i + 2], s3 = xs[i + 3];
+        for (std::size_t k = c1; k < n; ++k) {
+          const double xk = xs[k];
+          s0 -= r0[k] * xk;
+          s1 -= r1[k] * xk;
+          s2 -= r2[k] * xk;
+          s3 -= r3[k] * xk;
+        }
+        xs[i] = s0;
+        xs[i + 1] = s1;
+        xs[i + 2] = s2;
+        xs[i + 3] = s3;
+      }
+      for (; i < iend; ++i) {
         double s = xs[i];
         for (std::size_t k = c1; k < n; ++k) s -= lt[i * n + k] * xs[k];
         xs[i] = s;
@@ -167,98 +251,12 @@ Vec DenseLdlt::solve(std::span<const double> b) const {
 }
 
 void DenseLdlt::solve_block_inplace(std::span<Vec> xs) const {
-  const std::size_t ncols = xs.size();
-  if (ncols == 0) return;
-  if (ncols == 1) {
-    solve_inplace(xs[0]);
-    return;
-  }
   for (const Vec& col : xs) {
     if (static_cast<int>(col.size()) != n_) {
       throw std::invalid_argument("DenseLdlt::solve_block: size mismatch");
     }
   }
-  const auto n = static_cast<std::size_t>(n_);
-  const double* l = l_.data();
-  const double* lt = lt_.data();
-  // Column pointers so the inner loops index xv[c][i] without bounds checks.
-  std::vector<double*> xv(ncols);
-  for (std::size_t c = 0; c < ncols; ++c) xv[c] = xs[c].data();
-
-  // The schedule below is solve_inplace's blocked walk verbatim; every
-  // accumulation gains an inner loop over RHS columns, so the factor row is
-  // read once per block step while each column's reduction order (ascending
-  // k within the block walk) is unchanged from the scalar kernel.
-
-  // Forward: L y = b.
-  for (std::size_t c0 = 0; c0 < n; c0 += kSolveBlock) {
-    const std::size_t c1 = std::min(n, c0 + static_cast<std::size_t>(kSolveBlock));
-    for (std::size_t i = c0; i < c1; ++i) {
-      for (std::size_t c = 0; c < ncols; ++c) {
-        double s = xv[c][i];
-        for (std::size_t k = c0; k < i; ++k) s -= l[i * n + k] * xv[c][k];
-        xv[c][i] = s;
-      }
-    }
-    const std::int64_t tail = static_cast<std::int64_t>(n - c1);
-    const auto update = [l, &xv, ncols, n, c0, c1](std::int64_t b, std::int64_t e) {
-      for (std::int64_t t = b; t < e; ++t) {
-        const std::size_t i = c1 + static_cast<std::size_t>(t);
-        for (std::size_t c = 0; c < ncols; ++c) {
-          double s = xv[c][i];
-          for (std::size_t k = c0; k < c1; ++k) s -= l[i * n + k] * xv[c][k];
-          xv[c][i] = s;
-        }
-      }
-    };
-    if (tail * static_cast<std::int64_t>(c1 - c0) >= kParallelFlops) {
-      exec::parallel_for(tail, std::max<std::int64_t>(1, kParallelFlops / kSolveBlock),
-                         update);
-    } else {
-      update(0, tail);
-    }
-  }
-
-  // Diagonal.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < ncols; ++c) xv[c][i] /= d_[i];
-  }
-
-  // Backward: L^T x = y.
-  const std::size_t nblocks = (n + kSolveBlock - 1) / kSolveBlock;
-  for (std::size_t blk = nblocks; blk-- > 0;) {
-    const std::size_t c0 = blk * static_cast<std::size_t>(kSolveBlock);
-    const std::size_t c1 = std::min(n, c0 + static_cast<std::size_t>(kSolveBlock));
-    const std::int64_t rows = static_cast<std::int64_t>(c1 - c0);
-    const auto absorb = [lt, &xv, ncols, n, c0, c1](std::int64_t b, std::int64_t e) {
-      for (std::int64_t t = b; t < e; ++t) {
-        const std::size_t i = c0 + static_cast<std::size_t>(t);
-        for (std::size_t c = 0; c < ncols; ++c) {
-          double s = xv[c][i];
-          for (std::size_t k = c1; k < n; ++k) s -= lt[i * n + k] * xv[c][k];
-          xv[c][i] = s;
-        }
-      }
-    };
-    const std::int64_t absorb_flops = rows * static_cast<std::int64_t>(n - c1);
-    if (absorb_flops >= kParallelFlops) {
-      exec::parallel_for(
-          rows,
-          std::max<std::int64_t>(1, kParallelFlops /
-                                        std::max<std::int64_t>(1, n - c1)),
-          absorb);
-    } else {
-      absorb(0, rows);
-    }
-    for (std::size_t ii = c1; ii-- > c0;) {
-      for (std::size_t c = 0; c < ncols; ++c) {
-        double s = xv[c][ii];
-        for (std::size_t k = ii + 1; k < c1; ++k) s -= lt[ii * n + k] * xv[c][k];
-        xv[c][ii] = s;
-      }
-      if (ii == 0) break;  // size_t wrap guard when c0 == 0
-    }
-  }
+  for (Vec& col : xs) solve_inplace(col);
 }
 
 }  // namespace lapclique::linalg

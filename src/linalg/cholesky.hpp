@@ -18,11 +18,29 @@ namespace lapclique::linalg {
 
 /// Dense LDL^T of an SPD matrix (no pivoting; the matrices we factor are
 /// diagonally dominant).  Throws if a pivot collapses below `min_pivot`.
+///
+/// Layout: L is stored once, column-major — column j of the unit lower
+/// triangle is the contiguous run lt_[j*n + i], i > j — next to D's diagonal.
+///
+/// Per-entry order: every entry runs the textbook row-oriented sequence
+///   acc = A(i,j);  acc -= (L(i,k) * L(j,k)) * d(k) for k ascending;
+///   L(i,j) = acc / d(j),
+/// and the pivot d(j) is the same chain at i = j.  It is computed
+/// column-oriented: for each k, column j absorbs column k of L over all
+/// rows i > j in one contiguous loop, four k at a time.
+///
+/// Skip: a k with L(j,k) == ±0 is left out while every L and d entry
+/// computed so far is finite and column j of A, on and below the diagonal,
+/// holds no -0.  The left-out term is then ±0, and acc - (±0) == acc unless
+/// acc is -0.  acc never is: it starts as an A entry that is not -0, and an
+/// IEEE subtraction yields -0 only as (-0) - (+0).  So the factor's bits are
+/// those of the row-oriented kernel that runs every k
+/// (tests/support/dense_ldlt_reference.hpp).
 class DenseLdlt {
  public:
   DenseLdlt() = default;
 
-  /// `dense` is row-major n*n, symmetric.
+  /// `dense` is row-major n*n; only its lower triangle and diagonal are read.
   static DenseLdlt factor(int n, std::span<const double> dense,
                           double min_pivot = 1e-300);
 
@@ -30,17 +48,13 @@ class DenseLdlt {
   [[nodiscard]] Vec solve(std::span<const double> b) const;
   void solve_inplace(std::span<double> x) const;
 
-  /// Multi-RHS triangular solves: one walk over the factor serves every
-  /// column.  The row/block schedule is exactly solve_inplace's, with an
-  /// inner loop over columns, so each column's floating-point reduction
-  /// order — and therefore its bits — matches a standalone solve.
+  /// solve_inplace on every column; throws before touching any column if
+  /// one has the wrong size.
   void solve_block_inplace(std::span<Vec> xs) const;
 
  private:
   int n_ = 0;
-  std::vector<double> l_;   ///< unit lower triangle, row-major packed n*n
-  std::vector<double> lt_;  ///< transpose of l_ (row i = column i of L), so
-                            ///< backward substitution streams contiguously
+  std::vector<double> lt_;  ///< L column-major: lt_[j*n + i] = L(i,j), i > j
   std::vector<double> d_;   ///< diagonal of D
 };
 

@@ -6,6 +6,7 @@
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <utility>
 
 #include "ckpt/checkpoint.hpp"
@@ -194,13 +195,33 @@ std::vector<linalg::Vec> parse_columns(const json::Value& req,
   return bs;
 }
 
-void fill_telemetry(RequestTelemetry* telemetry, const obs::RoundLedger& ledger) {
+std::int64_t phase_rounds(const clique::PhaseLedger& phases, const char* phase) {
+  const auto it = phases.rounds_by_phase.find(phase);
+  return it == phases.rounds_by_phase.end() ? 0 : it->second;
+}
+
+/// Per-phase rounds from the accounting every build keeps: the artifact's
+/// construction phases when this request built it (`construction` is null
+/// on a hit) plus the request network's solve phases.  A traced build
+/// checks them against the request's RoundLedger, which records both.
+void fill_telemetry(RequestTelemetry* telemetry, const clique::PhaseLedger* construction,
+                    const clique::PhaseLedger& solve,
+                    [[maybe_unused]] const obs::RoundLedger& ledger) {
   if (telemetry == nullptr) return;
   static constexpr const char* kPhases[] = {
       "solver/sparsify", "solver/gather_sparsifier", "solver/range_estimation",
       "solver/chebyshev", "solver/fallback"};
   for (const char* phase : kPhases) {
-    telemetry->ledger_rounds[phase] = ledger.rounds_in(phase);
+    std::int64_t rounds = phase_rounds(solve, phase);
+    if (construction != nullptr) rounds += phase_rounds(*construction, phase);
+#if LAPCLIQUE_TRACE
+    if (rounds != ledger.rounds_in(phase)) {
+      throw std::logic_error(std::string("request telemetry: phase ledger and round "
+                                         "ledger disagree on ") +
+                             phase);
+    }
+#endif
+    telemetry->ledger_rounds[phase] = rounds;
   }
   telemetry->construction_rounds =
       telemetry->ledger_rounds["solver/sparsify"] +
@@ -599,7 +620,8 @@ std::string Server::handle_laplacian(const json::Value& req,
   run.capture(net);
   // + one broadcast of the two potentials per resistance pair.
   if (resistance) run.rounds += static_cast<std::int64_t>(bs.size());
-  fill_telemetry(telemetry, ledger);
+  fill_telemetry(telemetry, acq.hit ? nullptr : &acq.artifact->construction.phases,
+                 net.ledger(), ledger);
 
   // Per column: the solution x, or the resistance (chi_u - chi_v)^T x.
   json::Array values;

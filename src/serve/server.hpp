@@ -79,10 +79,12 @@ struct RequestTelemetry {
   /// The op consulted the ArtifactCache (one of the four Laplacian ops).
   bool cache_lookup = false;
   bool cache_hit = false;
-  /// Rounds the request's private ledger recorded per phase.  On a cache
-  /// miss the construction phases ("solver/sparsify",
-  /// "solver/gather_sparsifier", "solver/range_estimation") are non-zero;
-  /// on a hit they are exactly zero — the skip-construction proof.
+  /// Rounds the request was charged per phase, from the network phase
+  /// ledgers every build keeps (a traced build checks them against the
+  /// request's RoundLedger).  On a cache miss the construction phases
+  /// ("solver/sparsify", "solver/gather_sparsifier",
+  /// "solver/range_estimation") are the built artifact's and non-zero; on a
+  /// hit they are exactly zero — the skip-construction proof.
   std::map<std::string, std::int64_t> ledger_rounds;
   /// Sum of the three construction phases above.
   std::int64_t construction_rounds = 0;

@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
 # CLI `resistance` must run under the invocation's Runtime, like `solve`:
 #
-#   1. with --routing broadcast its --trace must charge Broadcast Congested
-#      Clique primitives (bcast_*), not unicast ones;
-#   2. its rounds= line must be the `solve` rounds for the same pair plus
-#      the one broadcast of the two potentials.
+#   1. its rounds= line under --routing broadcast must be the `solve` rounds
+#      for the same pair plus the one broadcast of the two potentials, and
+#      must differ from its rounds under --routing charged, so the flag
+#      reached the command;
+#   2. when tracing is compiled in, its broadcast --trace must charge
+#      Broadcast Congested Clique primitives (bcast_*), not unicast ones.
 #
 # Registered by tests/CMakeLists.txt as `cli_resistance_routing`; argument 1
-# is the lapclique_cli binary path.
+# is the lapclique_cli binary path, argument 2 is 1 when the build compiles
+# tracing in (LAPCLIQUE_TRACE) and 0 when it does not.
 set -u
 
-BIN="${1:?usage: cli_resistance_routing_test.sh <lapclique_cli binary>}"
+BIN="${1:?usage: cli_resistance_routing_test.sh <lapclique_cli binary> <traced 0|1>}"
+TRACED="${2:?usage: cli_resistance_routing_test.sh <lapclique_cli binary> <traced 0|1>}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
@@ -28,15 +32,25 @@ printf '8 9\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n5 6\n6 7\n7 0\n' >"$TMP/g.el"
 
 "$BIN" --routing broadcast --trace "$TMP/t.json" resistance "$TMP/g.el" 0 5 \
   >"$TMP/r.out" 2>"$TMP/r.err" || fail "resistance failed: $(cat "$TMP/r.err")"
-grep -q '"bcast_' "$TMP/t.json" ||
-  fail "broadcast trace charges no bcast_* primitive"
+if [ "$TRACED" = 1 ]; then
+  grep -q '"bcast_' "$TMP/t.json" ||
+    fail "broadcast trace charges no bcast_* primitive"
+fi
 
 "$BIN" --routing broadcast solve "$TMP/g.el" 0 5 \
   >"$TMP/s.out" 2>"$TMP/s.err" || fail "solve failed: $(cat "$TMP/s.err")"
+"$BIN" --routing charged resistance "$TMP/g.el" 0 5 \
+  >"$TMP/c.out" 2>"$TMP/c.err" ||
+  fail "charged resistance failed: $(cat "$TMP/c.err")"
 R="$(rounds_of "$TMP/r.err")"
 S="$(rounds_of "$TMP/s.err")"
-[ -n "$R" ] && [ -n "$S" ] || fail "missing rounds= line (resistance '$R', solve '$S')"
+C="$(rounds_of "$TMP/c.err")"
+[ -n "$R" ] && [ -n "$S" ] && [ -n "$C" ] ||
+  fail "missing rounds= line (resistance '$R', solve '$S', charged resistance '$C')"
 [ "$R" -eq $((S + 1)) ] ||
   fail "resistance rounds=$R, expected solve rounds=$S plus 1"
+[ "$R" -ne "$C" ] ||
+  fail "resistance rounds=$R under broadcast equal the charged rounds=$C"
 
-echo "cli_resistance_routing_test: OK (resistance rounds=$R, solve rounds=$S)"
+echo "cli_resistance_routing_test: OK (resistance rounds=$R, solve rounds=$S," \
+  "charged resistance rounds=$C)"

@@ -4,9 +4,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exec/pool.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "linalg/backend.hpp"
@@ -14,6 +18,7 @@
 #include "linalg/sparse_cholesky.hpp"
 #include "linalg/vector_ops.hpp"
 #include "support/cg.hpp"
+#include "support/dense_ldlt_reference.hpp"
 
 namespace lapclique::linalg {
 namespace {
@@ -33,43 +38,56 @@ CsrMatrix sdd_from_graph(const graph::Graph& g, double shift) {
   return CsrMatrix::from_triplets(l.size(), t);
 }
 
+/// xorshift64 draws for test weights, seeded per test case.
+class Draws {
+ public:
+  explicit Draws(std::uint64_t seed) : x_(seed * 0x9e3779b97f4a7c15ULL + 1) {}
+  std::uint64_t next() {
+    x_ ^= x_ << 13;
+    x_ ^= x_ >> 7;
+    x_ ^= x_ << 17;
+    return x_;
+  }
+  /// A weight in [0.25, 8.25).
+  double weight() { return 0.25 + static_cast<double>(next() % 1000) / 125.0; }
+
+ private:
+  std::uint64_t x_;
+};
+
 /// The weighted graph both refactor tests factor: two components, {0..5}
 /// and {6..11}, each a ring plus chords, with parallel edges 0-1 (twice) and
 /// 7-8 (three times).  Weights are drawn per `seed`; the pattern is not.
 graph::Graph parallel_two_component_graph(std::uint64_t seed) {
   graph::Graph g(12);
-  std::uint64_t x = seed * 0x9e3779b97f4a7c15ULL + 1;
-  const auto weight = [&] {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return 0.25 + static_cast<double>(x % 1000) / 125.0;
-  };
+  Draws draws(seed);
   for (int base : {0, 6}) {
-    for (int i = 0; i < 6; ++i) g.add_edge(base + i, base + (i + 1) % 6, weight());
-    g.add_edge(base, base + 3, weight());
-    g.add_edge(base + 1, base + 4, weight());
+    for (int i = 0; i < 6; ++i) g.add_edge(base + i, base + (i + 1) % 6, draws.weight());
+    g.add_edge(base, base + 3, draws.weight());
+    g.add_edge(base + 1, base + 4, draws.weight());
   }
-  g.add_edge(0, 1, weight());
-  g.add_edge(7, 8, weight());
-  g.add_edge(7, 8, weight());
+  g.add_edge(0, 1, draws.weight());
+  g.add_edge(7, 8, draws.weight());
+  g.add_edge(7, 8, draws.weight());
   return g;
 }
 
-/// L(g) with vertices 0 and 6 grounded: their rows and columns dropped and
-/// their diagonals pinned to 1, so the matrix is SPD.
-CsrMatrix grounded_laplacian(const graph::Graph& g) {
+/// L(g) with the `grounded` vertices' rows and columns dropped and their
+/// diagonals pinned to 1: SPD when `grounded` holds a vertex of every
+/// component.
+CsrMatrix grounded_laplacian(const graph::Graph& g, const std::vector<int>& grounded) {
   const CsrMatrix l = graph::laplacian(g);
+  const auto is_grounded = [&](int v) { return std::ranges::count(grounded, v) > 0; };
   std::vector<Triplet> t;
   for (int r = 0; r < l.size(); ++r) {
-    if (r == 0 || r == 6) {
+    if (is_grounded(r)) {
       t.push_back({r, r, 1.0});
       continue;
     }
     for (int k = l.row_ptr()[static_cast<std::size_t>(r)];
          k < l.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
       const int c = l.col_idx()[static_cast<std::size_t>(k)];
-      if (c == 0 || c == 6) continue;
+      if (is_grounded(c)) continue;
       t.push_back({r, c, l.values()[static_cast<std::size_t>(k)]});
     }
   }
@@ -118,6 +136,131 @@ TEST(DenseLdlt, MatchesCgOnSpdSystem) {
   for (int i = 0; i < 20; ++i) {
     EXPECT_NEAR(x1[static_cast<std::size_t>(i)], x2.x[static_cast<std::size_t>(i)],
                 1e-7);
+  }
+}
+
+/// n vertices in two components, [0, n/2) and [n/2, n): each a path with
+/// chords v-3 -- v and every third path edge doubled.
+graph::Graph two_component_graph(int n, std::uint64_t seed) {
+  graph::Graph g(n);
+  Draws draws(seed);
+  for (const auto& [base, end] : {std::pair{0, n / 2}, std::pair{n / 2, n}}) {
+    for (int v = base + 1; v < end; ++v) {
+      g.add_edge(v - 1, v, draws.weight());
+      if ((v - base) % 3 == 0) g.add_edge(v - 1, v, draws.weight());
+      if (v - base >= 3) g.add_edge(v - 3, v, draws.weight());
+    }
+  }
+  return g;
+}
+
+/// Shaped like the min-cost IPM's lift: P vertices [0, np), Q vertices after
+/// them, each joined to two P vertices, and a last vertex v0 joined to every
+/// P vertex.  Conductances span 1e-12 to 1e12.
+graph::Graph lift_shaped_graph(int n, std::uint64_t seed) {
+  graph::Graph g(n);
+  if (n < 2) return g;
+  const int np = std::max(1, (n - 1) / 5);
+  Draws draws(seed);
+  const auto conductance = [&] {
+    return std::pow(10.0, static_cast<double>(draws.next() % 2401) / 100.0 - 12.0);
+  };
+  for (int q = np; q < n - 1; ++q) {
+    for (int side = 0; side < 2; ++side) {
+      const auto p = static_cast<int>(draws.next() % static_cast<std::uint64_t>(np));
+      g.add_edge(p, q, conductance());
+    }
+  }
+  for (int p = 0; p < np; ++p) g.add_edge(n - 1, p, conductance());
+  return g;
+}
+
+/// The one row and column of the negative-zero input that hold only zeros
+/// off the diagonal (see dense_inputs).
+std::size_t decoupled_index(int n) { return static_cast<std::size_t>(n - 1) / 2; }
+
+/// The dense kernel's inputs, row-major n x n, by name: grounded
+/// Laplacians, an SPD matrix, and that SPD matrix with a -0.0 below the
+/// diagonal, a +inf on the diagonal, or a NaN.
+std::vector<std::pair<std::string, std::vector<double>>> dense_inputs(int n) {
+  const auto nn = static_cast<std::size_t>(n);
+  std::vector<std::pair<std::string, std::vector<double>>> in;
+  in.emplace_back("two-component",
+                  grounded_laplacian(two_component_graph(n, 3), {0, n / 2}).to_dense());
+  in.emplace_back("lift", grounded_laplacian(lift_shaped_graph(n, 5), {0}).to_dense());
+  const std::vector<double> spd =
+      sdd_from_graph(graph::random_connected_gnm(n, 3 * n, 7), 0.7).to_dense();
+  in.emplace_back("spd", spd);
+  // Vertex j is decoupled, so L(j,k) == +0 for every k < j and the kernel
+  // may skip them all.  Row n-1 has negative L(n-1,k), k < j, so the
+  // reference's (L(n-1,k) * +0) * d(k) terms are -0 and turn the -0.0 at
+  // A(n-1, j) into L(n-1, j) == +0; skipping them would leave -0.  Only a
+  // solve whose output is a signed zero shows the difference (reference_rhs).
+  std::vector<double> neg_zero = spd;
+  const std::size_t j = decoupled_index(n);
+  for (std::size_t i = 0; i < nn; ++i) {
+    if (i != j) neg_zero[i * nn + j] = neg_zero[j * nn + i] = 0.0;
+  }
+  if (j + 1 < nn) neg_zero[(nn - 1) * nn + j] = -0.0;
+  in.emplace_back("negative-zero", std::move(neg_zero));
+  std::vector<double> inf = spd;
+  inf[(nn / 2) * nn + nn / 2] = std::numeric_limits<double>::infinity();
+  in.emplace_back("inf-diagonal", std::move(inf));
+  std::vector<double> nan = spd;
+  nan[(nn - 1) * nn] = std::numeric_limits<double>::quiet_NaN();
+  in.emplace_back("nan", std::move(nan));
+  return in;
+}
+
+/// The n unit vectors, two smooth right-hand sides, and +0.0 everywhere but
+/// a -0.0 at the decoupled index: the zero signs inside L only reach a
+/// solve's output through an all-zero right-hand side.
+std::vector<Vec> reference_rhs(int n) {
+  const auto nn = static_cast<std::size_t>(n);
+  std::vector<Vec> bs;
+  for (std::size_t i = 0; i < nn; ++i) {
+    bs.emplace_back(nn, 0.0);
+    bs.back()[i] = 1.0;
+  }
+  bs.push_back(test_rhs(n, 0));
+  bs.push_back(test_rhs(n, 1));
+  bs.emplace_back(nn, 0.0);
+  bs.back()[decoupled_index(n)] = -0.0;
+  return bs;
+}
+
+TEST(DenseLdlt, MatchesReferenceBitwise) {
+  // kSolveBlock is 128, and n = 257 and 300 put the dense factor's column
+  // updates through the pool.
+  for (const int threads : {1, 8}) {
+    const exec::ThreadScope scope(threads);
+    for (const int n : {1, 2, 3, 127, 128, 129, 200, 256, 257, 300}) {
+      for (const auto& [name, a] : dense_inputs(n)) {
+        const std::string where = name + " n=" + std::to_string(n) +
+                                  " threads=" + std::to_string(threads);
+        std::optional<test::DenseLdltReference> ref;
+        std::optional<DenseLdlt> f;
+        try {
+          ref = test::DenseLdltReference::factor(n, a);
+        } catch (const std::runtime_error&) {
+        }
+        try {
+          f = DenseLdlt::factor(n, a);
+        } catch (const std::runtime_error&) {
+        }
+        ASSERT_EQ(f.has_value(), ref.has_value()) << where;
+        if (!f) continue;
+        const std::vector<Vec> bs = reference_rhs(n);
+        std::vector<Vec> block = bs;
+        f->solve_block_inplace(block);
+        for (std::size_t c = 0; c < bs.size(); ++c) {
+          Vec want = bs[c];
+          ref->solve_inplace(want);
+          ASSERT_TRUE(same_bits(f->solve(bs[c]), want)) << where << " rhs " << c;
+          ASSERT_TRUE(same_bits(block[c], want)) << where << " block rhs " << c;
+        }
+      }
+    }
   }
 }
 
@@ -237,11 +380,11 @@ TEST(SparseLdlt, ThrowsOnIndefinite) {
 }
 
 TEST(SparseLdlt, RefactorIsBitwiseAFreshFactor) {
-  const CsrMatrix a1 = grounded_laplacian(parallel_two_component_graph(1));
+  const CsrMatrix a1 = grounded_laplacian(parallel_two_component_graph(1), {0, 6});
   SparseLdlt f = SparseLdlt::factor(a1);
   const std::int64_t fill = f.fill_nnz();
   for (std::uint64_t seed = 2; seed <= 5; ++seed) {
-    const CsrMatrix a2 = grounded_laplacian(parallel_two_component_graph(seed));
+    const CsrMatrix a2 = grounded_laplacian(parallel_two_component_graph(seed), {0, 6});
     ASSERT_TRUE(std::ranges::equal(a1.row_ptr(), a2.row_ptr()));
     ASSERT_TRUE(std::ranges::equal(a1.col_idx(), a2.col_idx()));
     f.refactor(a2.values());
