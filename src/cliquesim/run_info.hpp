@@ -29,15 +29,18 @@ struct RunInfo {
   bool used_fallback = false;
   std::string fallback_reason;
   /// The iterate was seeded from a checkpoint of a (possibly edited) graph
-  /// instead of cold-started; `warm_saved_iterations` counts the IPM
-  /// batches the checkpoint had already paid for (see docs/CHECKPOINT.md).
+  /// instead of cold-started; `warm_start_batch` is that checkpoint's batch
+  /// index.  It is not a count of iterations saved: the warm run still runs
+  /// its own iteration budget (see docs/CHECKPOINT.md).
   bool used_warm_start = false;
-  std::int64_t warm_saved_iterations = 0;
+  std::int64_t warm_start_batch = 0;
   /// Numerics backend that produced this run's Laplacian factorizations
   /// ("dense" / "sparse"; empty when the run factored nothing).  Set by the
   /// solver/flow layers, not by capture() — backend choice is numerics
-  /// state, invisible to the network.  Round counts never depend on it
-  /// (charging is numerics-independent; the golden tests pin this).
+  /// state, invisible to the network.  No charge reads it, but rounds that
+  /// depend on solution bits do: min-cost flow rounding starts from the
+  /// IPM's fractional flow, so its rounding and finishing rounds differ by
+  /// backend (docs/PERFORMANCE.md).
   std::string numerics;
   /// Nonzeros in the preconditioner factor (diagonal included); 0 when the
   /// run factored nothing.

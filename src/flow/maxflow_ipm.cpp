@@ -599,7 +599,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
       rep.rounds_per_solve = old_rep.rounds_per_solve;
       net.charge_announcement();
       rep.run.used_warm_start = true;
-      rep.run.warm_saved_iterations = hooks.warm_start->batch;
+      rep.run.warm_start_batch = hooks.warm_start->batch;
     } else {
       // Calibrate the Theorem 1.1 round cost at this topology.
       net.set_phase("maxflow/calibration");

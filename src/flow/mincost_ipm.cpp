@@ -390,7 +390,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     rep.rounds_per_solve = old_rep.rounds_per_solve;
     net.charge_announcement();
     rep.run.used_warm_start = true;
-    rep.run.warm_saved_iterations = hooks.warm_start->batch;
+    rep.run.warm_start_batch = hooks.warm_start->batch;
   } else if (hooks.resume == nullptr) {
     // Calibrate the Theorem 1.1 round charge at this topology.
     net.set_phase("mincost/calibration");
@@ -416,8 +416,17 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
   // One electrical solver per run: the bipartite topology plus the v0 star
   // never changes, so every solve after the first refactors it for the new
   // resistances.  A resumed run builds it at its first solve.
+  //
+  // A slack that overflows pushes a resistance to +inf, whose conductance 0
+  // the solver rejects.  Such a step has diverged as surely as a non-finite
+  // iterate, so `factor` returns the reason to degrade instead of factoring.
   std::optional<ElectricalSolver> solver;
-  const auto factor = [&](BipartiteElectrical be) {
+  const auto factor = [&](BipartiteElectrical be) -> const char* {
+    for (const ElectricalEdge& e : be.edges) {
+      if (!(e.resistance > 0) || !(1.0 / e.resistance > 0)) {
+        return "non-positive or infinite electrical resistance";
+      }
+    }
     if (solver.has_value()) {
       std::vector<double> r(be.edges.size());
       for (std::size_t i = 0; i < r.size(); ++i) r[i] = be.edges[i].resistance;
@@ -425,6 +434,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     } else {
       solver.emplace(be.nv, std::move(be.edges), opt.numerics);
     }
+    return nullptr;
   };
   // Stats of the most recent Laplacian factorization; every Progress step
   // factors the same bipartite topology, so "last" is also "all" for the
@@ -567,7 +577,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                          lf.f[static_cast<std::size_t>(e)],
                      1e-18);
       }
-      factor(make_electrical(lf, r));
+      if (const char* reason = factor(make_electrical(lf, r))) return degrade(reason);
       fstats = solver->factor_stats();
       ++rep.laplacian_solves;
       const linalg::Vec phi = solver->potentials(chi, net, rep.rounds_per_solve);
@@ -626,7 +636,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                          lf.s[static_cast<std::size_t>(e)],
                      1e-18);
       }
-      factor(make_electrical(lf, r2));
+      if (const char* reason = factor(make_electrical(lf, r2))) return degrade(reason);
       ++rep.laplacian_solves;
       const linalg::Vec phi2 = solver->potentials(chi2, net, rep.rounds_per_solve);
       for (int e = 0; e < me; ++e) {

@@ -11,10 +11,9 @@ namespace {
 
 /// kAuto thresholds.  Pure constants: the resolution must be a deterministic
 /// function of (n, nnz) so reruns, threads, and routing modes all see the
-/// same factorization.  Below kSparseMinN the dense factor wins outright
-/// (and the golden instances at n <= 256 stay on the historical dense bits);
-/// above it, sparse takes over unless the matrix is dense enough
-/// (nnz > n^2/kSparseDensityDivisor) that fill-in would eat the win.
+/// same factorization.  They were set from a dense-vs-sparse timing of
+/// kernels that have since been replaced (docs/PERFORMANCE.md); below
+/// kSparseMinN the golden instances at n <= 256 stay on the dense bits.
 constexpr int kSparseMinN = 512;
 constexpr std::int64_t kSparseDensityDivisor = 16;
 

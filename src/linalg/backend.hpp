@@ -43,8 +43,10 @@ enum class Backend {
 [[nodiscard]] Backend default_backend();
 
 /// Resolves kAuto for an n-vertex Laplacian with nnz stored entries: sparse
-/// once the instance is big enough that the O(n^3) dense factor loses and
-/// sparse enough that fill-in stays bounded.  Explicit requests pass through.
+/// once n >= 512 and at most 1/16 of the entries are stored, dense
+/// otherwise.  That threshold came from timing kernels that have since been
+/// replaced, so it no longer marks where sparse wins (docs/PERFORMANCE.md).
+/// Explicit requests pass through.
 [[nodiscard]] Backend resolve_backend(Backend requested, int n, std::int64_t nnz);
 
 /// What a factorization did, surfaced through solver stats and RunInfo.
@@ -73,8 +75,10 @@ struct FactorStats {
 /// factor() is analyze() + refactor().  Every solve projects b onto range(L)
 /// (per-component mean removed, grounded entries zeroed) and normalizes x to
 /// per-component mean zero with the same arithmetic under either backend,
-/// so swapping backends changes substitution bits only — round counts stay
-/// pinned by the golden tests under either choice.
+/// so swapping backends changes substitution bits only.  No round charge
+/// reads the backend, but a caller that branches on solution bits can move
+/// rounds: min-cost flow rounding starts from the IPM's fractional flow, so
+/// its round count differs by backend (docs/PERFORMANCE.md).
 class BackendLaplacianFactor {
  public:
   BackendLaplacianFactor() = default;

@@ -322,8 +322,9 @@ TEST(BackendDifferential, BatchResistanceBitIdenticalToScalarQueries) {
 }
 
 // --- golden round counts are backend-independent ----------------------------
-// Factorization is node-local compute; the congested-clique round counts of
-// EXPERIMENTS.md are communication.  Swapping the backend must not move them.
+// Factorization is node-local compute; the solve, orientation and rounding
+// round counts of EXPERIMENTS.md are communication.  Swapping the backend
+// must not move them.  Min-cost rounds can move (see the last test here).
 
 TEST(GoldenRoundsSparse, E1LaplacianEpsSweepUnchangedUnderSparse) {
   const Graph g = graph::random_connected_gnm(96, 384, 11);
@@ -357,7 +358,7 @@ TEST(GoldenRoundsSparse, E3E4UnchangedUnderSparseRuntime) {
   EXPECT_EQ(orient.run.rounds, 715);
   EXPECT_EQ(orient.levels, 4);
 
-  // E4: flow rounding on bench_rounding's parallel-arc instance.
+  // E4: flow rounding on table E4-delta's parallel-arc instance.
   const int k = 2;
   Digraph g(2);
   graph::SplitMix64 rng(99);
@@ -373,6 +374,37 @@ TEST(GoldenRoundsSparse, E3E4UnchangedUnderSparseRuntime) {
   const auto rounded = round_flow(g, f, 0, 1, opt, rt);
   EXPECT_EQ(rounded.phases, 2);
   EXPECT_EQ(rounded.run.rounds, 1788);
+}
+
+// Min-cost round counts do depend on the backend.  Flow rounding starts from
+// the IPM's fractional flow, whose bits differ by factor, so the rounding
+// and finishing phases can charge different rounds; every other phase and
+// the optimal cost agree.
+TEST(BackendDifferential, MinCostRoundsDependOnBackend) {
+  const Digraph g = graph::random_unit_cost_digraph(8, 24, 8, 2);
+  const std::vector<std::int64_t> sigma = graph::feasible_unit_demands(g, 2, 1002);
+  const auto run = [&](Backend backend) {
+    flow::MinCostIpmOptions opt;
+    opt.iteration_scale = 0.02;
+    opt.max_iterations = 250;
+    opt.numerics = backend;
+    clique::Network net(g.num_vertices());
+    return flow::min_cost_flow_clique(g, sigma, net, opt);
+  };
+  const flow::MinCostIpmReport dense = run(Backend::kDense);
+  const flow::MinCostIpmReport sparse = run(Backend::kSparse);
+  EXPECT_EQ(dense.run.numerics, "dense");
+  EXPECT_EQ(sparse.run.numerics, "sparse");
+  EXPECT_EQ(dense.run.rounds, 143720);
+  EXPECT_EQ(sparse.run.rounds, 140790);
+  EXPECT_EQ(dense.cost, 19);
+  EXPECT_EQ(sparse.cost, 19);
+  EXPECT_FALSE(dense.run.used_fallback);
+  EXPECT_FALSE(sparse.run.used_fallback);
+  for (const auto& [phase, rounds] : dense.run.phases.rounds_by_phase) {
+    if (phase == "mincost/rounding" || phase == "mincost/finishing") continue;
+    EXPECT_EQ(sparse.run.phases.rounds_by_phase.at(phase), rounds) << phase;
+  }
 }
 
 }  // namespace

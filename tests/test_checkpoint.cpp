@@ -565,8 +565,8 @@ TEST(CheckpointWarm, MaxFlowWarmStartExactAndNoSlower) {
 
   EXPECT_FALSE(cold.run.used_warm_start);
   EXPECT_TRUE(warm.run.used_warm_start);
-  EXPECT_EQ(warm.run.warm_saved_iterations, ck.batch);
-  EXPECT_GT(warm.run.warm_saved_iterations, 0);
+  EXPECT_EQ(warm.run.warm_start_batch, ck.batch);
+  EXPECT_GT(warm.run.warm_start_batch, 0);
   EXPECT_EQ(cold.value, oracle.value);
   EXPECT_EQ(warm.value, oracle.value);
   EXPECT_LE(warm.ipm_iterations, cold.ipm_iterations);
@@ -605,13 +605,48 @@ TEST(CheckpointWarm, MinCostWarmStartExactAndNoSlower) {
 
   EXPECT_FALSE(cold.run.used_warm_start);
   EXPECT_TRUE(warm.run.used_warm_start);
-  EXPECT_GT(warm.run.warm_saved_iterations, 0);
+  EXPECT_GT(warm.run.warm_start_batch, 0);
   ASSERT_TRUE(oracle.feasible);
   EXPECT_TRUE(cold.feasible);
   EXPECT_TRUE(warm.feasible);
   EXPECT_EQ(cold.cost, oracle.cost);
   EXPECT_EQ(warm.cost, oracle.cost);
   EXPECT_LE(warm.ipm_iterations, cold.ipm_iterations);
+}
+
+// warm_start_batch is the checkpoint's batch index, not a saving.  Seeded
+// from the finished run's last snapshot, the re-solve after one inserted arc
+// takes as many IPM iterations as a cold solve and charges more rounds.
+TEST(CheckpointWarm, MaxFlowWarmStartReportsBatchNotSaving) {
+  const graph::Digraph g = graph::random_flow_network(24, 96, 4, 21);
+  flow::MaxFlowIpmOptions opt;
+  opt.iteration_scale = 0.02;
+  opt.max_iterations = 250;
+
+  const std::string path = tmp_path("warm_batch");
+  ckpt::CheckpointWriter writer(path, 1);
+  flow::MaxFlowIpmOptions copt = opt;
+  copt.checkpoint.writer = &writer;
+  clique::Network base_net(24);
+  (void)flow::max_flow_clique(g, 0, 23, base_net, copt);
+
+  graph::Digraph edited = g;
+  edited.add_arc(0, 12, 2);
+  clique::Network cold_net(24);
+  const flow::MaxFlowIpmReport cold = flow::max_flow_clique(edited, 0, 23, cold_net, opt);
+  const ckpt::Checkpoint ck = ckpt::load_checkpoint(path);
+  flow::MaxFlowIpmOptions wopt = opt;
+  wopt.checkpoint.warm_start = &ck;
+  clique::Network warm_net(24);
+  const flow::MaxFlowIpmReport warm = flow::max_flow_clique(edited, 0, 23, warm_net, wopt);
+
+  EXPECT_EQ(ck.batch, 67);
+  EXPECT_EQ(warm.run.warm_start_batch, 67);
+  EXPECT_EQ(cold.ipm_iterations, 67);
+  EXPECT_EQ(warm.ipm_iterations, 67);
+  EXPECT_EQ(cold.run.rounds, 28573);
+  EXPECT_EQ(warm.run.rounds, 30493);
+  EXPECT_EQ(warm.value, cold.value);
 }
 
 // --- incremental sparsifier repair ---------------------------------------

@@ -129,5 +129,35 @@ TEST(MinCostIpm, DeterministicAcrossRuns) {
   EXPECT_EQ(a.run.rounds, b.run.rounds);
 }
 
+// On these two instances one slack overflows late in the run and drives a
+// resistance to +inf.  That counts as divergence: the run takes the SSP
+// fallback instead of letting the electrical solver's std::invalid_argument
+// ("Graph: weight must be positive") escape, and with the fallback off it
+// fails as any diverged run does, with std::runtime_error.
+TEST(MinCostIpm, InfiniteResistanceTakesSspFallback) {
+  struct Case {
+    std::uint64_t graph_seed;
+    std::uint64_t demand_seed;
+    std::int64_t ssp_cost;
+  };
+  for (const Case& c : {Case{1511180959984962352ULL, 17167659548769537544ULL, 34},
+                        Case{4805449333916039509ULL, 11637439991135668114ULL, 49}}) {
+    SCOPED_TRACE(c.graph_seed);
+    const Digraph g = graph::random_unit_cost_digraph(32, 96, 8, c.graph_seed);
+    const auto sigma = graph::feasible_unit_demands(g, 8, c.demand_seed);
+    ASSERT_EQ(ssp_min_cost_flow(g, sigma).cost, c.ssp_cost);
+    MinCostIpmOptions opt;
+    opt.iteration_scale = 0.02;
+    opt.max_iterations = 250;
+    MinCostIpmReport r;
+    ASSERT_NO_THROW(r = run(g, sigma, opt));
+    EXPECT_TRUE(r.feasible);
+    EXPECT_EQ(r.cost, c.ssp_cost);
+    EXPECT_TRUE(r.run.used_fallback);
+    opt.fallback_on_divergence = false;
+    EXPECT_THROW((void)run(g, sigma, opt), std::runtime_error);
+  }
+}
+
 }  // namespace
 }  // namespace lapclique::flow

@@ -66,7 +66,7 @@ TEST(GoldenRounds, E3EulerOrientationCycle256) {
   EXPECT_EQ(rep.levels, 7);
 }
 
-// E4 (Lemma 4.2): flow rounding at 1/Delta = 4 on bench_rounding's
+// E4 (Lemma 4.2): flow rounding at 1/Delta = 4 on table E4-delta's
 // parallel-arc instance (48 s-t arcs, SplitMix64 seed 99, costs on).
 TEST(GoldenRounds, E4FlowRounding) {
   const int k = 2;
