@@ -97,7 +97,8 @@ void Encoder::i64_vec(const std::vector<std::int64_t>& v) {
 }
 
 void Decoder::need(std::size_t n, const char* what) const {
-  if (pos_ + n > buf_.size()) {
+  // pos_ <= size always, so the subtraction cannot wrap; a sum could.
+  if (n > buf_.size() - pos_) {
     throw CheckpointError(source_, offset(),
                           std::string("truncated checkpoint: expected ") +
                               what + " (" + std::to_string(n) + " bytes, " +
@@ -132,29 +133,39 @@ std::int64_t Decoder::i64() { return static_cast<std::int64_t>(u64()); }
 
 double Decoder::f64() { return std::bit_cast<double>(u64()); }
 
+std::size_t Decoder::count(std::size_t min_bytes, const char* what) {
+  const long long at = offset();
+  const std::uint64_t n = u64();
+  const std::size_t left = buf_.size() - pos_;
+  if (n > left / min_bytes) {
+    throw CheckpointError(source_, at,
+                          std::string("impossible ") + what + " count " +
+                              std::to_string(n) + ": only " +
+                              std::to_string(left) + " bytes remain");
+  }
+  return static_cast<std::size_t>(n);
+}
+
 std::string Decoder::str() {
-  const std::uint64_t len = u64();
-  need(len, "string bytes");
+  const std::size_t len = count(1, "string byte");
   std::string s = buf_.substr(pos_, len);
   pos_ += len;
   return s;
 }
 
 std::vector<double> Decoder::f64_vec() {
-  const std::uint64_t len = u64();
-  need(len * 8, "f64 vector");
+  const std::size_t len = count(8, "f64 vector element");
   std::vector<double> v;
   v.reserve(len);
-  for (std::uint64_t i = 0; i < len; ++i) v.push_back(f64());
+  for (std::size_t i = 0; i < len; ++i) v.push_back(f64());
   return v;
 }
 
 std::vector<std::int64_t> Decoder::i64_vec() {
-  const std::uint64_t len = u64();
-  need(len * 8, "i64 vector");
+  const std::size_t len = count(8, "i64 vector element");
   std::vector<std::int64_t> v;
   v.reserve(len);
-  for (std::uint64_t i = 0; i < len; ++i) v.push_back(i64());
+  for (std::size_t i = 0; i < len; ++i) v.push_back(i64());
   return v;
 }
 
@@ -205,14 +216,15 @@ clique::NetworkSnapshot decode_network(Decoder& d) {
   s.rounds = d.i64();
   s.words = d.i64();
   s.phase = d.str();
-  const std::uint64_t phases = d.u64();
-  for (std::uint64_t i = 0; i < phases; ++i) {
+  // Minimum encoded sizes: a string is at least its 8-byte length.
+  const std::size_t phases = d.count(8 + 8, "phase-ledger entry");
+  for (std::size_t i = 0; i < phases; ++i) {
     std::string phase = d.str();
     s.ledger.rounds_by_phase[std::move(phase)] = d.i64();
   }
-  const std::uint64_t ops = d.u64();
+  const std::size_t ops = d.count(8 + 3 * 8, "op-log record");
   s.op_log.reserve(ops);
-  for (std::uint64_t i = 0; i < ops; ++i) {
+  for (std::size_t i = 0; i < ops; ++i) {
     clique::OpRecord op;
     op.phase = d.str();
     op.rounds = d.i64();
@@ -253,35 +265,38 @@ void encode_ledger(Encoder& e, const obs::LedgerSnapshot& s) {
 
 obs::LedgerSnapshot decode_ledger(Decoder& d) {
   obs::LedgerSnapshot s;
-  const std::uint64_t nodes = d.u64();
+  // Minimum encoded sizes: a string is at least its 8-byte length, totals
+  // are four i64s.
+  constexpr std::size_t kTotals = 4 * 8;
+  const std::size_t nodes = d.count(8 + 8 + 4 + 8 + kTotals + 8, "span node");
   s.nodes.reserve(nodes);
-  for (std::uint64_t i = 0; i < nodes; ++i) {
+  for (std::size_t i = 0; i < nodes; ++i) {
     obs::SpanNode n;
     n.name = d.str();
     n.parent = static_cast<int>(d.i64());
     n.is_phase = d.u32() != 0;
     n.visits = d.i64();
     n.self = decode_totals(d);
-    const std::uint64_t kids = d.u64();
+    const std::size_t kids = d.count(8, "span child");
     n.children.reserve(kids);
-    for (std::uint64_t k = 0; k < kids; ++k) {
+    for (std::size_t k = 0; k < kids; ++k) {
       n.children.push_back(static_cast<int>(d.i64()));
     }
     s.nodes.push_back(std::move(n));
   }
-  const std::uint64_t depth = d.u64();
+  const std::size_t depth = d.count(8, "span stack entry");
   s.stack.reserve(depth);
-  for (std::uint64_t i = 0; i < depth; ++i) {
+  for (std::size_t i = 0; i < depth; ++i) {
     s.stack.push_back(static_cast<int>(d.i64()));
   }
   s.total = decode_totals(d);
-  const std::uint64_t prims = d.u64();
-  for (std::uint64_t i = 0; i < prims; ++i) {
+  const std::size_t prims = d.count(8 + kTotals, "primitive");
+  for (std::size_t i = 0; i < prims; ++i) {
     std::string name = d.str();
     s.primitives[std::move(name)] = decode_totals(d);
   }
-  const std::uint64_t counters = d.u64();
-  for (std::uint64_t i = 0; i < counters; ++i) {
+  const std::size_t counters = d.count(8 + 8, "counter");
+  for (std::size_t i = 0; i < counters; ++i) {
     std::string name = d.str();
     s.counters[std::move(name)] = d.i64();
   }

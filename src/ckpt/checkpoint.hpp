@@ -96,8 +96,10 @@ class Encoder {
   std::string buf_;
 };
 
-/// Bounds-checked decoder; every read past the end throws a located
-/// CheckpointError (never returns garbage).
+/// Bounds-checked decoder; every read past the end, and every length or
+/// element count larger than the bytes left could encode, throws a
+/// CheckpointError located at the offending field (never returns garbage,
+/// never allocates for a count the input cannot back).
 class Decoder {
  public:
   Decoder(std::string source, const std::string& bytes, std::size_t base = 0)
@@ -110,6 +112,10 @@ class Decoder {
   std::string str();
   std::vector<double> f64_vec();
   std::vector<std::int64_t> i64_vec();
+  /// A u64 element count, rejected unless the bytes left can hold that many
+  /// elements of at least `min_bytes` (>= 1) encoded bytes each.  Callers
+  /// reserve or loop on the result.
+  std::size_t count(std::size_t min_bytes, const char* what);
 
   /// Absolute file offset the decoder has reached (base + position).
   [[nodiscard]] long long offset() const {

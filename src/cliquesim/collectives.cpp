@@ -23,14 +23,6 @@ std::vector<double> broadcast_one(Network& net, const std::vector<double>& value
   return values;
 }
 
-std::vector<std::int64_t> broadcast_one_int(Network& net,
-                                            const std::vector<std::int64_t>& values) {
-  check_size(net, values.size());
-  LAPCLIQUE_TRACE_SPAN(net.tracer(), "collective/broadcast_one_int");
-  net.charge_all_to_all(1);
-  return values;
-}
-
 std::vector<std::vector<Word>> broadcast_many(
     Network& net, const std::vector<std::vector<Word>>& values) {
   check_size(net, values.size());

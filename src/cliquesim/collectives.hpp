@@ -28,8 +28,6 @@ namespace lapclique::clique {
 
 /// Every node v contributes `values[v]`; afterwards all nodes know all values.
 std::vector<double> broadcast_one(Network& net, const std::vector<double>& values);
-std::vector<std::int64_t> broadcast_one_int(Network& net,
-                                            const std::vector<std::int64_t>& values);
 
 /// Every node v contributes `values[v]` (vectors may have different lengths);
 /// afterwards all nodes know all of them.  Charges max_v |values[v]| rounds.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <sstream>
 
 #include "exec/pool.hpp"
@@ -22,6 +23,20 @@ std::string violation_message(const std::string& phase,
 /// Messages per shard for batch scans; integer tallies are exact under any
 /// sharding, so the grain is purely a dispatch-cost knob.
 constexpr std::int64_t kMsgGrain = 4096;
+
+/// Sorts `keys` and returns the length of the longest run of equal keys
+/// (0 for an empty list): the worst multiplicity of one ordered pair (or
+/// one source) in a batch.
+std::int64_t max_multiplicity(std::span<std::int64_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  std::int64_t worst = 0;
+  std::int64_t run = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    run = i > 0 && keys[i] == keys[i - 1] ? run + 1 : 1;
+    worst = std::max(worst, run);
+  }
+  return worst;
+}
 
 /// Per-node send/receive histograms plus the worst ordered-pair multiplicity
 /// for one message batch.  Built in parallel: per-shard integer histograms
@@ -70,7 +85,7 @@ BatchTally tally_batch(int n, const std::vector<Msg>& msgs, bool want_mult,
     }
   }
 
-  if (want_mult && m > 0) {
+  if (want_mult) {
     const std::span<std::int64_t> keys =
         arena.alloc<std::int64_t>(static_cast<std::size_t>(m));
     exec::parallel_for(m, kMsgGrain, [n, &msgs, &keys](std::int64_t b, std::int64_t e) {
@@ -80,13 +95,7 @@ BatchTally tally_batch(int n, const std::vector<Msg>& msgs, bool want_mult,
             static_cast<std::int64_t>(msg.src) * n + msg.dst;
       }
     });
-    std::sort(keys.begin(), keys.end());
-    std::int64_t run = 1;
-    t.worst_mult = 1;
-    for (std::size_t i = 1; i < keys.size(); ++i) {
-      run = keys[i] == keys[i - 1] ? run + 1 : 1;
-      t.worst_mult = std::max(t.worst_mult, run);
-    }
+    t.worst_mult = max_multiplicity(keys);
   }
   return t;
 }
@@ -351,7 +360,7 @@ void Network::lenzen_route(const std::vector<Msg>& msgs) {
     return;
   }
   deliver(msgs);
-  record("lenzen_route", lenzen_constant_ * c,
+  record("lenzen_route", lenzen_constant() * c,
          static_cast<std::int64_t>(msgs.size()), t.sent, t.recv);
   run_recovery(msgs);
 }
@@ -386,8 +395,8 @@ std::int64_t Network::execute_route(const std::vector<Msg>& msgs, std::int64_t c
   std::int64_t rounds = 4;  // the sorting primitive
 
   // Schedule one phase of moves into sub-rounds (no ordered pair repeats
-  // within one sub-round); the greedy slot assignment uses `used` =
-  // max multiplicity over ordered pairs, counted by key sort.
+  // within one sub-round): the greedy slot assignment takes as many
+  // sub-rounds as the phase's most repeated ordered pair.
   const auto run_phase = [this](const std::vector<std::pair<int, int>>& moves) {
     std::vector<std::int64_t> keys;
     keys.reserve(moves.size());
@@ -395,15 +404,7 @@ std::int64_t Network::execute_route(const std::vector<Msg>& msgs, std::int64_t c
       if (mv.first == mv.second) continue;  // staying put is free
       keys.push_back(static_cast<std::int64_t>(mv.first) * n_ + mv.second);
     }
-    if (keys.empty()) return std::int64_t{0};
-    std::sort(keys.begin(), keys.end());
-    std::int64_t used = 1;
-    std::int64_t run = 1;
-    for (std::size_t i = 1; i < keys.size(); ++i) {
-      run = keys[i] == keys[i - 1] ? run + 1 : 1;
-      used = std::max(used, run);
-    }
-    return used;
+    return max_multiplicity(keys);
   };
 
   // Phase 1: per-source round-robin over the source's destination-sorted
@@ -494,15 +495,7 @@ void Network::run_recovery(const std::vector<Msg>& msgs) {
       keys.push_back(bcast ? static_cast<std::int64_t>(m->src)
                            : static_cast<std::int64_t>(m->src) * n_ + m->dst);
     }
-    if (keys.empty()) return std::int64_t{0};
-    std::sort(keys.begin(), keys.end());
-    std::int64_t worst = 1;
-    std::int64_t run = 1;
-    for (std::size_t i = 1; i < keys.size(); ++i) {
-      run = keys[i] == keys[i - 1] ? run + 1 : 1;
-      worst = std::max(worst, run);
-    }
-    return worst;
+    return max_multiplicity(keys);
   };
 
   int attempts = 0;
@@ -588,11 +581,6 @@ void Network::charge_recovery(std::int64_t rec_rounds, std::int64_t rec_words) {
   set_phase("recovery");
   record("recovery", rec_rounds, rec_words, 0);
   set_phase(prev);
-}
-
-void Network::set_lenzen_constant(int c) {
-  if (c <= 0) throw std::invalid_argument("lenzen constant must be positive");
-  lenzen_constant_ = c;
 }
 
 std::vector<Msg> Network::drain_inbox(int node) {

@@ -206,12 +206,13 @@ class Network {
 
   /// Lenzen's deterministic routing: any message set in which every node
   /// sends at most `c*n` and receives at most `c*n` words is delivered in
-  /// O(c) rounds.  We charge `lenzen_constant() * c` rounds (the paper uses
-  /// the constant 16 in Theorem 1.4) and deliver directly.
+  /// O(c) rounds.  We charge `lenzen_constant() * c` rounds and deliver
+  /// directly.
   void lenzen_route(const std::vector<Msg>& msgs);
 
-  [[nodiscard]] int lenzen_constant() const { return lenzen_constant_; }
-  void set_lenzen_constant(int c);
+  /// The constant in the charged Lenzen bound: 16, as in the proof of
+  /// Theorem 1.4.
+  [[nodiscard]] static constexpr int lenzen_constant() { return 16; }
 
   [[nodiscard]] RoutingMode routing_mode() const { return routing_mode_; }
   void set_routing_mode(RoutingMode mode) { routing_mode_ = mode; }
@@ -264,7 +265,6 @@ class Network {
 
   int n_;
   RoutingMode routing_mode_ = RoutingMode::kCharged;
-  int lenzen_constant_ = 16;
   std::int64_t rounds_ = 0;
   std::int64_t words_ = 0;
   std::string phase_ = "default";

@@ -13,8 +13,7 @@ namespace lapclique {
 
 // Every entry point: bound the pool to the runtime's thread count for the
 // duration of the call, build a Network configured by the runtime, run the
-// algorithm, snapshot the accounting into report.run.  The parameterless
-// overloads delegate with default_runtime().
+// algorithm, snapshot the accounting into report.run.
 
 namespace {
 
@@ -72,24 +71,11 @@ flow::ApproxMaxFlowOptions with_numerics(flow::ApproxMaxFlowOptions opt,
 
 solver::CliqueSolveReport solve_laplacian(const Graph& g, std::span<const double> b,
                                           double eps,
-                                          const solver::LaplacianSolverOptions& opt) {
-  return solve_laplacian(g, b, eps, opt, default_runtime());
-}
-
-solver::CliqueSolveReport solve_laplacian(const Graph& g, std::span<const double> b,
-                                          double eps,
                                           const solver::LaplacianSolverOptions& opt,
                                           const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   return solver::solve_laplacian_clique(g, b, eps, with_numerics(opt, rt), net);
-}
-
-BatchSolveReport solve_laplacian_batch(const Graph& g,
-                                       std::span<const linalg::Vec> bs,
-                                       double eps,
-                                       const solver::LaplacianSolverOptions& opt) {
-  return solve_laplacian_batch(g, bs, eps, opt, default_runtime());
 }
 
 BatchSolveReport solve_laplacian_batch(const Graph& g,
@@ -118,10 +104,6 @@ BatchSolveReport solve_laplacian_batch(const Graph& g,
   return rep;
 }
 
-SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt) {
-  return sparsify(g, opt, default_runtime());
-}
-
 SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt,
                         const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
@@ -132,10 +114,6 @@ SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt,
   rep.stats = r.stats;
   rep.run.capture(net);
   return rep;
-}
-
-OrientationReport eulerian_orientation(const Graph& g) {
-  return eulerian_orientation(g, default_runtime());
 }
 
 OrientationReport eulerian_orientation(const Graph& g, const Runtime& rt) {
@@ -150,11 +128,6 @@ OrientationReport eulerian_orientation(const Graph& g, const Runtime& rt) {
 }
 
 RoundFlowReport round_flow(const Digraph& g, const graph::Flow& f, int s, int t,
-                           const euler::FlowRoundingOptions& opt) {
-  return round_flow(g, f, s, t, opt, default_runtime());
-}
-
-RoundFlowReport round_flow(const Digraph& g, const graph::Flow& f, int s, int t,
                            const euler::FlowRoundingOptions& opt,
                            const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
@@ -165,11 +138,6 @@ RoundFlowReport round_flow(const Digraph& g, const graph::Flow& f, int s, int t,
   rep.phases = r.phases;
   rep.run.capture(net);
   return rep;
-}
-
-flow::MaxFlowIpmReport max_flow(const Digraph& g, int s, int t,
-                                const flow::MaxFlowIpmOptions& opt) {
-  return max_flow(g, s, t, opt, default_runtime());
 }
 
 flow::MaxFlowIpmReport max_flow(const Digraph& g, int s, int t,
@@ -188,12 +156,6 @@ flow::MaxFlowIpmReport max_flow(const Digraph& g, int s, int t,
 
 flow::MinCostIpmReport min_cost_flow(const Digraph& g,
                                      std::span<const std::int64_t> sigma,
-                                     const flow::MinCostIpmOptions& opt) {
-  return min_cost_flow(g, sigma, opt, default_runtime());
-}
-
-flow::MinCostIpmReport min_cost_flow(const Digraph& g,
-                                     std::span<const std::int64_t> sigma,
                                      const flow::MinCostIpmOptions& opt,
                                      const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
@@ -208,21 +170,11 @@ flow::MinCostIpmReport min_cost_flow(const Digraph& g,
 }
 
 flow::MinCostMaxFlowReport min_cost_max_flow(const Digraph& g, int s, int t,
-                                             const flow::MinCostIpmOptions& opt) {
-  return min_cost_max_flow(g, s, t, opt, default_runtime());
-}
-
-flow::MinCostMaxFlowReport min_cost_max_flow(const Digraph& g, int s, int t,
                                              const flow::MinCostIpmOptions& opt,
                                              const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   return flow::min_cost_max_flow_clique(g, s, t, net, with_numerics(opt, rt));
-}
-
-flow::ApproxMaxFlowReport approx_max_flow(const Graph& g, int s, int t,
-                                          const flow::ApproxMaxFlowOptions& opt) {
-  return approx_max_flow(g, s, t, opt, default_runtime());
 }
 
 flow::ApproxMaxFlowReport approx_max_flow(const Graph& g, int s, int t,
@@ -233,19 +185,10 @@ flow::ApproxMaxFlowReport approx_max_flow(const Graph& g, int s, int t,
   return flow::approx_max_flow_undirected(g, s, t, net, with_numerics(opt, rt));
 }
 
-mst::MstResult minimum_spanning_forest(const Graph& g) {
-  return minimum_spanning_forest(g, default_runtime());
-}
-
 mst::MstResult minimum_spanning_forest(const Graph& g, const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   return mst::boruvka_clique(g, net);
-}
-
-solver::ResistanceReport effective_resistance(const Graph& g, int u, int v,
-                                              double eps) {
-  return effective_resistance(g, u, v, eps, default_runtime());
 }
 
 solver::ResistanceReport effective_resistance(const Graph& g, int u, int v,
@@ -254,11 +197,6 @@ solver::ResistanceReport effective_resistance(const Graph& g, int u, int v,
   clique::Network net = make_network(g.num_vertices(), rt);
   return solver::effective_resistance_clique(
       g, u, v, eps, with_numerics(solver::LaplacianSolverOptions{}, rt), net);
-}
-
-solver::BatchResistanceReport effective_resistance_batch(
-    const Graph& g, std::span<const solver::PairQuery> pairs, double eps) {
-  return effective_resistance_batch(g, pairs, eps, default_runtime());
 }
 
 solver::BatchResistanceReport effective_resistance_batch(

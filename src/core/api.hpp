@@ -10,9 +10,9 @@
 //
 // Every entry point returns the answer together with the congested-clique
 // accounting block (`report.run` — the quantity the theorems bound), and
-// every entry point has a second overload taking a `lapclique::Runtime`
-// (threads, trace sink, fault plan, routing options); the short forms run
-// on default_runtime().  Results are bit-identical for every thread count.
+// every entry point takes a trailing `lapclique::Runtime` (threads, trace
+// sink, fault plan, routing options) that defaults to default_runtime().
+// Results are bit-identical for every thread count.
 //
 // This header carries declarations only; result structs live in
 // core/api_types.hpp.  Generators, DIMACS I/O, and the sequential baselines
@@ -30,88 +30,66 @@ namespace lapclique {
 /// with full congested-clique round accounting.
 solver::CliqueSolveReport solve_laplacian(
     const Graph& g, std::span<const double> b, double eps,
-    const solver::LaplacianSolverOptions& opt = {});
-solver::CliqueSolveReport solve_laplacian(const Graph& g,
-                                          std::span<const double> b, double eps,
-                                          const solver::LaplacianSolverOptions& opt,
-                                          const Runtime& rt);
+    const solver::LaplacianSolverOptions& opt = {},
+    const Runtime& rt = default_runtime());
 
 /// Theorem 1.1, batched: solve L_G x = b_c for every column b_c of `bs`
 /// against one sparsifier/factorization.  Column c of the result is
 /// bit-identical to solve_laplacian(g, bs[c], eps).x.
 BatchSolveReport solve_laplacian_batch(
     const Graph& g, std::span<const linalg::Vec> bs, double eps,
-    const solver::LaplacianSolverOptions& opt = {});
-BatchSolveReport solve_laplacian_batch(const Graph& g,
-                                       std::span<const linalg::Vec> bs,
-                                       double eps,
-                                       const solver::LaplacianSolverOptions& opt,
-                                       const Runtime& rt);
+    const solver::LaplacianSolverOptions& opt = {},
+    const Runtime& rt = default_runtime());
 
 /// Theorem 3.3: deterministic spectral sparsifier (known to every node).
-SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt = {});
-SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt,
-                        const Runtime& rt);
+SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt = {},
+                        const Runtime& rt = default_runtime());
 
 /// Theorem 1.4: Eulerian orientation of an even-degree graph.
-OrientationReport eulerian_orientation(const Graph& g);
-OrientationReport eulerian_orientation(const Graph& g, const Runtime& rt);
+OrientationReport eulerian_orientation(const Graph& g,
+                                       const Runtime& rt = default_runtime());
 
 /// Lemma 4.2: round a Delta-granular fractional s-t flow to integral.
 RoundFlowReport round_flow(const Digraph& g, const graph::Flow& f, int s, int t,
-                           const euler::FlowRoundingOptions& opt = {});
-RoundFlowReport round_flow(const Digraph& g, const graph::Flow& f, int s, int t,
-                           const euler::FlowRoundingOptions& opt,
-                           const Runtime& rt);
+                           const euler::FlowRoundingOptions& opt = {},
+                           const Runtime& rt = default_runtime());
 
 /// Theorem 1.2: exact maximum flow.
 flow::MaxFlowIpmReport max_flow(const Digraph& g, int s, int t,
-                                const flow::MaxFlowIpmOptions& opt = {});
-flow::MaxFlowIpmReport max_flow(const Digraph& g, int s, int t,
-                                const flow::MaxFlowIpmOptions& opt,
-                                const Runtime& rt);
+                                const flow::MaxFlowIpmOptions& opt = {},
+                                const Runtime& rt = default_runtime());
 
 /// Theorem 1.3: exact unit-capacity minimum-cost flow.
 flow::MinCostIpmReport min_cost_flow(const Digraph& g,
                                      std::span<const std::int64_t> sigma,
-                                     const flow::MinCostIpmOptions& opt = {});
-flow::MinCostIpmReport min_cost_flow(const Digraph& g,
-                                     std::span<const std::int64_t> sigma,
-                                     const flow::MinCostIpmOptions& opt,
-                                     const Runtime& rt);
+                                     const flow::MinCostIpmOptions& opt = {},
+                                     const Runtime& rt = default_runtime());
 
 /// §2.4 remark: min-cost *maximum* s-t flow by binary search over values.
 flow::MinCostMaxFlowReport min_cost_max_flow(const Digraph& g, int s, int t,
-                                             const flow::MinCostIpmOptions& opt = {});
-flow::MinCostMaxFlowReport min_cost_max_flow(const Digraph& g, int s, int t,
-                                             const flow::MinCostIpmOptions& opt,
-                                             const Runtime& rt);
+                                             const flow::MinCostIpmOptions& opt = {},
+                                             const Runtime& rt = default_runtime());
 
 /// §1.1 comparison family: (1+eps)-approximate undirected max flow via
 /// multiplicative-weights electrical flows.
 flow::ApproxMaxFlowReport approx_max_flow(const Graph& g, int s, int t,
-                                          const flow::ApproxMaxFlowOptions& opt = {});
-flow::ApproxMaxFlowReport approx_max_flow(const Graph& g, int s, int t,
-                                          const flow::ApproxMaxFlowOptions& opt,
-                                          const Runtime& rt);
+                                          const flow::ApproxMaxFlowOptions& opt = {},
+                                          const Runtime& rt = default_runtime());
 
 /// [LPSPP05] (the model's founding problem): minimum spanning forest.
-mst::MstResult minimum_spanning_forest(const Graph& g);
-mst::MstResult minimum_spanning_forest(const Graph& g, const Runtime& rt);
+mst::MstResult minimum_spanning_forest(const Graph& g,
+                                       const Runtime& rt = default_runtime());
 
 /// Effective resistance via one Theorem 1.1 solve.
 solver::ResistanceReport effective_resistance(const Graph& g, int u, int v,
-                                              double eps = 1e-8);
-solver::ResistanceReport effective_resistance(const Graph& g, int u, int v,
-                                              double eps, const Runtime& rt);
+                                              double eps = 1e-8,
+                                              const Runtime& rt = default_runtime());
 
 /// Batched pairwise effective resistances: k pairs against one construction
 /// and one blocked solve; resistances[i] is bit-identical to the scalar
 /// query for pairs[i] (see solver::query_pairs).
 solver::BatchResistanceReport effective_resistance_batch(
-    const Graph& g, std::span<const solver::PairQuery> pairs, double eps = 1e-8);
-solver::BatchResistanceReport effective_resistance_batch(
-    const Graph& g, std::span<const solver::PairQuery> pairs, double eps,
-    const Runtime& rt);
+    const Graph& g, std::span<const solver::PairQuery> pairs, double eps = 1e-8,
+    const Runtime& rt = default_runtime());
 
 }  // namespace lapclique

@@ -32,7 +32,6 @@ clique::Network make_network(int n, const Runtime& rt) {
   net.set_tracer(rt.resolved_trace());
   net.set_fault_plan(rt.resolved_faults());
   net.set_routing_mode(rt.routing_mode);
-  net.set_lenzen_constant(rt.lenzen_constant);
   return net;
 }
 
@@ -49,7 +48,7 @@ obs::json::Value runtime_to_json(const Runtime& rt) {
   // to_string, not a two-way ternary: a ternary here silently mislabeled
   // every mode that is neither kCharged nor the one hard-coded alternative.
   o["routing_mode"] = std::string(clique::to_string(rt.routing_mode));
-  o["lenzen_constant"] = rt.lenzen_constant;
+  o["lenzen_constant"] = clique::Network::lenzen_constant();
   o["numerics"] = std::string(linalg::to_string(rt.numerics));
   // Deliberately no path or resume flag here: this object is embedded in
   // trace output, and a resumed run's trace must stay byte-equal to an

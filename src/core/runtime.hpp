@@ -11,10 +11,10 @@
 //   rt.trace = &my_ledger;
 //   auto rep = lapclique::solve_laplacian(g, b, 1e-8, {}, rt);
 //
-// Every field has a "resolve from the process defaults" null state, and the
-// parameterless API entry points are thin wrappers over default_runtime(),
-// so existing callers compile unchanged.  Determinism note: the thread
-// count never affects results — see exec/pool.hpp and docs/PERFORMANCE.md.
+// Every field has a "resolve from the process defaults" null state, and
+// every API entry point's Runtime parameter defaults to default_runtime().
+// Determinism note: the thread count never affects results — see
+// exec/pool.hpp and docs/PERFORMANCE.md.
 #pragma once
 
 #include <string>
@@ -40,8 +40,6 @@ struct Runtime {
   /// unicast, or the Broadcast Congested Clique).  Defaults to the
   /// LAPCLIQUE_ROUTING environment variable, else kCharged.
   clique::RoutingMode routing_mode = clique::default_routing_mode();
-  /// Constant in the charged Lenzen bound (Theorem 1.4 uses 16).
-  int lenzen_constant = 16;
   /// Numerics backend for every Laplacian factorization in the run
   /// (preconditioner, exact fallback, electrical solvers): dense LDL^T,
   /// RCM-ordered sparse LDL^T, or kAuto resolved per instance by
@@ -65,12 +63,12 @@ struct Runtime {
   [[nodiscard]] fault::FaultPlan* resolved_faults() const;
 };
 
-/// The process-wide runtime used by the parameterless API entry points.
+/// The process-wide runtime every API entry point defaults to.
 [[nodiscard]] const Runtime& default_runtime();
 void set_default_runtime(const Runtime& rt);
 
 /// Build an n-node Network configured by `rt` (tracer, fault plan, routing
-/// mode, Lenzen constant).  n is clamped to >= 2 as the facades always did.
+/// mode).  n is clamped to >= 2 as the facades always did.
 [[nodiscard]] clique::Network make_network(int n,
                                            const Runtime& rt = default_runtime());
 

@@ -13,6 +13,9 @@ using graph::Flow;
 
 namespace {
 
+/// The snap to the Delta grid may move no flow value by more than this.
+constexpr double kSnapTolerance = 1e-6;
+
 bool is_power_of_two_reciprocal(double delta) {
   if (!(delta > 0) || delta > 1) return false;
   const double inv = 1.0 / delta;
@@ -41,7 +44,7 @@ FlowRoundingResult round_flow(const Digraph& g, const Flow& f, int s, int t,
   for (std::size_t a = 0; a < f.size(); ++a) {
     const double u = f[a] * inv_delta;
     const double r = std::round(u);
-    if (std::abs(u - r) > opt.snap_tolerance * inv_delta) {
+    if (std::abs(u - r) > kSnapTolerance * inv_delta) {
       throw std::invalid_argument(
           "round_flow: flow is not Delta-granular within tolerance");
     }

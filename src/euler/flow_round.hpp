@@ -17,9 +17,8 @@ namespace lapclique::euler {
 struct FlowRoundingOptions {
   /// 1/Delta must be a power of two; flow values must be integer multiples
   /// of Delta (values are snapped to the Delta grid first; the snap must
-  /// move no value by more than snap_tolerance or the call throws).
+  /// move no value by more than 1e-6 or the call throws).
   double delta = 1.0 / (1 << 20);
-  double snap_tolerance = 1e-6;
   bool use_costs = false;  ///< apply the cost-aware traversal rule
 };
 

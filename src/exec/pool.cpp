@@ -167,12 +167,6 @@ class Pool {
 
 }  // namespace
 
-int hardware_threads() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  const int n = hc == 0 ? 1 : static_cast<int>(hc);
-  return n > kMaxThreads ? kMaxThreads : n;
-}
-
 int default_threads() {
   static const int value = [] {
     const char* env = std::getenv("LAPCLIQUE_THREADS");

@@ -49,9 +49,6 @@ inline constexpr std::int64_t kDefaultGrain = 2048;
 /// constant, so shard boundaries remain a pure function of (count, grain).
 inline constexpr std::int64_t kMaxShards = 256;
 
-/// std::thread::hardware_concurrency clamped to [1, kMaxThreads].
-[[nodiscard]] int hardware_threads();
-
 /// Threads currently participating in parallel regions (>= 1).
 [[nodiscard]] int threads();
 

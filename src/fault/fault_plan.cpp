@@ -145,13 +145,6 @@ FaultPlan::FaultPlan(const FaultSpec& spec, std::uint64_t seed)
 
 double FaultPlan::next_u01() { return u01_from(mix64(seed_ ^ draws_++)); }
 
-bool FaultPlan::crashed_in_batch(std::int64_t op, int node) const {
-  for (const CrashPoint& cp : spec_.crashes) {
-    if (cp.op == op && cp.node == node) return true;
-  }
-  return false;
-}
-
 int FaultPlan::crash_victim(std::int64_t op) const {
   for (const CrashPoint& cp : spec_.crashes) {
     if (cp.op == op) return cp.node;

@@ -198,8 +198,6 @@ class FaultPlan {
   /// crash schedule is expressed in).
   std::int64_t begin_batch() { return op_counter_++; }
 
-  /// Whether `node` is crash-stopped during batch `op`.
-  [[nodiscard]] bool crashed_in_batch(std::int64_t op, int node) const;
   /// Any node crashed in batch `op` (-1 if none; specs list one crash per op).
   [[nodiscard]] int crash_victim(std::int64_t op) const;
 
@@ -251,7 +249,6 @@ class FaultPlan {
 
   [[nodiscard]] RecoveryStats& stats() { return stats_; }
   [[nodiscard]] const RecoveryStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = RecoveryStats{}; }
 
   /// Machine-readable recovery summary (schema in docs/ROBUSTNESS.md).
   [[nodiscard]] obs::json::Value to_json() const;

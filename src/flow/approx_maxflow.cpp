@@ -12,6 +12,12 @@ namespace lapclique::flow {
 
 using graph::Graph;
 
+namespace {
+/// eps of the calibration solve, whose Theorem 1.1 rounds each MWU
+/// iteration is charged.
+constexpr double kSolveEps = 1e-9;
+}  // namespace
+
 std::int64_t exact_max_flow_undirected(const Graph& g, int s, int t) {
   graph::Digraph d(g.num_vertices());
   for (const graph::Edge& e : g.edges()) {
@@ -129,7 +135,7 @@ ApproxMaxFlowReport approx_max_flow_undirected(const Graph& g, int s, int t,
     std::vector<ElectricalEdge> ee;
     for (const graph::Edge& e : g.edges()) ee.push_back({e.u, e.v, 1.0 / e.w});
     rep.rounds_per_solve =
-        calibrate_solve_rounds(g.num_vertices(), ee, opt.solve_eps, opt.numerics);
+        calibrate_solve_rounds(g.num_vertices(), ee, kSolveEps, opt.numerics);
     net.charge(rep.rounds_per_solve);
   }
 

@@ -31,7 +31,6 @@ struct ApproxMaxFlowOptions {
   /// Numerics backend for every Laplacian factorization (kAuto resolves per
   /// instance; the facade copies Runtime::numerics in here when left at kAuto).
   linalg::Backend numerics = linalg::Backend::kAuto;
-  double solve_eps = 1e-9;
 };
 
 struct ApproxMaxFlowReport {

@@ -19,7 +19,7 @@ std::int64_t charge_for(const Digraph& g, int iterations, clique::Network& net,
   std::int64_t rounds = 0;
   if (opt.accounting == SsspAccounting::kCkklBound) {
     rounds = static_cast<std::int64_t>(
-        std::ceil(std::pow(std::max(2, g.num_vertices()), opt.ckkl_exponent)));
+        std::ceil(std::pow(std::max(2, g.num_vertices()), kCkklExponent)));
   } else {
     rounds = iterations;  // one broadcast round per Bellman-Ford sweep
   }

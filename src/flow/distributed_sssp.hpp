@@ -22,9 +22,13 @@ namespace lapclique::flow {
 
 enum class SsspAccounting { kCkklBound, kNaive };
 
+/// The [CKKL+19] APSP exponent: kCkklBound charges ceil(n^0.158) rounds per
+/// invocation (Theorem 1.3's n^{0.158} term).  Min-cost flow's negative-cycle
+/// detection charges the same bound.
+inline constexpr double kCkklExponent = 0.158;
+
 struct SsspOptions {
   SsspAccounting accounting = SsspAccounting::kCkklBound;
-  double ckkl_exponent = 0.158;
 };
 
 struct SsspResult {

@@ -11,6 +11,7 @@
 
 #include "euler/flow_round.hpp"
 #include "flow/dinic.hpp"
+#include "flow/distributed_sssp.hpp"
 
 namespace lapclique::flow {
 
@@ -19,6 +20,17 @@ using graph::Digraph;
 namespace {
 
 constexpr double kInfCap = 1e18;
+
+/// Algorithm 2 line 9: eta = 1/14 (o(1) corrections dropped), which makes
+/// the m^{1/2 - eta} step count the m^{3/7} of Theorem 1.2.
+constexpr double kEta = 1.0 / 14.0;
+/// Cap on the path length created by Boosting.
+constexpr int kBoostBetaCap = 64;
+/// eps of the calibration solve, whose Theorem 1.1 rounds each electrical
+/// solve is charged.
+constexpr double kSolveEps = 1e-10;
+/// Stop augmenting once the routed value is within this of the target.
+constexpr double kTargetSlack = 0.75;
 
 enum class EKind { kDirect, kSourceSide, kSinkSide, kPrecond, kBoost };
 
@@ -210,7 +222,6 @@ void fixing(Transformed& tr, Electrical& el) {
 /// new topology needs a new electrical solver.
 void boosting(Transformed& tr, const std::vector<double>& rho,
               std::int64_t max_cap, Electrical& el) {
-  const MaxFlowIpmOptions& opt = el.opt;
   clique::Network& net = el.net;
   el.solver.reset();
   LAPCLIQUE_TRACE_SPAN(net.tracer(), "boosting");
@@ -219,7 +230,7 @@ void boosting(Transformed& tr, const std::vector<double>& rho,
   // are candidates.
   const std::size_t m = std::min(tr.edges.size(), rho.size());
   const int k = std::max(
-      1, static_cast<int>(std::pow(static_cast<double>(m), 4.0 * opt.eta)));
+      1, static_cast<int>(std::pow(static_cast<double>(m), 4.0 * kEta)));
   std::vector<std::size_t> order(m);
   for (std::size_t i = 0; i < m; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&rho](std::size_t a, std::size_t b) {
@@ -231,7 +242,7 @@ void boosting(Transformed& tr, const std::vector<double>& rho,
     TEdge e = tr.edges[ei];
     const double rmin = std::max(min_residual(e), 1e-9);
     int beta = 2 + static_cast<int>(std::ceil(2.0 * static_cast<double>(max_cap) / rmin));
-    beta = std::min(beta, opt.boost_beta_cap);
+    beta = std::min(beta, kBoostBetaCap);
 
     const double grad = 1.0 / (e.up - e.f) - 1.0 / (e.um + e.f);
     // Path u = v0, v1, ..., v_beta = v.
@@ -443,9 +454,10 @@ IpmLoopState decode_ipm_state(const ckpt::Checkpoint& ck,
   rep.laplacian_solves = static_cast<int>(d.i64());
   st.tr.nv = static_cast<int>(d.i64());
   st.tr.y = d.f64_vec();
-  const std::uint64_t m = d.u64();
+  // Seven 8-byte fields per edge.
+  const std::size_t m = d.count(7 * 8, "transformed edge");
   st.tr.edges.reserve(m);
-  for (std::uint64_t i = 0; i < m; ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     TEdge ed;
     ed.u = static_cast<int>(d.i64());
     ed.v = static_cast<int>(d.i64());
@@ -606,7 +618,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
       std::vector<ElectricalEdge> cal;
       for (const TEdge& e : st.tr.edges) cal.push_back({e.u, e.v, resistance(e)});
       rep.rounds_per_solve =
-          calibrate_solve_rounds(st.tr.nv, cal, opt.solve_eps, opt.numerics);
+          calibrate_solve_rounds(st.tr.nv, cal, kSolveEps, opt.numerics);
       {
         // The calibration solve itself (broadcast rounds, like every solve).
         net.charge_all_to_all(rep.rounds_per_solve);
@@ -675,8 +687,8 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     record_numerics();
     return rep;
   };
-  const double delta0 = 1.0 / std::pow(m, 0.5 - opt.eta);
-  const double rho_threshold = std::pow(m, 0.5 - opt.eta) / (33.0 * (1.0 - opt.alpha));
+  const double delta0 = 1.0 / std::pow(m, 0.5 - kEta);
+  const double rho_threshold = std::pow(m, 0.5 - kEta) / 33.0;
   const double budget = 100.0 * opt.iteration_scale / delta0 *
                         std::log2(static_cast<double>(max_cap) + 2.0);
   const std::int64_t iters = std::min<std::int64_t>(
@@ -700,7 +712,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     ++rep.ipm_iterations;
     if (const char* reason = divergence()) return degrade(reason);
     const double val = tr.value_out_of(s);
-    if (val >= target_f - opt.target_slack) break;
+    if (val >= target_f - kTargetSlack) break;
 
     double rho3 = 0;
     for (double r : st.rho) rho3 += std::abs(r) * std::abs(r) * std::abs(r);
@@ -708,7 +720,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
 
     if (rho3 <= rho_threshold || st.boosts >= 60 || !opt.enable_boosting) {
       const double delta =
-          std::min(delta0, 1.0 / (33.0 * (1.0 - opt.alpha) * std::max(rho3, 1e-9)));
+          std::min(delta0, 1.0 / (33.0 * std::max(rho3, 1e-9)));
       st.rho = augmentation(tr, s, t, target_f, delta, el);
       fixing(tr, el);
       ++rep.augmentation_steps;
@@ -755,7 +767,6 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
   // a lifted network and its rounds are charged to the real one.
   clique::Network lifted_net(std::max(tr.nv, 2));
   lifted_net.set_routing_mode(net.routing_mode());
-  lifted_net.set_lenzen_constant(net.lenzen_constant());
   const euler::FlowRoundingResult rounded =
       euler::round_flow(rg, rf, s, t, lifted_net, ropt);
   net.charge(lifted_net.rounds(), lifted_net.words_sent());
@@ -779,7 +790,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
   // Lines 20-21: augmenting paths to exact optimality.
   net.set_phase("maxflow/augmenting");
   while (true) {
-    auto path = residual_augmenting_path(g, warm, s, t, net, opt.sssp);
+    auto path = residual_augmenting_path(g, warm, s, t, net);
     if (!path.has_value()) break;
     ++rep.finishing_augmenting_paths;
     std::int64_t bottleneck = std::numeric_limits<std::int64_t>::max();

@@ -40,20 +40,16 @@
 #include "ckpt/checkpoint.hpp"
 #include "cliquesim/network.hpp"
 #include "cliquesim/run_info.hpp"
-#include "flow/distributed_sssp.hpp"
 #include "flow/electrical.hpp"
 #include "graph/digraph.hpp"
 
 namespace lapclique::flow {
 
 struct MaxFlowIpmOptions {
-  double eta = 1.0 / 14.0;   ///< Algorithm 2 line 9 (o(1) corrections dropped)
-  double alpha = 0.0;        ///< congestion-threshold constant
   /// Scales the pseudocode's 100 * (1/delta) * log U iteration budget;
   /// 1.0 = faithful, smaller for quick runs (finisher stays exact).
   double iteration_scale = 1.0;
   std::int64_t max_iterations = 500000;
-  int boost_beta_cap = 64;   ///< cap on the path length created by Boosting
   /// Ablation switch: with boosting off, high-congestion iterations fall
   /// back to (smaller-step) augmentation instead of arc surgery.
   bool enable_boosting = true;
@@ -61,10 +57,6 @@ struct MaxFlowIpmOptions {
   /// (the per-solve factors and the calibration solver).  kAuto resolves per
   /// instance; the facade copies Runtime::numerics in here when left at kAuto.
   linalg::Backend numerics = linalg::Backend::kAuto;
-  double solve_eps = 1e-10;
-  SsspOptions sssp;
-  /// Stop augmenting once the routed value is within this of the target.
-  double target_slack = 0.75;
   /// Optional externally known max-flow value (the outer binary search of
   /// the decision procedure; benches pass the oracle value to measure the
   /// IPM in its intended successful-guess regime).  -1 = derive an upper

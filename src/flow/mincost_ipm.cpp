@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "euler/flow_round.hpp"
+#include "flow/distributed_sssp.hpp"
 #include "flow/ssp_mincost.hpp"
 
 namespace lapclique::flow {
@@ -19,6 +20,13 @@ using graph::Digraph;
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Algorithm 7 line 13: eta = 1/14, which makes the m^{1/2 - eta} progress
+/// bound the m^{3/7} of Theorem 1.3.
+constexpr double kEta = 1.0 / 14.0;
+/// eps of the calibration solve, whose Theorem 1.1 rounds each electrical
+/// solve is charged.
+constexpr double kSolveEps = 1e-10;
 
 /// The lifted instance: G1 = original arcs + auxiliary feasibility arcs,
 /// then the bipartite b-matching encoding (Algorithm 7).
@@ -145,8 +153,7 @@ BipartiteElectrical make_electrical(const Lifted& lf,
         lf.nu[static_cast<std::size_t>(e)] + lf.nu[static_cast<std::size_t>(e ^ 1)];
   }
   const auto m = static_cast<double>(resist_bip.size());
-  const double eta = 1.0 / 14.0;
-  const double scale = std::pow(m, 1.0 + 2.0 * eta);
+  const double scale = std::pow(m, 1.0 + 2.0 * kEta);
   for (int u = 0; u < lf.np; ++u) {
     const double r = scale / std::max(a[static_cast<std::size_t>(u)], 1e-9);
     be.edges.push_back(ElectricalEdge{v0, u, r});
@@ -402,7 +409,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     }
     const BipartiteElectrical be = make_electrical(lf, r0);
     rep.rounds_per_solve =
-        calibrate_solve_rounds(be.nv, be.edges, opt.solve_eps, opt.numerics);
+        calibrate_solve_rounds(be.nv, be.edges, kSolveEps, opt.numerics);
     // The calibration solve itself (broadcast rounds, like every solve).
     net.charge_all_to_all(rep.rounds_per_solve);
   }
@@ -489,16 +496,15 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     record_numerics();
     return rep;
   };
-  const double eta = opt.eta;
   const double logw = std::log2(lf.c_inf + 2.0);
   const double c_rho = 400.0 * std::sqrt(3.0) * std::cbrt(std::max(logw, 1.0));
   const double c_t = 3.0 * c_rho * std::max(logw, 1.0);
   const std::int64_t outer = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::ceil(
-             opt.iteration_scale * c_t * std::pow(m, 0.5 - 3.0 * eta))));
+             opt.iteration_scale * c_t * std::pow(m, 0.5 - 3.0 * kEta))));
   const std::int64_t inner = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::ceil(std::pow(m, 2.0 * eta))));
-  const double rho_threshold = c_rho * std::pow(m, 0.5 - eta);
+      1, static_cast<std::int64_t>(std::ceil(std::pow(m, 2.0 * kEta))));
+  const double rho_threshold = c_rho * std::pow(m, 0.5 - kEta);
   const double mu_exit = 1.0 / (8.0 * m * lf.c_inf);
 
   std::vector<double>& rho = st.rho;
@@ -692,26 +698,21 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
       units[static_cast<std::size_t>(2 * q + 1)] =
           static_cast<std::int64_t>(std::llround(1.0 / grid)) - u0;
     }
-    // Digraph: s -> P -> Q -> t.
+    // Fractional flow on the rounding digraph s -> P -> Q -> t (rg_costed
+    // below, whose arcs are in the same order).
     const int s_node = lf.np + lf.nq;
     const int t_node = lf.np + lf.nq + 1;
-    Digraph rg(lf.np + lf.nq + 2);
     graph::Flow rf;
     std::vector<std::int64_t> p_out(static_cast<std::size_t>(lf.np), 0);
     for (int e = 0; e < me; ++e) {
-      rg.add_arc(lf.p_of_edge(e), lf.q_of_edge(e), 2, 0);
       rf.push_back(static_cast<double>(units[static_cast<std::size_t>(e)]) * grid);
       p_out[static_cast<std::size_t>(lf.p_of_edge(e))] +=
           units[static_cast<std::size_t>(e)];
     }
     for (int u = 0; u < lf.np; ++u) {
-      rg.add_arc(s_node, u, std::max<std::int64_t>(lf.b[static_cast<std::size_t>(u)], 1) + 2, 0);
       rf.push_back(static_cast<double>(p_out[static_cast<std::size_t>(u)]) * grid);
     }
-    for (int q = 0; q < lf.nq; ++q) {
-      rg.add_arc(lf.np + q, t_node, 3, 0);
-      rf.push_back(1.0);
-    }
+    for (int q = 0; q < lf.nq; ++q) rf.push_back(1.0);
     euler::FlowRoundingOptions ropt;
     ropt.delta = grid;
     ropt.use_costs = true;
@@ -720,7 +721,6 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // whose rounds are charged to the real one.
     clique::Network lifted_net(lf.np + lf.nq + 2);
     lifted_net.set_routing_mode(net.routing_mode());
-    lifted_net.set_lenzen_constant(net.lenzen_constant());
     // Attach the real matching costs so the cost-aware rule applies.
     Digraph rg_costed(lf.np + lf.nq + 2);
     for (int e = 0; e < me; ++e) {
@@ -813,7 +813,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
         if (relaxed_vertex == -1) break;
       }
       net.charge(static_cast<std::int64_t>(
-          std::ceil(std::pow(std::max(2, n1), opt.sssp.ckkl_exponent))));
+          std::ceil(std::pow(std::max(2, n1), kCkklExponent))));
       if (relaxed_vertex == -1) return;
       // Walk back n1 steps to land on the cycle, then flip it.
       int v = relaxed_vertex;
@@ -849,7 +849,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
 
     const Residual r = build_residual();
     std::vector<char> usable(static_cast<std::size_t>(r.rg.num_arcs()), 1);
-    SsspResult sp = multi_source_sssp(r.rg, sources, r.len, usable, net, opt.sssp);
+    SsspResult sp = multi_source_sssp(r.rg, sources, r.len, usable, net);
     // Nearest reachable sink.
     int best_sink = -1;
     for (int v : sinks) {

@@ -31,14 +31,12 @@
 #include "ckpt/checkpoint.hpp"
 #include "cliquesim/network.hpp"
 #include "cliquesim/run_info.hpp"
-#include "flow/distributed_sssp.hpp"
 #include "flow/electrical.hpp"
 #include "graph/digraph.hpp"
 
 namespace lapclique::flow {
 
 struct MinCostIpmOptions {
-  double eta = 1.0 / 14.0;  ///< Alg 7 line 13
   /// Scales the pseudocode's c_T * m^{1/2-3 eta} x m^{2 eta} budget.
   double iteration_scale = 1.0;
   std::int64_t max_iterations = 200000;
@@ -46,8 +44,6 @@ struct MinCostIpmOptions {
   /// (the per-solve factors and the calibration solver).  kAuto resolves per
   /// instance; the facade copies Runtime::numerics in here when left at kAuto.
   linalg::Backend numerics = linalg::Backend::kAuto;
-  double solve_eps = 1e-10;
-  SsspOptions sssp;
   /// Guard rail: when the central-path state goes non-finite (solver
   /// divergence, or the ipm-nan fault drill), degrade gracefully to the
   /// exact sequential SSP baseline and set MinCostIpmReport::used_fallback

@@ -82,18 +82,6 @@ Vec sub(std::span<const double> a, std::span<const double> b) {
   return r;
 }
 
-Vec scaled(double alpha, std::span<const double> x) {
-  Vec r(x.size());
-  exec::parallel_for(static_cast<std::int64_t>(x.size()),
-                     [&](std::int64_t b, std::int64_t e) {
-                       for (std::int64_t i = b; i < e; ++i) {
-                         r[static_cast<std::size_t>(i)] =
-                             alpha * x[static_cast<std::size_t>(i)];
-                       }
-                     });
-  return r;
-}
-
 void project_out_ones(std::span<double> x) {
   if (x.empty()) return;
   double mean = 0;

@@ -18,7 +18,6 @@ void scale(double alpha, std::span<double> x);
 
 [[nodiscard]] Vec add(std::span<const double> a, std::span<const double> b);
 [[nodiscard]] Vec sub(std::span<const double> a, std::span<const double> b);
-[[nodiscard]] Vec scaled(double alpha, std::span<const double> x);
 
 /// Subtract the mean so the vector sums to zero (projection onto the
 /// complement of the all-ones kernel of a connected Laplacian).

@@ -106,7 +106,6 @@ class RoundLedger {
   /// when one is on top of the stack, otherwise opens a nested phase span.
   void switch_phase(std::string_view name);
 
-  [[nodiscard]] int current_span() const { return stack_.back(); }
   [[nodiscard]] int depth() const { return static_cast<int>(stack_.size()) - 1; }
 
   // --- recording (called by the simulator) ---

@@ -15,6 +15,11 @@
 
 namespace lapclique::serve {
 
+namespace {
+/// Per-attempt wait for the response line.
+constexpr int kResponseTimeoutMs = 60000;
+}  // namespace
+
 Client::Client(int port, ClientOptions opt) : port_(port), opt_(opt) {
   if (opt_.max_attempts < 1) opt_.max_attempts = 1;
 }
@@ -59,7 +64,7 @@ std::optional<std::string> Client::attempt(const std::string& line) {
     return std::nullopt;
   }
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(opt_.response_timeout_ms);
+                        std::chrono::milliseconds(kResponseTimeoutMs);
   for (;;) {
     const std::size_t pos = inbuf_.find('\n');
     if (pos != std::string::npos) {

@@ -29,7 +29,6 @@ struct ClientOptions {
   int max_attempts = 8;          ///< total tries per call (>= 1)
   int backoff_initial_ms = 5;    ///< first retry delay; doubles per retry
   int backoff_max_ms = 200;      ///< backoff ceiling
-  int response_timeout_ms = 60000;  ///< per-attempt wait for the response line
 };
 
 class Client {

@@ -10,6 +10,18 @@ namespace lapclique::solver {
 
 using linalg::Vec;
 
+namespace {
+/// Power-iteration steps for estimating the eigenvalue range of L_H^+ L_G
+/// (deterministic).
+constexpr int kRangeIterations = 60;
+/// Safety factor widening the estimated range.
+constexpr double kRangeSafety = 1.3;
+/// If the measured residual exceeds the target, the Chebyshev pass is
+/// restarted with doubled kappa (robustness against a sparsifier whose alpha
+/// deviates from the estimate); up to this many restarts.
+constexpr int kMaxRestarts = 6;
+}  // namespace
+
 LaplacianSolver::LaplacianSolver(const graph::Graph& g,
                                  const LaplacianSolverOptions& opt,
                                  clique::Network* net)
@@ -19,7 +31,7 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
     h_ = g;
   } else {
     spectral::SparsifyResult sp =
-        spectral::deterministic_sparsify(g, opt.sparsify, net);
+        spectral::deterministic_sparsify(g, {}, net);
     h_ = std::move(sp.h);
     sparsify_stats_ = sp.stats;
     if (h_.num_edges() == 0 && g.num_edges() > 0) h_ = g;  // tiny graphs
@@ -35,7 +47,7 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
     : opt_(opt) {
   if (net != nullptr) net->set_phase("solver/repair_sparsifier");
   spectral::SparsifierRepairResult rr =
-      spectral::repair_sparsifier(g, prev.h_, edit, opt.sparsify, net);
+      spectral::repair_sparsifier(g, prev.h_, edit, {}, net);
   h_ = std::move(rr.h);
   sparsifier_rebuilt_ = rr.rebuilt;
   sparsify_stats_ = prev.sparsify_stats_;
@@ -89,7 +101,7 @@ void LaplacianSolver::init_from_sparsifier(const graph::Graph& g,
 
   // lambda_max via power iteration on M.
   double lmax = 1.0;
-  for (int it = 0; it < opt_.range_iterations; ++it) {
+  for (int it = 0; it < kRangeIterations; ++it) {
     Vec mx = apply_m(x);
     linalg::project_out_ones(mx);
     const double mn = linalg::norm2(mx);
@@ -104,7 +116,7 @@ void LaplacianSolver::init_from_sparsifier(const graph::Graph& g,
   }
 
   // lambda_min via power iteration on (lmax_hat * I - M) within the range.
-  const double shift = lmax * opt_.range_safety;
+  const double shift = lmax * kRangeSafety;
   Vec y(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
     y[static_cast<std::size_t>(v)] = ((v * 40503u + 7u) % 999983u) / 999983.0 - 0.5;
@@ -112,7 +124,7 @@ void LaplacianSolver::init_from_sparsifier(const graph::Graph& g,
   linalg::project_out_ones(y);
   norm = linalg::norm2(y);
   if (norm > 0) linalg::scale(1.0 / norm, y);
-  for (int it = 0; it < opt_.range_iterations; ++it) {
+  for (int it = 0; it < kRangeIterations; ++it) {
     Vec my = apply_m(y);
     for (std::size_t i = 0; i < my.size(); ++i) my[i] = shift * y[i] - my[i];
     linalg::project_out_ones(my);
@@ -129,8 +141,8 @@ void LaplacianSolver::init_from_sparsifier(const graph::Graph& g,
     if (!(lmin > 0)) lmin = lmax / 16.0;
   }
 
-  lambda_max_ = lmax * opt_.range_safety;
-  lambda_min_ = lmin / opt_.range_safety;
+  lambda_max_ = lmax * kRangeSafety;
+  lambda_min_ = lmin / kRangeSafety;
   kappa_ = lambda_max_ / lambda_min_;
 
   if (net != nullptr) {
@@ -205,7 +217,7 @@ std::vector<Vec> LaplacianSolver::solve_block(
   // take solved alone — so the block groups every column that shares a level
   // into one Chebyshev call.
   double kappa = kappa_;
-  for (int level = 0; level <= opt_.max_restarts; ++level) {
+  for (int level = 0; level <= kMaxRestarts; ++level) {
     std::vector<std::size_t> active;
     for (std::size_t c = 0; c < k; ++c) {
       if (certified[c] == 0) active.push_back(c);
@@ -251,7 +263,7 @@ std::vector<Vec> LaplacianSolver::solve_block(
     kappa *= 2.0;
   }
   for (std::size_t c = 0; c < k; ++c) {
-    if (certified[c] == 0) restarts[c] = opt_.max_restarts + 1;
+    if (certified[c] == 0) restarts[c] = kMaxRestarts + 1;
     linalg::project_out_ones(x[c]);
   }
 

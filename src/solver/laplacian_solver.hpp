@@ -18,16 +18,6 @@
 namespace lapclique::solver {
 
 struct LaplacianSolverOptions {
-  spectral::SparsifyOptions sparsify;
-  /// Power-iteration steps for estimating the eigenvalue range of
-  /// L_H^+ L_G (deterministic).
-  int range_iterations = 60;
-  /// Safety factor widening the estimated range.
-  double range_safety = 1.3;
-  /// If the measured residual exceeds the target, the Chebyshev pass is
-  /// restarted with doubled kappa (robustness against a sparsifier whose
-  /// alpha deviates from the estimate); up to this many restarts.
-  int max_restarts = 6;
   /// Skip sparsification and precondition with G itself (then every "solve
   /// involving L_H" is an exact solve; 1 iteration).  For testing.
   bool identity_preconditioner = false;

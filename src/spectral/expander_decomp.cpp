@@ -13,6 +13,11 @@ using graph::Graph;
 
 namespace {
 
+/// Recursion depth past which a cluster is accepted uncertified.
+constexpr int kMaxDepth = 64;
+/// Rounds charged per call: ceil(n^gamma).
+constexpr double kRoundGamma = 0.25;
+
 struct Worker {
   const Graph* g;
   const ExpanderDecompOptions* opt;
@@ -49,7 +54,7 @@ struct Worker {
     const FiedlerEstimate fe = fiedler_estimate(sub, popt);
 
     const bool certified = fe.lambda2 / 2.0 >= opt->phi;
-    if (certified || depth >= opt->max_depth) {
+    if (certified || depth >= kMaxDepth) {
       emit_cluster(vertices, fe.lambda2);
       return;
     }
@@ -110,7 +115,7 @@ ExpanderDecomposition expander_decompose(const Graph& g,
   if (net != nullptr) {
     // CS20 round-cost shape: eps^{-O(1)} n^{O(gamma)} per decomposition.
     const auto rounds = static_cast<std::int64_t>(
-        std::ceil(std::pow(std::max(2, g.num_vertices()), opt.round_gamma)));
+        std::ceil(std::pow(std::max(2, g.num_vertices()), kRoundGamma)));
     net->charge(rounds);
   }
   return w.out;

@@ -42,11 +42,10 @@ struct ExpanderDecomposition {
 struct ExpanderDecompOptions {
   double phi = 0.1;
   int power_iterations = 150;
-  int max_depth = 64;
-  double round_gamma = 0.25;  ///< rounds charged per call: ceil(n^gamma)
 };
 
-/// Decomposes G.  If `net` is non-null, charges the model round cost.
+/// Decomposes G (recursion depth at most 64).  If `net` is non-null, charges
+/// the model round cost ceil(n^{1/4}).
 ExpanderDecomposition expander_decompose(const graph::Graph& g,
                                          const ExpanderDecompOptions& opt,
                                          clique::Network* net = nullptr);

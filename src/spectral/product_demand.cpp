@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 
@@ -23,6 +24,9 @@ Graph product_demand_complete(std::span<const double> demands) {
 }
 
 namespace {
+
+/// Class pairs with at most this many potential edges are emitted exactly.
+constexpr std::int64_t kExactThreshold = 64;
 
 /// Candidate edges of a deterministic expander between two vertex groups
 /// (or within one group when a == b), as index pairs into the groups.
@@ -57,8 +61,7 @@ std::vector<std::pair<int, int>> expander_pairs(int p, int q, bool same_group,
 
 }  // namespace
 
-Graph product_demand_sparsifier(std::span<const double> demands,
-                                const ProductDemandOptions& opt) {
+Graph product_demand_sparsifier(std::span<const double> demands) {
   const int k = static_cast<int>(demands.size());
   for (double d : demands) {
     if (!(d > 0)) throw std::invalid_argument("product_demand: demands must be > 0");
@@ -77,10 +80,8 @@ Graph product_demand_sparsifier(std::span<const double> demands,
   cls.reserve(classes.size());
   for (auto& [key, members] : classes) cls.push_back(std::move(members));
 
-  const int degree =
-      opt.expander_degree > 0
-          ? opt.expander_degree
-          : std::max(3, static_cast<int>(std::ceil(std::log2(k + 2))) + 1);
+  // Edges per vertex within a class pair.
+  const int degree = std::max(3, static_cast<int>(std::ceil(std::log2(k + 2))) + 1);
 
   for (std::size_t a = 0; a < cls.size(); ++a) {
     for (std::size_t b = a; b < cls.size(); ++b) {
@@ -106,7 +107,7 @@ Graph product_demand_sparsifier(std::span<const double> demands,
                : static_cast<std::int64_t>(ga.size()) * static_cast<std::int64_t>(gb.size());
 
       std::vector<std::pair<int, int>> pairs;
-      if (potential <= opt.exact_threshold) {
+      if (potential <= kExactThreshold) {
         if (same) {
           for (std::size_t i = 0; i < ga.size(); ++i) {
             for (std::size_t j = i + 1; j < ga.size(); ++j) {

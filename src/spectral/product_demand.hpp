@@ -22,19 +22,12 @@
 
 namespace lapclique::spectral {
 
-struct ProductDemandOptions {
-  /// Edges per vertex within a class pair ~ expander_degree (log-ish default
-  /// chosen by the builder when 0).
-  int expander_degree = 0;
-  /// Class pairs with at most this many potential edges are emitted exactly.
-  int exact_threshold = 64;
-};
-
 /// Sparse deterministic approximation of the product demand graph H(d).
 /// `demands` must be positive.  The result has O(k * deg * log(max/min))
-/// edges and the same total weight as H(d) per class pair.
-graph::Graph product_demand_sparsifier(std::span<const double> demands,
-                                       const ProductDemandOptions& opt = {});
+/// edges, deg = max(3, ceil(log2(k + 2)) + 1), and the same total weight as
+/// H(d) per class pair; class pairs with at most 64 potential edges are
+/// emitted exactly.
+graph::Graph product_demand_sparsifier(std::span<const double> demands);
 
 /// Dense product demand graph (test oracle; k <= a few hundred).
 graph::Graph product_demand_complete(std::span<const double> demands);

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "exec/pool.hpp"
+#include "spectral/product_demand.hpp"
 
 namespace lapclique::spectral {
 
@@ -21,9 +22,8 @@ void sparsify_class(const Graph& g, const std::vector<int>& class_edges,
   const int n = g.num_vertices();
   std::vector<int> current = class_edges;
 
-  const int default_levels =
+  const int max_levels =
       2 * static_cast<int>(std::ceil(std::log2(std::max(2, g.num_edges())))) + 4;
-  const int max_levels = opt.max_levels > 0 ? opt.max_levels : default_levels;
 
   for (int level = 0; level < max_levels && !current.empty(); ++level) {
     stats.levels_used = std::max(stats.levels_used, level + 1);
@@ -51,8 +51,8 @@ void sparsify_class(const Graph& g, const std::vector<int>& class_edges,
       int counted = 0;  ///< clusters in this shard that produced a subgraph
       std::vector<std::tuple<int, int, double>> edges;
     };
-    const auto cluster_work = [&gi, &dec, &opt](std::int64_t /*shard*/,
-                                                std::int64_t b, std::int64_t e) {
+    const auto cluster_work = [&gi, &dec](std::int64_t /*shard*/, std::int64_t b,
+                                          std::int64_t e) {
       ClusterOut out;
       for (std::int64_t ci = b; ci < e; ++ci) {
         const ExpanderCluster& c = dec.clusters[static_cast<std::size_t>(ci)];
@@ -80,7 +80,7 @@ void sparsify_class(const Graph& g, const std::vector<int>& class_edges,
         }
         if (live_local.size() < 2) continue;
 
-        Graph pd = product_demand_sparsifier(live_demand, opt.product_demand);
+        Graph pd = product_demand_sparsifier(live_demand);
         const double scale = 1.0 / (2.0 * total_w);
         for (const Edge& e2 : pd.edges()) {
           const int gu = c.vertices[static_cast<std::size_t>(

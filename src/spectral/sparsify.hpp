@@ -3,8 +3,8 @@
 // Pipeline per binary weight class:
 //   level i:  expander-decompose G_i  ->  for every cluster, replace the
 //   induced expander by a deterministic sparsifier of its product demand
-//   graph;  the crossing edges become G_{i+1}.  O(log m) levels; any edges
-//   left past the cap are added verbatim (exact for those edges, so
+//   graph;  the crossing edges become G_{i+1}.  At most 2*ceil(log2(m)) + 4
+//   levels; any edges left past the cap are added verbatim (exact for those edges, so
 //   soundness is preserved).
 //
 // The result is a graph H on V(G), |E(H)| = O(n log n log U), L_H ~ L_G, and
@@ -17,14 +17,11 @@
 #include "cliquesim/network.hpp"
 #include "graph/graph.hpp"
 #include "spectral/expander_decomp.hpp"
-#include "spectral/product_demand.hpp"
 
 namespace lapclique::spectral {
 
 struct SparsifyOptions {
   ExpanderDecompOptions decomp;
-  ProductDemandOptions product_demand;
-  int max_levels = 0;  ///< 0 = 2*ceil(log2(m)) + 4
   bool use_weight_classes = true;
 };
 

@@ -7,7 +7,9 @@
 //   * attaching a writer never changes what a run computes or charges;
 //   * corrupt, truncated, schema-skewed, or mismatched checkpoint files are
 //     rejected with a located CheckpointError before any run state is
-//     touched (strong guarantee, mirroring the io/ parser hardening);
+//     touched (strong guarantee, mirroring the io/ parser hardening), and so
+//     is every length or count the bytes left could not encode — pinned
+//     case by case and by fixed-seed mutation fuzzing;
 //   * a warm start from a checkpoint of an edited instance is exact and
 //     never needs more IPM batches than a cold start.
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "flow/dinic.hpp"
 #include "flow/ssp_mincost.hpp"
 #include "graph/generators.hpp"
+#include "graph/rng.hpp"
 #include "obs/round_ledger.hpp"
 #include "solver/laplacian_solver.hpp"
 #include "spectral/sparsify.hpp"
@@ -427,6 +430,176 @@ TEST(CheckpointFormat, SchemaSkewRejected) {
   const std::string skewed = tmp_path("fmt_schema");
   spew(skewed, bytes);
   expect_checkpoint_error(skewed, {"schema version skew"});
+}
+
+/// Re-stamps the FNV-1a tail, so the body decoder, not the checksum, is what
+/// sees an edit.
+void restamp(std::string& bytes) {
+  const std::uint64_t sum = ckpt::fnv1a64(bytes.data(), bytes.size() - 8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = static_cast<char>(sum >> (8 * i));
+  }
+}
+
+/// Overwrites the little-endian u64 at byte `at`.
+void poke_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/// `decode` must throw a CheckpointError located at byte `at`; any other
+/// outcome (a result, or another exception type) fails.
+template <typename Decode>
+void expect_rejected_at(const Decode& decode, long long at, const std::string& what) {
+  try {
+    decode();
+    ADD_FAILURE() << what << ": decoded without error";
+  } catch (const ckpt::CheckpointError& ex) {
+    EXPECT_EQ(ex.offset(), at) << what << ": " << ex.what();
+  } catch (const std::exception& ex) {
+    ADD_FAILURE() << what << ": threw a non-CheckpointError: " << ex.what();
+  }
+}
+
+TEST(CheckpointFormat, HugeCountsRejected) {
+  // A minimal container — no fault plan, no ledger, empty op log, empty
+  // payload — whose body ends with the op-log count (8 bytes), the ledger
+  // flag (4), and the payload length (8).
+  ckpt::Checkpoint ck;
+  ck.algo = "maxflow";
+  ck.routing_mode = "charged";
+  const std::string clean = ckpt::encode_checkpoint(ck);
+  const std::size_t op_count_at = clean.size() - 8 - 8 - 4 - 8;
+  // Counts whose reserve would throw std::length_error (2^58 records) or
+  // std::bad_alloc (2^40 records).
+  for (const std::uint64_t count : {std::uint64_t{1} << 58, std::uint64_t{1} << 40}) {
+    std::string bytes = clean;
+    poke_u64(bytes, op_count_at, count);
+    restamp(bytes);
+    expect_rejected_at([&] { (void)ckpt::decode_checkpoint("huge.ckpt", bytes); },
+                       static_cast<long long>(op_count_at),
+                       "op-log count " + std::to_string(count));
+  }
+  // An algo length of 2^64 - 4: a bounds check that adds it to the cursor
+  // wraps, accepts it, and moves the cursor back 4 bytes.
+  {
+    std::string bytes = clean;
+    poke_u64(bytes, 12, ~std::uint64_t{0} - 3);
+    restamp(bytes);
+    expect_rejected_at([&] { (void)ckpt::decode_checkpoint("huge.ckpt", bytes); },
+                       12, "algo length 2^64 - 4");
+  }
+  // An f64 vector of 2^61 + 1 elements: len * 8 wraps to 8, which the
+  // 8 bytes that follow would satisfy.
+  {
+    ckpt::Encoder e;
+    e.u64((std::uint64_t{1} << 61) + 1);
+    e.f64(1.0);
+    ckpt::Decoder d("vec", e.bytes());
+    expect_rejected_at([&] { (void)d.f64_vec(); }, 0, "f64 vector of 2^61 + 1");
+  }
+  // Max-flow's own payload: the transformed-edge count follows 11 scalars
+  // and the potential vector y.  Resuming must reject it, located in the
+  // payload.
+  {
+    ckpt::Checkpoint real =
+        ckpt::load_checkpoint(make_checkpoint_file("huge_src", sweep_flow_network()));
+    ckpt::Decoder d("payload", real.state);
+    for (int i = 0; i < 11; ++i) (void)d.u64();
+    (void)d.f64_vec();
+    const auto edge_count_at = static_cast<std::size_t>(d.offset());
+    ASSERT_LT(edge_count_at + 8, real.state.size());
+    poke_u64(real.state, edge_count_at, std::uint64_t{1} << 58);
+    const std::string path = tmp_path("huge_edges");
+    ckpt::save_checkpoint(path, real);
+    Runtime rt;
+    rt.routing_mode = clique::RoutingMode::kCharged;
+    rt.checkpoint_path = path;
+    rt.resume = true;
+    expect_rejected_at(
+        [&] { (void)max_flow(sweep_flow_network(), 0, 9, quick_max(), rt); },
+        static_cast<long long>(edge_count_at), "max-flow edge count 2^58");
+  }
+}
+
+// --- fixed-seed mutation fuzzing of the container decoder ----------------
+
+/// The bytes of a real checkpoint committed with a fault plan and a trace
+/// ledger attached, so every container section is present.  The instances
+/// are fixed; LAPCLIQUE_TEST_SEED moves only the mutations.
+std::string fuzz_source(const std::string& name, bool min_cost) {
+  const std::string path = tmp_path(name);
+  fault::FaultPlan plan(fault::parse_fault_spec("preempt=2"), 7);
+  obs::RoundLedger ledger;
+  Runtime rt;
+  rt.routing_mode = clique::RoutingMode::kCharged;
+  rt.faults = &plan;
+  rt.trace = &ledger;
+  rt.checkpoint_path = path;
+  try {
+    if (min_cost) {
+      const graph::Digraph g = graph::random_unit_cost_digraph(9, 24, 5, 58);
+      (void)min_cost_flow(g, graph::feasible_unit_demands(g, 2, 108), quick_min(), rt);
+    } else {
+      (void)max_flow(graph::random_flow_network(10, 24, 4, 57), 0, 9, quick_max(), rt);
+    }
+  } catch (const fault::PreemptError&) {
+    // Boundary 2's checkpoint is committed before the preempt fires.
+  }
+  return slurp(path);
+}
+
+TEST(CheckpointFuzz, MutatedContainersDecodeOrReject) {
+  constexpr int kMutations = 300;
+  // Values an 8-byte overwrite plants: lengths that wrap a sum or a
+  // product, exceed memory, or exceed the file.
+  const std::vector<std::uint64_t> large = {
+      ~std::uint64_t{0},          ~std::uint64_t{0} - 3,   std::uint64_t{1} << 63,
+      (std::uint64_t{1} << 61) + 1, std::uint64_t{1} << 58, std::uint64_t{1} << 40,
+      std::uint64_t{1} << 32,     0x7fffffffULL,           4096};
+  graph::SplitMix64 rng(base_seed());
+  for (const bool min_cost : {false, true}) {
+    const std::string source = fuzz_source(min_cost ? "fuzz_mc" : "fuzz_mf", min_cost);
+    const std::size_t payload = ckpt::decode_checkpoint("fuzz.ckpt", source).state.size();
+    const std::size_t body_end = source.size() - 8;
+    // Flips and overwrites land before the payload bytes, which the
+    // container decoder treats as opaque; truncations cut anywhere.
+    const std::size_t structure_end = body_end - payload;
+    ASSERT_GT(structure_end, 64u);
+    for (int i = 0; i < kMutations; ++i) {
+      std::string bytes = source;
+      std::string what;
+      switch (rng.next_below(3)) {
+        case 0: {
+          const std::size_t at = rng.next_below(structure_end);
+          bytes[at] = static_cast<char>(bytes[at] ^ static_cast<char>(1 + rng.next_below(255)));
+          what = "byte flip at " + std::to_string(at);
+          break;
+        }
+        case 1: {
+          const std::size_t at = rng.next_below(structure_end - 7);
+          const std::uint64_t v = large[rng.next_below(large.size())];
+          poke_u64(bytes, at, v);
+          what = "u64 " + std::to_string(v) + " at " + std::to_string(at);
+          break;
+        }
+        default: {
+          const std::size_t keep = rng.next_below(body_end);
+          bytes = source.substr(0, keep) + std::string(8, '\0');
+          what = "cut after byte " + std::to_string(keep);
+          break;
+        }
+      }
+      restamp(bytes);
+      try {
+        (void)ckpt::decode_checkpoint("fuzz.ckpt", bytes);
+      } catch (const ckpt::CheckpointError&) {
+        // The one allowed failure.
+      } catch (const std::exception& ex) {
+        ADD_FAILURE() << (min_cost ? "mincost " : "maxflow ") << what
+                      << ": threw a non-CheckpointError: " << ex.what();
+      }
+    }
+  }
 }
 
 void expect_resume_rejected(const graph::Digraph& g, const Runtime& rt,

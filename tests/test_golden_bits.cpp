@@ -1,5 +1,8 @@
 // Golden bits of the two IPMs: the FNV-1a hash of the last LAPCKPT snapshot
 // of a run, together with its rounds, words, and Laplacian solve count.
+// The IPM payload inside that snapshot is pinned on its own as well, so a
+// change to the container encoding can re-pin the file hash while the
+// payload pin shows that no solve bit moved.
 //
 // The snapshot carries the fractional iterate (max-flow: the transformed
 // graph's f and y; min-cost: f, y, s, nu), so any drift in the bits of an
@@ -39,6 +42,11 @@ std::uint64_t file_hash(const std::string& path) {
   return ckpt::fnv1a64(bytes.data(), bytes.size());
 }
 
+std::uint64_t payload_hash(const std::string& path) {
+  const std::string state = ckpt::load_checkpoint(path).state;
+  return ckpt::fnv1a64(state.data(), state.size());
+}
+
 // 24 vertices, 96 arcs at iteration_scale 0.02: 67 IPM iterations of which
 // 60 are Boosting steps, so the run factors two topologies — the initial
 // transformed graph and the boosted one, whose last solves take the sparse
@@ -61,6 +69,7 @@ TEST(GoldenBits, MaxFlowLastCheckpoint) {
   EXPECT_EQ(rep.run.numerics, "sparse");
   EXPECT_EQ(rep.run.factor_fill, 2042);
   EXPECT_EQ(file_hash(path), 3128508377064401522u);
+  EXPECT_EQ(payload_hash(path), 11608838109934518391u);
 }
 
 TEST(GoldenBits, MinCostLastCheckpoint) {
@@ -84,6 +93,7 @@ TEST(GoldenBits, MinCostLastCheckpoint) {
   EXPECT_EQ(rep.run.numerics, "dense");
   EXPECT_EQ(rep.run.factor_fill, 1953);
   EXPECT_EQ(file_hash(path), 9772931731610942808u);
+  EXPECT_EQ(payload_hash(path), 12545538646279334509u);
 }
 
 }  // namespace
