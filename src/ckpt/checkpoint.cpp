@@ -540,15 +540,14 @@ std::string fault_signature(const Checkpoint& ck) {
   return text + "#" + std::to_string(ck.fault_seed);
 }
 
-void verify_compatible(const Checkpoint& ck, const std::string& algo,
-                       std::uint64_t graph_hash, const clique::Network& net,
-                       bool check_graph_hash) {
+void resume_run(const Checkpoint& ck, const std::string& algo,
+                std::uint64_t graph_hash, clique::Network& net) {
   if (ck.algo != algo) {
     throw CheckpointError(where(ck), offset_of(ck, "algo"),
                           "checkpoint is for algorithm '" + ck.algo +
                               "' but this run is '" + algo + "'");
   }
-  if (check_graph_hash && ck.graph_hash != graph_hash) {
+  if (ck.graph_hash != graph_hash) {
     throw CheckpointError(
         where(ck), offset_of(ck, "graph_hash"),
         "graph hash mismatch: checkpoint " + std::to_string(ck.graph_hash) +
@@ -576,10 +575,6 @@ void verify_compatible(const Checkpoint& ck, const std::string& algo,
             "' (the injected fault stream is part of the deterministic "
             "accounting)");
   }
-}
-
-const std::string& restore_run_state(const Checkpoint& ck,
-                                     clique::Network& net) {
   obs::RoundLedger* tracer = net.tracer();
   if (tracer != nullptr && !ck.has_ledger) {
     throw CheckpointError(
@@ -588,14 +583,13 @@ const std::string& restore_run_state(const Checkpoint& ck,
         "carries none — the resumed trace could not be byte-faithful "
         "(resume without a tracer, or re-checkpoint with one attached)");
   }
-  // Order matters: nothing below throws, so a failed resume (above) leaves
+  // Order matters: nothing below throws, so a rejected resume (above) leaves
   // the run container untouched (strong guarantee).
   if (tracer != nullptr) tracer->restore(ck.ledger);
   net.restore(ck.net);
   if (net.fault_plan() != nullptr && ck.has_fault_plan) {
     net.fault_plan()->restore(ck.fault_state);
   }
-  return ck.state;
 }
 
 // --- writer ----------------------------------------------------------------
@@ -638,12 +632,6 @@ void CheckpointWriter::commit(const clique::Network& net,
   ++written_;
 }
 
-void maybe_preempt(const fault::FaultPlan* plan, std::int64_t batch) {
-  if (plan != nullptr && plan->preempt_due(batch)) {
-    throw fault::PreemptError(batch);
-  }
-}
-
 namespace {
 /// The calling thread's boundary check (empty = none).  Thread-local, so
 /// concurrent serve requests each enforce their own deadline.
@@ -657,17 +645,17 @@ CancellationScope::CancellationScope(CancellationFn fn)
 
 CancellationScope::~CancellationScope() { tls_cancellation = std::move(prev_); }
 
-void poll_cancellation(std::int64_t batch) {
-  if (tls_cancellation) tls_cancellation(batch);
-}
-
 void boundary(const CheckpointHooks& hooks, clique::Network& net,
               std::int64_t batch, const char* algo, std::uint64_t graph_hash,
               const std::function<std::string()>& encode_state) {
+  if (tls_cancellation) tls_cancellation(batch);
   if (hooks.writer != nullptr && hooks.writer->due(batch)) {
     hooks.writer->commit(net, algo, graph_hash, batch, encode_state());
   }
-  maybe_preempt(net.fault_plan(), batch);
+  const fault::FaultPlan* plan = net.fault_plan();
+  if (plan != nullptr && plan->preempt_due(batch)) {
+    throw fault::PreemptError(batch);
+  }
 }
 
 }  // namespace lapclique::ckpt

@@ -183,22 +183,17 @@ void save_checkpoint(const std::string& path, const Checkpoint& ck);
 [[nodiscard]] std::string fault_signature(const fault::FaultPlan* plan);
 [[nodiscard]] std::string fault_signature(const Checkpoint& ck);
 
-/// Header-vs-run compatibility: algorithm, graph hash (skipped for
-/// warm starts onto an edited graph when `check_graph_hash` is false),
-/// routing mode, and fault signature must all match, else a located
-/// CheckpointError.  Thread count is informational (outputs are
-/// thread-invariant by the determinism contract) and not checked.
-void verify_compatible(const Checkpoint& ck, const std::string& algo,
-                       std::uint64_t graph_hash, const clique::Network& net,
-                       bool check_graph_hash = true);
-
-/// Restore the run-container state (network accounting, attached ledger,
-/// attached fault plan) from a verified checkpoint.  Must run before the
-/// resumed code path charges anything.  Returns the algorithm payload.
-/// Throws CheckpointError if a tracer is attached but the checkpoint carries
-/// no ledger (the resumed trace could not be byte-faithful).
-const std::string& restore_run_state(const Checkpoint& ck,
-                                     clique::Network& net);
+/// Continue a run from a checkpoint.  Checks the header against the run —
+/// algorithm, graph hash, routing mode, and fault signature must all match —
+/// and, when a tracer is attached, that the checkpoint carries a ledger for
+/// it to continue (else the resumed trace could not be byte-faithful).  Only
+/// then restores the run container: network accounting, attached ledger,
+/// attached fault plan.  Every rejection is a located CheckpointError thrown
+/// before the run is touched.  Must run before the resumed code path charges
+/// anything.  Thread count is informational (outputs are thread-invariant by
+/// the determinism contract) and not checked.
+void resume_run(const Checkpoint& ck, const std::string& algo,
+                std::uint64_t graph_hash, clique::Network& net);
 
 /// Writes checkpoints for one run.  `due(batch)` is true every `every`-th
 /// boundary (boundary 0 included, so even a run preempted in its first batch
@@ -230,21 +225,15 @@ class CheckpointWriter {
 };
 
 /// How a run participates in checkpointing, threaded through the IPM option
-/// structs.  All pointers are non-owning and may be null.
+/// structs.  Both pointers are non-owning and may be null.
 struct CheckpointHooks {
-  CheckpointWriter* writer = nullptr;     ///< write at due boundaries
-  const Checkpoint* resume = nullptr;     ///< continue bit-identically from here
-  const Checkpoint* warm_start = nullptr; ///< seed the iterate from here (graph may differ)
+  CheckpointWriter* writer = nullptr;  ///< write at due boundaries
+  const Checkpoint* resume = nullptr;  ///< continue bit-identically from here
 
   [[nodiscard]] bool any() const {
-    return writer != nullptr || resume != nullptr || warm_start != nullptr;
+    return writer != nullptr || resume != nullptr;
   }
 };
-
-/// Throw fault::PreemptError if the attached plan schedules a process kill
-/// at this boundary.  Called AFTER the boundary's checkpoint write, so a
-/// preempted run always leaves a resumable snapshot of the batch it died at.
-void maybe_preempt(const fault::FaultPlan* plan, std::int64_t batch);
 
 // --- cooperative cancellation at batch boundaries --------------------------
 //
@@ -262,7 +251,7 @@ using CancellationFn = std::function<void(std::int64_t batch)>;
 
 /// RAII: installs `fn` as the calling thread's boundary check, restoring
 /// the previous one (usually none) on destruction.  An empty fn is allowed
-/// and makes poll_cancellation a no-op for the scope.
+/// and makes the check a no-op for the scope.
 class CancellationScope {
  public:
   explicit CancellationScope(CancellationFn fn);
@@ -274,12 +263,12 @@ class CancellationScope {
   CancellationFn prev_;
 };
 
-/// Invoke the calling thread's installed check, if any.  Cheap when none is
-/// installed (one thread-local load), so the IPMs call it unconditionally.
-void poll_cancellation(std::int64_t batch);
-
-/// The per-boundary call the IPMs make: write a checkpoint when one is due
-/// (the payload thunk runs only then), then honor a scheduled preemption.
+/// The per-boundary call the IPMs make unconditionally: run the calling
+/// thread's cancellation check, write a checkpoint when one is due (the
+/// payload thunk runs only then), then throw fault::PreemptError if the
+/// attached plan schedules a process kill here — after the write, so a
+/// preempted run always leaves a resumable snapshot of the batch it died at.
+/// With no check installed, no writer, and no fault plan it does nothing.
 void boundary(const CheckpointHooks& hooks, clique::Network& net,
               std::int64_t batch, const char* algo, std::uint64_t graph_hash,
               const std::function<std::string()>& encode_state);

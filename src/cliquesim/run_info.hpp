@@ -28,12 +28,6 @@ struct RunInfo {
   /// still correct; the round count includes the fallback's gather).
   bool used_fallback = false;
   std::string fallback_reason;
-  /// The iterate was seeded from a checkpoint of a (possibly edited) graph
-  /// instead of cold-started; `warm_start_batch` is that checkpoint's batch
-  /// index.  It is not a count of iterations saved: the warm run still runs
-  /// its own iteration budget (see docs/CHECKPOINT.md).
-  bool used_warm_start = false;
-  std::int64_t warm_start_batch = 0;
   /// Numerics backend that produced this run's Laplacian factorizations
   /// ("dense" / "sparse"; empty when the run factored nothing).  Set by the
   /// solver/flow layers, not by capture() — backend choice is numerics

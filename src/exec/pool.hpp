@@ -17,8 +17,8 @@
 //   * ...every shard owns its outputs: parallel_for bodies write disjoint
 //     index ranges with a fixed per-index arithmetic sequence, and
 //   * reductions go through per-shard partials combined *in shard-index
-//     order* on the calling thread (sharded_map / parallel_reduce) — never
-//     through atomics on doubles or combining in completion order.
+//     order* on the calling thread (sharded_map) — never through atomics on
+//     doubles or combining in completion order.
 //
 // Thread-count selection: exec::set_threads / exec::ThreadScope bound how
 // many workers participate; the process default comes from the
@@ -148,23 +148,6 @@ std::vector<T> sharded_map(std::int64_t count, std::int64_t grain, ShardFn&& fn)
     partials[static_cast<std::size_t>(s)] = fn(s, b, e);
   });
   return partials;
-}
-
-/// Deterministic reduction: per-shard partials (map, computed in parallel)
-/// combined in ascending shard order on the calling thread (combine,
-/// sequential).  No atomics on the accumulator — the result is identical
-/// for every thread count, including 1.
-template <class T, class MapFn, class CombineFn>
-T parallel_reduce(std::int64_t count, std::int64_t grain, T init, MapFn&& map,
-                  CombineFn&& combine) {
-  std::vector<T> partials = sharded_map<T>(
-      count, grain,
-      [&map](std::int64_t /*shard*/, std::int64_t b, std::int64_t e) {
-        return map(b, e);
-      });
-  T acc = std::move(init);
-  for (T& p : partials) acc = combine(std::move(acc), std::move(p));
-  return acc;
 }
 
 /// A bounded set of long-lived task workers, the serving frontend's

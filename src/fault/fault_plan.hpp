@@ -111,7 +111,7 @@ struct FaultSpec {
   }
 };
 
-/// Thrown by the checkpoint layer (ckpt::maybe_preempt) when the plan
+/// Thrown by the checkpoint layer (ckpt::boundary) when the plan
 /// schedules a process kill at the current batch boundary — the simulated
 /// equivalent of SIGTERM from a preempting scheduler.  The run's checkpoint
 /// for that boundary is on disk before this propagates.

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
 #include <queue>
 #include <stdexcept>
-#include <tuple>
 
 #include "euler/flow_round.hpp"
 #include "flow/dinic.hpp"
@@ -98,7 +96,7 @@ double min_residual(const TEdge& e) { return std::min(e.up - e.f, e.um + e.f); }
 /// the resistances, so one ElectricalSolver serves every solve on a
 /// topology and is refactored in place; Boosting, the one step that changes
 /// the topology, drops it and the next solve builds the solver for the new
-/// one.  A resumed or warm-started run starts with none.
+/// one.  A resumed run starts with none.
 struct Electrical {
   const MaxFlowIpmOptions& opt;
   clique::Network& net;
@@ -303,10 +301,10 @@ void boosting(Transformed& tr, const std::vector<double>& rho,
 /// Restores exact conservation at every vertex other than s and t: pushes
 /// each vertex's excess to its parent in a BFS tree of the transformed graph
 /// rooted at s, children first.  `flow` holds one entry per edge, in grid
-/// units (snap_and_repair) or as raw fractional flow (repair_conservation).
-template <typename T>
-void push_excess_to_source(const Transformed& tr, int s, int t, std::vector<T>& flow) {
-  std::vector<T> excess(static_cast<std::size_t>(tr.nv), 0);
+/// units.
+void push_excess_to_source(const Transformed& tr, int s, int t,
+                           std::vector<std::int64_t>& flow) {
+  std::vector<std::int64_t> excess(static_cast<std::size_t>(tr.nv), 0);
   for (std::size_t i = 0; i < tr.edges.size(); ++i) {
     excess[static_cast<std::size_t>(tr.edges[i].v)] += flow[i];
     excess[static_cast<std::size_t>(tr.edges[i].u)] -= flow[i];
@@ -341,7 +339,7 @@ void push_excess_to_source(const Transformed& tr, int s, int t, std::vector<T>& 
   for (auto it = bfs_order.rbegin(); it != bfs_order.rend(); ++it) {
     const int v = *it;
     if (v == s || v == t) continue;
-    const T ex = excess[static_cast<std::size_t>(v)];
+    const std::int64_t ex = excess[static_cast<std::size_t>(v)];
     if (ex == 0) continue;
     const int ei = parent_edge[static_cast<std::size_t>(v)];
     if (ei < 0) continue;
@@ -388,7 +386,7 @@ std::vector<std::int64_t> repair_to_feasible(const Digraph& g, int s, int t,
   return dinic_max_flow(capped, s, t).flow;
 }
 
-// --- checkpoint/resume/warm-start support (src/ckpt) ------------------------
+// --- checkpoint/resume support (src/ckpt) ----------------------------------
 
 constexpr const char* kCkptAlgo = "maxflow";
 
@@ -477,58 +475,6 @@ IpmLoopState decode_ipm_state(const ckpt::Checkpoint& ck,
   return st;
 }
 
-/// Restore exact conservation of the fractional flow at every non-terminal
-/// vertex (the warm-start twin of snap_and_repair).
-void repair_conservation(Transformed& tr, int s, int t) {
-  std::vector<double> f(tr.edges.size());
-  for (std::size_t i = 0; i < tr.edges.size(); ++i) f[i] = tr.edges[i].f;
-  push_excess_to_source(tr, s, t, f);
-  for (std::size_t i = 0; i < tr.edges.size(); ++i) tr.edges[i].f = f[i];
-}
-
-/// Seed a freshly built Transformed from a checkpointed iterate of a
-/// (possibly edited) graph: transfer flows for structurally matching edges
-/// and duals for surviving vertices, repair conservation, then scale the
-/// whole flow into the strict interior.  Scaling preserves conservation and
-/// f = 0 is interior, so a feasible lambda always exists — the projected
-/// iterate is a valid starting point no matter how drastic the edit was.
-void warm_transfer(Transformed& tr, const Transformed& old, int s, int t) {
-  // Flows keyed by (kind, u, v), parallel edges matched in order.  Old boost
-  // edges (and their virtual vertices) are dropped: they reference arc
-  // surgery the new run has not performed.
-  std::map<std::tuple<int, int, int>, std::vector<double>> flows;
-  for (const TEdge& e : old.edges) {
-    if (e.kind == EKind::kBoost) continue;
-    flows[{static_cast<int>(e.kind), e.u, e.v}].push_back(e.f);
-  }
-  std::map<std::tuple<int, int, int>, std::size_t> cursor;
-  for (TEdge& e : tr.edges) {
-    const std::tuple<int, int, int> key{static_cast<int>(e.kind), e.u, e.v};
-    const auto it = flows.find(key);
-    if (it == flows.end()) continue;
-    std::size_t& idx = cursor[key];
-    if (idx >= it->second.size()) continue;
-    e.f = it->second[idx++];
-  }
-  const std::size_t ny = std::min(tr.y.size(), old.y.size());
-  for (std::size_t v = 0; v < ny; ++v) tr.y[v] = old.y[v];
-
-  repair_conservation(tr, s, t);
-
-  double lambda = 1.0;
-  for (const TEdge& e : tr.edges) {
-    if (e.f > 0) {
-      lambda = std::min(lambda, 0.9 * e.up / e.f);
-    } else if (e.f < 0) {
-      lambda = std::min(lambda, 0.9 * e.um / -e.f);
-    }
-  }
-  lambda = std::max(lambda, 0.0);
-  if (lambda < 1.0) {
-    for (TEdge& e : tr.edges) e.f *= lambda;
-  }
-}
-
 }  // namespace
 
 MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
@@ -554,8 +500,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     // run left them.  In particular set_phase must NOT run here: the
     // restored ledger already holds the open "maxflow/ipm" phase span, and
     // re-switching would bump its visit count.
-    ckpt::verify_compatible(*hooks.resume, kCkptAlgo, ghash, net);
-    ckpt::restore_run_state(*hooks.resume, net);
+    ckpt::resume_run(*hooks.resume, kCkptAlgo, ghash, net);
     st = decode_ipm_state(*hooks.resume, rep);
     it0 = hooks.resume->batch;
   } else {
@@ -593,37 +538,14 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
         2.0 * static_cast<double>(max_cap) * static_cast<double>(g.num_arcs());
     st.target_f = cap_sum + precond_cap + 2.0 * bound;
 
-    if (hooks.warm_start != nullptr) {
-      // Warm start after an edge edit: project the checkpointed iterate
-      // onto the freshly built transformed graph (the graph hash check is
-      // skipped — the instance changed by construction; everything else in
-      // the header must still agree) and inherit the checkpointed
-      // calibration instead of re-running it: the edit is local, so the
-      // Theorem 1.1 round cost of this topology is unchanged to first
-      // order.  Exactness is never at risk — the finisher closes whatever
-      // gap a stale iterate leaves.
-      ckpt::verify_compatible(*hooks.warm_start, kCkptAlgo, ghash, net,
-                              /*check_graph_hash=*/false);
-      MaxFlowIpmReport old_rep;
-      const IpmLoopState old = decode_ipm_state(*hooks.warm_start, old_rep);
-      net.set_phase("maxflow/warm_start");
-      warm_transfer(st.tr, old.tr, s, t);
-      rep.rounds_per_solve = old_rep.rounds_per_solve;
-      net.charge_announcement();
-      rep.run.used_warm_start = true;
-      rep.run.warm_start_batch = hooks.warm_start->batch;
-    } else {
-      // Calibrate the Theorem 1.1 round cost at this topology.
-      net.set_phase("maxflow/calibration");
-      std::vector<ElectricalEdge> cal;
-      for (const TEdge& e : st.tr.edges) cal.push_back({e.u, e.v, resistance(e)});
-      rep.rounds_per_solve =
-          calibrate_solve_rounds(st.tr.nv, cal, kSolveEps, opt.numerics);
-      {
-        // The calibration solve itself (broadcast rounds, like every solve).
-        net.charge_all_to_all(rep.rounds_per_solve);
-      }
-    }
+    // Calibrate the Theorem 1.1 round cost at this topology.
+    net.set_phase("maxflow/calibration");
+    std::vector<ElectricalEdge> cal;
+    for (const TEdge& e : st.tr.edges) cal.push_back({e.u, e.v, resistance(e)});
+    rep.rounds_per_solve =
+        calibrate_solve_rounds(st.tr.nv, cal, kSolveEps, opt.numerics);
+    // The calibration solve itself (broadcast rounds, like every solve).
+    net.charge_all_to_all(rep.rounds_per_solve);
   }
 
   Transformed& tr = st.tr;
@@ -648,7 +570,6 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
 
   // Progress loop (Algorithm 2, lines 6-18).
   fault::FaultPlan* plan = net.fault_plan();
-  const bool boundaries = hooks.writer != nullptr || plan != nullptr;
   // Guard rail: a diverging electrical-flow step leaves NaN/inf in the edge
   // flows or potentials.  Detect it after every solve and degrade to the
   // exact sequential baseline (the whole point of the IPM is round count,
@@ -703,9 +624,8 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     // Boundary 0: the state after initial augmentation, so even a run
     // preempted inside its very first loop batch resumes instead of
     // restarting.  Boundaries double as deadline-check points for the serve
-    // frontend, polled even when no checkpoint hooks are attached.
-    ckpt::poll_cancellation(0);
-    if (boundaries) ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, encode);
+    // frontend, checked even when no checkpoint hooks are attached.
+    ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, encode);
   }
 
   for (std::int64_t it = it0; it < iters; ++it) {
@@ -732,10 +652,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     // Boundary it+1: the state a continuation entering the loop at it+1
     // needs — written before the preempt check, so a preempted run always
     // leaves the snapshot it will resume from.
-    ckpt::poll_cancellation(it + 1);
-    if (boundaries) {
-      ckpt::boundary(hooks, net, it + 1, kCkptAlgo, ghash, encode);
-    }
+    ckpt::boundary(hooks, net, it + 1, kCkptAlgo, ghash, encode);
   }
   if (const char* reason = divergence()) return degrade(reason);
   rep.routed_fraction = tr.value_out_of(s) / std::max(target_f, 1e-9);

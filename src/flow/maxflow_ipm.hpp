@@ -31,8 +31,8 @@
 // refactors it numerically for each solve; Boosting drops it and the next
 // solve builds the solver for the boosted graph.  A refactor is bitwise a
 // fresh factor, so iteration counts, Boosting choices and rounds do not
-// depend on the reuse, and a resumed or warm-started run simply builds its
-// solver at its first solve (checkpoints carry no factor state).
+// depend on the reuse, and a resumed run simply builds its solver at its
+// first solve (checkpoints carry no factor state).
 #pragma once
 
 #include <cstdint>
@@ -67,10 +67,9 @@ struct MaxFlowIpmOptions {
   /// exact sequential Dinic baseline and set MaxFlowIpmReport::used_fallback
   /// instead of propagating NaNs.  Set false to throw instead.
   bool fallback_on_divergence = true;
-  /// Checkpoint/resume/warm-start participation (src/ckpt): `writer` commits
-  /// a resumable snapshot at every due batch boundary, `resume` continues a
-  /// checkpointed run bit-identically, `warm_start` seeds the iterate from a
-  /// checkpoint of a (possibly edited) graph.  All pointers non-owning.
+  /// Checkpoint/resume participation (src/ckpt): `writer` commits a
+  /// resumable snapshot at every due batch boundary, `resume` continues a
+  /// checkpointed run bit-identically.  Both pointers non-owning.
   ckpt::CheckpointHooks checkpoint;
 };
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <tuple>
 
 #include "euler/flow_round.hpp"
 #include "flow/distributed_sssp.hpp"
@@ -161,7 +159,7 @@ BipartiteElectrical make_electrical(const Lifted& lf,
   return be;
 }
 
-// --- checkpoint/resume/warm-start support (src/ckpt) ------------------------
+// --- checkpoint/resume support (src/ckpt) ----------------------------------
 
 constexpr const char* kCkptAlgo = "mincost";
 
@@ -176,9 +174,9 @@ struct IpmLoopState {
 };
 
 /// The decoded payload: loop state plus the checkpointed lift's central-path
-/// vectors and the G1 arc keys a warm start matches against.  (Resume rebuilds
-/// the identical G1 via build_lifted — charge-free and deterministic — and
-/// only validates sizes; warm starts re-key edge-by-edge.)
+/// vectors and G1 arc keys.  (Resume rebuilds the identical G1 via
+/// build_lifted — charge-free and deterministic — and only validates sizes
+/// against the keys.)
 struct DecodedState {
   IpmLoopState st;
   std::vector<std::int64_t> arc_from;
@@ -261,51 +259,6 @@ DecodedState decode_ipm_state(const ckpt::Checkpoint& ck,
   return ds;
 }
 
-/// Seed a freshly built lift from a checkpointed iterate of a (possibly
-/// edited) instance.  Non-aux G1 arcs are keyed by (from, to, cost) with
-/// parallel arcs matched in order; each match carries its bipartite pair's
-/// f/s/nu and its Q-side dual, and P-side duals transfer for surviving
-/// vertices.  Aux arcs never transfer (their ||c||_1 cost moves with every
-/// edit).  Everything is clamped back into the IPM's strict interior, and
-/// mu_hat is inherited — the already-walked stretch of central path is
-/// exactly the work a warm start keeps.  Exactness is never at risk: the
-/// Repairing stage finishes from any interior point.
-void warm_transfer(Lifted& lf, const DecodedState& old) {
-  std::map<std::tuple<std::int64_t, std::int64_t, std::int64_t>,
-           std::vector<std::size_t>>
-      arcs;
-  for (std::size_t q = 0; q < old.arc_from.size(); ++q) {
-    if (old.arc_aux[q] != 0) continue;
-    arcs[{old.arc_from[q], old.arc_to[q], old.arc_cost[q]}].push_back(q);
-  }
-  std::map<std::tuple<std::int64_t, std::int64_t, std::int64_t>, std::size_t>
-      cursor;
-  const std::size_t nq_old = old.arc_from.size();
-  const std::size_t np_old = old.y.size() >= nq_old ? old.y.size() - nq_old : 0;
-  for (int q = 0; q < lf.nq; ++q) {
-    if (lf.is_aux[static_cast<std::size_t>(q)] != 0) continue;
-    const graph::Arc& a = lf.g1.arc(q);
-    const std::tuple<std::int64_t, std::int64_t, std::int64_t> key{
-        a.from, a.to, a.cost};
-    const auto it = arcs.find(key);
-    if (it == arcs.end()) continue;
-    std::size_t& idx = cursor[key];
-    if (idx >= it->second.size()) continue;
-    const std::size_t oq = it->second[idx++];
-    for (int side = 0; side < 2; ++side) {
-      const auto en = static_cast<std::size_t>(2 * q + side);
-      const std::size_t eo = 2 * oq + static_cast<std::size_t>(side);
-      lf.f[en] = std::clamp(old.f[eo], 1e-9, 1.0 - 1e-9);
-      lf.s[en] = std::max(old.s[eo], 1e-12);
-      if (old.nu[eo] > 0) lf.nu[en] = old.nu[eo];
-    }
-    lf.y[static_cast<std::size_t>(lf.np + q)] = old.y[np_old + oq];
-  }
-  const auto nyp = std::min(static_cast<std::size_t>(lf.np), np_old);
-  for (std::size_t v = 0; v < nyp; ++v) lf.y[v] = old.y[v];
-  if (old.mu_hat > 0 && std::isfinite(old.mu_hat)) lf.mu_hat = old.mu_hat;
-}
-
 }  // namespace
 
 MinCostIpmReport min_cost_flow_clique(const Digraph& g,
@@ -346,8 +299,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // span, and re-switching would bump its visit count.  build_lifted above
     // is charge-free and deterministic, so the rebuilt G1 is the one the
     // checkpoint describes; the decoded sizes are checked against it.
-    ckpt::verify_compatible(*hooks.resume, kCkptAlgo, ghash, net);
-    ckpt::restore_run_state(*hooks.resume, net);
+    ckpt::resume_run(*hooks.resume, kCkptAlgo, ghash, net);
     DecodedState ds = decode_ipm_state(*hooks.resume, rep);
     if (static_cast<int>(ds.arc_from.size()) != lf.nq ||
         ds.y.size() != static_cast<std::size_t>(lf.np + lf.nq)) {
@@ -368,37 +320,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     st.rounds_before = net.rounds();
     st.words_before = net.words_sent();
     net.charge_announcement();
-  }
 
-  // Demand vector for the electrical solves: the bipartite flow goes P -> Q,
-  // so P vertices are producers (-b) and Q vertices consumers (+b).
-  linalg::Vec chi(static_cast<std::size_t>(lf.np + lf.nq + 1), 0.0);
-  for (int u = 0; u < lf.np; ++u) {
-    chi[static_cast<std::size_t>(u)] = -static_cast<double>(lf.b[static_cast<std::size_t>(u)]);
-  }
-  for (int q = 0; q < lf.nq; ++q) {
-    chi[static_cast<std::size_t>(lf.np + q)] =
-        static_cast<double>(lf.b[static_cast<std::size_t>(lf.np + q)]);
-  }
-
-  if (hooks.resume == nullptr && hooks.warm_start != nullptr) {
-    // Warm start after an edge edit: project the checkpointed iterate onto
-    // the freshly built lift (the graph hash check is skipped — the instance
-    // changed by construction; everything else in the header must still
-    // agree) and inherit the checkpointed calibration instead of re-running
-    // it: the edit is local, so the Theorem 1.1 round cost of this topology
-    // is unchanged to first order.
-    ckpt::verify_compatible(*hooks.warm_start, kCkptAlgo, ghash, net,
-                            /*check_graph_hash=*/false);
-    MinCostIpmReport old_rep;
-    const DecodedState old = decode_ipm_state(*hooks.warm_start, old_rep);
-    net.set_phase("mincost/warm_start");
-    warm_transfer(lf, old);
-    rep.rounds_per_solve = old_rep.rounds_per_solve;
-    net.charge_announcement();
-    rep.run.used_warm_start = true;
-    rep.run.warm_start_batch = hooks.warm_start->batch;
-  } else if (hooks.resume == nullptr) {
     // Calibrate the Theorem 1.1 round charge at this topology.
     net.set_phase("mincost/calibration");
     std::vector<double> r0(static_cast<std::size_t>(me));
@@ -412,12 +334,22 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
         calibrate_solve_rounds(be.nv, be.edges, kSolveEps, opt.numerics);
     // The calibration solve itself (broadcast rounds, like every solve).
     net.charge_all_to_all(rep.rounds_per_solve);
+    net.set_phase("mincost/ipm");
+  }
+
+  // Demand vector for the electrical solves: the bipartite flow goes P -> Q,
+  // so P vertices are producers (-b) and Q vertices consumers (+b).
+  linalg::Vec chi(static_cast<std::size_t>(lf.np + lf.nq + 1), 0.0);
+  for (int u = 0; u < lf.np; ++u) {
+    chi[static_cast<std::size_t>(u)] = -static_cast<double>(lf.b[static_cast<std::size_t>(u)]);
+  }
+  for (int q = 0; q < lf.nq; ++q) {
+    chi[static_cast<std::size_t>(lf.np + q)] =
+        static_cast<double>(lf.b[static_cast<std::size_t>(lf.np + q)]);
   }
 
   // Main loop (Algorithm 6) with the CMSV budget and early exit on mu_hat.
-  if (hooks.resume == nullptr) net.set_phase("mincost/ipm");
   fault::FaultPlan* plan = net.fault_plan();
-  const bool boundaries = hooks.writer != nullptr || plan != nullptr;
   const std::int64_t rounds_before = st.rounds_before;
   const std::int64_t words_before = st.words_before;
   // One electrical solver per run: the bipartite topology plus the v0 star
@@ -524,9 +456,8 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // Boundary 0: the state after calibration, before any Progress step, so
     // even a run preempted inside its very first batch resumes instead of
     // restarting.  Boundaries double as deadline-check points for the serve
-    // frontend, polled even when no checkpoint hooks are attached.
-    ckpt::poll_cancellation(0);
-    if (boundaries) ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, encode);
+    // frontend, checked even when no checkpoint hooks are attached.
+    ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, encode);
   }
 
   // The historical outer x inner nesting is flattened to one counter t so a
@@ -671,10 +602,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // written before the preempt check inside ckpt::boundary, so a preempted
     // run always leaves the snapshot it will resume from.  A finished iterate
     // (done) writes no boundary: resume always re-enters the loop live.
-    if (!done) {
-      ckpt::poll_cancellation(t + 1);
-      if (boundaries) ckpt::boundary(hooks, net, t + 1, kCkptAlgo, ghash, encode);
-    }
+    if (!done) ckpt::boundary(hooks, net, t + 1, kCkptAlgo, ghash, encode);
   }
   if (const char* reason = divergence()) return degrade(reason);
 

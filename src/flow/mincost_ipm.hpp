@@ -49,10 +49,9 @@ struct MinCostIpmOptions {
   /// exact sequential SSP baseline and set MinCostIpmReport::used_fallback
   /// instead of propagating NaNs.  Set false to throw instead.
   bool fallback_on_divergence = true;
-  /// Checkpoint/resume/warm-start participation (src/ckpt): `writer` commits
-  /// a resumable snapshot at every due batch boundary, `resume` continues a
-  /// checkpointed run bit-identically, `warm_start` seeds the iterate from a
-  /// checkpoint of a (possibly edited) graph.  All pointers non-owning.
+  /// Checkpoint/resume participation (src/ckpt): `writer` commits a
+  /// resumable snapshot at every due batch boundary, `resume` continues a
+  /// checkpointed run bit-identically.  Both pointers non-owning.
   ckpt::CheckpointHooks checkpoint;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -160,6 +161,9 @@ MinCostProblem read_dimacs_min_cost(std::istream& in) {
         ss >> id >> supply;
         if (!ss || id < 1 || id > n) {
           throw ParseError(reader.line_no(), "bad node descriptor");
+        }
+        if (supply == std::numeric_limits<std::int64_t>::min()) {
+          throw ParseError(reader.line_no(), "node supply out of range");
         }
         // DIMACS supply (positive = produces) -> sigma (excess) = -supply.
         p.sigma[static_cast<std::size_t>(id - 1)] = -supply;

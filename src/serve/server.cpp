@@ -233,7 +233,7 @@ void fill_telemetry(RequestTelemetry* telemetry, const clique::PhaseLedger* cons
 //
 // A Deadline is armed from the request's "deadline_ms" field (or the server
 // default) and checked cooperatively: at admission, between solver phases,
-// and — via ckpt::poll_cancellation — at every IPM batch boundary.  The
+// and — via ckpt::boundary — at every IPM batch boundary.  The
 // error MESSAGE is a pure function of the configured limit (never of elapsed
 // time), so "deadline_ms":0 aborts produce byte-deterministic responses; the
 // "at" location of a genuinely-racing timeout is the only timing-dependent

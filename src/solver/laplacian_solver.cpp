@@ -36,27 +36,6 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
     sparsify_stats_ = sp.stats;
     if (h_.num_edges() == 0 && g.num_edges() > 0) h_ = g;  // tiny graphs
   }
-  init_from_sparsifier(g, net);
-}
-
-LaplacianSolver::LaplacianSolver(const graph::Graph& g,
-                                 const LaplacianSolver& prev,
-                                 const spectral::GraphEdit& edit,
-                                 const LaplacianSolverOptions& opt,
-                                 clique::Network* net)
-    : opt_(opt) {
-  if (net != nullptr) net->set_phase("solver/repair_sparsifier");
-  spectral::SparsifierRepairResult rr =
-      spectral::repair_sparsifier(g, prev.h_, edit, {}, net);
-  h_ = std::move(rr.h);
-  sparsifier_rebuilt_ = rr.rebuilt;
-  sparsify_stats_ = prev.sparsify_stats_;
-  if (h_.num_edges() == 0 && g.num_edges() > 0) h_ = g;  // tiny graphs
-  init_from_sparsifier(g, net);
-}
-
-void LaplacianSolver::init_from_sparsifier(const graph::Graph& g,
-                                           clique::Network* net) {
   if (net != nullptr) {
     // Make H known to every node: 3 words per edge (u, v, w) gathered.
     net->set_phase("solver/gather_sparsifier");

@@ -63,17 +63,6 @@ class LaplacianSolver {
                            const LaplacianSolverOptions& opt = {},
                            clique::Network* net = nullptr);
 
-  /// Rebuild after a local edge edit (the warm-start re-solve path): the
-  /// previous solver's sparsifier is repaired incrementally via
-  /// spectral::repair_sparsifier instead of re-running the full level
-  /// pipeline; factorization and range estimation rerun on the repaired H.
-  /// `sparsifier_rebuilt()` reports whether the repair had to fall back to a
-  /// full re-sparsification.
-  LaplacianSolver(const graph::Graph& g, const LaplacianSolver& prev,
-                  const spectral::GraphEdit& edit,
-                  const LaplacianSolverOptions& opt = {},
-                  clique::Network* net = nullptr);
-
   /// x ~= L_G^+ b with ||x - L^+ b||_{L_G} <= eps ||L^+ b||_{L_G}: the
   /// one-column solve_block.
   [[nodiscard]] linalg::Vec solve(std::span<const double> b, double eps,
@@ -107,9 +96,6 @@ class LaplacianSolver {
   /// Power-iteration matvec count spent estimating the range (each costs one
   /// broadcast round in the clique model).
   [[nodiscard]] int range_matvecs() const { return range_matvecs_; }
-  /// After the edit-repair constructor: true if the incremental repair fell
-  /// back to a full re-sparsification.  Always false for the plain ctor.
-  [[nodiscard]] bool sparsifier_rebuilt() const { return sparsifier_rebuilt_; }
   /// The numerics backend that factored the preconditioner (kAuto resolved).
   [[nodiscard]] linalg::Backend backend() const { return lh_factor_.chosen(); }
   /// Requested/chosen backend and fill of the preconditioner factorization.
@@ -118,9 +104,6 @@ class LaplacianSolver {
   }
 
  private:
-  /// Shared ctor tail: gather H, factor, estimate the spectral range.
-  void init_from_sparsifier(const graph::Graph& g, clique::Network* net);
-
   graph::Graph h_;
   linalg::CsrMatrix lg_;
   linalg::CsrMatrix lh_;
@@ -141,7 +124,6 @@ class LaplacianSolver {
   double lambda_max_ = 0;
   double kappa_ = 1;
   int range_matvecs_ = 0;
-  bool sparsifier_rebuilt_ = false;
   LaplacianSolverOptions opt_;
 };
 

@@ -146,64 +146,4 @@ SparsifyResult deterministic_sparsify(const Graph& g, const SparsifyOptions& opt
   return out;
 }
 
-SparsifierRepairResult repair_sparsifier(const Graph& g_new, const Graph& h_old,
-                                         const GraphEdit& edit,
-                                         const SparsifyOptions& opt,
-                                         clique::Network* net) {
-  for (const Edge& e : edit.inserted) {
-    if (!(e.w > 0)) {
-      throw std::invalid_argument("repair_sparsifier: weights must be positive");
-    }
-    if (e.u < 0 || e.v < 0 || e.u >= g_new.num_vertices() ||
-        e.v >= g_new.num_vertices()) {
-      throw std::invalid_argument("repair_sparsifier: inserted edge out of range");
-    }
-  }
-
-  // Index H's edges by (unordered endpoints, exact weight) so deletions can
-  // claim a verbatim occurrence; parallel edges are claimed one at a time.
-  std::map<std::tuple<int, int, double>, std::vector<int>> verbatim;
-  for (int i = 0; i < h_old.num_edges(); ++i) {
-    const Edge& e = h_old.edge(i);
-    verbatim[{std::min(e.u, e.v), std::max(e.u, e.v), e.w}].push_back(i);
-  }
-  std::vector<char> drop(static_cast<std::size_t>(h_old.num_edges()), 0);
-  // A shrunken vertex set can strand H edges on removed vertices: rebuild.
-  bool absorbable = h_old.num_vertices() <= g_new.num_vertices();
-  for (const Edge& e : edit.deleted) {
-    const auto it =
-        verbatim.find({std::min(e.u, e.v), std::max(e.u, e.v), e.w});
-    if (it == verbatim.end() || it->second.empty()) {
-      absorbable = false;
-      break;
-    }
-    drop[static_cast<std::size_t>(it->second.back())] = 1;
-    it->second.pop_back();
-  }
-
-  SparsifierRepairResult out;
-  if (!absorbable) {
-    SparsifyResult full = deterministic_sparsify(g_new, opt, net);
-    out.h = std::move(full.h);
-    out.rebuilt = true;
-    return out;
-  }
-
-  out.h = Graph(g_new.num_vertices());
-  for (int i = 0; i < h_old.num_edges(); ++i) {
-    if (drop[static_cast<std::size_t>(i)] != 0) {
-      ++out.edges_removed;
-      continue;
-    }
-    const Edge& e = h_old.edge(i);
-    out.h.add_edge(e.u, e.v, e.w);
-  }
-  for (const Edge& e : edit.inserted) {
-    out.h.add_edge(e.u, e.v, e.w);
-    ++out.edges_added;
-  }
-  if (net != nullptr) net->charge_announcement();  // the edit broadcast
-  return out;
-}
-
 }  // namespace lapclique::spectral

@@ -44,33 +44,4 @@ SparsifyResult deterministic_sparsify(const graph::Graph& g,
                                       const SparsifyOptions& opt = {},
                                       clique::Network* net = nullptr);
 
-/// One batch of edge edits applied to a sparsified graph (the warm-start
-/// re-solve path: see docs/CHECKPOINT.md).
-struct GraphEdit {
-  std::vector<graph::Edge> inserted;
-  std::vector<graph::Edge> deleted;
-};
-
-struct SparsifierRepairResult {
-  graph::Graph h;
-  /// The edit was not locally absorbable and the full level pipeline re-ran.
-  bool rebuilt = false;
-  int edges_added = 0;    ///< verbatim insertions (0 when rebuilt)
-  int edges_removed = 0;  ///< verbatim deletions (0 when rebuilt)
-};
-
-/// Incrementally repair a sparsifier H of the pre-edit graph into one for
-/// `g_new`.  Insertions append verbatim (exact for those edges, the same
-/// soundness argument as the level-cap copy).  A deletion is absorbed only
-/// when the deleted edge sits in H verbatim; one folded into a cluster
-/// sparsifier has no local footprint to subtract, so the pipeline re-runs
-/// (`rebuilt = true`).  If `net` is non-null, the local repair charges one
-/// announcement round (the edit broadcast); a rebuild charges the full
-/// deterministic_sparsify cost.
-SparsifierRepairResult repair_sparsifier(const graph::Graph& g_new,
-                                         const graph::Graph& h_old,
-                                         const GraphEdit& edit,
-                                         const SparsifyOptions& opt = {},
-                                         clique::Network* net = nullptr);
-
 }  // namespace lapclique::spectral

@@ -9,9 +9,7 @@
 //     rejected with a located CheckpointError before any run state is
 //     touched (strong guarantee, mirroring the io/ parser hardening), and so
 //     is every length or count the bytes left could not encode — pinned
-//     case by case and by fixed-seed mutation fuzzing;
-//   * a warm start from a checkpoint of an edited instance is exact and
-//     never needs more IPM batches than a cold start.
+//     case by case and by fixed-seed mutation fuzzing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,13 +22,9 @@
 #include "ckpt/checkpoint.hpp"
 #include "core/api.hpp"
 #include "fault/fault_plan.hpp"
-#include "flow/dinic.hpp"
-#include "flow/ssp_mincost.hpp"
 #include "graph/generators.hpp"
 #include "graph/rng.hpp"
 #include "obs/round_ledger.hpp"
-#include "solver/laplacian_solver.hpp"
-#include "spectral/sparsify.hpp"
 #include "test_seed.hpp"
 
 namespace lapclique {
@@ -660,6 +654,20 @@ TEST(CheckpointCompat, FaultConfigMismatchRejected) {
   expect_resume_rejected(sweep_flow_network(), rt, "fault configuration mismatch");
 }
 
+TEST(CheckpointCompat, TracerWithoutCheckpointedLedgerRejected) {
+  // make_checkpoint_file attaches no tracer, so the checkpoint carries no
+  // ledger; a traced resume must refuse before restoring anything.
+  const std::string path = make_checkpoint_file("compat_tracer", sweep_flow_network());
+  obs::RoundLedger ledger;
+  Runtime rt;
+  rt.routing_mode = clique::RoutingMode::kCharged;
+  rt.trace = &ledger;
+  rt.checkpoint_path = path;
+  rt.resume = true;
+  expect_resume_rejected(sweep_flow_network(), rt, "carries none");
+  EXPECT_EQ(ledger.total_rounds(), 0);
+}
+
 // --- preempt grammar and signature ---------------------------------------
 
 TEST(FaultSpecPreempt, GrammarRoundTrip) {
@@ -701,193 +709,6 @@ TEST(FaultSpecPreempt, PreemptFiresWithoutWriter) {
   } catch (const fault::PreemptError& ex) {
     EXPECT_NE(std::string(ex.what()).find("batch 1"), std::string::npos) << ex.what();
   }
-}
-
-// --- warm-start re-solve --------------------------------------------------
-
-TEST(CheckpointWarm, MaxFlowWarmStartExactAndNoSlower) {
-  const graph::Digraph g = graph::random_flow_network(10, 24, 4, base_seed() + 44);
-  const int s = 0;
-  const int t = 9;
-  flow::MaxFlowIpmOptions opt;
-  opt.iteration_scale = 0.02;
-  opt.max_iterations = 400;
-
-  // Checkpoint a completed run on g, then edit the instance.
-  const std::string path = tmp_path("warm_mf");
-  ckpt::CheckpointWriter writer(path, 1, 1);
-  flow::MaxFlowIpmOptions copt = opt;
-  copt.checkpoint.writer = &writer;
-  clique::Network base_net(g.num_vertices());
-  (void)flow::max_flow_clique(g, s, t, base_net, copt);
-  ASSERT_GT(writer.written(), 0);
-
-  graph::Digraph edited = g;
-  edited.add_arc(s, 4, 2);
-  const flow::MaxFlowResult oracle = flow::dinic_max_flow(edited, s, t);
-
-  clique::Network cold_net(edited.num_vertices());
-  const flow::MaxFlowIpmReport cold = flow::max_flow_clique(edited, s, t, cold_net, opt);
-
-  const ckpt::Checkpoint ck = ckpt::load_checkpoint(path);
-  flow::MaxFlowIpmOptions wopt = opt;
-  wopt.checkpoint.warm_start = &ck;
-  clique::Network warm_net(edited.num_vertices());
-  const flow::MaxFlowIpmReport warm =
-      flow::max_flow_clique(edited, s, t, warm_net, wopt);
-
-  EXPECT_FALSE(cold.run.used_warm_start);
-  EXPECT_TRUE(warm.run.used_warm_start);
-  EXPECT_EQ(warm.run.warm_start_batch, ck.batch);
-  EXPECT_GT(warm.run.warm_start_batch, 0);
-  EXPECT_EQ(cold.value, oracle.value);
-  EXPECT_EQ(warm.value, oracle.value);
-  EXPECT_LE(warm.ipm_iterations, cold.ipm_iterations);
-}
-
-TEST(CheckpointWarm, MinCostWarmStartExactAndNoSlower) {
-  const graph::Digraph g = graph::random_unit_cost_digraph(10, 30, 5, base_seed() + 45);
-  const std::vector<std::int64_t> sigma =
-      graph::feasible_unit_demands(g, 2, base_seed() + 95);
-  flow::MinCostIpmOptions opt;
-  opt.iteration_scale = 0.002;
-  opt.max_iterations = 60;
-
-  const std::string path = tmp_path("warm_mc");
-  ckpt::CheckpointWriter writer(path, 1, 1);
-  flow::MinCostIpmOptions copt = opt;
-  copt.checkpoint.writer = &writer;
-  clique::Network base_net(g.num_vertices());
-  (void)flow::min_cost_flow_clique(g, sigma, base_net, copt);
-  ASSERT_GT(writer.written(), 0);
-
-  graph::Digraph edited = g;
-  edited.add_arc(2, 7, 1, 3);
-  const flow::MinCostFlowResult oracle = flow::ssp_min_cost_flow(edited, sigma);
-
-  clique::Network cold_net(edited.num_vertices());
-  const flow::MinCostIpmReport cold =
-      flow::min_cost_flow_clique(edited, sigma, cold_net, opt);
-
-  const ckpt::Checkpoint ck = ckpt::load_checkpoint(path);
-  flow::MinCostIpmOptions wopt = opt;
-  wopt.checkpoint.warm_start = &ck;
-  clique::Network warm_net(edited.num_vertices());
-  const flow::MinCostIpmReport warm =
-      flow::min_cost_flow_clique(edited, sigma, warm_net, wopt);
-
-  EXPECT_FALSE(cold.run.used_warm_start);
-  EXPECT_TRUE(warm.run.used_warm_start);
-  EXPECT_GT(warm.run.warm_start_batch, 0);
-  ASSERT_TRUE(oracle.feasible);
-  EXPECT_TRUE(cold.feasible);
-  EXPECT_TRUE(warm.feasible);
-  EXPECT_EQ(cold.cost, oracle.cost);
-  EXPECT_EQ(warm.cost, oracle.cost);
-  EXPECT_LE(warm.ipm_iterations, cold.ipm_iterations);
-}
-
-// warm_start_batch is the checkpoint's batch index, not a saving.  Seeded
-// from the finished run's last snapshot, the re-solve after one inserted arc
-// takes as many IPM iterations as a cold solve and charges more rounds.
-TEST(CheckpointWarm, MaxFlowWarmStartReportsBatchNotSaving) {
-  const graph::Digraph g = graph::random_flow_network(24, 96, 4, 21);
-  flow::MaxFlowIpmOptions opt;
-  opt.iteration_scale = 0.02;
-  opt.max_iterations = 250;
-
-  const std::string path = tmp_path("warm_batch");
-  ckpt::CheckpointWriter writer(path, 1);
-  flow::MaxFlowIpmOptions copt = opt;
-  copt.checkpoint.writer = &writer;
-  clique::Network base_net(24);
-  (void)flow::max_flow_clique(g, 0, 23, base_net, copt);
-
-  graph::Digraph edited = g;
-  edited.add_arc(0, 12, 2);
-  clique::Network cold_net(24);
-  const flow::MaxFlowIpmReport cold = flow::max_flow_clique(edited, 0, 23, cold_net, opt);
-  const ckpt::Checkpoint ck = ckpt::load_checkpoint(path);
-  flow::MaxFlowIpmOptions wopt = opt;
-  wopt.checkpoint.warm_start = &ck;
-  clique::Network warm_net(24);
-  const flow::MaxFlowIpmReport warm = flow::max_flow_clique(edited, 0, 23, warm_net, wopt);
-
-  EXPECT_EQ(ck.batch, 67);
-  EXPECT_EQ(warm.run.warm_start_batch, 67);
-  EXPECT_EQ(cold.ipm_iterations, 67);
-  EXPECT_EQ(warm.ipm_iterations, 67);
-  EXPECT_EQ(cold.run.rounds, 28573);
-  EXPECT_EQ(warm.run.rounds, 30493);
-  EXPECT_EQ(warm.value, cold.value);
-}
-
-// --- incremental sparsifier repair ---------------------------------------
-
-TEST(SparsifierRepair, InsertOnlyEditIsLocal) {
-  const graph::Graph g = graph::random_connected_gnm(24, 60, base_seed() + 46);
-  graph::Graph edited = g;
-  edited.add_edge(3, 17, 1.5);
-  spectral::GraphEdit edit;
-  edit.inserted.push_back(graph::Edge{3, 17, 1.5});
-
-  const spectral::SparsifyResult sp = spectral::deterministic_sparsify(g);
-  const spectral::SparsifierRepairResult rr =
-      spectral::repair_sparsifier(edited, sp.h, edit);
-  EXPECT_FALSE(rr.rebuilt);
-  EXPECT_EQ(rr.edges_added, 1);
-  EXPECT_EQ(rr.edges_removed, 0);
-  EXPECT_EQ(rr.h.num_edges(), sp.h.num_edges() + 1);
-}
-
-TEST(SparsifierRepair, VerbatimDeleteStaysLocalElseRebuilds) {
-  graph::Graph g(5);
-  for (int v = 0; v < 5; ++v) g.add_edge(v, (v + 1) % 5, 1.0 + v);
-  g.add_edge(0, 2, 3.0);
-
-  // H == G is a (trivially valid) sparsifier; deleting an edge H carries
-  // verbatim is absorbed locally.
-  graph::Graph without_last(5);
-  for (int e = 0; e + 1 < g.num_edges(); ++e) {
-    without_last.add_edge(g.edge(e).u, g.edge(e).v, g.edge(e).w);
-  }
-  spectral::GraphEdit del;
-  del.deleted.push_back(g.edge(g.num_edges() - 1));
-  const spectral::SparsifierRepairResult local =
-      spectral::repair_sparsifier(without_last, g, del);
-  EXPECT_FALSE(local.rebuilt);
-  EXPECT_EQ(local.edges_removed, 1);
-  EXPECT_EQ(local.h.num_edges(), g.num_edges() - 1);
-
-  // A deletion H cannot absorb (the weight was rescaled away) forces a
-  // full rebuild on the new instance.
-  spectral::GraphEdit foreign;
-  foreign.deleted.push_back(graph::Edge{0, 2, 99.0});
-  const spectral::SparsifierRepairResult rebuilt =
-      spectral::repair_sparsifier(without_last, g, foreign);
-  EXPECT_TRUE(rebuilt.rebuilt);
-  EXPECT_EQ(rebuilt.h.num_vertices(), 5);
-}
-
-TEST(SparsifierRepair, SolverRepairCtorStillSolves) {
-  const graph::Graph g = graph::random_connected_gnm(24, 60, base_seed() + 47);
-  const solver::LaplacianSolver base(g);
-
-  graph::Graph edited = g;
-  edited.add_edge(2, 19, 2.0);
-  spectral::GraphEdit edit;
-  edit.inserted.push_back(graph::Edge{2, 19, 2.0});
-  const solver::LaplacianSolver repaired(edited, base, edit);
-  EXPECT_FALSE(repaired.sparsifier_rebuilt());
-  EXPECT_EQ(repaired.sparsifier().num_edges(), base.sparsifier().num_edges() + 1);
-
-  std::vector<double> b(24, 0.0);
-  b[0] = 1.0;
-  b[23] = -1.0;
-  solver::LaplacianSolveStats stats;
-  (void)repaired.solve(b, 1e-8, &stats);
-  EXPECT_FALSE(stats.exact_fallback);
-  EXPECT_LE(stats.relative_residual, 1e-8);
 }
 
 }  // namespace

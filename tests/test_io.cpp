@@ -128,6 +128,17 @@ TEST(DimacsMinCost, RejectsImplausiblyLargeHeader) {
   EXPECT_THROW((void)read_dimacs_min_cost(in), ParseError);
 }
 
+TEST(DimacsMinCost, RejectsSupplyThatCannotBeNegated) {
+  // sigma = -supply has no int64 value for the most negative supply.
+  std::istringstream in("p min 2 0\nn 1 -9223372036854775808\n");
+  try {
+    (void)read_dimacs_min_cost(in);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& ex) {
+    EXPECT_EQ(ex.line(), 2);
+  }
+}
+
 TEST(DimacsMinCost, RoundTrip) {
   MinCostProblem p;
   p.g = graph::random_unit_cost_digraph(8, 20, 9, 5);
