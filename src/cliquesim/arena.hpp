@@ -1,9 +1,9 @@
 // RoundArena — a bump allocator for the per-batch scratch buffers of the
 // Network's hot delivery paths (batch tallies, inbox slot tables, sort keys).
 //
-// Every exchange/transmit_subround/lenzen_route call used to make a handful
-// of heap allocations proportional to n and to the batch size; across the
-// tens of thousands of batches a Chebyshev solve or an IPM run issues, the
+// Every exchange/lenzen_route call used to make a handful of heap
+// allocations proportional to n and to the batch size; across the tens of
+// thousands of batches a Chebyshev solve or an IPM run issues, the
 // allocator traffic dominated the simulator's own arithmetic.  The arena
 // turns each batch's scratch into pointer bumps against memory retained
 // across batches: reset() at the start of a public batch operation recycles

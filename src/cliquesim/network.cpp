@@ -144,15 +144,7 @@ Network::Network(int n) : n_(n), inboxes_(static_cast<std::size_t>(std::max(n, 0
 
 void Network::raise_violation(const char* primitive, std::int64_t offered,
                               std::int64_t limit) {
-  violation_.emplace(phase_, primitive, offered, limit);
-  throw *violation_;
-}
-
-const BandwidthViolation& Network::last_violation() const {
-  if (!violation_.has_value()) {
-    throw std::logic_error("Network::last_violation: no violation occurred");
-  }
-  return *violation_;
+  throw BandwidthViolation(phase_, primitive, offered, limit);
 }
 
 void Network::check_node(int v) const {
@@ -209,18 +201,6 @@ void Network::charge_gossip(std::int64_t total_words,
     charge_impl("bcast_gossip", (total_words + n - 1) / n, total_words);
   } else {
     charge_impl("charge", (total_words + n - 1) / n + 1, unicast_words);
-  }
-}
-
-void Network::charge_fanout(std::int64_t k, std::int64_t total_words) {
-  if (k < 0 || total_words < 0) {
-    throw std::invalid_argument("Network::charge_fanout: negative");
-  }
-  const auto n = static_cast<std::int64_t>(n_);
-  if (routing_mode_ == RoutingMode::kBroadcast) {
-    charge_impl("bcast_fanout", k, total_words);
-  } else {
-    charge_impl("charge", k, total_words * (n - 1));
   }
 }
 
@@ -303,30 +283,6 @@ void Network::exchange(const std::vector<Msg>& msgs) {
   } else {
     // Rounds = max multiplicity over ordered (src,dst) pairs.
     record("exchange", t.worst_mult, static_cast<std::int64_t>(msgs.size()),
-           t.sent, t.recv);
-  }
-  run_recovery(msgs);
-}
-
-void Network::transmit_subround(const std::vector<Msg>& msgs) {
-  if (msgs.empty()) return;
-  // Validate the whole batch before touching any state (strong guarantee):
-  // tally_batch only reads msgs (the arena is invisible scratch).
-  arena_.reset();
-  BatchTally t = tally_batch(n_, msgs, /*want_mult=*/true, arena_);
-  if (routing_mode_ == RoutingMode::kBroadcast) {
-    // One broadcast round carries one word per source, so the strict limit
-    // is per source, not per ordered pair.
-    const std::int64_t max_sent =
-        *std::max_element(t.sent.begin(), t.sent.end());
-    if (max_sent > 1) raise_violation("transmit_subround", max_sent, 1);
-    deliver(msgs);
-    record("bcast_subround", 1, static_cast<std::int64_t>(msgs.size()), t.sent,
-           t.recv);
-  } else {
-    if (t.worst_mult > 1) raise_violation("transmit_subround", t.worst_mult, 1);
-    deliver(msgs);
-    record("transmit_subround", 1, static_cast<std::int64_t>(msgs.size()),
            t.sent, t.recv);
   }
   run_recovery(msgs);

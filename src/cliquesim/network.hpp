@@ -1,10 +1,12 @@
 // The congested clique network: n nodes, synchronous rounds, per-round
 // bandwidth of one word per ordered pair of nodes.
 //
-// The Network is a *deterministic round-accounting simulator*: communication
-// primitives (direct exchange, Lenzen routing, collectives) actually move
-// words between per-node mailboxes and charge rounds according to the model.
-// Algorithms query `rounds()` for the quantity the paper's theorems bound.
+// The Network is a *deterministic round-accounting simulator*: the delivery
+// primitives (direct exchange, Lenzen routing) actually move words between
+// per-node mailboxes, the bulk charges (charge, charge_all_to_all,
+// charge_announcement, charge_gossip) book modeled transfers, and both
+// charge rounds according to the model.  Algorithms query `rounds()` for the
+// quantity the paper's theorems bound.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +25,10 @@
 namespace lapclique::clique {
 
 /// Thrown when an operation would exceed the model's bandwidth limit of one
-/// word per ordered pair per round.  Carries the offending phase and the
-/// offered/allowed quantities; the same information stays queryable on the
-/// Network via last_violation() (strong guarantee: the network's accounting,
-/// inboxes, and op log are untouched by the failed operation).
+/// word per ordered pair per round (executed routing's spread phase checks
+/// it).  Carries the offending phase and the offered/allowed quantities; the
+/// network's accounting, inboxes, and op log are untouched by the failed
+/// operation.
 class BandwidthViolation : public std::runtime_error {
  public:
   BandwidthViolation(std::string phase, std::string primitive,
@@ -34,9 +36,9 @@ class BandwidthViolation : public std::runtime_error {
 
   /// Algorithm phase active when the violation occurred.
   [[nodiscard]] const std::string& phase() const { return phase_; }
-  /// Primitive that rejected the batch ("transmit_subround", "lenzen_route").
+  /// Primitive that rejected the batch ("lenzen_route").
   [[nodiscard]] const std::string& primitive() const { return primitive_; }
-  /// Offered load (words on the hottest ordered pair, or schedule rounds).
+  /// Offered load (the sub-rounds the spread schedule needs).
   [[nodiscard]] std::int64_t offered() const { return offered_; }
   /// The limit that load was checked against.
   [[nodiscard]] std::int64_t limit() const { return limit_; }
@@ -137,10 +139,10 @@ class Network {
   void set_tracer(obs::RoundLedger* ledger) { tracer_ = ledger; }
   [[nodiscard]] obs::RoundLedger* tracer() const { return tracer_; }
 
-  /// Attach a FaultPlan: every delivery path (exchange, lenzen_route,
-  /// transmit_subround, and bulk charges with words > 0) then runs the
-  /// deterministic detect-and-retransmit recovery protocol, charging its
-  /// rounds under the dedicated "recovery" phase.  Injection never mutates
+  /// Attach a FaultPlan: every delivery path (exchange, lenzen_route, and
+  /// bulk charges with words > 0) then runs the deterministic
+  /// detect-and-retransmit recovery protocol, charging its rounds under the
+  /// dedicated "recovery" phase.  Injection never mutates
   /// delivered payloads — corrupted/dropped words are re-sent and duplicates
   /// are discarded by sequence number — so algorithm outputs stay
   /// bit-identical to the fault-free run.  Pass nullptr to detach; the
@@ -180,29 +182,11 @@ class Network {
   /// share: ceil(W/n) rounds, W words.
   void charge_gossip(std::int64_t total_words, std::int64_t unicast_words);
 
-  /// Every node fans out its own list; k = max per-node list length,
-  /// W = total.  Unicast: k rounds, W*(n-1) words.  Broadcast: k rounds,
-  /// W words.  (The collectives' broadcast_many cost.)
-  void charge_fanout(std::int64_t k, std::int64_t total_words);
-
   /// Deliver a batch of point-to-point messages subject to the per-round
   /// bandwidth limit: the batch is split into sub-rounds so that no ordered
   /// pair carries more than one word per charged round.  Charges the number
   /// of sub-rounds (max multiplicity over ordered pairs).
   void exchange(const std::vector<Msg>& msgs);
-
-  /// Deliver `msgs` in exactly one synchronous round.  Unlike exchange(),
-  /// which splits over-subscribed batches into sub-rounds, this primitive
-  /// enforces the model limit strictly: if any ordered (src, dst) pair
-  /// carries more than one word, it throws BandwidthViolation *before* any
-  /// state changes — accounting, inboxes, and the op log are untouched and
-  /// the rejected batch is queryable via last_violation().
-  void transmit_subround(const std::vector<Msg>& msgs);
-
-  /// Whether any operation on this network ever threw BandwidthViolation.
-  [[nodiscard]] bool has_violation() const { return violation_.has_value(); }
-  /// The most recent violation; throws std::logic_error if none occurred.
-  [[nodiscard]] const BandwidthViolation& last_violation() const;
 
   /// Lenzen's deterministic routing: any message set in which every node
   /// sends at most `c*n` and receives at most `c*n` words is delivered in
@@ -256,8 +240,8 @@ class Network {
   /// Detect-and-retransmit pass over a delivered message batch; charges the
   /// retransmission rounds under the "recovery" phase.
   void run_recovery(const std::vector<Msg>& msgs);
-  /// Count-based recovery for modeled bulk transfers (collectives, charged
-  /// gossip) where no per-message structure exists.
+  /// Count-based recovery for the bulk charges, where no per-message
+  /// structure exists.
   void run_bulk_recovery(std::int64_t words);
   /// Charge `rec_rounds`/`rec_words` under the dedicated "recovery" phase
   /// and fold them into the plan's RecoveryStats.
@@ -270,7 +254,6 @@ class Network {
   std::string phase_ = "default";
   obs::RoundLedger* tracer_ = nullptr;
   fault::FaultPlan* fault_plan_ = nullptr;
-  std::optional<BandwidthViolation> violation_;
   PhaseLedger ledger_;
   std::vector<OpRecord> op_log_;
   std::vector<std::vector<Msg>> inboxes_;

@@ -2,12 +2,10 @@
 
 #include <memory>
 #include <optional>
-#include <stdexcept>
 
 #include "ckpt/checkpoint.hpp"
 #include "euler/euler_orient.hpp"
 #include "exec/pool.hpp"
-#include "graph/connectivity.hpp"
 
 namespace lapclique {
 
@@ -76,32 +74,6 @@ solver::CliqueSolveReport solve_laplacian(const Graph& g, std::span<const double
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   return solver::solve_laplacian_clique(g, b, eps, with_numerics(opt, rt), net);
-}
-
-BatchSolveReport solve_laplacian_batch(const Graph& g,
-                                       std::span<const linalg::Vec> bs,
-                                       double eps,
-                                       const solver::LaplacianSolverOptions& opt,
-                                       const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
-  clique::Network net = make_network(g.num_vertices(), rt);
-  if (g.num_vertices() < 2) {
-    throw std::invalid_argument("solve_laplacian_batch: n >= 2 required");
-  }
-  if (!graph::is_connected(g)) {
-    throw std::invalid_argument(
-        "solve_laplacian_batch: graph must be connected (solve components "
-        "separately)");
-  }
-  const solver::CliqueLaplacianSolver solver(g, with_numerics(opt, rt), net);
-  BatchSolveReport rep;
-  rep.columns = solver.solve_block(bs, eps, &rep.stats);
-  rep.run.capture(net);
-  if (!rep.stats.empty()) {
-    rep.run.numerics = linalg::to_string(rep.stats.front().factor.chosen);
-    rep.run.factor_fill = rep.stats.front().factor.fill_nnz;
-  }
-  return rep;
 }
 
 SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt,
@@ -197,15 +169,6 @@ solver::ResistanceReport effective_resistance(const Graph& g, int u, int v,
   clique::Network net = make_network(g.num_vertices(), rt);
   return solver::effective_resistance_clique(
       g, u, v, eps, with_numerics(solver::LaplacianSolverOptions{}, rt), net);
-}
-
-solver::BatchResistanceReport effective_resistance_batch(
-    const Graph& g, std::span<const solver::PairQuery> pairs, double eps,
-    const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
-  clique::Network net = make_network(g.num_vertices(), rt);
-  return solver::query_pairs(
-      g, pairs, eps, with_numerics(solver::LaplacianSolverOptions{}, rt), net);
 }
 
 }  // namespace lapclique

@@ -33,14 +33,6 @@ solver::CliqueSolveReport solve_laplacian(
     const solver::LaplacianSolverOptions& opt = {},
     const Runtime& rt = default_runtime());
 
-/// Theorem 1.1, batched: solve L_G x = b_c for every column b_c of `bs`
-/// against one sparsifier/factorization.  Column c of the result is
-/// bit-identical to solve_laplacian(g, bs[c], eps).x.
-BatchSolveReport solve_laplacian_batch(
-    const Graph& g, std::span<const linalg::Vec> bs, double eps,
-    const solver::LaplacianSolverOptions& opt = {},
-    const Runtime& rt = default_runtime());
-
 /// Theorem 3.3: deterministic spectral sparsifier (known to every node).
 SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt = {},
                         const Runtime& rt = default_runtime());
@@ -84,12 +76,5 @@ mst::MstResult minimum_spanning_forest(const Graph& g,
 solver::ResistanceReport effective_resistance(const Graph& g, int u, int v,
                                               double eps = 1e-8,
                                               const Runtime& rt = default_runtime());
-
-/// Batched pairwise effective resistances: k pairs against one construction
-/// and one blocked solve; resistances[i] is bit-identical to the scalar
-/// query for pairs[i] (see solver::query_pairs).
-solver::BatchResistanceReport effective_resistance_batch(
-    const Graph& g, std::span<const solver::PairQuery> pairs, double eps = 1e-8,
-    const Runtime& rt = default_runtime());
 
 }  // namespace lapclique

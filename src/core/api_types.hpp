@@ -31,16 +31,6 @@ namespace lapclique {
 using graph::Digraph;
 using graph::Graph;
 
-/// Batched Theorem 1.1 solve: k right-hand sides against one topology.
-/// columns[c] is bit-identical to solve_laplacian(g, b[c], eps).x, and `run`
-/// charges the per-column iterate traffic in column order (the construction
-/// phases are charged once, as for a single solve).
-struct BatchSolveReport {
-  std::vector<linalg::Vec> columns;
-  std::vector<solver::LaplacianSolveStats> stats;  ///< per column
-  RunInfo run;
-};
-
 /// Theorem 3.3: deterministic spectral sparsifier (known to every node).
 struct SparsifyReport {
   Graph h;

@@ -212,7 +212,7 @@ struct Machine {
       cv_step();
       maxc = 1;
       for (int o : members) maxc = std::max(maxc, color[static_cast<std::size_t>(o)]);
-      net->charge(1);  // allreduce_max over colors
+      net->charge(1);  // max over colors, known to all
       ++forward_rounds;
     }
     // 6 -> 3: three shift-and-recolor rounds.

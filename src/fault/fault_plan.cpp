@@ -174,8 +174,8 @@ std::int64_t FaultPlan::count_transport_faults(std::int64_t words) {
   if (words <= 0) return 0;
   // Geometric skip-sampling: the gap to the next failing word among a
   // Bernoulli(p) stream is Geometric(p), so the loop runs O(#events) draws
-  // instead of O(words) — essential for the modeled collectives, where one
-  // broadcast at n=1024 moves ~10^6 words.
+  // instead of O(words) — essential for the Network's bulk charges, where
+  // one all-to-all round at n=1024 moves ~10^6 words.
   const auto count_events = [this, words](double p) -> std::int64_t {
     if (p <= 0.0) return 0;
     const double log1mp = std::log1p(-p);

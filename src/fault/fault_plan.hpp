@@ -205,7 +205,7 @@ class FaultPlan {
   /// updates the per-kind stats).
   WordFate next_word_fate();
 
-  /// Bulk variant for modeled collectives: the number of drop/corrupt
+  /// Bulk variant for the Network's bulk charges: the number of drop/corrupt
   /// events among `words` words, computed by geometric skip-sampling in
   /// O(#events) draws.  Duplicate events are tallied in the stats but need
   /// no retransmission (sequence numbers discard them on arrival).

@@ -25,14 +25,13 @@ BaselineResult trivial_max_flow(const Digraph& g, int s, int t,
 }
 
 BaselineResult ford_fulkerson_max_flow(const Digraph& g, int s, int t,
-                                       clique::Network& net,
-                                       const SsspOptions& opt) {
+                                       clique::Network& net) {
   net.set_phase("baseline/ford_fulkerson");
   const std::int64_t before = net.rounds();
   BaselineResult out;
   out.flow.assign(static_cast<std::size_t>(g.num_arcs()), 0);
   while (true) {
-    auto path = residual_augmenting_path(g, out.flow, s, t, net, opt);
+    auto path = residual_augmenting_path(g, out.flow, s, t, net);
     if (!path.has_value()) break;
     ++out.iterations;
     std::int64_t bottleneck = std::numeric_limits<std::int64_t>::max();

@@ -29,7 +29,6 @@ BaselineResult trivial_max_flow(const graph::Digraph& g, int s, int t,
 
 /// Ford-Fulkerson with distributed reachability.
 BaselineResult ford_fulkerson_max_flow(const graph::Digraph& g, int s, int t,
-                                       clique::Network& net,
-                                       const SsspOptions& opt = {});
+                                       clique::Network& net);
 
 }  // namespace lapclique::flow

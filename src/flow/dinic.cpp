@@ -10,24 +10,22 @@ using graph::Digraph;
 
 namespace {
 
-/// Standard residual-network Dinic over the given digraph, seeded with an
-/// initial feasible flow.
+/// Standard residual-network Dinic over the given digraph, from the zero
+/// flow.
 class DinicSolver {
  public:
-  DinicSolver(const Digraph& g, std::vector<std::int64_t> initial)
-      : g_(&g), flow_(std::move(initial)) {
+  explicit DinicSolver(const Digraph& g)
+      : g_(&g), flow_(static_cast<std::size_t>(g.num_arcs()), 0) {
     const int n = g.num_vertices();
     level_.assign(static_cast<std::size_t>(n), -1);
     it_.assign(static_cast<std::size_t>(n), 0);
   }
 
-  int run(int s, int t) {
-    int paths = 0;
+  void run(int s, int t) {
     while (bfs(s, t)) {
       std::fill(it_.begin(), it_.end(), 0);
-      while (dfs(s, t, std::numeric_limits<std::int64_t>::max()) > 0) ++paths;
+      while (dfs(s, t, std::numeric_limits<std::int64_t>::max()) > 0) {}
     }
-    return paths;
   }
 
   [[nodiscard]] const std::vector<std::int64_t>& flow() const { return flow_; }
@@ -94,30 +92,9 @@ class DinicSolver {
 
 MaxFlowResult dinic_max_flow(const Digraph& g, int s, int t) {
   if (s == t) throw std::invalid_argument("dinic: s == t");
-  DinicSolver solver(g, std::vector<std::int64_t>(
-                            static_cast<std::size_t>(g.num_arcs()), 0));
+  DinicSolver solver(g);
   solver.run(s, t);
   MaxFlowResult out;
-  out.flow = solver.flow();
-  for (int a : g.out_arcs(s)) out.value += out.flow[static_cast<std::size_t>(a)];
-  for (int a : g.in_arcs(s)) out.value -= out.flow[static_cast<std::size_t>(a)];
-  return out;
-}
-
-AugmentingFinish finish_with_augmenting_paths(const Digraph& g, int s, int t,
-                                              const std::vector<std::int64_t>& warm) {
-  if (static_cast<int>(warm.size()) != g.num_arcs()) {
-    throw std::invalid_argument("finish_with_augmenting_paths: size mismatch");
-  }
-  for (int a = 0; a < g.num_arcs(); ++a) {
-    const std::int64_t f = warm[static_cast<std::size_t>(a)];
-    if (f < 0 || f > g.arc(a).cap) {
-      throw std::invalid_argument("finish_with_augmenting_paths: infeasible warm start");
-    }
-  }
-  DinicSolver solver(g, warm);
-  AugmentingFinish out;
-  out.augmenting_paths = solver.run(s, t);
   out.flow = solver.flow();
   for (int a : g.out_arcs(s)) out.value += out.flow[static_cast<std::size_t>(a)];
   for (int a : g.in_arcs(s)) out.value -= out.flow[static_cast<std::size_t>(a)];

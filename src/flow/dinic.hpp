@@ -1,6 +1,7 @@
 // Dinic's maximum flow — the sequential correctness oracle every distributed
-// flow result is checked against, and the internal solver of the trivial
-// "gather everything" baseline (§1.1).
+// flow result is checked against, the internal solver of the trivial
+// "gather everything" baseline (§1.1), and the max-flow IPM's divergence
+// fallback.
 #pragma once
 
 #include <cstdint>
@@ -16,16 +17,5 @@ struct MaxFlowResult {
 };
 
 MaxFlowResult dinic_max_flow(const graph::Digraph& g, int s, int t);
-
-/// Max flow when starting from a feasible integral flow `warm` (used to
-/// finish the IPM's rounded flow with augmenting paths).  Returns the final
-/// flow and the number of augmenting paths needed.
-struct AugmentingFinish {
-  std::int64_t value = 0;
-  std::vector<std::int64_t> flow;
-  int augmenting_paths = 0;
-};
-AugmentingFinish finish_with_augmenting_paths(const graph::Digraph& g, int s, int t,
-                                              const std::vector<std::int64_t>& warm);
 
 }  // namespace lapclique::flow

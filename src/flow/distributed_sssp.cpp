@@ -14,23 +14,19 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::int64_t charge_for(const Digraph& g, int iterations, clique::Network& net,
-                        const SsspOptions& opt) {
-  std::int64_t rounds = 0;
-  if (opt.accounting == SsspAccounting::kCkklBound) {
-    rounds = static_cast<std::int64_t>(
-        std::ceil(std::pow(std::max(2, g.num_vertices()), kCkklExponent)));
-  } else {
-    rounds = iterations;  // one broadcast round per Bellman-Ford sweep
-  }
+std::int64_t charge_for(const Digraph& g, clique::Network& net) {
+  const auto rounds = static_cast<std::int64_t>(
+      std::ceil(std::pow(std::max(2, g.num_vertices()), kCkklExponent)));
   net.charge(rounds);
   return rounds;
 }
 
-SsspResult bellman_ford(const Digraph& g, const std::vector<int>& sources,
-                        const std::vector<double>& length,
-                        const std::vector<char>& arc_usable, clique::Network& net,
-                        const SsspOptions& opt) {
+}  // namespace
+
+SsspResult multi_source_sssp(const Digraph& g, const std::vector<int>& sources,
+                             const std::vector<double>& length,
+                             const std::vector<char>& arc_usable,
+                             clique::Network& net) {
   if (static_cast<int>(length.size()) != g.num_arcs() ||
       static_cast<int>(arc_usable.size()) != g.num_arcs()) {
     throw std::invalid_argument("sssp: per-arc vector size mismatch");
@@ -43,7 +39,7 @@ SsspResult bellman_ford(const Digraph& g, const std::vector<int>& sources,
 
   // Synchronous (Jacobi-style) sweeps: each sweep reads only the previous
   // sweep's distances, mirroring one broadcast round of distributed
-  // Bellman-Ford — so the naive accounting below is honest.
+  // Bellman-Ford.
   int iterations = 0;
   bool changed = true;
   while (changed && iterations <= n + 1) {
@@ -66,28 +62,13 @@ SsspResult bellman_ford(const Digraph& g, const std::vector<int>& sources,
   if (iterations > n + 1) {
     throw std::runtime_error("sssp: negative cycle reachable from source set");
   }
-  out.rounds_charged = charge_for(g, iterations, net, opt);
+  out.rounds_charged = charge_for(g, net);
   return out;
-}
-
-}  // namespace
-
-SsspResult sssp(const Digraph& g, int source, const std::vector<double>& length,
-                const std::vector<char>& arc_usable, clique::Network& net,
-                const SsspOptions& opt) {
-  return bellman_ford(g, {source}, length, arc_usable, net, opt);
-}
-
-SsspResult multi_source_sssp(const Digraph& g, const std::vector<int>& sources,
-                             const std::vector<double>& length,
-                             const std::vector<char>& arc_usable,
-                             clique::Network& net, const SsspOptions& opt) {
-  return bellman_ford(g, sources, length, arc_usable, net, opt);
 }
 
 std::optional<std::vector<std::pair<int, bool>>> residual_augmenting_path(
     const Digraph& g, const std::vector<std::int64_t>& flow, int s, int t,
-    clique::Network& net, const SsspOptions& opt) {
+    clique::Network& net) {
   // BFS over the residual network: forward arcs with slack, backward arcs
   // with positive flow.
   const int n = g.num_vertices();
@@ -97,9 +78,7 @@ std::optional<std::vector<std::pair<int, bool>>> residual_augmenting_path(
   std::queue<int> q;
   seen[static_cast<std::size_t>(s)] = 1;
   q.push(s);
-  int hops = 0;
   while (!q.empty() && seen[static_cast<std::size_t>(t)] == 0) {
-    ++hops;
     const int layer = static_cast<int>(q.size());
     for (int i = 0; i < layer; ++i) {
       const int v = q.front();
@@ -126,7 +105,7 @@ std::optional<std::vector<std::pair<int, bool>>> residual_augmenting_path(
       }
     }
   }
-  charge_for(g, hops, net, opt);
+  charge_for(g, net);
   if (seen[static_cast<std::size_t>(t)] == 0) return std::nullopt;
 
   std::vector<std::pair<int, bool>> path;

@@ -589,10 +589,6 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     return nullptr;
   };
   const auto degrade = [&](const char* reason) {
-    if (!opt.fallback_on_divergence) {
-      throw std::runtime_error(std::string("max_flow_clique: ") + reason +
-                               " (fallback disabled)");
-    }
     rep.run.used_fallback = true;
     rep.run.fallback_reason = reason;
     if (plan != nullptr) ++plan->stats().ipm_fallbacks;

@@ -62,11 +62,6 @@ struct MaxFlowIpmOptions {
   /// IPM in its intended successful-guess regime).  -1 = derive an upper
   /// bound from local capacities.
   std::int64_t known_value = -1;
-  /// Guard rail: when the electrical-flow state goes non-finite (solver
-  /// divergence, or the ipm-nan fault drill), degrade gracefully to the
-  /// exact sequential Dinic baseline and set MaxFlowIpmReport::used_fallback
-  /// instead of propagating NaNs.  Set false to throw instead.
-  bool fallback_on_divergence = true;
   /// Checkpoint/resume participation (src/ckpt): `writer` commits a
   /// resumable snapshot at every due batch boundary, `resume` continues a
   /// checkpointed run bit-identically.  Both pointers non-owning.
@@ -79,7 +74,8 @@ struct MaxFlowIpmReport {
   /// Shared accounting block: run.rounds are the charged model rounds;
   /// run.used_fallback means the IPM diverged and the result came from the
   /// exact Dinic baseline (value/flow are still exact; rounds include the
-  /// "maxflow/fallback" gather) — see MaxFlowIpmOptions::fallback_on_divergence.
+  /// "maxflow/fallback" gather).  Divergence is non-finite electrical-flow
+  /// state (solver divergence, or the ipm-nan fault drill).
   RunInfo run;
   std::int64_t rounds_per_solve = 0;  ///< calibrated Theorem 1.1 cost
   int ipm_iterations = 0;

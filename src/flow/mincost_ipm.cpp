@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -56,6 +55,21 @@ struct Lifted {
     return e % 2 == 0 ? static_cast<double>(g1.arc(e / 2).cost) : 0.0;
   }
 };
+
+/// Whether sigma sums to zero, summed without overflow.  A prefix sum that
+/// would overflow counts as nonzero: an entry that large exceeds every
+/// vertex's degree, so no flow meets such a sigma anyway.
+bool sums_to_zero(std::span<const std::int64_t> sigma) {
+  std::int64_t total = 0;
+  for (const std::int64_t d : sigma) {
+    if (d > 0 ? total > std::numeric_limits<std::int64_t>::max() - d
+              : total < std::numeric_limits<std::int64_t>::min() - d) {
+      return false;
+    }
+    total += d;
+  }
+  return total == 0;
+}
 
 Lifted build_lifted(const Digraph& g, std::span<const std::int64_t> sigma) {
   Lifted lf;
@@ -268,7 +282,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
   if (static_cast<int>(sigma.size()) != g.num_vertices()) {
     throw std::invalid_argument("min_cost_flow_clique: sigma size mismatch");
   }
-  if (std::accumulate(sigma.begin(), sigma.end(), std::int64_t{0}) != 0) {
+  if (!sums_to_zero(sigma)) {
     throw std::invalid_argument("min_cost_flow_clique: demands must sum to zero");
   }
   for (int a = 0; a < g.num_arcs(); ++a) {
@@ -276,12 +290,26 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
       throw std::invalid_argument("min_cost_flow_clique: capacities must be 1");
     }
   }
-  const ckpt::CheckpointHooks& hooks = opt.checkpoint;
-  const std::uint64_t ghash = hooks.any() ? ckpt::graph_hash(g) : 0;
-
   MinCostIpmReport rep;
   rep.flow.assign(static_cast<std::size_t>(g.num_arcs()), 0);
 
+  // With unit capacities a vertex's excess lies in [-out_degree, in_degree].
+  // A demand outside that range is infeasible, and the lift would add one
+  // auxiliary arc per unit of it, so answer before building it.
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    const std::int64_t d = sigma[static_cast<std::size_t>(v)];
+    if (d < -g.out_degree(v) || d > g.in_degree(v)) {
+      net.set_phase("mincost/setup");
+      const std::int64_t rounds_before = net.rounds();
+      const std::int64_t words_before = net.words_sent();
+      net.charge_announcement();
+      rep.run.capture(net, rounds_before, words_before);
+      return rep;
+    }
+  }
+
+  const ckpt::CheckpointHooks& hooks = opt.checkpoint;
+  const std::uint64_t ghash = hooks.any() ? ckpt::graph_hash(g) : 0;
   Lifted lf = build_lifted(g, sigma);
   const int me = 2 * lf.nq;
   const auto m = static_cast<double>(std::max(me, 2));
@@ -406,10 +434,6 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     return nullptr;
   };
   const auto degrade = [&](const char* reason) {
-    if (!opt.fallback_on_divergence) {
-      throw std::runtime_error(std::string("min_cost_flow_clique: ") + reason +
-                               " (fallback disabled)");
-    }
     rep.run.used_fallback = true;
     rep.run.fallback_reason = reason;
     if (plan != nullptr) ++plan->stats().ipm_fallbacks;

@@ -44,11 +44,6 @@ struct MinCostIpmOptions {
   /// (the per-solve factors and the calibration solver).  kAuto resolves per
   /// instance; the facade copies Runtime::numerics in here when left at kAuto.
   linalg::Backend numerics = linalg::Backend::kAuto;
-  /// Guard rail: when the central-path state goes non-finite (solver
-  /// divergence, or the ipm-nan fault drill), degrade gracefully to the
-  /// exact sequential SSP baseline and set MinCostIpmReport::used_fallback
-  /// instead of propagating NaNs.  Set false to throw instead.
-  bool fallback_on_divergence = true;
   /// Checkpoint/resume participation (src/ckpt): `writer` commits a
   /// resumable snapshot at every due batch boundary, `resume` continues a
   /// checkpointed run bit-identically.  Both pointers non-owning.
@@ -61,8 +56,9 @@ struct MinCostIpmReport {
   std::vector<std::int64_t> flow;  ///< per original arc (0/1)
   /// Shared accounting block: run.used_fallback means the IPM diverged and
   /// the result came from the exact SSP baseline (feasible/cost/flow are
-  /// still exact; rounds include the "mincost/fallback" gather) — see
-  /// MinCostIpmOptions::fallback_on_divergence.
+  /// still exact; rounds include the "mincost/fallback" gather).  Divergence
+  /// is a non-finite central-path state (solver divergence, or the ipm-nan
+  /// fault drill) or a non-positive or infinite electrical resistance.
   RunInfo run;
   std::int64_t rounds_per_solve = 0;
   int ipm_iterations = 0;

@@ -6,8 +6,8 @@
 // edge leaving its current component (3 words: endpoints + weight), after
 // which every node merges components internally; O(log n) phases.  (Lotker
 // et al.'s O(log log n) merging is out of scope for this library; Boruvka is
-// the standard practical baseline and uses only the collectives this
-// repository provides.)
+// the standard practical baseline and uses only the Network's bulk
+// charges.)
 //
 // Ties are broken by edge id, so the result is deterministic and unique.
 #pragma once

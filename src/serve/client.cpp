@@ -106,7 +106,6 @@ std::optional<std::string> Client::attempt(const std::string& line) {
 std::string Client::call(const std::string& request_line) {
   int backoff_ms = opt_.backoff_initial_ms;
   for (int tries = 0; tries < opt_.max_attempts; ++tries) {
-    ++attempts_used_;
     if (std::optional<std::string> response = attempt(request_line)) {
       return *response;
     }

@@ -44,8 +44,6 @@ class Client {
   /// exhausts (server down or unreachable past the backoff budget).
   [[nodiscard]] std::string call(const std::string& request_line);
 
-  [[nodiscard]] int attempts_used() const { return attempts_used_; }
-
  private:
   bool ensure_connected();
   void disconnect();
@@ -55,7 +53,6 @@ class Client {
   ClientOptions opt_;
   int fd_ = -1;
   std::string inbuf_;
-  int attempts_used_ = 0;  ///< cumulative attempts across calls (observability)
 };
 
 }  // namespace lapclique::serve

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -465,7 +466,10 @@ std::string Server::handle_graph_load(const json::Value& req,
       if (row[i].kind() != json::Value::Kind::kInt) {
         throw RequestError("bad_request", "edge endpoints must be integers");
       }
-      n = std::max(n, row[i].as_int() + 1);
+      // A saturating + 1: an endpoint of 2^63 - 1 must not overflow, and the
+      // range check below rejects it.
+      const std::int64_t v = row[i].as_int();
+      n = std::max(n, v == std::numeric_limits<std::int64_t>::max() ? v : v + 1);
     }
   }
   if (const std::optional<std::int64_t> explicit_n = optional_int(req, "n")) {

@@ -37,10 +37,4 @@ linalg::Vec CliqueLaplacianSolver::solve(std::span<const double> b, double eps,
   return solver_.solve(b, eps, stats, net_);
 }
 
-std::vector<linalg::Vec> CliqueLaplacianSolver::solve_block(
-    std::span<const linalg::Vec> bs, double eps,
-    std::vector<LaplacianSolveStats>* stats) const {
-  return solver_.solve_block(bs, eps, stats, net_);
-}
-
 }  // namespace lapclique::solver

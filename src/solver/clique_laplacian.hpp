@@ -41,13 +41,6 @@ class CliqueLaplacianSolver {
   [[nodiscard]] linalg::Vec solve(std::span<const double> b, double eps,
                                   LaplacianSolveStats* stats = nullptr) const;
 
-  /// Multi-RHS solve; column c is bit-identical to solve(b[c], eps) and the
-  /// network charging replays the per-column sequence in order (see
-  /// LaplacianSolver::solve_block).
-  [[nodiscard]] std::vector<linalg::Vec> solve_block(
-      std::span<const linalg::Vec> bs, double eps,
-      std::vector<LaplacianSolveStats>* stats = nullptr) const;
-
   [[nodiscard]] const LaplacianSolver& inner() const { return solver_; }
 
  private:

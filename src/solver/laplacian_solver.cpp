@@ -27,15 +27,10 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
                                  clique::Network* net)
     : opt_(opt) {
   if (net != nullptr) net->set_phase("solver/sparsify");
-  if (opt.identity_preconditioner) {
-    h_ = g;
-  } else {
-    spectral::SparsifyResult sp =
-        spectral::deterministic_sparsify(g, {}, net);
-    h_ = std::move(sp.h);
-    sparsify_stats_ = sp.stats;
-    if (h_.num_edges() == 0 && g.num_edges() > 0) h_ = g;  // tiny graphs
-  }
+  spectral::SparsifyResult sp = spectral::deterministic_sparsify(g, {}, net);
+  h_ = std::move(sp.h);
+  sparsify_stats_ = sp.stats;
+  if (h_.num_edges() == 0 && g.num_edges() > 0) h_ = g;  // tiny graphs
   if (net != nullptr) {
     // Make H known to every node: 3 words per edge (u, v, w) gathered.
     net->set_phase("solver/gather_sparsifier");

@@ -18,9 +18,6 @@
 namespace lapclique::solver {
 
 struct LaplacianSolverOptions {
-  /// Skip sparsification and precondition with G itself (then every "solve
-  /// involving L_H" is an exact solve; 1 iteration).  For testing.
-  bool identity_preconditioner = false;
   /// Numerics backend for the preconditioner factorization and the exact
   /// fallback factor.  The canonical way to pick a backend is
   /// Runtime::numerics — the facade entry points copy it in here when this
@@ -90,9 +87,6 @@ class LaplacianSolver {
   [[nodiscard]] const graph::Graph& sparsifier() const { return h_; }
   [[nodiscard]] const linalg::CsrMatrix& matrix() const { return lg_; }
   [[nodiscard]] double kappa() const { return kappa_; }
-  [[nodiscard]] const spectral::SparsifyStats& sparsify_stats() const {
-    return sparsify_stats_;
-  }
   /// Power-iteration matvec count spent estimating the range (each costs one
   /// broadcast round in the clique model).
   [[nodiscard]] int range_matvecs() const { return range_matvecs_; }

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "graph/connectivity.hpp"
 #include "graph/laplacian.hpp"
 #include "linalg/backend.hpp"
 #include "linalg/vector_ops.hpp"
@@ -47,37 +46,6 @@ ResistanceReport effective_resistance_clique(const graph::Graph& g, int u, int v
   out.run = std::move(rep.run);
   out.run.rounds += 1;  // + one broadcast of the two potentials
   return out;
-}
-
-BatchResistanceReport query_pairs(const graph::Graph& g,
-                                  std::span<const PairQuery> pairs, double eps,
-                                  const LaplacianSolverOptions& opt,
-                                  clique::Network& net) {
-  const int n = g.num_vertices();
-  if (n < 2) throw std::invalid_argument("query_pairs: n >= 2 required");
-  if (!graph::is_connected(g)) {
-    throw std::invalid_argument(
-        "query_pairs: graph must be connected (solve components separately)");
-  }
-  std::vector<Vec> chis;
-  chis.reserve(pairs.size());
-  for (const PairQuery& p : pairs) chis.push_back(pair_demand(n, p.u, p.v));
-
-  CliqueLaplacianSolver solver(g, opt, net);
-  BatchResistanceReport rep;
-  const std::vector<Vec> xs = solver.solve_block(chis, eps, &rep.stats);
-  rep.resistances.reserve(pairs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    rep.resistances.push_back(linalg::dot(chis[i], xs[i]));
-  }
-  rep.run.capture(net);
-  // + one broadcast of the two potentials per pair, as the scalar query
-  // charges.
-  rep.run.rounds += static_cast<std::int64_t>(pairs.size());
-  const linalg::FactorStats& fs = solver.inner().factor_stats();
-  rep.run.numerics = linalg::to_string(fs.chosen);
-  rep.run.factor_fill = fs.fill_nnz;
-  return rep;
 }
 
 }  // namespace lapclique::solver

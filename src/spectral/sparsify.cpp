@@ -130,13 +130,8 @@ SparsifyResult deterministic_sparsify(const Graph& g, const SparsifyOptions& opt
 
   // Binary weight classes (the paper's log U factor).
   std::map<int, std::vector<int>> classes;
-  if (opt.use_weight_classes) {
-    for (int e = 0; e < g.num_edges(); ++e) {
-      classes[static_cast<int>(std::floor(std::log2(g.edge(e).w)))].push_back(e);
-    }
-  } else {
-    auto& all = classes[0];
-    for (int e = 0; e < g.num_edges(); ++e) all.push_back(e);
+  for (int e = 0; e < g.num_edges(); ++e) {
+    classes[static_cast<int>(std::floor(std::log2(g.edge(e).w)))].push_back(e);
   }
   out.stats.weight_classes = static_cast<int>(classes.size());
 

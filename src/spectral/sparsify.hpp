@@ -22,7 +22,6 @@ namespace lapclique::spectral {
 
 struct SparsifyOptions {
   ExpanderDecompOptions decomp;
-  bool use_weight_classes = true;
 };
 
 struct SparsifyStats {

@@ -298,29 +298,6 @@ TEST(BackendDifferential, RuntimeBackendAppliesOnlyWhenOptionIsAuto) {
   EXPECT_EQ(rep_auto.run.numerics, "sparse");  // kAuto picked up rt.numerics
 }
 
-// --- batched resistances ride solve_block bit-identically -------------------
-
-TEST(BackendDifferential, BatchResistanceBitIdenticalToScalarQueries) {
-  const Graph g = graph::random_connected_gnm(30, 85, test::base_seed() + 361);
-  const std::vector<solver::PairQuery> pairs = {{0, 29}, {3, 7}, {12, 20}};
-  for (const Backend backend : {Backend::kDense, Backend::kSparse}) {
-    Runtime rt;
-    rt.numerics = backend;
-    const auto batch = effective_resistance_batch(g, pairs, 1e-8, rt);
-    ASSERT_EQ(batch.resistances.size(), pairs.size());
-    ASSERT_EQ(batch.stats.size(), pairs.size());
-    EXPECT_EQ(batch.run.numerics, linalg::to_string(backend));
-    EXPECT_GT(batch.run.rounds, 0);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto single =
-          effective_resistance(g, pairs[i].u, pairs[i].v, 1e-8, rt);
-      EXPECT_EQ(bits_of(batch.resistances[i]), bits_of(single.resistance))
-          << linalg::to_string(backend) << " pair " << i;
-      EXPECT_GT(batch.resistances[i], 0.0);
-    }
-  }
-}
-
 // --- golden round counts are backend-independent ----------------------------
 // Factorization is node-local compute; the solve, orientation and rounding
 // round counts of EXPERIMENTS.md are communication.  Swapping the backend

@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "cliquesim/collectives.hpp"
 #include "cliquesim/network.hpp"
-#include "cliquesim/router.hpp"
+#include "exec/pool.hpp"
 
 namespace lapclique::clique {
 namespace {
@@ -116,125 +115,6 @@ TEST(Network, OpLogRecordsMaxNodeLoad) {
   EXPECT_EQ(net.op_log().back().max_node_load, 3);
 }
 
-TEST(Collectives, BroadcastOneChargesOneRound) {
-  Network net(5);
-  const auto out = broadcast_one(net, {1, 2, 3, 4, 5});
-  EXPECT_EQ(net.rounds(), 1);
-  EXPECT_EQ(out[3], 4);
-}
-
-TEST(Collectives, BroadcastOneValidatesSize) {
-  Network net(5);
-  EXPECT_THROW(broadcast_one(net, {1, 2}), std::invalid_argument);
-}
-
-TEST(Collectives, BroadcastManyChargesMaxLength) {
-  Network net(3);
-  std::vector<std::vector<Word>> vals{{Word(std::int64_t{1})},
-                                      {Word(std::int64_t{1}), Word(std::int64_t{2})},
-                                      {}};
-  broadcast_many(net, vals);
-  EXPECT_EQ(net.rounds(), 2);
-}
-
-TEST(Collectives, AllreduceSumIsExact) {
-  Network net(4);
-  EXPECT_DOUBLE_EQ(allreduce_sum(net, {0.5, 1.5, 2.0, -1.0}), 3.0);
-  EXPECT_EQ(net.rounds(), 1);
-}
-
-TEST(Collectives, AllreduceMinMax) {
-  Network net(3);
-  EXPECT_DOUBLE_EQ(allreduce_max(net, {1.0, 9.0, 4.0}), 9.0);
-  EXPECT_DOUBLE_EQ(allreduce_min(net, {1.0, 9.0, 4.0}), 1.0);
-  EXPECT_EQ(net.rounds(), 2);
-}
-
-TEST(Collectives, AllreduceIntVariants) {
-  Network net(3);
-  EXPECT_EQ(allreduce_sum_int(net, {2, 3, 4}), 9);
-  EXPECT_EQ(allreduce_max_int(net, {2, 3, 4}), 4);
-}
-
-TEST(Collectives, GatherToAllConcatenatesAndCharges) {
-  Network net(4);
-  std::vector<std::vector<Word>> words(4);
-  for (int i = 0; i < 8; ++i) {
-    words[static_cast<std::size_t>(i % 4)].push_back(Word(std::int64_t{i}));
-  }
-  const auto all = gather_to_all(net, words);
-  EXPECT_EQ(all.size(), 8u);
-  // ceil(8/4) + 1 = 3 rounds.
-  EXPECT_EQ(net.rounds(), 3);
-}
-
-TEST(Router, FlushDeliversToInboxesByDestination) {
-  Network net(4);
-  Router r(net);
-  r.send(0, 2, 11, std::int64_t{5});
-  r.send(1, 2, 12, 2.5);
-  r.send(3, 0, 13, std::int64_t{-1});
-  EXPECT_EQ(r.staged(), 3u);
-  const auto inboxes = r.flush();
-  EXPECT_EQ(r.staged(), 0u);
-  EXPECT_EQ(inboxes[2].size(), 2u);
-  EXPECT_EQ(inboxes[0].size(), 1u);
-  EXPECT_EQ(inboxes[0][0].payload.as_int(), -1);
-}
-
-TEST(Router, EmptyFlushChargesNothing) {
-  Network net(4);
-  Router r(net);
-  const auto inboxes = r.flush();
-  EXPECT_EQ(net.rounds(), 0);
-  EXPECT_EQ(inboxes.size(), 4u);
-}
-
-TEST(Network, TransmitSubroundDeliversInOneRound) {
-  Network net(4);
-  std::vector<Msg> msgs{{0, 1, 0, Word(std::int64_t{1})},
-                        {2, 3, 0, Word(std::int64_t{2})},
-                        {1, 0, 0, Word(std::int64_t{3})}};
-  net.transmit_subround(msgs);
-  EXPECT_EQ(net.rounds(), 1);
-  EXPECT_EQ(net.words_sent(), 3);
-  EXPECT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(3).size(), 1u);
-  EXPECT_FALSE(net.has_violation());
-}
-
-TEST(Network, TransmitSubroundRejectsOversubscribedPairStrongly) {
-  Network net(4);
-  net.set_phase("testing");
-  net.charge(2, 5);
-  const std::size_t ops_before = net.op_log().size();
-  // Two words on the ordered pair (0, 1) exceed the one-word-per-pair limit.
-  std::vector<Msg> msgs{{0, 1, 0, Word(std::int64_t{1})},
-                        {0, 1, 1, Word(std::int64_t{2})},
-                        {2, 3, 0, Word(std::int64_t{3})}};
-  EXPECT_THROW(net.transmit_subround(msgs), BandwidthViolation);
-  // Strong guarantee: the failed operation left no trace in the accounting,
-  // the op log, or any inbox — not even for the valid (2, 3) message.
-  EXPECT_EQ(net.rounds(), 2);
-  EXPECT_EQ(net.words_sent(), 5);
-  EXPECT_EQ(net.op_log().size(), ops_before);
-  EXPECT_TRUE(net.inbox(1).empty());
-  EXPECT_TRUE(net.inbox(3).empty());
-  // ... but the rejected batch stays queryable.
-  ASSERT_TRUE(net.has_violation());
-  const BandwidthViolation& v = net.last_violation();
-  EXPECT_EQ(v.phase(), "testing");
-  EXPECT_EQ(v.primitive(), "transmit_subround");
-  EXPECT_EQ(v.offered(), 2);
-  EXPECT_EQ(v.limit(), 1);
-}
-
-TEST(Network, LastViolationWithoutAnyThrowsLogicError) {
-  Network net(4);
-  EXPECT_FALSE(net.has_violation());
-  EXPECT_THROW((void)net.last_violation(), std::logic_error);
-}
-
 // Congestion audit invariant: an operation never moves more words through a
 // single node than the model's bandwidth times the rounds charged allows.
 TEST(Network, CongestionAuditHolds) {
@@ -248,6 +128,50 @@ TEST(Network, CongestionAuditHolds) {
     EXPECT_LE(op.max_node_load,
               op.rounds * static_cast<std::int64_t>(net.size()))
         << "phase " << op.phase;
+  }
+}
+
+// A batch above the 4096-message shard grain makes the tally and the
+// delivery split it across the pool.  Whatever the thread count, the batch
+// must leave the same inboxes, rounds, words and op log as at one thread.
+TEST(Network, ShardedExchangeMatchesOneThread) {
+  constexpr int kNodes = 16;
+  std::vector<Msg> msgs;
+  for (int i = 0; i < 3 * 4096 + 5; ++i) {
+    msgs.push_back({(7 * i) % kNodes, (5 * i + i / kNodes) % kNodes, i,
+                    Word(std::int64_t{i})});
+  }
+  const auto run = [&msgs](int threads) {
+    const exec::ThreadScope scope(threads);
+    Network net(kNodes);
+    net.exchange(msgs);
+    return net;
+  };
+  const Network single = run(1);
+  ASSERT_GT(single.rounds(), 1);
+  for (const int threads : {exec::threads(), 4}) {
+    SCOPED_TRACE(threads);
+    const Network net = run(threads);
+    EXPECT_EQ(net.rounds(), single.rounds());
+    EXPECT_EQ(net.words_sent(), single.words_sent());
+    ASSERT_EQ(net.op_log().size(), single.op_log().size());
+    for (std::size_t k = 0; k < net.op_log().size(); ++k) {
+      EXPECT_EQ(net.op_log()[k].phase, single.op_log()[k].phase);
+      EXPECT_EQ(net.op_log()[k].rounds, single.op_log()[k].rounds);
+      EXPECT_EQ(net.op_log()[k].words, single.op_log()[k].words);
+      EXPECT_EQ(net.op_log()[k].max_node_load, single.op_log()[k].max_node_load);
+    }
+    for (int v = 0; v < kNodes; ++v) {
+      const std::vector<Msg>& got = net.inbox(v);
+      const std::vector<Msg>& want = single.inbox(v);
+      ASSERT_EQ(got.size(), want.size()) << "node " << v;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].src, want[k].src);
+        EXPECT_EQ(got[k].dst, want[k].dst);
+        EXPECT_EQ(got[k].tag, want[k].tag);
+        EXPECT_EQ(got[k].payload, want[k].payload);
+      }
+    }
   }
 }
 
@@ -278,18 +202,6 @@ TEST(Broadcast, ExchangeChargesMaxWordsPerSource) {
   EXPECT_EQ(net.inbox(2).size(), 2u);  // delivery identical to unicast
 }
 
-TEST(Broadcast, TransmitSubroundLimitIsPerSource) {
-  Network net(4);
-  net.set_routing_mode(RoutingMode::kBroadcast);
-  // Distinct ordered pairs (fine in unicast) but node 0 broadcasts twice.
-  const std::vector<Msg> over{{0, 1, 0, Word(std::int64_t{1})}, {0, 2, 0, Word(std::int64_t{2})}};
-  EXPECT_THROW(net.transmit_subround(over), BandwidthViolation);
-  EXPECT_EQ(net.rounds(), 0);  // strong guarantee: nothing charged
-  const std::vector<Msg> ok{{0, 1, 0, Word(std::int64_t{1})}, {1, 2, 0, Word(std::int64_t{2})}};
-  net.transmit_subround(ok);
-  EXPECT_EQ(net.rounds(), 1);
-}
-
 TEST(Broadcast, LenzenRouteChargesExactScheduleNotSixteenC) {
   const std::vector<Msg> msgs{{0, 1, 0, Word(std::int64_t{7})}, {1, 0, 0, Word(std::int64_t{8})}};
   Network charged(4);
@@ -300,35 +212,6 @@ TEST(Broadcast, LenzenRouteChargesExactScheduleNotSixteenC) {
   bcast.lenzen_route(msgs);
   EXPECT_EQ(bcast.rounds(), 1);  // every source broadcasts once
   EXPECT_EQ(bcast.inbox(0).size(), charged.inbox(0).size());
-}
-
-TEST(Broadcast, CollectivesChargeOneWordPerBroadcast) {
-  Network net(8);
-  net.set_routing_mode(RoutingMode::kBroadcast);
-  (void)broadcast_one(net, std::vector<double>(8, 1.0));
-  EXPECT_EQ(net.rounds(), 1);
-  EXPECT_EQ(net.words_sent(), 8);  // n broadcasts, not n*(n-1) deliveries
-  net.reset_accounting();
-  (void)allreduce_sum(net, std::vector<double>(8, 0.5));
-  EXPECT_EQ(net.rounds(), 1);
-  EXPECT_EQ(net.words_sent(), 8);
-}
-
-TEST(Broadcast, GatherToAllDropsRelayRound) {
-  // 16 words over 8 nodes: unicast charges ceil(16/8)+1 = 3 rounds and
-  // 16*8 delivered words; broadcast charges ceil(16/8) = 2 rounds and 16.
-  std::vector<std::vector<Word>> words(8);
-  for (int v = 0; v < 8; ++v) words[static_cast<std::size_t>(v)] = {Word(std::int64_t{v}), Word(std::int64_t{v})};
-  Network uni(8);
-  (void)gather_to_all(uni, words);
-  EXPECT_EQ(uni.rounds(), 3);
-  EXPECT_EQ(uni.words_sent(), 16 * 8);
-  Network bc(8);
-  bc.set_routing_mode(RoutingMode::kBroadcast);
-  const auto out = gather_to_all(bc, words);
-  EXPECT_EQ(bc.rounds(), 2);
-  EXPECT_EQ(bc.words_sent(), 16);
-  EXPECT_EQ(out.size(), 16u);
 }
 
 TEST(Broadcast, SemanticChargeHelpers) {
@@ -354,6 +237,20 @@ TEST(Broadcast, SemanticChargeHelpers) {
   bc.charge_gossip(13, 13 * 6);
   EXPECT_EQ(bc.rounds(), (13 + 5) / 6);
   EXPECT_EQ(bc.words_sent(), 13);
+}
+
+TEST(Broadcast, GatherToAllDropsRelayRound) {
+  // Gossiping 16 words over 8 nodes: unicast charges ceil(16/8)+1 = 3 rounds
+  // and 16*8 delivered words; broadcast charges ceil(16/8) = 2 rounds and 16.
+  Network uni(8);
+  uni.charge_gossip(16, 16 * 8);
+  EXPECT_EQ(uni.rounds(), 3);
+  EXPECT_EQ(uni.words_sent(), 16 * 8);
+  Network bc(8);
+  bc.set_routing_mode(RoutingMode::kBroadcast);
+  bc.charge_gossip(16, 16 * 8);
+  EXPECT_EQ(bc.rounds(), 2);
+  EXPECT_EQ(bc.words_sent(), 16);
 }
 
 }  // namespace

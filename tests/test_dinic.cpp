@@ -76,28 +76,5 @@ TEST(Dinic, MatchesMinCutOnLayeredNetworks) {
   EXPECT_GT(r.value, 0);
 }
 
-TEST(AugmentingFinishTest, WarmStartZeroEqualsColdDinic) {
-  const Digraph g = graph::random_flow_network(12, 30, 5, 3);
-  const auto cold = dinic_max_flow(g, 0, 11);
-  const std::vector<std::int64_t> zero(static_cast<std::size_t>(g.num_arcs()), 0);
-  const auto warm = finish_with_augmenting_paths(g, 0, 11, zero);
-  EXPECT_EQ(warm.value, cold.value);
-}
-
-TEST(AugmentingFinishTest, OptimalWarmStartNeedsNoPaths) {
-  const Digraph g = graph::random_flow_network(12, 30, 5, 4);
-  const auto cold = dinic_max_flow(g, 0, 11);
-  const auto warm = finish_with_augmenting_paths(g, 0, 11, cold.flow);
-  EXPECT_EQ(warm.value, cold.value);
-  EXPECT_EQ(warm.augmenting_paths, 0);
-}
-
-TEST(AugmentingFinishTest, RejectsInfeasibleWarmStart) {
-  Digraph g(2);
-  g.add_arc(0, 1, 1);
-  EXPECT_THROW((void)finish_with_augmenting_paths(g, 0, 1, {5}),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace lapclique::flow

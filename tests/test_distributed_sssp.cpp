@@ -19,7 +19,7 @@ TEST(Sssp, ChainDistances) {
   clique::Network net(4);
   const std::vector<double> len{2.0, 3.0, 4.0};
   const std::vector<char> usable(3, 1);
-  const SsspResult r = sssp(g, 0, len, usable, net);
+  const SsspResult r = multi_source_sssp(g, {0}, len, usable, net);
   EXPECT_DOUBLE_EQ(r.dist[3], 9.0);
   EXPECT_EQ(r.parent_arc[3], 2);
 }
@@ -31,7 +31,7 @@ TEST(Sssp, UnusableArcsIgnored) {
   clique::Network net(3);
   const std::vector<double> len{1.0, 1.0};
   const std::vector<char> usable{1, 0};
-  const SsspResult r = sssp(g, 0, len, usable, net);
+  const SsspResult r = multi_source_sssp(g, {0}, len, usable, net);
   EXPECT_TRUE(std::isinf(r.dist[2]));
 }
 
@@ -43,7 +43,7 @@ TEST(Sssp, NegativeLengthsWithoutCycles) {
   clique::Network net(3);
   const std::vector<double> len{5.0, -3.0, 4.0};
   const std::vector<char> usable(3, 1);
-  const SsspResult r = sssp(g, 0, len, usable, net);
+  const SsspResult r = multi_source_sssp(g, {0}, len, usable, net);
   EXPECT_DOUBLE_EQ(r.dist[2], 2.0);  // 5 - 3 beats direct 4
 }
 
@@ -54,7 +54,8 @@ TEST(Sssp, NegativeCycleThrows) {
   clique::Network net(2);
   const std::vector<double> len{-1.0, -1.0};
   const std::vector<char> usable(2, 1);
-  EXPECT_THROW((void)sssp(g, 0, len, usable, net), std::runtime_error);
+  EXPECT_THROW((void)multi_source_sssp(g, {0}, len, usable, net),
+               std::runtime_error);
 }
 
 TEST(Sssp, CkklChargeIsNPow0158) {
@@ -62,21 +63,9 @@ TEST(Sssp, CkklChargeIsNPow0158) {
   clique::Network net(32);
   const std::vector<double> len(80, 1.0);
   const std::vector<char> usable(80, 1);
-  const SsspResult r = sssp(g, 0, len, usable, net);
+  const SsspResult r = multi_source_sssp(g, {0}, len, usable, net);
   EXPECT_EQ(r.rounds_charged,
             static_cast<std::int64_t>(std::ceil(std::pow(32.0, 0.158))));
-}
-
-TEST(Sssp, NaiveAccountingChargesIterations) {
-  Digraph g(5);
-  for (int i = 0; i + 1 < 5; ++i) g.add_arc(i, i + 1, 1);
-  clique::Network net(5);
-  const std::vector<double> len(4, 1.0);
-  const std::vector<char> usable(4, 1);
-  SsspOptions opt;
-  opt.accounting = SsspAccounting::kNaive;
-  const SsspResult r = sssp(g, 0, len, usable, net, opt);
-  EXPECT_GE(r.rounds_charged, 4);
 }
 
 TEST(MultiSourceSssp, NearestSourceWins) {

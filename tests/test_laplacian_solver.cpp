@@ -38,16 +38,6 @@ Vec demand_pair(int n, int a, int b) {
   return chi;
 }
 
-TEST(LaplacianSolver, IdentityPreconditionerIsNearExact) {
-  const Graph g = graph::random_connected_gnm(20, 60, 1);
-  LaplacianSolverOptions opt;
-  opt.identity_preconditioner = true;
-  const LaplacianSolver solver(g, opt);
-  const Vec b = demand_pair(20, 0, 19);
-  const Vec x = solver.solve(b, 1e-8);
-  EXPECT_LT(energy_error(g, x, b), 1e-6);
-}
-
 class SolverEpsSweep
     : public ::testing::TestWithParam<std::tuple<double, std::uint64_t>> {};
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "flow/mincost_ipm.hpp"
 #include "flow/ssp_mincost.hpp"
@@ -97,6 +98,29 @@ TEST(MinCostIpm, RejectsUnbalancedDemands) {
   EXPECT_THROW((void)min_cost_flow_clique(g, sigma, net), std::invalid_argument);
 }
 
+TEST(MinCostIpm, RejectsDemandsWhoseSumOverflows) {
+  Digraph g(2);
+  g.add_arc(0, 1, 1, 1);
+  clique::Network net(2);
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max();
+  const std::vector<std::int64_t> sigma{big, big};
+  EXPECT_THROW((void)min_cost_flow_clique(g, sigma, net), std::invalid_argument);
+}
+
+// With unit capacities vertex 0 sends at most out_degree(0) = 1 unit, so
+// sigma = {-3, 3} is infeasible: the run answers without building the lift
+// (one auxiliary arc per unit of excess) and charges one announcement round.
+TEST(MinCostIpm, DemandBeyondDegreeSkipsTheLift) {
+  Digraph g(2);
+  g.add_arc(0, 1, 1, 1);
+  const auto r = run(g, {-3, 3}, quick_options());
+  EXPECT_FALSE(r.feasible);
+  EXPECT_EQ(r.cost, 0);
+  EXPECT_EQ(r.flow, std::vector<std::int64_t>{0});
+  EXPECT_EQ(r.laplacian_solves, 0);
+  EXPECT_EQ(r.run.rounds, 1);
+}
+
 TEST(MinCostIpm, ReportIsPopulated) {
   const Digraph g = graph::random_unit_cost_digraph(10, 36, 6, 7);
   const auto sigma = graph::feasible_unit_demands(g, 2, 60);
@@ -132,8 +156,7 @@ TEST(MinCostIpm, DeterministicAcrossRuns) {
 // On these two instances one slack overflows late in the run and drives a
 // resistance to +inf.  That counts as divergence: the run takes the SSP
 // fallback instead of letting the electrical solver's std::invalid_argument
-// ("Graph: weight must be positive") escape, and with the fallback off it
-// fails as any diverged run does, with std::runtime_error.
+// ("Graph: weight must be positive") escape.
 TEST(MinCostIpm, InfiniteResistanceTakesSspFallback) {
   struct Case {
     std::uint64_t graph_seed;
@@ -154,8 +177,6 @@ TEST(MinCostIpm, InfiniteResistanceTakesSspFallback) {
     EXPECT_TRUE(r.feasible);
     EXPECT_EQ(r.cost, c.ssp_cost);
     EXPECT_TRUE(r.run.used_fallback);
-    opt.fallback_on_divergence = false;
-    EXPECT_THROW((void)run(g, sigma, opt), std::runtime_error);
   }
 }
 

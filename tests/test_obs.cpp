@@ -7,7 +7,6 @@
 #include <numeric>
 #include <vector>
 
-#include "cliquesim/collectives.hpp"
 #include "cliquesim/network.hpp"
 #include "core/api.hpp"
 #include "graph/generators.hpp"

@@ -412,18 +412,22 @@ TEST(Serve, FlowMincostMatchesDirectIpm) {
   req.emplace("op", "flow.mincost");
   req.emplace("id", "m");
   req.emplace("graph", "net");
+  // sigma(v) = inflow - outflow: vertex 0 supplies 2 units, vertex 2 takes
+  // them.
   json::Array sigma;
-  sigma.push_back(2);
-  sigma.push_back(0);
   sigma.push_back(-2);
+  sigma.push_back(0);
+  sigma.push_back(2);
   req.emplace("sigma", json::Value(std::move(sigma)));
   const json::Value resp =
       parse_ok(server.handle(json::Value(std::move(req)).dump()));
 
   clique::Network net(3);
-  const std::vector<std::int64_t> demand = {2, 0, -2};
+  const std::vector<std::int64_t> demand = {-2, 0, 2};
   const flow::MinCostIpmReport want =
       flow::min_cost_flow_clique(dg, demand, net, flow::MinCostIpmOptions{});
+  EXPECT_TRUE(resp.at("result").at("feasible").as_bool());
+  EXPECT_EQ(resp.at("result").at("cost").as_int(), 7);
   EXPECT_EQ(resp.at("result").at("feasible").as_bool(), want.feasible);
   EXPECT_EQ(resp.at("result").at("cost").as_int(), want.cost);
   EXPECT_EQ(resp.at("run").at("rounds").as_int(), want.run.rounds);
@@ -594,6 +598,9 @@ TEST(Serve, MalformedRequestsGetLocatedErrorsAndLeaveStateIntact) {
       {"{\"op\":\"resistance\",\"graph\":\"g\",\"eps\":0.001,\"u\":0,"
        "\"v\":99,\"id\":\"e10\"}",
        "bad_request"},  // vertex out of range
+      {"{\"op\":\"graph.load\",\"id\":1,\"name\":\"g\","
+       "\"edges\":[[9223372036854775807,0]]}",
+       "bad_request"},  // endpoint + 1 would overflow
   };
   for (const auto& [line, code] : table) {
     expect_error(server.handle(line), code);

@@ -84,15 +84,6 @@ TEST(Sparsify, WeightedGraphUsesWeightClasses) {
   EXPECT_LT(alpha, 300.0);
 }
 
-TEST(Sparsify, SingleWeightClassWhenDisabled) {
-  const Graph g =
-      graph::with_random_weights(graph::random_connected_gnm(24, 90, 7), 256, 11);
-  SparsifyOptions opt;
-  opt.use_weight_classes = false;
-  const SparsifyResult r = deterministic_sparsify(g, opt);
-  EXPECT_EQ(r.stats.weight_classes, 1);
-}
-
 TEST(Sparsify, BarbellKeepsTheBridgeInformation) {
   const Graph g = graph::barbell(12);
   const SparsifyResult r = deterministic_sparsify(g);
