@@ -1,8 +1,8 @@
 #include "spectral/random_sparsify.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "exec/pool.hpp"
 #include "graph/rng.hpp"
 
 namespace lapclique::spectral {
@@ -18,23 +18,17 @@ Graph random_sparsify(const Graph& g, const RandomSparsifyOptions& opt) {
   std::vector<double> wdeg(static_cast<std::size_t>(n), 0.0);
   for (int v = 0; v < n; ++v) wdeg[static_cast<std::size_t>(v)] = g.weighted_degree(v);
 
-  // Leverage-score proxies are per-edge independent, so the scoring pass
-  // shards over the pool; the sampling pass stays sequential because it
-  // consumes the RNG stream in edge order (the determinism anchor).
+  // Leverage-score proxies first; the sampling pass then consumes the RNG
+  // stream in edge order (the determinism anchor).
   const double logn = std::log(std::max(2, n));
   const auto edges = g.edges();
   std::vector<double> prob(edges.size());
-  exec::parallel_for(static_cast<std::int64_t>(edges.size()),
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       for (std::int64_t i = lo; i < hi; ++i) {
-                         const Edge& e = edges[static_cast<std::size_t>(i)];
-                         const double score =
-                             e.w * (1.0 / wdeg[static_cast<std::size_t>(e.u)] +
-                                    1.0 / wdeg[static_cast<std::size_t>(e.v)]);
-                         prob[static_cast<std::size_t>(i)] =
-                             std::min(1.0, opt.oversampling * logn * score);
-                       }
-                     });
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    const double score = e.w * (1.0 / wdeg[static_cast<std::size_t>(e.u)] +
+                                1.0 / wdeg[static_cast<std::size_t>(e.v)]);
+    prob[i] = std::min(1.0, opt.oversampling * logn * score);
+  }
 
   graph::SplitMix64 rng(opt.seed);
   for (std::size_t i = 0; i < edges.size(); ++i) {

@@ -5,8 +5,6 @@
 #include <span>
 #include <sstream>
 
-#include "exec/pool.hpp"
-
 namespace lapclique::clique {
 
 namespace {
@@ -20,10 +18,6 @@ std::string violation_message(const std::string& phase,
   return out.str();
 }
 
-/// Messages per shard for batch scans; integer tallies are exact under any
-/// sharding, so the grain is purely a dispatch-cost knob.
-constexpr std::int64_t kMsgGrain = 4096;
-
 /// Sorts `keys` and returns the length of the longest run of equal keys
 /// (0 for an empty list): the worst multiplicity of one ordered pair (or
 /// one source) in a batch.
@@ -36,68 +30,6 @@ std::int64_t max_multiplicity(std::span<std::int64_t> keys) {
     worst = std::max(worst, run);
   }
   return worst;
-}
-
-/// Per-node send/receive histograms plus the worst ordered-pair multiplicity
-/// for one message batch.  Built in parallel: per-shard integer histograms
-/// merged in shard-index order (exact), multiplicity via a key sort (the max
-/// run length is order-independent).  Validation happens here, before any
-/// network state changes, so callers keep the strong exception guarantee.
-/// The histograms live in the caller's RoundArena (valid until the enclosing
-/// public operation returns); per-shard scratch stays on the regular heap
-/// because arena bumps are single-threaded.
-struct BatchTally {
-  std::span<std::int64_t> sent;
-  std::span<std::int64_t> recv;
-  std::int64_t worst_mult = 0;
-};
-
-BatchTally tally_batch(int n, const std::vector<Msg>& msgs, bool want_mult,
-                       RoundArena& arena) {
-  const auto m = static_cast<std::int64_t>(msgs.size());
-  BatchTally t;
-  t.sent = arena.alloc<std::int64_t>(static_cast<std::size_t>(n));
-  t.recv = arena.alloc<std::int64_t>(static_cast<std::size_t>(n));
-
-  struct ShardHist {
-    std::vector<std::int64_t> sent;
-    std::vector<std::int64_t> recv;
-  };
-  std::vector<ShardHist> parts = exec::sharded_map<ShardHist>(
-      m, kMsgGrain, [n, &msgs](std::int64_t /*shard*/, std::int64_t b, std::int64_t e) {
-        ShardHist h;
-        h.sent.assign(static_cast<std::size_t>(n), 0);
-        h.recv.assign(static_cast<std::size_t>(n), 0);
-        for (std::int64_t i = b; i < e; ++i) {
-          const Msg& msg = msgs[static_cast<std::size_t>(i)];
-          if (msg.src < 0 || msg.src >= n || msg.dst < 0 || msg.dst >= n) {
-            throw std::out_of_range("Network: node id out of range");
-          }
-          ++h.sent[static_cast<std::size_t>(msg.src)];
-          ++h.recv[static_cast<std::size_t>(msg.dst)];
-        }
-        return h;
-      });
-  for (const ShardHist& h : parts) {
-    for (int v = 0; v < n; ++v) {
-      t.sent[static_cast<std::size_t>(v)] += h.sent[static_cast<std::size_t>(v)];
-      t.recv[static_cast<std::size_t>(v)] += h.recv[static_cast<std::size_t>(v)];
-    }
-  }
-
-  if (want_mult) {
-    const std::span<std::int64_t> keys =
-        arena.alloc<std::int64_t>(static_cast<std::size_t>(m));
-    exec::parallel_for(m, kMsgGrain, [n, &msgs, &keys](std::int64_t b, std::int64_t e) {
-      for (std::int64_t i = b; i < e; ++i) {
-        const Msg& msg = msgs[static_cast<std::size_t>(i)];
-        keys[static_cast<std::size_t>(i)] =
-            static_cast<std::int64_t>(msg.src) * n + msg.dst;
-      }
-    });
-    t.worst_mult = max_multiplicity(keys);
-  }
-  return t;
 }
 
 }  // namespace
@@ -191,16 +123,13 @@ void Network::charge_announcement() {
   }
 }
 
-void Network::charge_gossip(std::int64_t total_words,
-                            std::int64_t unicast_words) {
-  if (total_words < 0 || unicast_words < 0) {
-    throw std::invalid_argument("Network::charge_gossip: negative");
-  }
+void Network::charge_gossip(std::int64_t words) {
+  if (words < 0) throw std::invalid_argument("Network::charge_gossip: negative");
   const auto n = static_cast<std::int64_t>(n_);
   if (routing_mode_ == RoutingMode::kBroadcast) {
-    charge_impl("bcast_gossip", (total_words + n - 1) / n, total_words);
+    charge_impl("bcast_gossip", (words + n - 1) / n, words);
   } else {
-    charge_impl("charge", (total_words + n - 1) / n + 1, unicast_words);
+    charge_impl("charge", (words + n - 1) / n + 1, words * n);
   }
 }
 
@@ -234,90 +163,85 @@ void Network::record(const char* primitive, std::int64_t rounds,
 #endif
 }
 
-void Network::deliver(const std::vector<Msg>& msgs) {
-  const auto m = static_cast<std::int64_t>(msgs.size());
-  if (m == 0) return;
-  // Slot-based parallel delivery.  A sequential pass fixes each message's
-  // inbox slot in arrival order (so inbox contents are byte-identical to the
-  // old push_back loop at every thread count); the message copies then fan
-  // out over the pool.  Scratch rides the arena (reset at public-op entry).
-  const std::span<std::int64_t> cnt =
-      arena_.alloc<std::int64_t>(static_cast<std::size_t>(n_));
+void Network::tally(const std::vector<Msg>& msgs) {
+  // Validation happens here, before any network state changes, so the
+  // public operations keep the strong exception guarantee.
+  sent_.assign(static_cast<std::size_t>(n_), 0);
+  recv_.assign(static_cast<std::size_t>(n_), 0);
   for (const Msg& msg : msgs) {
     check_node(msg.src);
     check_node(msg.dst);
-    ++cnt[static_cast<std::size_t>(msg.dst)];
+    ++sent_[static_cast<std::size_t>(msg.src)];
+    ++recv_[static_cast<std::size_t>(msg.dst)];
   }
-  const std::span<Msg*> cursor =
-      arena_.alloc<Msg*>(static_cast<std::size_t>(n_));
-  for (int v = 0; v < n_; ++v) {
-    auto& box = inboxes_[static_cast<std::size_t>(v)];
-    const std::size_t old = box.size();
-    box.resize(old + static_cast<std::size_t>(cnt[static_cast<std::size_t>(v)]));
-    cursor[static_cast<std::size_t>(v)] = box.data() + old;
+}
+
+std::int64_t Network::worst_pair_multiplicity(const std::vector<Msg>& msgs) {
+  keys_.resize(msgs.size());
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    keys_[i] = static_cast<std::int64_t>(msgs[i].src) * n_ + msgs[i].dst;
   }
-  const std::span<Msg*> slot = arena_.alloc<Msg*>(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i) {
-    slot[static_cast<std::size_t>(i)] =
-        cursor[static_cast<std::size_t>(msgs[static_cast<std::size_t>(i)].dst)]++;
+  return max_multiplicity(keys_);
+}
+
+void Network::deliver(const std::vector<Msg>& msgs) {
+  // Each inbox grows once, by the receive count of this batch's tally; the
+  // messages then land in arrival order.
+  for (std::size_t v = 0; v < inboxes_.size(); ++v) {
+    std::vector<Msg>& box = inboxes_[v];
+    const std::size_t need = box.size() + static_cast<std::size_t>(recv_[v]);
+    if (need > box.capacity()) box.reserve(std::max(need, 2 * box.size()));
   }
-  exec::parallel_for(m, kMsgGrain, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      *slot[static_cast<std::size_t>(i)] = msgs[static_cast<std::size_t>(i)];
-    }
-  });
+  for (const Msg& msg : msgs) inboxes_[static_cast<std::size_t>(msg.dst)].push_back(msg);
 }
 
 void Network::exchange(const std::vector<Msg>& msgs) {
   if (msgs.empty()) return;
-  arena_.reset();
-  BatchTally t = tally_batch(n_, msgs, /*want_mult=*/true, arena_);
+  tally(msgs);
+  const std::int64_t worst_mult = worst_pair_multiplicity(msgs);
   deliver(msgs);
   if (routing_mode_ == RoutingMode::kBroadcast) {
     // Each source broadcasts its queue one word per round; receivers filter.
     // Rounds = max words sent by one source.
-    const std::int64_t max_sent =
-        *std::max_element(t.sent.begin(), t.sent.end());
+    const std::int64_t max_sent = *std::max_element(sent_.begin(), sent_.end());
     record("bcast_exchange", max_sent, static_cast<std::int64_t>(msgs.size()),
-           t.sent, t.recv);
+           sent_, recv_);
   } else {
     // Rounds = max multiplicity over ordered (src,dst) pairs.
-    record("exchange", t.worst_mult, static_cast<std::int64_t>(msgs.size()),
-           t.sent, t.recv);
+    record("exchange", worst_mult, static_cast<std::int64_t>(msgs.size()), sent_,
+           recv_);
   }
   run_recovery(msgs);
 }
 
 void Network::lenzen_route(const std::vector<Msg>& msgs) {
   if (msgs.empty()) return;
-  arena_.reset();
-  BatchTally t = tally_batch(n_, msgs, /*want_mult=*/false, arena_);
+  tally(msgs);
   if (routing_mode_ == RoutingMode::kBroadcast) {
     // No routing needed: every broadcast is heard by all, so the batch takes
     // exactly max-words-per-source rounds regardless of the receive profile.
-    const std::int64_t max_sent =
-        *std::max_element(t.sent.begin(), t.sent.end());
+    const std::int64_t max_sent = *std::max_element(sent_.begin(), sent_.end());
     deliver(msgs);
-    record("bcast_route", max_sent, static_cast<std::int64_t>(msgs.size()),
-           t.sent, t.recv);
+    record("bcast_route", max_sent, static_cast<std::int64_t>(msgs.size()), sent_,
+           recv_);
     run_recovery(msgs);
     return;
   }
   const std::int64_t max_load =
-      std::max(*std::max_element(t.sent.begin(), t.sent.end()),
-               *std::max_element(t.recv.begin(), t.recv.end()));
+      std::max(*std::max_element(sent_.begin(), sent_.end()),
+               *std::max_element(recv_.begin(), recv_.end()));
   // Load c = ceil(max_load / n); Lenzen routes a c-load instance in O(c).
   const std::int64_t c = (max_load + n_ - 1) / n_;
   if (routing_mode_ == RoutingMode::kExecuted) {
     const std::int64_t used = execute_route(msgs, c);
-    record("lenzen_route", used, static_cast<std::int64_t>(msgs.size()), t.sent,
-           t.recv);
+    record("lenzen_route", used, static_cast<std::int64_t>(msgs.size()), sent_,
+           recv_);
     run_recovery(msgs);
     return;
   }
   deliver(msgs);
   record("lenzen_route", lenzen_constant() * c,
-         static_cast<std::int64_t>(msgs.size()), t.sent, t.recv);
+         static_cast<std::int64_t>(msgs.size()), sent_, recv_);
   run_recovery(msgs);
 }
 

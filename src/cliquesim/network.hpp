@@ -12,12 +12,12 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "cliquesim/arena.hpp"
 #include "cliquesim/message.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/round_ledger.hpp"
@@ -173,14 +173,12 @@ class Network {
   /// Broadcast: 1 round, 1 word.
   void charge_announcement();
 
-  /// W = `total_words` load-balanced words become global knowledge (clique
-  /// gossip).  Unicast: ceil(W/n)+1 rounds (spray + relay via [Len13]),
-  /// `unicast_words` ledgered words — call sites historically charge either
-  /// W or W*n depending on whether they count deliveries, so the unicast
-  /// word count is the caller's.  Broadcast: no relay phase is needed (a
-  /// broadcast is heard by all), so each node broadcasts its ceil(W/n)-word
-  /// share: ceil(W/n) rounds, W words.
-  void charge_gossip(std::int64_t total_words, std::int64_t unicast_words);
+  /// W = `words` load-balanced words become global knowledge (clique
+  /// gossip).  Unicast: ceil(W/n)+1 rounds (spray + relay via [Len13]) and
+  /// W*n ledgered words, one per delivery.  Broadcast: no relay phase is
+  /// needed (a broadcast is heard by all), so each node broadcasts its
+  /// ceil(W/n)-word share: ceil(W/n) rounds, W words.
+  void charge_gossip(std::int64_t words);
 
   /// Deliver a batch of point-to-point messages subject to the per-round
   /// bandwidth limit: the batch is split into sub-rounds so that no ordered
@@ -223,6 +221,11 @@ class Network {
 
  private:
   void check_node(int v) const;
+  /// Validate a batch's node ids and count each node's sent and received
+  /// messages into sent_ / recv_.
+  void tally(const std::vector<Msg>& msgs);
+  /// The most messages one ordered (src, dst) pair carries in the batch.
+  std::int64_t worst_pair_multiplicity(const std::vector<Msg>& msgs);
   /// Shared body of charge() and the semantic helpers: record under
   /// `primitive` and run bulk recovery when a fault plan is armed.
   void charge_impl(const char* primitive, std::int64_t rounds,
@@ -257,11 +260,11 @@ class Network {
   PhaseLedger ledger_;
   std::vector<OpRecord> op_log_;
   std::vector<std::vector<Msg>> inboxes_;
-  /// Per-batch scratch (tallies, slot tables, sort keys), reset at the start
-  /// of every public batch operation — so each op's scratch stays valid for
-  /// the op's whole tally/record/recovery sequence while the memory itself
-  /// is recycled across the run (see cliquesim/arena.hpp).
-  RoundArena arena_;
+  /// The current batch's per-node send and receive counts (from tally) and
+  /// its ordered-pair sort keys; the buffers are reused across batches.
+  std::vector<std::int64_t> sent_;
+  std::vector<std::int64_t> recv_;
+  std::vector<std::int64_t> keys_;
 };
 
 }  // namespace lapclique::clique

@@ -27,8 +27,9 @@
 namespace lapclique {
 
 struct Runtime {
-  /// Worker threads for exec::parallel_for regions; 0 resolves to
-  /// exec::default_threads() (the LAPCLIQUE_THREADS env var, else 1).
+  /// Worker threads for the dense LDL^T's row splits (the only sharded
+  /// kernel, at n >= 257); 0 resolves to exec::default_threads() (the
+  /// LAPCLIQUE_THREADS env var, else 1).
   int threads = 0;
   /// Round ledger observing every network op; nullptr resolves to
   /// obs::default_ledger() (which may itself be null = tracing off).

@@ -1,11 +1,14 @@
 // exec — the deterministic multi-threaded execution engine.
 //
-// The congested clique is embarrassingly parallel by construction: in every
-// round all n nodes compute independently and then exchange messages.  This
-// pool lets the simulator exploit that parallelism while keeping every run
-// *bit-for-bit identical across thread counts*, which is a hard invariant —
-// the paper's contribution is derandomization, so Theorem 1.1/3.3 round
-// counts (and the floating-point trajectories that determine them) must be
+// In the congested clique only rounds count; node-local work is free, so
+// threads are a host-side optimization and never change a result.  The pool
+// has one client: the dense LDL^T (linalg/cholesky.cpp), whose factor
+// update and blocked triangular solves split their rows over the pool once
+// a loop's work passes a fixed flop threshold, which happens only at
+// n >= 257.  Every other kernel runs on the calling thread.  Runs stay
+// *bit-for-bit identical across thread counts*, a hard invariant: the
+// paper's contribution is derandomization, so Theorem 1.1/3.3 round counts
+// (and the floating-point trajectories that determine them) must be
 // reproducible whether the host runs 1 thread or 64.
 //
 // The determinism discipline (see docs/PERFORMANCE.md):
@@ -15,10 +18,8 @@
 //     claim shards dynamically (an atomic cursor), but which thread runs a
 //     shard cannot affect the result because...
 //   * ...every shard owns its outputs: parallel_for bodies write disjoint
-//     index ranges with a fixed per-index arithmetic sequence, and
-//   * reductions go through per-shard partials combined *in shard-index
-//     order* on the calling thread (sharded_map) — never through atomics on
-//     doubles or combining in completion order.
+//     index ranges with a fixed per-index arithmetic sequence, never
+//     through atomics on doubles or combining in completion order.
 //
 // Thread-count selection: exec::set_threads / exec::ThreadScope bound how
 // many workers participate; the process default comes from the
@@ -41,12 +42,9 @@ namespace lapclique::exec {
 /// Upper bound on worker threads (a safety valve, not a tuning knob).
 inline constexpr int kMaxThreads = 64;
 
-/// Default shard granularity for elementwise loops: small enough to load-
-/// balance, large enough that the per-shard dispatch cost (~100ns) vanishes.
-inline constexpr std::int64_t kDefaultGrain = 2048;
-
-/// Shards are capped so per-shard partial buffers stay small; the cap is a
-/// constant, so shard boundaries remain a pure function of (count, grain).
+/// Shards are capped so a region's per-shard bookkeeping (one exception slot
+/// each) stays small; the cap is a constant, so shard boundaries remain a
+/// pure function of (count, grain).
 inline constexpr std::int64_t kMaxShards = 256;
 
 /// Threads currently participating in parallel regions (>= 1).
@@ -121,35 +119,6 @@ void parallel_for(std::int64_t count, std::int64_t grain, Body&& body) {
   });
 }
 
-/// parallel_for with the default grain.
-template <class Body>
-void parallel_for(std::int64_t count, Body&& body) {
-  parallel_for(count, kDefaultGrain, std::forward<Body>(body));
-}
-
-/// Deterministic map over shards: fn(shard, begin, end) -> T, returning the
-/// per-shard partials *in shard-index order*.  This is the building block
-/// for deterministic accumulation: callers fold the returned vector left to
-/// right, so the combination order is fixed regardless of thread count.
-template <class T, class ShardFn>
-std::vector<T> sharded_map(std::int64_t count, std::int64_t grain, ShardFn&& fn) {
-  const std::int64_t shards = shard_count(count, grain);
-  std::vector<T> partials(static_cast<std::size_t>(shards > 0 ? shards : 0));
-  if (shards <= 0) return partials;
-  if (shards == 1 || threads() == 1) {
-    for (std::int64_t s = 0; s < shards; ++s) {
-      const auto [b, e] = shard_range(count, shards, s);
-      partials[static_cast<std::size_t>(s)] = fn(s, b, e);
-    }
-    return partials;
-  }
-  detail::run_sharded(shards, [count, shards, &fn, &partials](std::int64_t s) {
-    const auto [b, e] = shard_range(count, shards, s);
-    partials[static_cast<std::size_t>(s)] = fn(s, b, e);
-  });
-  return partials;
-}
-
 /// A bounded set of long-lived task workers, the serving frontend's
 /// connection executor (src/serve/frontend.*).  Unlike the sharded pool
 /// above — which splits ONE deterministic computation across threads —
@@ -159,10 +128,10 @@ std::vector<T> sharded_map(std::int64_t count, std::int64_t grain, ShardFn&& fn)
 /// Tasks submitted beyond the worker count queue FIFO; the queue depth is
 /// what the frontend's admission control bounds.
 ///
-/// Tasks may themselves enter parallel regions (requests shard node-local
-/// compute through parallel_for); those regions contend for the single
-/// process pool and degrade gracefully to inline execution (see Pool::run),
-/// which cannot change results.
+/// Tasks may themselves enter parallel regions (a request's dense LDL^T
+/// splits its rows through parallel_for); those regions contend for the
+/// single process pool and degrade gracefully to inline execution (see
+/// Pool::run), which cannot change results.
 class WorkerSet {
  public:
   /// Spawns `workers` threads immediately (clamped to [1, kMaxThreads]).

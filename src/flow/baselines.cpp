@@ -13,8 +13,7 @@ BaselineResult trivial_max_flow(const Digraph& g, int s, int t,
   const std::int64_t before = net.rounds();
   // Every node must learn every arc: 3 words per arc, every node receives
   // them all.  With clique gossip that is ceil(3m/n)+1 rounds.
-  const std::int64_t words = 3 * static_cast<std::int64_t>(g.num_arcs());
-  net.charge_gossip(words, words * static_cast<std::int64_t>(net.size()));
+  net.charge_gossip(3 * static_cast<std::int64_t>(g.num_arcs()));
 
   const MaxFlowResult mf = dinic_max_flow(g, s, t);
   BaselineResult out;

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "exec/pool.hpp"
 #include "graph/graph.hpp"
 #include "solver/laplacian_solver.hpp"
 
@@ -131,17 +130,11 @@ linalg::Vec ElectricalSolver::potentials(std::span<const double> chi,
 
 std::vector<double> ElectricalSolver::induced_flow(std::span<const double> phi) const {
   std::vector<double> f(edges_.size());
-  exec::parallel_for(
-      static_cast<std::int64_t>(edges_.size()),
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const ElectricalEdge& e = edges_[static_cast<std::size_t>(i)];
-          f[static_cast<std::size_t>(i)] =
-              (phi[static_cast<std::size_t>(e.v)] -
-               phi[static_cast<std::size_t>(e.u)]) /
-              e.resistance;
-        }
-      });
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const ElectricalEdge& e = edges_[i];
+    f[i] = (phi[static_cast<std::size_t>(e.v)] - phi[static_cast<std::size_t>(e.u)]) /
+           e.resistance;
+  }
   return f;
 }
 

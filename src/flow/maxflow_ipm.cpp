@@ -595,8 +595,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     net.set_phase("maxflow/fallback");
     // The exact baseline is centralized: gather the arc list (3 words per
     // arc) to a coordinator, solve locally, broadcast the value.
-    const auto words = 3 * static_cast<std::int64_t>(g.num_arcs());
-    net.charge_gossip(words, words);
+    net.charge_gossip(3 * static_cast<std::int64_t>(g.num_arcs()));
     const MaxFlowResult exact = dinic_max_flow(g, s, t);
     rep.value = exact.value;
     rep.flow = exact.flow;

@@ -441,9 +441,8 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // The exact baseline is centralized: gather the arc list (4 words per
     // arc) plus the demand vector to a coordinator, solve locally,
     // broadcast feasibility and cost.
-    const auto words = 4 * static_cast<std::int64_t>(g.num_arcs()) +
-                       static_cast<std::int64_t>(g.num_vertices());
-    net.charge_gossip(words, words);
+    net.charge_gossip(4 * static_cast<std::int64_t>(g.num_arcs()) +
+                      static_cast<std::int64_t>(g.num_vertices()));
     const MinCostFlowResult exact = ssp_min_cost_flow(g, sigma);
     rep.feasible = exact.feasible;
     rep.cost = exact.feasible ? exact.cost : 0;

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "exec/pool.hpp"
-
 namespace lapclique::linalg {
 
 int chebyshev_iteration_bound(double kappa, double eps) {
@@ -55,20 +53,15 @@ std::vector<Vec> preconditioned_chebyshev(const CsrMatrix& a,
       // Fused triad: the p recurrence and the x accumulation share one pass.
       // Per element the two statements are exactly the textbook pair
       // `p = z + beta p; x += alpha p`, so fusing cannot change a bit.
-      const double al = alpha;
-      exec::parallel_for(static_cast<std::int64_t>(n),
-                         [&](std::int64_t lo, std::int64_t hi) {
-                           for (std::size_t col = 0; col < k; ++col) {
-                             double* pc = p[col].data();
-                             double* xc = x[col].data();
-                             const double* zc = z[col].data();
-                             for (std::int64_t i = lo; i < hi; ++i) {
-                               const auto iu = static_cast<std::size_t>(i);
-                               pc[iu] = zc[iu] + beta * pc[iu];
-                               xc[iu] += al * pc[iu];
-                             }
-                           }
-                         });
+      for (std::size_t col = 0; col < k; ++col) {
+        double* pc = p[col].data();
+        double* xc = x[col].data();
+        const double* zc = z[col].data();
+        for (std::size_t i = 0; i < n; ++i) {
+          pc[i] = zc[i] + beta * pc[i];
+          xc[i] += alpha * pc[i];
+        }
+      }
     }
     // r -= alpha * (A p) without materializing A p.
     a.multiply_block_axpy_into(-alpha, p, r);

@@ -3,20 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "exec/pool.hpp"
-
 namespace lapclique::linalg {
-
-namespace {
-/// Rows per shard for row-parallel kernels.  Each row's inner loop runs
-/// sequentially in column order, so sharding rows is bit-identical to the
-/// sequential kernel; the grain only has to amortize dispatch.
-constexpr std::int64_t kRowGrain = 512;
-/// Slices per shard for the SELL kernels — kRowGrain rows' worth of slices,
-/// keeping the shard geometry (a pure function of n) aligned with the old
-/// row-sharded kernels.
-constexpr std::int64_t kSliceGrain = kRowGrain / CsrMatrix::kSellSlice;
-}  // namespace
 
 void sort_triplets(std::span<Triplet> t) {
   std::sort(t.begin(), t.end(), [](const Triplet& a, const Triplet& b) {
@@ -103,36 +90,33 @@ void CsrMatrix::multiply_into(std::span<const double> x, std::span<double> y) co
   }
   // SELL kernel: lanes of a slice advance in lockstep over entry index j;
   // lane l's accumulator sees row (slice*C+l)'s entries in ascending column
-  // order — the exact per-row sequence of the scalar CSR loop, so the result
-  // is bit-identical at every thread count.  Short lanes are guarded by
-  // len[l]; padded slots never reach the arithmetic.
+  // order — the exact per-row sequence of the scalar CSR loop.  Short lanes
+  // are guarded by len[l]; padded slots never reach the arithmetic.
   constexpr int C = kSellSlice;
   const std::int64_t slices = (static_cast<std::int64_t>(n_) + C - 1) / C;
-  exec::parallel_for(slices, kSliceGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t s = lo; s < hi; ++s) {
-      const int r0 = static_cast<int>(s) * C;
-      const int lanes = std::min(C, n_ - r0);
-      const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
-      const std::int64_t width = (sell_ptr_[static_cast<std::size_t>(s) + 1] - base) / C;
-      double acc[C] = {};
-      int len[C] = {};
+  for (std::int64_t s = 0; s < slices; ++s) {
+    const int r0 = static_cast<int>(s) * C;
+    const int lanes = std::min(C, n_ - r0);
+    const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
+    const std::int64_t width = (sell_ptr_[static_cast<std::size_t>(s) + 1] - base) / C;
+    double acc[C] = {};
+    int len[C] = {};
+    for (int l = 0; l < lanes; ++l) {
+      len[l] = rowptr_[static_cast<std::size_t>(r0 + l) + 1] -
+               rowptr_[static_cast<std::size_t>(r0 + l)];
+    }
+    for (std::int64_t j = 0; j < width; ++j) {
+      const auto slot = static_cast<std::size_t>(base + j * C);
       for (int l = 0; l < lanes; ++l) {
-        len[l] = rowptr_[static_cast<std::size_t>(r0 + l) + 1] -
-                 rowptr_[static_cast<std::size_t>(r0 + l)];
-      }
-      for (std::int64_t j = 0; j < width; ++j) {
-        const auto slot = static_cast<std::size_t>(base + j * C);
-        for (int l = 0; l < lanes; ++l) {
-          if (j < len[l]) {
-            acc[l] += sell_vals_[slot + static_cast<std::size_t>(l)] *
-                      x[static_cast<std::size_t>(
-                          sell_cols_[slot + static_cast<std::size_t>(l)])];
-          }
+        if (j < len[l]) {
+          acc[l] += sell_vals_[slot + static_cast<std::size_t>(l)] *
+                    x[static_cast<std::size_t>(
+                        sell_cols_[slot + static_cast<std::size_t>(l)])];
         }
       }
-      for (int l = 0; l < lanes; ++l) y[static_cast<std::size_t>(r0 + l)] = acc[l];
     }
-  });
+    for (int l = 0; l < lanes; ++l) y[static_cast<std::size_t>(r0 + l)] = acc[l];
+  }
 }
 
 void CsrMatrix::multiply_block_axpy_into(double coef, std::span<const Vec> x,
@@ -155,34 +139,32 @@ void CsrMatrix::multiply_block_axpy_into(double coef, std::span<const Vec> x,
   // column c is bitwise `axpy(coef, multiply(x[c]), y[c])`.
   constexpr int C = kSellSlice;
   const std::int64_t slices = (static_cast<std::int64_t>(n_) + C - 1) / C;
-  exec::parallel_for(slices, kSliceGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t s = lo; s < hi; ++s) {
-      const int r0 = static_cast<int>(s) * C;
-      const int lanes = std::min(C, n_ - r0);
-      const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
-      const std::int64_t width = (sell_ptr_[static_cast<std::size_t>(s) + 1] - base) / C;
-      int len[C] = {};
-      for (int l = 0; l < lanes; ++l) {
-        len[l] = rowptr_[static_cast<std::size_t>(r0 + l) + 1] -
-                 rowptr_[static_cast<std::size_t>(r0 + l)];
-      }
-      for (std::size_t c = 0; c < k; ++c) {
-        const double* xc = x[c].data();
-        double acc[C] = {};
-        for (std::int64_t j = 0; j < width; ++j) {
-          const auto slot = static_cast<std::size_t>(base + j * C);
-          for (int l = 0; l < lanes; ++l) {
-            if (j < len[l]) {
-              acc[l] += sell_vals_[slot + static_cast<std::size_t>(l)] *
-                        xc[sell_cols_[slot + static_cast<std::size_t>(l)]];
-            }
+  for (std::int64_t s = 0; s < slices; ++s) {
+    const int r0 = static_cast<int>(s) * C;
+    const int lanes = std::min(C, n_ - r0);
+    const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
+    const std::int64_t width = (sell_ptr_[static_cast<std::size_t>(s) + 1] - base) / C;
+    int len[C] = {};
+    for (int l = 0; l < lanes; ++l) {
+      len[l] = rowptr_[static_cast<std::size_t>(r0 + l) + 1] -
+               rowptr_[static_cast<std::size_t>(r0 + l)];
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* xc = x[c].data();
+      double acc[C] = {};
+      for (std::int64_t j = 0; j < width; ++j) {
+        const auto slot = static_cast<std::size_t>(base + j * C);
+        for (int l = 0; l < lanes; ++l) {
+          if (j < len[l]) {
+            acc[l] += sell_vals_[slot + static_cast<std::size_t>(l)] *
+                      xc[sell_cols_[slot + static_cast<std::size_t>(l)]];
           }
         }
-        double* yc = y[c].data();
-        for (int l = 0; l < lanes; ++l) yc[r0 + l] += coef * acc[l];
       }
+      double* yc = y[c].data();
+      for (int l = 0; l < lanes; ++l) yc[r0 + l] += coef * acc[l];
     }
-  });
+  }
 }
 
 double CsrMatrix::quadratic_form(std::span<const double> x) const {
@@ -213,16 +195,14 @@ double CsrMatrix::at(int r, int c) const {
 
 std::vector<double> CsrMatrix::to_dense() const {
   std::vector<double> d(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), 0.0);
-  exec::parallel_for(n_, 64, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t r = lo; r < hi; ++r) {
-      for (int k = rowptr_[static_cast<std::size_t>(r)];
-           k < rowptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-        d[static_cast<std::size_t>(r) * static_cast<std::size_t>(n_) +
-          static_cast<std::size_t>(colidx_[static_cast<std::size_t>(k)])] =
-            vals_[static_cast<std::size_t>(k)];
-      }
+  for (int r = 0; r < n_; ++r) {
+    for (int k = rowptr_[static_cast<std::size_t>(r)];
+         k < rowptr_[static_cast<std::size_t>(r) + 1]; ++k) {
+      d[static_cast<std::size_t>(r) * static_cast<std::size_t>(n_) +
+        static_cast<std::size_t>(colidx_[static_cast<std::size_t>(k)])] =
+          vals_[static_cast<std::size_t>(k)];
     }
-  });
+  }
   return d;
 }
 

@@ -51,7 +51,7 @@ class CsrMatrix {
   /// (linalg/chebyshev).  Per row the product accumulates in the same entry
   /// order as multiply(), then lands as a single y[c][r] += coef*s, so
   /// column c is bitwise the two-pass `ap = multiply(x[c]); axpy(coef, ap,
-  /// y[c])` at every thread count.
+  /// y[c])`.
   void multiply_block_axpy_into(double coef, std::span<const Vec> x,
                                 std::span<Vec> y) const;
 

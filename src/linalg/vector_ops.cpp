@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "exec/pool.hpp"
-
 namespace lapclique::linalg {
 
 namespace {
@@ -13,11 +11,10 @@ void check_same(std::size_t a, std::size_t b) {
 }
 }  // namespace
 
-// Elementwise ops shard over the pool: each index has a fixed arithmetic
-// sequence, so any sharding is bit-identical to sequential.  Reductions
-// (dot, norm2, sum, project_out_ones) stay sequential on purpose — their
-// accumulation order feeds iteration counts and restart boundaries, and the
-// determinism contract pins those to the canonical ascending-index order.
+// Every op runs on the calling thread.  Reductions (dot, norm2, sum,
+// project_out_ones) accumulate in ascending index order on purpose: that
+// order feeds iteration counts and restart boundaries, and the determinism
+// contract pins them to it.
 
 double dot(std::span<const double> a, std::span<const double> b) {
   check_same(a.size(), b.size());
@@ -36,49 +33,24 @@ double norm_inf(std::span<const double> a) {
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   check_same(x.size(), y.size());
-  exec::parallel_for(static_cast<std::int64_t>(x.size()),
-                     [&](std::int64_t b, std::int64_t e) {
-                       for (std::int64_t i = b; i < e; ++i) {
-                         y[static_cast<std::size_t>(i)] +=
-                             alpha * x[static_cast<std::size_t>(i)];
-                       }
-                     });
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 void scale(double alpha, std::span<double> x) {
-  exec::parallel_for(static_cast<std::int64_t>(x.size()),
-                     [&](std::int64_t b, std::int64_t e) {
-                       for (std::int64_t i = b; i < e; ++i) {
-                         x[static_cast<std::size_t>(i)] *= alpha;
-                       }
-                     });
+  for (double& v : x) v *= alpha;
 }
 
 Vec add(std::span<const double> a, std::span<const double> b) {
   check_same(a.size(), b.size());
   Vec r(a.size());
-  exec::parallel_for(static_cast<std::int64_t>(a.size()),
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       for (std::int64_t i = lo; i < hi; ++i) {
-                         r[static_cast<std::size_t>(i)] =
-                             a[static_cast<std::size_t>(i)] +
-                             b[static_cast<std::size_t>(i)];
-                       }
-                     });
+  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] + b[i];
   return r;
 }
 
 Vec sub(std::span<const double> a, std::span<const double> b) {
   check_same(a.size(), b.size());
   Vec r(a.size());
-  exec::parallel_for(static_cast<std::int64_t>(a.size()),
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       for (std::int64_t i = lo; i < hi; ++i) {
-                         r[static_cast<std::size_t>(i)] =
-                             a[static_cast<std::size_t>(i)] -
-                             b[static_cast<std::size_t>(i)];
-                       }
-                     });
+  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] - b[i];
   return r;
 }
 

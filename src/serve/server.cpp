@@ -16,6 +16,7 @@
 #include "flow/mincost_ipm.hpp"
 #include "graph/connectivity.hpp"
 #include "linalg/vector_ops.hpp"
+#include "solver/resistance.hpp"
 
 namespace lapclique::serve {
 
@@ -620,10 +621,11 @@ std::string Server::handle_laplacian(const json::Value& req,
   std::vector<solver::LaplacianSolveStats> stats;
   const std::vector<linalg::Vec> xs =
       acq.artifact->solver->solve_block(bs, eps, &stats, &net);
+  if (resistance) {
+    for (std::size_t c = 0; c < bs.size(); ++c) solver::charge_potential_broadcast(net);
+  }
   RunInfo run;
   run.capture(net);
-  // + one broadcast of the two potentials per resistance pair.
-  if (resistance) run.rounds += static_cast<std::int64_t>(bs.size());
   fill_telemetry(telemetry, acq.hit ? nullptr : &acq.artifact->construction.phases,
                  net.ledger(), ledger);
 

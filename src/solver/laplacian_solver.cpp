@@ -34,9 +34,7 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
   if (net != nullptr) {
     // Make H known to every node: 3 words per edge (u, v, w) gathered.
     net->set_phase("solver/gather_sparsifier");
-    const auto n = static_cast<std::int64_t>(net->size());
-    const std::int64_t words = 3 * static_cast<std::int64_t>(h_.num_edges());
-    net->charge_gossip(words, words * n);
+    net->charge_gossip(3 * static_cast<std::int64_t>(h_.num_edges()));
   }
   lg_ = graph::laplacian(g);
   lh_ = graph::laplacian(h_);
@@ -48,12 +46,11 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
     Vec y = lg_.multiply(x);
     return lh_factor_.solve(y);
   };
-  auto rayleigh = [this](const Vec& x, const Vec& mx) {
+  auto rayleigh = [this](const Vec& x) {
     // Rayleigh quotient in the L_H inner product: <x, Mx>_{L_H} / <x,x>_{L_H}
     // equals x^T L_G x / x^T L_H x, the generalized eigenvalue functional.
     const double num = lg_.quadratic_form(x);
     const double den = lh_.quadratic_form(x);
-    (void)mx;
     return den > 0 ? num / den : 0.0;
   };
 
@@ -74,7 +71,6 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
   if (norm > 0) linalg::scale(1.0 / norm, x);
 
   // lambda_max via power iteration on M.
-  double lmax = 1.0;
   for (int it = 0; it < kRangeIterations; ++it) {
     Vec mx = apply_m(x);
     linalg::project_out_ones(mx);
@@ -84,10 +80,7 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
     x.swap(mx);
     ++range_matvecs_;
   }
-  {
-    Vec mx = apply_m(x);
-    lmax = std::max(rayleigh(x, mx), 1e-12);
-  }
+  const double lmax = std::max(rayleigh(x), 1e-12);
 
   // lambda_min via power iteration on (lmax_hat * I - M) within the range.
   const double shift = lmax * kRangeSafety;
@@ -108,20 +101,17 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
     y.swap(my);
     ++range_matvecs_;
   }
-  double lmin;
-  {
-    Vec my = apply_m(y);
-    lmin = rayleigh(y, my);
-    if (!(lmin > 0)) lmin = lmax / 16.0;
-  }
+  double lmin = rayleigh(y);
+  if (!(lmin > 0)) lmin = lmax / 16.0;
 
   lambda_max_ = lmax * kRangeSafety;
   lambda_min_ = lmin / kRangeSafety;
   kappa_ = lambda_max_ / lambda_min_;
 
   if (net != nullptr) {
-    // Each power-iteration matvec with L_G is one broadcast round; the
-    // L_H^+ applications are internal (H is globally known).
+    // Each power-iteration matvec with L_G is one broadcast round, and so is
+    // each of the two Rayleigh quotients' x^T L_G x; the L_H^+ applications
+    // are internal (H is globally known).
     net->set_phase("solver/range_estimation");
     net->charge_all_to_all(range_matvecs_ + 2);
   }

@@ -25,6 +25,11 @@ Vec pair_demand(int n, int u, int v) {
 
 }  // namespace
 
+void charge_potential_broadcast(clique::Network& net) {
+  net.set_phase("resistance/broadcast");
+  net.charge(1);
+}
+
 double effective_resistance_exact(const graph::Graph& g, int u, int v) {
   const auto l = graph::laplacian(g);
   // kAuto: small oracles stay on the historical dense bits, large ones get
@@ -41,10 +46,11 @@ ResistanceReport effective_resistance_clique(const graph::Graph& g, int u, int v
                                              clique::Network& net) {
   const Vec chi = pair_demand(g.num_vertices(), u, v);
   CliqueSolveReport rep = solve_laplacian_clique(g, chi, eps, opt, net);
+  charge_potential_broadcast(net);
   ResistanceReport out;
   out.resistance = linalg::dot(chi, rep.x);
-  out.run = std::move(rep.run);
-  out.run.rounds += 1;  // + one broadcast of the two potentials
+  out.run = std::move(rep.run);  // keeps the solve's numerics and fill
+  out.run.capture(net);           // counts now include the broadcast
   return out;
 }
 

@@ -14,8 +14,14 @@ double effective_resistance_exact(const graph::Graph& g, int u, int v);
 
 struct ResistanceReport {
   double resistance = 0;
-  RunInfo run;  ///< the solve's rounds + one broadcast of the two potentials
+  RunInfo run;  ///< the solve's charges + the potential broadcast's round
 };
+
+/// Charge the broadcast of the two potentials that turns a solve into
+/// R_eff(u, v) = x_u - x_v: 1 round in every routing mode, under the phase
+/// "resistance/broadcast".  Like the sparsifier's degree broadcast, it is a
+/// plain Network::charge(1), so it ledgers no words.
+void charge_potential_broadcast(clique::Network& net);
 
 /// Theorem 1.1-powered approximation: one eps-accurate Laplacian solve on a
 /// caller-configured Network (the Runtime entry points build it).  The

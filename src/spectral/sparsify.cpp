@@ -3,9 +3,7 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
-#include <tuple>
 
-#include "exec/pool.hpp"
 #include "spectral/product_demand.hpp"
 
 namespace lapclique::spectral {
@@ -43,60 +41,41 @@ void sparsify_class(const Graph& g, const std::vector<int>& class_edges,
     if (net != nullptr) net->charge(1);  // every node broadcasts its degree/ID
 
     // Per cluster: replace the induced expander by a product-demand
-    // sparsifier.  Clusters are independent (pure functions of gi), so they
-    // run one per shard; each shard buffers its edges and the buffers are
-    // appended to h in cluster-index order, reproducing the sequential edge
-    // order bit-for-bit at every thread count.
-    struct ClusterOut {
-      int counted = 0;  ///< clusters in this shard that produced a subgraph
-      std::vector<std::tuple<int, int, double>> edges;
-    };
-    const auto cluster_work = [&gi, &dec](std::int64_t /*shard*/, std::int64_t b,
-                                          std::int64_t e) {
-      ClusterOut out;
-      for (std::int64_t ci = b; ci < e; ++ci) {
-        const ExpanderCluster& c = dec.clusters[static_cast<std::size_t>(ci)];
-        if (c.vertices.size() < 2) continue;
-        const Graph sub = gi.induced_subgraph(c.vertices);
-        if (sub.num_edges() == 0) continue;
-        ++out.counted;
+    // sparsifier, appending its edges to h in cluster-index order.
+    for (const ExpanderCluster& c : dec.clusters) {
+      if (c.vertices.size() < 2) continue;
+      const Graph sub = gi.induced_subgraph(c.vertices);
+      if (sub.num_edges() == 0) continue;
+      ++stats.clusters_total;
 
-        std::vector<double> wdeg(c.vertices.size());
-        for (std::size_t i = 0; i < c.vertices.size(); ++i) {
-          wdeg[i] = sub.weighted_degree(static_cast<int>(i));
-        }
-        const double total_w = sub.total_weight();
-        if (!(total_w > 0)) continue;
+      std::vector<double> wdeg(c.vertices.size());
+      for (std::size_t i = 0; i < c.vertices.size(); ++i) {
+        wdeg[i] = sub.weighted_degree(static_cast<int>(i));
+      }
+      const double total_w = sub.total_weight();
+      if (!(total_w > 0)) continue;
 
-        // Vertices of the cluster that are isolated inside it contribute no
-        // demand; product_demand requires positive demands, so drop them.
-        std::vector<int> live_local;
-        std::vector<double> live_demand;
-        for (std::size_t i = 0; i < wdeg.size(); ++i) {
-          if (wdeg[i] > 0) {
-            live_local.push_back(static_cast<int>(i));
-            live_demand.push_back(wdeg[i]);
-          }
-        }
-        if (live_local.size() < 2) continue;
-
-        Graph pd = product_demand_sparsifier(live_demand);
-        const double scale = 1.0 / (2.0 * total_w);
-        for (const Edge& e2 : pd.edges()) {
-          const int gu = c.vertices[static_cast<std::size_t>(
-              live_local[static_cast<std::size_t>(e2.u)])];
-          const int gv = c.vertices[static_cast<std::size_t>(
-              live_local[static_cast<std::size_t>(e2.v)])];
-          out.edges.emplace_back(gu, gv, e2.w * scale);
+      // Vertices of the cluster that are isolated inside it contribute no
+      // demand; product_demand requires positive demands, so drop them.
+      std::vector<int> live_local;
+      std::vector<double> live_demand;
+      for (std::size_t i = 0; i < wdeg.size(); ++i) {
+        if (wdeg[i] > 0) {
+          live_local.push_back(static_cast<int>(i));
+          live_demand.push_back(wdeg[i]);
         }
       }
-      return out;
-    };
-    const std::vector<ClusterOut> outs = exec::sharded_map<ClusterOut>(
-        static_cast<std::int64_t>(dec.clusters.size()), 1, cluster_work);
-    for (const ClusterOut& co : outs) {
-      stats.clusters_total += co.counted;
-      for (const auto& [gu, gv, w] : co.edges) h.add_edge(gu, gv, w);
+      if (live_local.size() < 2) continue;
+
+      Graph pd = product_demand_sparsifier(live_demand);
+      const double scale = 1.0 / (2.0 * total_w);
+      for (const Edge& e2 : pd.edges()) {
+        const int gu = c.vertices[static_cast<std::size_t>(
+            live_local[static_cast<std::size_t>(e2.u)])];
+        const int gv = c.vertices[static_cast<std::size_t>(
+            live_local[static_cast<std::size_t>(e2.v)])];
+        h.add_edge(gu, gv, e2.w * scale);
+      }
     }
 
     // Crossing edges go to the next level.

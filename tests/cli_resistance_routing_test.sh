@@ -6,7 +6,9 @@
 #      must differ from its rounds under --routing charged, so the flag
 #      reached the command;
 #   2. when tracing is compiled in, its broadcast --trace must charge
-#      Broadcast Congested Clique primitives (bcast_*), not unicast ones.
+#      Broadcast Congested Clique primitives (bcast_*), not unicast ones,
+#      and under both routings the trace's total_rounds must equal the
+#      rounds= line: the potentials' broadcast is charged, not added.
 #
 # Registered by tests/CMakeLists.txt as `cli_resistance_routing`; argument 1
 # is the lapclique_cli binary path, argument 2 is 1 when the build compiles
@@ -27,6 +29,10 @@ rounds_of() {
   sed -n 's/^rounds=\([0-9][0-9]*\).*/\1/p' "$1" | head -n 1
 }
 
+trace_rounds_of() {
+  sed -n 's/^ *"total_rounds": *\([0-9][0-9]*\).*/\1/p' "$1" | head -n 1
+}
+
 # An 8-vertex graph: two 4-cycles sharing vertex 0.
 printf '8 9\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n5 6\n6 7\n7 0\n' >"$TMP/g.el"
 
@@ -39,7 +45,7 @@ fi
 
 "$BIN" --routing broadcast solve "$TMP/g.el" 0 5 \
   >"$TMP/s.out" 2>"$TMP/s.err" || fail "solve failed: $(cat "$TMP/s.err")"
-"$BIN" --routing charged resistance "$TMP/g.el" 0 5 \
+"$BIN" --routing charged --trace "$TMP/c.json" resistance "$TMP/g.el" 0 5 \
   >"$TMP/c.out" 2>"$TMP/c.err" ||
   fail "charged resistance failed: $(cat "$TMP/c.err")"
 R="$(rounds_of "$TMP/r.err")"
@@ -51,6 +57,14 @@ C="$(rounds_of "$TMP/c.err")"
   fail "resistance rounds=$R, expected solve rounds=$S plus 1"
 [ "$R" -ne "$C" ] ||
   fail "resistance rounds=$R under broadcast equal the charged rounds=$C"
+if [ "$TRACED" = 1 ]; then
+  TR="$(trace_rounds_of "$TMP/t.json")"
+  TC="$(trace_rounds_of "$TMP/c.json")"
+  [ "$TR" = "$R" ] ||
+    fail "broadcast trace total_rounds='$TR', expected the rounds=$R line"
+  [ "$TC" = "$C" ] ||
+    fail "charged trace total_rounds='$TC', expected the rounds=$C line"
+fi
 
 echo "cli_resistance_routing_test: OK (resistance rounds=$R, solve rounds=$S," \
   "charged resistance rounds=$C)"

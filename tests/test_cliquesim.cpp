@@ -131,9 +131,9 @@ TEST(Network, CongestionAuditHolds) {
   }
 }
 
-// A batch above the 4096-message shard grain makes the tally and the
-// delivery split it across the pool.  Whatever the thread count, the batch
-// must leave the same inboxes, rounds, words and op log as at one thread.
+// The Network tallies and delivers on the calling thread: a 12,293-message
+// exchange must leave the same inboxes, rounds, words and op log at every
+// thread count as at one.
 TEST(Network, ShardedExchangeMatchesOneThread) {
   constexpr int kNodes = 16;
   std::vector<Msg> msgs;
@@ -234,7 +234,7 @@ TEST(Broadcast, SemanticChargeHelpers) {
   EXPECT_EQ(bc.rounds(), 1);
   EXPECT_EQ(bc.words_sent(), 1);
   bc.reset_accounting();
-  bc.charge_gossip(13, 13 * 6);
+  bc.charge_gossip(13);
   EXPECT_EQ(bc.rounds(), (13 + 5) / 6);
   EXPECT_EQ(bc.words_sent(), 13);
 }
@@ -243,12 +243,12 @@ TEST(Broadcast, GatherToAllDropsRelayRound) {
   // Gossiping 16 words over 8 nodes: unicast charges ceil(16/8)+1 = 3 rounds
   // and 16*8 delivered words; broadcast charges ceil(16/8) = 2 rounds and 16.
   Network uni(8);
-  uni.charge_gossip(16, 16 * 8);
+  uni.charge_gossip(16);
   EXPECT_EQ(uni.rounds(), 3);
   EXPECT_EQ(uni.words_sent(), 16 * 8);
   Network bc(8);
   bc.set_routing_mode(RoutingMode::kBroadcast);
-  bc.charge_gossip(16, 16 * 8);
+  bc.charge_gossip(16);
   EXPECT_EQ(bc.rounds(), 2);
   EXPECT_EQ(bc.words_sent(), 16);
 }

@@ -10,7 +10,8 @@
 //   lapclique_cli gen-mincost <n> <m> <W> <seed>  random instance to stdout
 //
 // Global flags (any command):
-//   --threads <n>          shard node-local compute across n worker threads
+//   --threads <n>          split the dense LDL^T's rows (the only sharded
+//                          kernel, at n >= 257) across n worker threads
 //                          (outputs are bit-identical for every n; default
 //                          LAPCLIQUE_THREADS or 1)
 //   --trace <out.json>     write a per-phase round/congestion trace (the
