@@ -24,13 +24,12 @@ namespace lapclique::experiments {
 
 namespace {
 
-/// The runtime of every facade call below: `mode` routing and kAuto numerics,
-/// whatever LAPCLIQUE_ROUTING and LAPCLIQUE_NUMERICS say.  Networks built
-/// directly (clique::Network(n)) are already charged and environment-free.
+/// The runtime of every facade call below: `mode` routing, whatever
+/// LAPCLIQUE_ROUTING says.  Networks built directly (clique::Network(n)) are
+/// already charged and environment-free.
 Runtime pinned_runtime(clique::RoutingMode mode = clique::RoutingMode::kCharged) {
   Runtime rt;
   rt.routing_mode = mode;
-  rt.numerics = linalg::Backend::kAuto;
   return rt;
 }
 
@@ -84,22 +83,17 @@ Table e1_n() {
 
 Table e1_routing() {
   Table t{"E1-routing",
-          "E1: one solve under each routing mode and numerics backend; the backend "
-          "never moves rounds or words (random_connected_gnm n = 256, m = 1024, "
-          "seed 29, eps = 1e-6).",
-          {"routing", "numerics", "rounds", "words"},
+          "E1: one solve under each routing mode (random_connected_gnm n = 256, "
+          "m = 1024, seed 29, eps = 1e-6).",
+          {"routing", "rounds", "words"},
           {}};
   const Graph g = graph::random_connected_gnm(256, 1024, 29);
   for (const clique::RoutingMode mode :
        {clique::RoutingMode::kCharged, clique::RoutingMode::kExecuted,
         clique::RoutingMode::kBroadcast}) {
-    for (const linalg::Backend backend : {linalg::Backend::kDense, linalg::Backend::kSparse}) {
-      solver::LaplacianSolverOptions opt;
-      opt.backend = backend;
-      const auto rep = solve_laplacian(g, dipole(256), 1e-6, opt, pinned_runtime(mode));
-      t.rows.push_back({clique::to_string(mode), linalg::to_string(backend),
-                        cell(rep.run.rounds), cell(rep.run.words)});
-    }
+    const auto rep = solve_laplacian(g, dipole(256), 1e-6, {}, pinned_runtime(mode));
+    t.rows.push_back(
+        {clique::to_string(mode), cell(rep.run.rounds), cell(rep.run.words)});
   }
   return t;
 }

@@ -1,8 +1,8 @@
 // The tables of EXPERIMENTS.md, one function per table.
 //
 // Each function builds its instances from fixed seeds and runs them on
-// explicitly configured networks: charged routing and kAuto numerics, set in
-// code, so no LAPCLIQUE_* environment variable can move a cell.  Only the
+// explicitly configured networks: charged routing, set in code, so no
+// LAPCLIQUE_* environment variable can move a cell.  Only the
 // deterministic quantities are tabulated (model rounds and words, solve and
 // path counts, sizes, and floats computed from them or from solver bits);
 // host wall-clock time is lapbench's job (benchmark/).

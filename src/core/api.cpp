@@ -37,34 +37,6 @@ struct CheckpointSession {
   }
 };
 
-/// The numerics-backend copy-in contract (see Runtime::numerics): the
-/// runtime's backend applies whenever the caller left the per-call option at
-/// kAuto; an explicit per-call choice wins.  Every facade that factors a
-/// Laplacian funnels its options through here.
-solver::LaplacianSolverOptions with_numerics(solver::LaplacianSolverOptions opt,
-                                             const Runtime& rt) {
-  if (opt.backend == linalg::Backend::kAuto) opt.backend = rt.numerics;
-  return opt;
-}
-
-flow::MaxFlowIpmOptions with_numerics(flow::MaxFlowIpmOptions opt,
-                                      const Runtime& rt) {
-  if (opt.numerics == linalg::Backend::kAuto) opt.numerics = rt.numerics;
-  return opt;
-}
-
-flow::MinCostIpmOptions with_numerics(flow::MinCostIpmOptions opt,
-                                      const Runtime& rt) {
-  if (opt.numerics == linalg::Backend::kAuto) opt.numerics = rt.numerics;
-  return opt;
-}
-
-flow::ApproxMaxFlowOptions with_numerics(flow::ApproxMaxFlowOptions opt,
-                                         const Runtime& rt) {
-  if (opt.numerics == linalg::Backend::kAuto) opt.numerics = rt.numerics;
-  return opt;
-}
-
 }  // namespace
 
 solver::CliqueSolveReport solve_laplacian(const Graph& g, std::span<const double> b,
@@ -73,7 +45,7 @@ solver::CliqueSolveReport solve_laplacian(const Graph& g, std::span<const double
                                           const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
-  return solver::solve_laplacian_clique(g, b, eps, with_numerics(opt, rt), net);
+  return solver::solve_laplacian_clique(g, b, eps, opt, net);
 }
 
 SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt,
@@ -118,10 +90,10 @@ flow::MaxFlowIpmReport max_flow(const Digraph& g, int s, int t,
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   if (rt.checkpoint_path.empty()) {
-    return flow::max_flow_clique(g, s, t, net, with_numerics(opt, rt));
+    return flow::max_flow_clique(g, s, t, net, opt);
   }
   const CheckpointSession session(rt);
-  flow::MaxFlowIpmOptions copt = with_numerics(opt, rt);
+  flow::MaxFlowIpmOptions copt = opt;
   copt.checkpoint = session.hooks();
   return flow::max_flow_clique(g, s, t, net, copt);
 }
@@ -133,10 +105,10 @@ flow::MinCostIpmReport min_cost_flow(const Digraph& g,
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   if (rt.checkpoint_path.empty()) {
-    return flow::min_cost_flow_clique(g, sigma, net, with_numerics(opt, rt));
+    return flow::min_cost_flow_clique(g, sigma, net, opt);
   }
   const CheckpointSession session(rt);
-  flow::MinCostIpmOptions copt = with_numerics(opt, rt);
+  flow::MinCostIpmOptions copt = opt;
   copt.checkpoint = session.hooks();
   return flow::min_cost_flow_clique(g, sigma, net, copt);
 }
@@ -146,7 +118,7 @@ flow::MinCostMaxFlowReport min_cost_max_flow(const Digraph& g, int s, int t,
                                              const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
-  return flow::min_cost_max_flow_clique(g, s, t, net, with_numerics(opt, rt));
+  return flow::min_cost_max_flow_clique(g, s, t, net, opt);
 }
 
 flow::ApproxMaxFlowReport approx_max_flow(const Graph& g, int s, int t,
@@ -154,7 +126,7 @@ flow::ApproxMaxFlowReport approx_max_flow(const Graph& g, int s, int t,
                                           const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
-  return flow::approx_max_flow_undirected(g, s, t, net, with_numerics(opt, rt));
+  return flow::approx_max_flow_undirected(g, s, t, net, opt);
 }
 
 mst::MstResult minimum_spanning_forest(const Graph& g, const Runtime& rt) {
@@ -167,8 +139,7 @@ solver::ResistanceReport effective_resistance(const Graph& g, int u, int v,
                                               double eps, const Runtime& rt) {
   exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
-  return solver::effective_resistance_clique(
-      g, u, v, eps, with_numerics(solver::LaplacianSolverOptions{}, rt), net);
+  return solver::effective_resistance_clique(g, u, v, eps, {}, net);
 }
 
 }  // namespace lapclique

@@ -11,26 +11,15 @@ int Runtime::resolved_threads() const {
   return threads > exec::kMaxThreads ? exec::kMaxThreads : threads;
 }
 
-obs::RoundLedger* Runtime::resolved_trace() const {
-  return trace != nullptr ? trace : obs::default_ledger();
+const Runtime& default_runtime() {
+  static const Runtime rt;
+  return rt;
 }
-
-fault::FaultPlan* Runtime::resolved_faults() const {
-  return faults != nullptr ? faults : fault::default_plan();
-}
-
-namespace {
-Runtime g_default_runtime;
-}  // namespace
-
-const Runtime& default_runtime() { return g_default_runtime; }
-
-void set_default_runtime(const Runtime& rt) { g_default_runtime = rt; }
 
 clique::Network make_network(int n, const Runtime& rt) {
   clique::Network net(n < 2 ? 2 : n);
-  net.set_tracer(rt.resolved_trace());
-  net.set_fault_plan(rt.resolved_faults());
+  net.set_tracer(rt.trace);
+  net.set_fault_plan(rt.faults);
   net.set_routing_mode(rt.routing_mode);
   return net;
 }
@@ -38,8 +27,8 @@ clique::Network make_network(int n, const Runtime& rt) {
 obs::json::Value runtime_to_json(const Runtime& rt) {
   obs::json::Object o;
   o["threads"] = rt.resolved_threads();
-  o["trace_enabled"] = rt.resolved_trace() != nullptr;
-  const fault::FaultPlan* plan = rt.resolved_faults();
+  o["trace_enabled"] = rt.trace != nullptr;
+  const fault::FaultPlan* plan = rt.faults;
   o["faults_enabled"] = plan != nullptr;
   if (plan != nullptr) {
     o["fault_spec"] = fault::to_string(plan->spec());
@@ -49,7 +38,6 @@ obs::json::Value runtime_to_json(const Runtime& rt) {
   // every mode that is neither kCharged nor the one hard-coded alternative.
   o["routing_mode"] = std::string(clique::to_string(rt.routing_mode));
   o["lenzen_constant"] = clique::Network::lenzen_constant();
-  o["numerics"] = std::string(linalg::to_string(rt.numerics));
   // Deliberately no path or resume flag here: this object is embedded in
   // trace output, and a resumed run's trace must stay byte-equal to an
   // uninterrupted one regardless of where its checkpoint file lived.

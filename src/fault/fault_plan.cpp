@@ -282,11 +282,4 @@ obs::json::Value FaultPlan::to_json() const {
   return obs::json::Value(std::move(root));
 }
 
-namespace {
-FaultPlan* g_default_plan = nullptr;
-}  // namespace
-
-FaultPlan* default_plan() { return g_default_plan; }
-void set_default_plan(FaultPlan* plan) { g_default_plan = plan; }
-
 }  // namespace lapclique::fault

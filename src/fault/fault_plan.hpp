@@ -270,24 +270,4 @@ class FaultPlan {
   std::atomic<std::int64_t> sock_slows_{0};
 };
 
-/// Process-wide default plan, mirroring obs::default_ledger(): Network
-/// construction sites (core/api, the CLI, benches) attach this so one
-/// FaultSession covers a whole run.
-[[nodiscard]] FaultPlan* default_plan();
-void set_default_plan(FaultPlan* plan);
-
-/// RAII: installs `plan` as the process default for its scope.
-class FaultSession {
- public:
-  explicit FaultSession(FaultPlan* plan) : prev_(default_plan()) {
-    set_default_plan(plan);
-  }
-  ~FaultSession() { set_default_plan(prev_); }
-  FaultSession(const FaultSession&) = delete;
-  FaultSession& operator=(const FaultSession&) = delete;
-
- private:
-  FaultPlan* prev_;
-};
-
 }  // namespace lapclique::fault

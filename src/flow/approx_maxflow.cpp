@@ -80,7 +80,7 @@ DecideResult decide(const Graph& g, int s, int t, double target_f,
         const graph::Edge& e = g.edge(static_cast<int>(i));
         ee.push_back(ElectricalEdge{e.u, e.v, r[i]});
       }
-      solver.emplace(g.num_vertices(), std::move(ee), opt.numerics);
+      solver.emplace(g.num_vertices(), std::move(ee));
     }
     out.factor = solver->factor_stats();
     const linalg::Vec phi = solver->potentials(chi);
@@ -135,7 +135,7 @@ ApproxMaxFlowReport approx_max_flow_undirected(const Graph& g, int s, int t,
     std::vector<ElectricalEdge> ee;
     for (const graph::Edge& e : g.edges()) ee.push_back({e.u, e.v, 1.0 / e.w});
     rep.rounds_per_solve =
-        calibrate_solve_rounds(g.num_vertices(), ee, kSolveEps, opt.numerics);
+        calibrate_solve_rounds(g.num_vertices(), ee, kSolveEps);
     net.charge(rep.rounds_per_solve);
   }
 

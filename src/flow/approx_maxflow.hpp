@@ -28,9 +28,6 @@ struct ApproxMaxFlowOptions {
   /// Scales the O(eps^{-2} sqrt(m) log m) iteration budget.
   double iteration_scale = 1.0;
   int max_iterations = 5000;
-  /// Numerics backend for every Laplacian factorization (kAuto resolves per
-  /// instance; the facade copies Runtime::numerics in here when left at kAuto).
-  linalg::Backend numerics = linalg::Backend::kAuto;
 };
 
 struct ApproxMaxFlowReport {

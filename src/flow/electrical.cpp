@@ -33,8 +33,7 @@ graph::Graph conductance_graph(int n, std::span<const ElectricalEdge> edges) {
 
 }  // namespace
 
-ElectricalSolver::ElectricalSolver(int n, std::vector<ElectricalEdge> edges,
-                                   linalg::Backend backend)
+ElectricalSolver::ElectricalSolver(int n, std::vector<ElectricalEdge> edges)
     : n_(n), edges_(std::move(edges)) {
   // The checks of graph::Graph(n) and add_edge, edge by edge in its order,
   // without building the graph.
@@ -81,7 +80,7 @@ ElectricalSolver::ElectricalSolver(int n, std::vector<ElectricalEdge> edges,
     row_ptr[r + 1] += row_ptr[r];
   }
 
-  factor_ = linalg::BackendLaplacianFactor::analyze(n, row_ptr, col_idx, backend);
+  factor_ = linalg::BackendLaplacianFactor::analyze(n, row_ptr, col_idx);
   factor_.refactor(laplacian_values(w));
 }
 
@@ -139,12 +138,10 @@ std::vector<double> ElectricalSolver::induced_flow(std::span<const double> phi) 
 }
 
 std::int64_t calibrate_solve_rounds(int n, std::span<const ElectricalEdge> edges,
-                                    double eps, linalg::Backend backend) {
+                                    double eps) {
   if (n < 2) return 0;
   clique::Network net(n);
-  solver::LaplacianSolverOptions sopt;
-  sopt.backend = backend;
-  const solver::LaplacianSolver s(conductance_graph(n, edges), sopt, &net);
+  const solver::LaplacianSolver s(conductance_graph(n, edges), {}, &net);
   linalg::Vec chi(static_cast<std::size_t>(n), 0.0);
   chi[0] = -1.0;
   chi[static_cast<std::size_t>(n - 1)] = 1.0;

@@ -40,13 +40,12 @@ struct ElectricalEdge {
 class ElectricalSolver {
  public:
   /// Builds the conductance Laplacian for the given resistances and factors
-  /// it with the requested numerics backend.  Throws std::invalid_argument
+  /// it with the kernel its pattern resolves to.  Throws std::invalid_argument
   /// or std::out_of_range, with graph::Graph's messages, for a negative n,
   /// an endpoint out of range, a self-loop, or a conductance 1/r that is not
   /// positive, and "ElectricalSolver: resistances must be positive" for
   /// r <= 0 (or NaN).
-  ElectricalSolver(int n, std::vector<ElectricalEdge> edges,
-                   linalg::Backend backend = linalg::Backend::kAuto);
+  ElectricalSolver(int n, std::vector<ElectricalEdge> edges);
 
   /// Refactors for new per-edge resistances (one per constructor edge, same
   /// order) on the same topology.  Rejects r <= 0 and r = +inf with the
@@ -90,7 +89,6 @@ class ElectricalSolver {
 /// Network, and solves a unit demand from vertex 0 to vertex n-1.  Returns 0
 /// when n < 2.
 [[nodiscard]] std::int64_t calibrate_solve_rounds(
-    int n, std::span<const ElectricalEdge> edges, double eps,
-    linalg::Backend backend = linalg::Backend::kAuto);
+    int n, std::span<const ElectricalEdge> edges, double eps);
 
 }  // namespace lapclique::flow

@@ -98,7 +98,6 @@ double min_residual(const TEdge& e) { return std::min(e.up - e.f, e.um + e.f); }
 /// the topology, drops it and the next solve builds the solver for the new
 /// one.  A resumed run starts with none.
 struct Electrical {
-  const MaxFlowIpmOptions& opt;
   clique::Network& net;
   std::int64_t rounds_per_solve = 0;
   int& solves;
@@ -117,7 +116,7 @@ struct Electrical {
       for (std::size_t i = 0; i < r.size(); ++i) {
         ee.push_back(ElectricalEdge{tr.edges[i].u, tr.edges[i].v, r[i]});
       }
-      solver.emplace(tr.nv, std::move(ee), opt.numerics);
+      solver.emplace(tr.nv, std::move(ee));
     }
     stats = solver->factor_stats();
     ++solves;
@@ -543,13 +542,13 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     std::vector<ElectricalEdge> cal;
     for (const TEdge& e : st.tr.edges) cal.push_back({e.u, e.v, resistance(e)});
     rep.rounds_per_solve =
-        calibrate_solve_rounds(st.tr.nv, cal, kSolveEps, opt.numerics);
+        calibrate_solve_rounds(st.tr.nv, cal, kSolveEps);
     // The calibration solve itself (broadcast rounds, like every solve).
     net.charge_all_to_all(rep.rounds_per_solve);
   }
 
   Transformed& tr = st.tr;
-  Electrical el{opt, net, rep.rounds_per_solve, rep.laplacian_solves, {}, {}};
+  Electrical el{net, rep.rounds_per_solve, rep.laplacian_solves, {}, {}};
   // RunInfo reports the most recent factor.  Boosting changes the topology,
   // and as the transformed graph grows past 512 vertices kAuto moves from
   // the dense to the sparse factor, so this describes the last topology

@@ -53,10 +53,6 @@ struct MaxFlowIpmOptions {
   /// Ablation switch: with boosting off, high-congestion iterations fall
   /// back to (smaller-step) augmentation instead of arc surgery.
   bool enable_boosting = true;
-  /// Numerics backend for every Laplacian factorization this run performs
-  /// (the per-solve factors and the calibration solver).  kAuto resolves per
-  /// instance; the facade copies Runtime::numerics in here when left at kAuto.
-  linalg::Backend numerics = linalg::Backend::kAuto;
   /// Optional externally known max-flow value (the outer binary search of
   /// the decision procedure; benches pass the oracle value to measure the
   /// IPM in its intended successful-guess regime).  -1 = derive an upper

@@ -359,7 +359,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     }
     const BipartiteElectrical be = make_electrical(lf, r0);
     rep.rounds_per_solve =
-        calibrate_solve_rounds(be.nv, be.edges, kSolveEps, opt.numerics);
+        calibrate_solve_rounds(be.nv, be.edges, kSolveEps);
     // The calibration solve itself (broadcast rounds, like every solve).
     net.charge_all_to_all(rep.rounds_per_solve);
     net.set_phase("mincost/ipm");
@@ -399,7 +399,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
       for (std::size_t i = 0; i < r.size(); ++i) r[i] = be.edges[i].resistance;
       solver->refactor(r);
     } else {
-      solver.emplace(be.nv, std::move(be.edges), opt.numerics);
+      solver.emplace(be.nv, std::move(be.edges));
     }
     return nullptr;
   };

@@ -40,10 +40,6 @@ struct MinCostIpmOptions {
   /// Scales the pseudocode's c_T * m^{1/2-3 eta} x m^{2 eta} budget.
   double iteration_scale = 1.0;
   std::int64_t max_iterations = 200000;
-  /// Numerics backend for every Laplacian factorization this run performs
-  /// (the per-solve factors and the calibration solver).  kAuto resolves per
-  /// instance; the facade copies Runtime::numerics in here when left at kAuto.
-  linalg::Backend numerics = linalg::Backend::kAuto;
   /// Checkpoint/resume participation (src/ckpt): `writer` commits a
   /// resumable snapshot at every due batch boundary, `resume` continues a
   /// checkpointed run bit-identically.  Both pointers non-owning.

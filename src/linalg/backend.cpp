@@ -1,7 +1,6 @@
 #include "linalg/backend.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -31,22 +30,6 @@ const char* to_string(Backend b) {
   return "auto";
 }
 
-std::optional<Backend> backend_from_string(std::string_view s) {
-  if (s == "auto") return Backend::kAuto;
-  if (s == "dense") return Backend::kDense;
-  if (s == "sparse") return Backend::kSparse;
-  return std::nullopt;
-}
-
-Backend default_backend() {
-  static const Backend env_default = [] {
-    const char* e = std::getenv("LAPCLIQUE_NUMERICS");
-    if (e == nullptr) return Backend::kAuto;
-    return backend_from_string(e).value_or(Backend::kAuto);
-  }();
-  return env_default;
-}
-
 Backend resolve_backend(Backend requested, int n, std::int64_t nnz) {
   if (requested != Backend::kAuto) return requested;
   if (n < kSparseMinN) return Backend::kDense;
@@ -66,7 +49,6 @@ BackendLaplacianFactor BackendLaplacianFactor::analyze(int n,
   const auto nu = static_cast<std::size_t>(n);
   const auto nnz = static_cast<std::int64_t>(col_idx.size());
   f.n_ = n;
-  f.stats_.requested = requested;
   f.stats_.chosen = resolve_backend(requested, n, nnz);
   f.stats_.n = n;
   f.stats_.nnz = nnz;

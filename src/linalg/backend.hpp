@@ -1,25 +1,15 @@
-// The linalg::Backend seam: one switch (`auto | dense | sparse`) deciding
-// which LDL^T path factors a Laplacian, selected per run via
-// Runtime::numerics (core/runtime.hpp) and reported back through
-// FactorStats → LaplacianSolveStats / RunInfo so traces, benches, and golden
-// tests can pin which kernel actually ran.
-//
-// Resolution contract:
-//   * kDense / kSparse are explicit and always honored.
-//   * kAuto resolves from (n, nnz) alone — a pure function, so the choice is
-//     deterministic and, crucially, environment-free at this layer.  The
-//     LAPCLIQUE_NUMERICS environment variable enters only through
-//     default_backend(), which seeds Runtime::numerics — mirroring how
-//     LAPCLIQUE_ROUTING seeds Runtime::routing_mode while direct Network
-//     construction stays env-independent.  The serve daemon therefore never
-//     inherits a backend from its environment (docs/SERVING.md contract);
-//     it takes one from --numerics or per-request fields.
+// The linalg::Backend seam: which LDL^T kernel factors a Laplacian.  The
+// matrix picks it: kAuto resolves from (n, nnz) alone (resolve_backend), a
+// pure function, so the choice is deterministic and environment-free, and
+// every reader of the factor's bits sees the same kernel for the same
+// instance.  The choice is reported back through FactorStats →
+// LaplacianSolveStats / RunInfo, so traces, benches, serve bodies and golden
+// tests can pin which kernel actually ran.  An explicit kDense / kSparse
+// request exists only at this layer, for the kernel-against-kernel tests.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/sparse_cholesky.hpp"
@@ -34,14 +24,6 @@ enum class Backend {
 
 [[nodiscard]] const char* to_string(Backend b);
 
-/// Parses "auto" | "dense" | "sparse"; std::nullopt on anything else.
-[[nodiscard]] std::optional<Backend> backend_from_string(std::string_view s);
-
-/// Process default: the LAPCLIQUE_NUMERICS environment variable (read once),
-/// else kAuto.  Seeds Runtime::numerics only — factorization call sites must
-/// not consult this directly (see the header comment).
-[[nodiscard]] Backend default_backend();
-
 /// Resolves kAuto for an n-vertex Laplacian with nnz stored entries: sparse
 /// once n >= 512 and at most 1/16 of the entries are stored, dense
 /// otherwise.  That threshold came from timing kernels that have since been
@@ -51,11 +33,10 @@ enum class Backend {
 
 /// What a factorization did, surfaced through solver stats and RunInfo.
 struct FactorStats {
-  Backend requested = Backend::kAuto;  ///< what the caller asked for
-  Backend chosen = Backend::kDense;    ///< what actually ran
-  int n = 0;                           ///< matrix dimension
-  std::int64_t nnz = 0;                ///< stored entries of the Laplacian
-  std::int64_t fill_nnz = 0;           ///< nonzeros in the factor (diag incl.)
+  Backend chosen = Backend::kDense;  ///< what actually ran
+  int n = 0;                         ///< matrix dimension
+  std::int64_t nnz = 0;              ///< stored entries of the Laplacian
+  std::int64_t fill_nnz = 0;         ///< nonzeros in the factor (diag incl.)
 };
 
 /// The Laplacian pseudoinverse, x = L^+ b, for a connected or disconnected
@@ -75,15 +56,17 @@ struct FactorStats {
 /// factor() is analyze() + refactor().  Every solve projects b onto range(L)
 /// (per-component mean removed, grounded entries zeroed) and normalizes x to
 /// per-component mean zero with the same arithmetic under either backend,
-/// so swapping backends changes substitution bits only.  No round charge
-/// reads the backend, but a caller that branches on solution bits can move
-/// rounds: min-cost flow rounding starts from the IPM's fractional flow, so
-/// its round count differs by backend (docs/PERFORMANCE.md).
+/// so the two kernels differ in substitution bits only.  No round charge
+/// reads the backend; a caller that branches on solution bits (min-cost flow
+/// rounding starts from the IPM's fractional flow) sees the same kernel for
+/// the same instance, because kAuto is a function of the pattern.
 class BackendLaplacianFactor {
  public:
   BackendLaplacianFactor() = default;
 
-  /// Pattern-only analysis of an n-vertex Laplacian's CSR pattern.
+  /// Pattern-only analysis of an n-vertex Laplacian's CSR pattern.  Every
+  /// caller above linalg leaves `requested` at kAuto; an explicit kernel is
+  /// for the tests that compare one kernel against the other.
   static BackendLaplacianFactor analyze(int n, std::span<const int> row_ptr,
                                         std::span<const int> col_idx,
                                         Backend requested = Backend::kAuto);

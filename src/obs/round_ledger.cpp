@@ -5,16 +5,6 @@
 
 namespace lapclique::obs {
 
-namespace {
-
-RoundLedger* g_default_ledger = nullptr;
-
-}  // namespace
-
-RoundLedger* default_ledger() { return g_default_ledger; }
-
-void set_default_ledger(RoundLedger* ledger) { g_default_ledger = ledger; }
-
 RoundLedger::RoundLedger() {
   SpanNode root;
   root.name = "<total>";

@@ -214,27 +214,6 @@ inline void count(RoundLedger* /*ledger*/, std::string_view /*name*/,
                   std::int64_t /*delta*/ = 1) {}
 #endif
 
-/// Process-wide default ledger (the simulator is single-threaded).  Network
-/// attachment points (core/api, the CLI, benches) consult this so one
-/// `TraceSession` traces a whole run without threading a pointer through
-/// every options struct.
-[[nodiscard]] RoundLedger* default_ledger();
-void set_default_ledger(RoundLedger* ledger);
-
-/// RAII: installs `ledger` as the process default for its scope.
-class TraceSession {
- public:
-  explicit TraceSession(RoundLedger* ledger) : prev_(default_ledger()) {
-    set_default_ledger(ledger);
-  }
-  ~TraceSession() { set_default_ledger(prev_); }
-  TraceSession(const TraceSession&) = delete;
-  TraceSession& operator=(const TraceSession&) = delete;
-
- private:
-  RoundLedger* prev_;
-};
-
 }  // namespace lapclique::obs
 
 // Scoped span macro: LAPCLIQUE_TRACE_SPAN(ledger_ptr, "name");

@@ -24,9 +24,8 @@ ArtifactCache::ArtifactCache(std::size_t capacity)
 
 ArtifactCache::Acquired ArtifactCache::acquire(
     const graph::Graph& g, std::uint64_t graph_hash, double eps,
-    clique::RoutingMode mode, const solver::LaplacianSolverOptions& opt,
-    obs::RoundLedger* request_ledger) {
-  const ArtifactKey key{graph_hash, eps_bit_pattern(eps), mode, opt.backend};
+    clique::RoutingMode mode, obs::RoundLedger* request_ledger) {
+  const ArtifactKey key{graph_hash, eps_bit_pattern(eps), mode};
   {
     const std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
@@ -47,7 +46,8 @@ ArtifactCache::Acquired ArtifactCache::acquire(
     clique::Network net(std::max(g.num_vertices(), 2));
     net.set_routing_mode(mode);
     net.set_tracer(request_ledger);
-    artifact->solver = std::make_shared<const solver::LaplacianSolver>(g, opt, &net);
+    artifact->solver = std::make_shared<const solver::LaplacianSolver>(
+        g, solver::LaplacianSolverOptions{}, &net);
     artifact->construction.capture(net);
   }
 

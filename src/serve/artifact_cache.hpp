@@ -2,18 +2,15 @@
 //
 // A Laplacian "artifact" — the sparsifier, its factorization, and the
 // spectral-range estimate wrapped in a solver::LaplacianSolver — is a pure
-// function of (graph content, solver options, routing mode): the pipeline is
-// deterministic, so two requests against the same topology may share one
-// artifact and the second request skips construction entirely.  The cache
-// key is (graph content hash, eps bit pattern, routing mode, requested
-// numerics backend); eps keying is conservative (today's artifacts are
-// eps-independent — eps only drives the iteration count of each solve — but
-// keying on it keeps the contract "same key => byte-identical construction"
-// trivially true if a future pipeline specializes construction per eps).
-// The backend is keyed on the REQUESTED value (auto | dense | sparse are
-// three distinct keys) so that "auto" never aliases an explicit choice even
-// when resolve_backend happens to pick the same factorization — the key must
-// be computable without factoring anything.
+// function of (graph content, routing mode): the pipeline is deterministic,
+// and the factor kernel follows the graph (linalg::resolve_backend), so two
+// requests against the same topology may share one artifact and the second
+// request skips construction entirely.  The cache key is (graph content
+// hash, eps bit pattern, routing mode); eps keying is conservative (today's
+// artifacts are eps-independent — eps only drives the iteration count of
+// each solve — but keying on it keeps the contract "same key =>
+// byte-identical construction" trivially true if a future pipeline
+// specializes construction per eps).
 //
 // Determinism contract (docs/SERVING.md): construction accounting is a
 // property of the *artifact*, not of the request that happened to build it.
@@ -46,14 +43,11 @@ struct ArtifactKey {
   std::uint64_t graph_hash = 0;  ///< ckpt::graph_hash of the topology
   std::uint64_t eps_bits = 0;    ///< bit pattern of the requested eps
   clique::RoutingMode mode = clique::RoutingMode::kCharged;
-  /// Requested numerics backend (NOT the resolved one; see file comment).
-  linalg::Backend backend = linalg::Backend::kAuto;
 
   [[nodiscard]] friend bool operator<(const ArtifactKey& a, const ArtifactKey& b) {
     if (a.graph_hash != b.graph_hash) return a.graph_hash < b.graph_hash;
     if (a.eps_bits != b.eps_bits) return a.eps_bits < b.eps_bits;
-    if (a.mode != b.mode) return static_cast<int>(a.mode) < static_cast<int>(b.mode);
-    return static_cast<int>(a.backend) < static_cast<int>(b.backend);
+    return static_cast<int>(a.mode) < static_cast<int>(b.mode);
   }
 };
 
@@ -82,16 +76,14 @@ class ArtifactCache {
     bool hit = false;
   };
 
-  /// Return the artifact for (graph_hash(g), eps, mode, opt.backend),
-  /// building it on a miss.  The build runs on a private Network (routing
-  /// mode from the key) whose tracer is `request_ledger`, outside the cache
-  /// lock; if another thread inserted the same key meanwhile, the
-  /// already-cached artifact wins (both are bit-identical, being
-  /// deterministic functions of the key).  `g` must be the graph whose
-  /// content hash is `graph_hash`.
+  /// Return the artifact for (graph_hash(g), eps, mode), building it on a
+  /// miss.  The build runs on a private Network (routing mode from the key)
+  /// whose tracer is `request_ledger`, outside the cache lock; if another
+  /// thread inserted the same key meanwhile, the already-cached artifact
+  /// wins (both are bit-identical, being deterministic functions of the
+  /// key).  `g` must be the graph whose content hash is `graph_hash`.
   [[nodiscard]] Acquired acquire(const graph::Graph& g, std::uint64_t graph_hash,
                                  double eps, clique::RoutingMode mode,
-                                 const solver::LaplacianSolverOptions& opt,
                                  obs::RoundLedger* request_ledger);
 
   [[nodiscard]] CacheStats stats() const;

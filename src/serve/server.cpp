@@ -50,19 +50,17 @@ json::Value stats_to_json(const solver::LaplacianSolveStats& st) {
 /// The artifact block is a deterministic function of the cache key, echoed
 /// identically whether this request built the artifact or an earlier one
 /// did — the load-bearing piece of the hit==cold response-byte contract.
-/// ("numerics" is the requested backend — the key component; "numerics_chosen"
-/// and "factor_fill" are deterministic functions of key + graph content.)
+/// ("numerics_chosen" and "factor_fill" are functions of the graph content:
+/// the factor kernel follows the instance.)
 json::Value artifact_to_json(const Artifact& artifact, std::uint64_t hash,
-                             double eps, clique::RoutingMode mode,
-                             linalg::Backend backend) {
+                             double eps, clique::RoutingMode mode) {
+  const linalg::FactorStats& factor = artifact.solver->factor_stats();
   json::Object o;
   o.emplace("construction", run_to_json(artifact.construction));
   o.emplace("eps", eps);
-  o.emplace("factor_fill", artifact.solver->factor_stats().fill_nnz);
+  o.emplace("factor_fill", factor.fill_nnz);
   o.emplace("graph", hash_to_string(hash));
-  o.emplace("numerics", std::string(linalg::to_string(backend)));
-  o.emplace("numerics_chosen",
-            std::string(linalg::to_string(artifact.solver->backend())));
+  o.emplace("numerics_chosen", std::string(linalg::to_string(factor.chosen)));
   o.emplace("routing", clique::to_string(mode));
   return {std::move(o)};
 }
@@ -79,21 +77,6 @@ clique::RoutingMode parse_routing(const json::Value& req) {
                                           "\" (charged | executed | broadcast)");
   }
   return *mode;
-}
-
-/// Per-request numerics backend; the fallback is the server's configured
-/// solver.backend.  Like parse_routing, deliberately NOT defaulted from
-/// LAPCLIQUE_NUMERICS: a server's responses must not depend on its
-/// environment.
-linalg::Backend parse_numerics(const json::Value& req, linalg::Backend fallback) {
-  const std::optional<std::string> name = optional_string(req, "numerics");
-  if (!name.has_value()) return fallback;
-  const std::optional<linalg::Backend> backend = linalg::backend_from_string(*name);
-  if (!backend.has_value()) {
-    throw RequestError("bad_request", "unknown numerics backend \"" + *name +
-                                          "\" (auto | dense | sparse)");
-  }
-  return *backend;
 }
 
 double parse_eps(const json::Value& req) {
@@ -602,13 +585,10 @@ std::string Server::handle_laplacian(const json::Value& req,
   }
   const std::vector<linalg::Vec> bs = parse_columns(req, op, n);
 
-  solver::LaplacianSolverOptions sopt = opt_.solver;
-  sopt.backend = parse_numerics(req, opt_.solver.backend);
-
   const exec::ThreadScope scope(parse_threads(req));
   obs::RoundLedger ledger;
   const ArtifactCache::Acquired acq =
-      cache_.acquire(slot->g, slot->hash, eps, mode, sopt, &ledger);
+      cache_.acquire(slot->g, slot->hash, eps, mode, &ledger);
   if (telemetry != nullptr) {
     telemetry->cache_lookup = true;
     telemetry->cache_hit = acq.hit;
@@ -644,8 +624,7 @@ std::string Server::handle_laplacian(const json::Value& req,
   result.emplace("stats",
                  batch ? json::Value(std::move(stats_json)) : std::move(stats_json[0]));
   json::Object extra;
-  extra.emplace("artifact", artifact_to_json(*acq.artifact, slot->hash, eps,
-                                             mode, sopt.backend));
+  extra.emplace("artifact", artifact_to_json(*acq.artifact, slot->hash, eps, mode));
   extra.emplace("result", json::Value(std::move(result)));
   extra.emplace("run", run_to_json(run));
   return ok_response(id, op, std::move(extra));

@@ -47,14 +47,6 @@ struct ServerOptions {
   /// always wins ("deadline_ms":0 is an already-expired deadline, useful for
   /// deterministic abort testing).
   std::int64_t default_deadline_ms = 0;
-  /// Solver options shared by cached artifacts.  One field IS part of the
-  /// cache key: the numerics backend (solver.backend), which a request may
-  /// override per call with its "numerics" field — the server's value is
-  /// only the default.  Every other field is server-wide configuration (a
-  /// server runs one configuration) and enters no key.  The default is
-  /// never read from LAPCLIQUE_NUMERICS: a server's responses must not
-  /// depend on its environment (set it via --numerics / this struct).
-  solver::LaplacianSolverOptions solver;
 };
 
 /// Point-in-time load gauges, fed partly by handle() (in-flight, completions,

@@ -23,9 +23,8 @@ constexpr int kMaxRestarts = 6;
 }  // namespace
 
 LaplacianSolver::LaplacianSolver(const graph::Graph& g,
-                                 const LaplacianSolverOptions& opt,
-                                 clique::Network* net)
-    : opt_(opt) {
+                                 const LaplacianSolverOptions& /*opt*/,
+                                 clique::Network* net) {
   if (net != nullptr) net->set_phase("solver/sparsify");
   spectral::SparsifyResult sp = spectral::deterministic_sparsify(g, {}, net);
   h_ = std::move(sp.h);
@@ -38,7 +37,7 @@ LaplacianSolver::LaplacianSolver(const graph::Graph& g,
   }
   lg_ = graph::laplacian(g);
   lh_ = graph::laplacian(h_);
-  lh_factor_ = linalg::BackendLaplacianFactor::factor(lh_, opt_.backend);
+  lh_factor_ = linalg::BackendLaplacianFactor::factor(lh_);
 
   // Deterministic power iteration for the spectral range of M = L_H^+ L_G.
   const int n = g.num_vertices();
@@ -132,7 +131,7 @@ LaplacianSolver::lg_factor_or_build() const {
   const std::lock_guard<std::mutex> lock(*lg_factor_mu_);
   if (lg_factor_ == nullptr) {
     lg_factor_ = std::make_shared<const linalg::BackendLaplacianFactor>(
-        linalg::BackendLaplacianFactor::factor(lg_, opt_.backend));
+        linalg::BackendLaplacianFactor::factor(lg_));
   }
   return lg_factor_;
 }

@@ -17,15 +17,10 @@
 
 namespace lapclique::solver {
 
-struct LaplacianSolverOptions {
-  /// Numerics backend for the preconditioner factorization and the exact
-  /// fallback factor.  The canonical way to pick a backend is
-  /// Runtime::numerics — the facade entry points copy it in here when this
-  /// field is kAuto, so per-call options win only when they hard-pick dense
-  /// or sparse.  kAuto resolves by instance size/sparsity
-  /// (linalg::resolve_backend).
-  linalg::Backend backend = linalg::Backend::kAuto;
-};
+/// No settable fields: the preconditioner's factor kernel follows the
+/// instance (linalg::resolve_backend).  The type stays as a parameter of the
+/// solver constructors and entry points that callers already pass it to.
+struct LaplacianSolverOptions {};
 
 struct LaplacianSolveStats {
   int chebyshev_iterations = 0;
@@ -39,8 +34,8 @@ struct LaplacianSolveStats {
   /// degraded to an exact direct factorization of L_G, charged under the
   /// "solver/fallback" phase.
   bool exact_fallback = false;
-  /// What the preconditioner factorization did: requested/chosen backend,
-  /// instance size, and factor fill (linalg::Backend seam).
+  /// What the preconditioner factorization did: chosen backend, instance
+  /// size, and factor fill (linalg::Backend seam).
   linalg::FactorStats factor;
 };
 
@@ -90,9 +85,7 @@ class LaplacianSolver {
   /// Power-iteration matvec count spent estimating the range (each costs one
   /// broadcast round in the clique model).
   [[nodiscard]] int range_matvecs() const { return range_matvecs_; }
-  /// The numerics backend that factored the preconditioner (kAuto resolved).
-  [[nodiscard]] linalg::Backend backend() const { return lh_factor_.chosen(); }
-  /// Requested/chosen backend and fill of the preconditioner factorization.
+  /// Chosen backend and fill of the preconditioner factorization.
   [[nodiscard]] const linalg::FactorStats& factor_stats() const {
     return lh_factor_.stats();
   }
@@ -118,7 +111,6 @@ class LaplacianSolver {
   double lambda_max_ = 0;
   double kappa_ = 1;
   int range_matvecs_ = 0;
-  LaplacianSolverOptions opt_;
 };
 
 }  // namespace lapclique::solver

@@ -146,21 +146,18 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 TEST(Electrical, RefactorIsBitwiseAFreshSolver) {
-  for (const linalg::Backend backend : {linalg::Backend::kDense, linalg::Backend::kSparse}) {
-    ElectricalSolver reused(12, parallel_edges(1), backend);
-    for (std::uint64_t seed = 2; seed <= 5; ++seed) {
-      const std::vector<ElectricalEdge> edges = parallel_edges(seed);
-      reused.refactor(resistances(edges));
-      const ElectricalSolver fresh(12, edges, backend);
-      EXPECT_EQ(reused.factor_stats().fill_nnz, fresh.factor_stats().fill_nnz);
-      EXPECT_EQ(reused.factor_stats().chosen, backend);
-      for (const auto& [s, t] : {std::pair{0, 6}, std::pair{3, 10}}) {
-        const auto phi = reused.potentials(pair_demand(12, s, t));
-        EXPECT_TRUE(same_bits(phi, fresh.potentials(pair_demand(12, s, t))))
-            << linalg::to_string(backend) << " seed " << seed;
-        EXPECT_TRUE(same_bits(reused.induced_flow(phi), fresh.induced_flow(phi)))
-            << linalg::to_string(backend) << " seed " << seed;
-      }
+  // 12 vertices resolve to the dense kernel; the sparse kernel's refactor is
+  // pinned bitwise by LaplacianFactor.RefactorIsBitwiseAFreshFactor.
+  ElectricalSolver reused(12, parallel_edges(1));
+  for (std::uint64_t seed = 2; seed <= 5; ++seed) {
+    const std::vector<ElectricalEdge> edges = parallel_edges(seed);
+    reused.refactor(resistances(edges));
+    const ElectricalSolver fresh(12, edges);
+    EXPECT_EQ(reused.factor_stats().fill_nnz, fresh.factor_stats().fill_nnz);
+    for (const auto& [s, t] : {std::pair{0, 6}, std::pair{3, 10}}) {
+      const auto phi = reused.potentials(pair_demand(12, s, t));
+      EXPECT_TRUE(same_bits(phi, fresh.potentials(pair_demand(12, s, t)))) << seed;
+      EXPECT_TRUE(same_bits(reused.induced_flow(phi), fresh.induced_flow(phi))) << seed;
     }
   }
 }

@@ -25,7 +25,6 @@ namespace lapclique {
 namespace {
 
 using fault::FaultPlan;
-using fault::FaultSession;
 using fault::FaultSpec;
 using fault::RecoveryStats;
 using fault::parse_fault_spec;
@@ -221,8 +220,9 @@ TEST(FaultRecovery, SolveLaplacianBitIdenticalUnderFaults) {
   const auto clean = solve_laplacian(g, b, 1e-6);
   for (std::uint64_t seed = base_seed(); seed < base_seed() + 3; ++seed) {
     FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
-    FaultSession session(&plan);
-    const auto faulted = solve_laplacian(g, b, 1e-6);
+    Runtime rt;
+    rt.faults = &plan;
+    const auto faulted = solve_laplacian(g, b, 1e-6, {}, rt);
     EXPECT_EQ(faulted.x, clean.x) << seed;
     EXPECT_FALSE(faulted.stats.exact_fallback);
     EXPECT_EQ(faulted.run.rounds, clean.run.rounds + plan.stats().recovery_rounds) << seed;
@@ -242,8 +242,9 @@ TEST(FaultRecovery, MaxFlowBitIdenticalUnderFaults) {
   const auto clean = max_flow(g, 0, 11, opt);
   for (std::uint64_t seed : {base_seed(), base_seed() + 1}) {
     FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
-    FaultSession session(&plan);
-    const auto faulted = max_flow(g, 0, 11, opt);
+    Runtime rt;
+    rt.faults = &plan;
+    const auto faulted = max_flow(g, 0, 11, opt, rt);
     EXPECT_FALSE(faulted.run.used_fallback);
     EXPECT_EQ(faulted.value, clean.value) << seed;
     EXPECT_EQ(faulted.flow, clean.flow) << seed;
@@ -263,8 +264,9 @@ TEST(FaultRecovery, MinCostFlowBitIdenticalUnderFaults) {
   const auto clean = min_cost_flow(g, sigma, opt);
   for (std::uint64_t seed : {base_seed(), base_seed() + 1}) {
     FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
-    FaultSession session(&plan);
-    const auto faulted = min_cost_flow(g, sigma, opt);
+    Runtime rt;
+    rt.faults = &plan;
+    const auto faulted = min_cost_flow(g, sigma, opt, rt);
     EXPECT_FALSE(faulted.run.used_fallback);
     EXPECT_EQ(faulted.feasible, clean.feasible) << seed;
     EXPECT_EQ(faulted.cost, clean.cost) << seed;
@@ -283,8 +285,9 @@ TEST(SolverGuardRail, ExhaustedRestartsFallBackToExactFactorization) {
   b[0] = 2.0;
   b[15] = -2.0;
   FaultPlan plan(parse_fault_spec("solver-nan@all"), base_seed());
-  FaultSession session(&plan);
-  const auto rep = solve_laplacian(g, b, 1e-8);
+  Runtime rt;
+  rt.faults = &plan;
+  const auto rep = solve_laplacian(g, b, 1e-8, {}, rt);
   EXPECT_TRUE(rep.stats.exact_fallback);
   EXPECT_EQ(plan.stats().solver_fallbacks, 1);
   EXPECT_GT(rep.run.phases.rounds_by_phase.count("solver/fallback"), 0u);
@@ -303,8 +306,9 @@ TEST(SolverGuardRail, SingleFailedRestartRecoversWithoutFallback) {
   b[0] = 2.0;
   b[15] = -2.0;
   FaultPlan plan(parse_fault_spec("solver-nan@0"), base_seed());
-  FaultSession session(&plan);
-  const auto rep = solve_laplacian(g, b, 1e-8);
+  Runtime rt;
+  rt.faults = &plan;
+  const auto rep = solve_laplacian(g, b, 1e-8, {}, rt);
   EXPECT_GE(rep.stats.restarts, 1);
   EXPECT_FALSE(rep.stats.exact_fallback);
   EXPECT_EQ(plan.stats().solver_fallbacks, 0);
@@ -319,8 +323,9 @@ TEST(IpmGuardRail, MaxFlowDegradesToExactDinic) {
   opt.iteration_scale = 0.02;
   opt.max_iterations = 300;
   FaultPlan plan(parse_fault_spec("ipm-nan@0"), base_seed());
-  FaultSession session(&plan);
-  const auto rep = max_flow(g, 0, 11, opt);
+  Runtime rt;
+  rt.faults = &plan;
+  const auto rep = max_flow(g, 0, 11, opt, rt);
   EXPECT_TRUE(rep.run.used_fallback);
   EXPECT_FALSE(rep.run.fallback_reason.empty());
   EXPECT_EQ(plan.stats().ipm_fallbacks, 1);
@@ -334,8 +339,9 @@ TEST(IpmGuardRail, MinCostFlowDegradesToExactSsp) {
   opt.iteration_scale = 0.002;
   opt.max_iterations = 40;
   FaultPlan plan(parse_fault_spec("ipm-nan@0"), base_seed());
-  FaultSession session(&plan);
-  const auto rep = min_cost_flow(g, sigma, opt);
+  Runtime rt;
+  rt.faults = &plan;
+  const auto rep = min_cost_flow(g, sigma, opt, rt);
   EXPECT_TRUE(rep.run.used_fallback);
   EXPECT_FALSE(rep.run.fallback_reason.empty());
   EXPECT_EQ(plan.stats().ipm_fallbacks, 1);

@@ -8,9 +8,9 @@
 // graph's f and y; min-cost: f, y, s, nu), so any drift in the bits of an
 // electrical solve shows up here even when the integral answer and the round
 // count happen to survive it.  The runs call the IPMs directly on a Network
-// built in code, with the numerics backend left at kAuto, so no environment
-// variable (LAPCLIQUE_NUMERICS, LAPCLIQUE_ROUTING, LAPCLIQUE_TEST_SEED) can
-// move a pinned value.
+// built in code, and kAuto picks each factor kernel from the instance, so no
+// environment variable (LAPCLIQUE_ROUTING, LAPCLIQUE_TEST_SEED) can move a
+// pinned value.
 #include <gtest/gtest.h>
 
 #include <cstdint>

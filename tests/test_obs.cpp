@@ -275,24 +275,6 @@ TEST(RoundLedger, NullLedgerIsANoOp) {
   SUCCEED();
 }
 
-TEST(RoundLedger, DefaultLedgerSessionScoping) {
-#if !LAPCLIQUE_TRACE
-  GTEST_SKIP() << "tracing hooks compiled out (LAPCLIQUE_TRACE=0)";
-#endif
-  EXPECT_EQ(obs::default_ledger(), nullptr);
-  RoundLedger ledger;
-  {
-    obs::TraceSession session(&ledger);
-    EXPECT_EQ(obs::default_ledger(), &ledger);
-
-    // core/api entry points attach the session ledger.
-    const Graph g = graph::cycle(16);
-    const auto rep = eulerian_orientation(g);
-    EXPECT_EQ(ledger.total_rounds(), rep.run.rounds);
-  }
-  EXPECT_EQ(obs::default_ledger(), nullptr);
-}
-
 TEST(RuntimeJson, RoutingModeRoundTripsForEveryMode) {
   // A charged/executed ternary used to mislabel any third mode; the JSON
   // must carry the real mode string, and that string must parse back to the

@@ -453,49 +453,36 @@ TEST(Serve, RoutingModeIsPartOfTheCacheKey) {
   }
 }
 
-TEST(Serve, NumericsBackendIsPartOfTheCacheKey) {
-  // The same graph under "auto" / "dense" / "sparse" must be three distinct
-  // artifacts: switching the numerics field on an otherwise identical
-  // request misses the cache.  (The key holds the REQUESTED backend, so
-  // "auto" never aliases an explicit choice even when it resolves the same.)
+TEST(Serve, FactorKernelFollowsTheInstance) {
+  // An artifact's LDL^T kernel is kAuto's choice for its graph: dense at 256
+  // vertices, sparse for E1-n's 512-vertex instance.  No request member
+  // picks it: "numerics" is ignored like any unknown member, so the same
+  // solve carrying it hits the same artifact and returns the same body.
   Server server;
-  const graph::Graph g = test_graph(20, 56, 401);
-  const linalg::Vec b = random_b(20, 403);
-  parse_ok(server.handle(load_request("g", g)));
+  const graph::Graph small_graph = graph::random_connected_gnm(256, 1024, 29);
+  const graph::Graph large_graph = graph::random_connected_gnm(512, 2048, 13);
+  parse_ok(server.handle(load_request("small", small_graph)));
+  parse_ok(server.handle(load_request("large", large_graph)));
 
-  const auto solve_with = [&](const std::string& numerics, const char* id) {
-    std::string req = solve_request("g", b, 1e-6, id);
-    if (!numerics.empty()) {
-      req.insert(req.size() - 1, ",\"numerics\":\"" + numerics + "\"");
-    }
-    return req;
-  };
+  const json::Value small =
+      parse_ok(server.handle(solve_request("small", random_b(256, 401), 1e-6, "s")));
+  EXPECT_EQ(small.at("artifact").at("numerics_chosen").as_string(), "dense");
+  EXPECT_EQ(small.at("artifact").at("factor_fill").as_int(), 256 * 257 / 2);
 
+  const std::string plain = solve_request("large", random_b(512, 403), 1e-6, "l");
   RequestTelemetry t;
-  parse_ok(server.handle(solve_with("", "auto1"), &t));
+  const std::string body = server.handle(plain, &t);
   EXPECT_FALSE(t.cache_hit);
-  const json::Value dense1 = parse_ok(server.handle(solve_with("dense", "d1"), &t));
-  EXPECT_FALSE(t.cache_hit);  // the switch missed
-  parse_ok(server.handle(solve_with("sparse", "sp1"), &t));
-  EXPECT_FALSE(t.cache_hit);  // and again
-  EXPECT_EQ(server.cache_stats().misses, 3);
-  EXPECT_EQ(server.cache_stats().size, 3u);
+  const json::Value large = parse_ok(body);
+  EXPECT_EQ(large.at("artifact").at("numerics_chosen").as_string(), "sparse");
+  EXPECT_EQ(large.at("artifact").at("factor_fill").as_int(), 104650);
+  EXPECT_FALSE(large.at("artifact").contains("numerics"));
 
-  // Repeating a backend hits its own artifact.
-  const json::Value dense2 = parse_ok(server.handle(solve_with("dense", "d1"), &t));
+  std::string with_dense = plain;
+  with_dense.insert(with_dense.size() - 1, ",\"numerics\":\"dense\"");
+  EXPECT_EQ(server.handle(with_dense, &t), body);
   EXPECT_TRUE(t.cache_hit);
-  EXPECT_EQ(server.cache_stats().hits, 1);
-
-  // The artifact block records both the key component and the resolution.
-  EXPECT_EQ(dense1.at("artifact").at("numerics").as_string(), "dense");
-  EXPECT_EQ(dense1.at("artifact").at("numerics_chosen").as_string(), "dense");
-  EXPECT_GT(dense1.at("artifact").at("factor_fill").as_int(), 0);
-  // Hit and cold bodies agree byte-for-byte, per the serving contract.
-  EXPECT_EQ(json::Value(dense2).dump(), json::Value(dense1).dump());
-
-  // An unknown backend is a client error that touches no state.
-  expect_error(server.handle(solve_with("psychic", "bad")), "bad_request");
-  EXPECT_EQ(server.cache_stats().misses, 3);
+  EXPECT_EQ(server.cache_stats().misses, 2);
 }
 
 TEST(Serve, ResistanceBatchMatchesScalarResistanceBitwise) {

@@ -26,12 +26,6 @@
 //                          (docs/MODELS.md); default LAPCLIQUE_ROUTING or
 //                          charged.  Outputs are bit-identical across modes;
 //                          only the round/word accounting changes
-//   --numerics <backend>   auto | dense | sparse — numerics backend for
-//                          Laplacian factorizations (preconditioner + exact
-//                          fallback); default LAPCLIQUE_NUMERICS or auto
-//                          (auto picks sparse for large sparse instances;
-//                          docs/PERFORMANCE.md).  Outputs are bit-identical
-//                          per backend across threads and routing modes
 //   --fault-seed <n>       seed for the fault plan (default 1)
 //   --fault-report <path>  write the machine-readable recovery summary JSON
 //                          to <path> ("-" for stdout; default: stderr)
@@ -44,7 +38,9 @@
 //                          an uninterrupted run
 //
 // Both JSON outputs embed a "runtime" block (threads, fault spec, routing
-// mode) so a saved trace records the configuration that produced it.
+// mode) so a saved trace records the configuration that produced it.  The
+// LDL^T kernel that factors each Laplacian follows the instance
+// (linalg::resolve_backend); RunInfo reports it, and no flag picks it.
 //
 // Edge lists: "N M" header then "u v [w]" lines, 0-based.
 #include <cstring>
@@ -56,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "core/api.hpp"
 #include "euler/euler_orient.hpp"
 #include "exec/pool.hpp"
@@ -69,28 +66,7 @@ namespace {
 
 using namespace lapclique;
 
-// Checked numeric argument parsing: atoi/atof silently turn junk into 0 and
-// overflow into UB; malformed command lines must fail loudly instead.
-std::int64_t arg_int(const char* what, const char* text, std::int64_t lo,
-                     std::int64_t hi) {
-  std::size_t pos = 0;
-  long long v = 0;
-  try {
-    v = std::stoll(text, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(what) + ": expected an integer, got '" +
-                                text + "'");
-  }
-  if (pos != std::strlen(text)) {
-    throw std::invalid_argument(std::string(what) + ": trailing junk in '" + text +
-                                "'");
-  }
-  if (v < lo || v > hi) {
-    throw std::invalid_argument(std::string(what) + ": " + text + " out of range [" +
-                                std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  return v;
-}
+using tools::arg_int;
 
 double arg_double(const char* what, const char* text, double lo, double hi) {
   std::size_t pos = 0;
@@ -128,7 +104,7 @@ std::ifstream open_or_die(const char* path) {
   return in;
 }
 
-int cmd_maxflow(int argc, char** argv) {
+int cmd_maxflow(int argc, char** argv, const Runtime& rt) {
   if (argc < 1) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const io::MaxFlowProblem p = io::read_dimacs_max_flow(in);
@@ -137,21 +113,21 @@ int cmd_maxflow(int argc, char** argv) {
   flow::MaxFlowIpmOptions opt;
   opt.iteration_scale = 0.02;
   opt.max_iterations = 1000;
-  const auto rep = max_flow(p.g, p.source, p.sink, opt);
+  const auto rep = max_flow(p.g, p.source, p.sink, opt, rt);
   std::cerr << "rounds=" << rep.run.rounds << " ipm_iterations=" << rep.ipm_iterations
             << " finishing_paths=" << rep.finishing_augmenting_paths << "\n";
   io::write_dimacs_flow(std::cout, p.g, rep.flow, rep.value);
   return 0;
 }
 
-int cmd_mincost(int argc, char** argv) {
+int cmd_mincost(int argc, char** argv, const Runtime& rt) {
   if (argc < 1) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const io::MinCostProblem p = io::read_dimacs_min_cost(in);
   flow::MinCostIpmOptions opt;
   opt.iteration_scale = 0.002;
   opt.max_iterations = 80;
-  const auto rep = min_cost_flow(p.g, p.sigma, opt);
+  const auto rep = min_cost_flow(p.g, p.sigma, opt, rt);
   if (!rep.feasible) {
     std::cerr << "infeasible\n";
     return 1;
@@ -161,7 +137,7 @@ int cmd_mincost(int argc, char** argv) {
   return 0;
 }
 
-int cmd_orient(int argc, char** argv) {
+int cmd_orient(int argc, char** argv, const Runtime& rt) {
   if (argc < 1) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const Graph g = io::read_edge_list(in);
@@ -170,7 +146,7 @@ int cmd_orient(int argc, char** argv) {
     opt.marking = euler::MarkingRule::kRandomized;
   }
   // make_network applies the whole Runtime (tracer, fault plan, --routing).
-  clique::Network net = make_network(g.num_vertices());
+  clique::Network net = make_network(g.num_vertices(), rt);
   const auto rep = euler::eulerian_orientation(g, net, nullptr, opt);
   std::cerr << "rounds=" << rep.rounds << " levels=" << rep.levels << "\n";
   for (int e = 0; e < g.num_edges(); ++e) {
@@ -184,18 +160,18 @@ int cmd_orient(int argc, char** argv) {
   return 0;
 }
 
-int cmd_sparsify(int argc, char** argv) {
+int cmd_sparsify(int argc, char** argv, const Runtime& rt) {
   if (argc < 1) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const Graph g = io::read_edge_list(in);
-  const auto rep = sparsify(g);
+  const auto rep = sparsify(g, {}, rt);
   std::cerr << "rounds=" << rep.run.rounds << " edges " << g.num_edges() << " -> "
             << rep.h.num_edges() << "\n";
   io::write_edge_list(std::cout, rep.h);
   return 0;
 }
 
-int cmd_solve(int argc, char** argv) {
+int cmd_solve(int argc, char** argv, const Runtime& rt) {
   if (argc < 3) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const Graph g = io::read_edge_list(in);
@@ -205,21 +181,22 @@ int cmd_solve(int argc, char** argv) {
   std::vector<double> b(static_cast<std::size_t>(g.num_vertices()), 0.0);
   b.at(static_cast<std::size_t>(u)) = 1.0;
   b.at(static_cast<std::size_t>(v)) = -1.0;
-  const auto rep = solve_laplacian(g, b, eps);
+  const auto rep = solve_laplacian(g, b, eps, {}, rt);
   std::cerr << "rounds=" << rep.run.rounds
             << " chebyshev_iterations=" << rep.stats.chebyshev_iterations << "\n";
   for (double x : rep.x) std::cout << x << '\n';
   return 0;
 }
 
-int cmd_resistance(int argc, char** argv) {
+int cmd_resistance(int argc, char** argv, const Runtime& rt) {
   if (argc < 3) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const Graph g = io::read_edge_list(in);
   const auto rep = effective_resistance(
       g,
       static_cast<int>(arg_int("resistance: u", argv[1], 0, g.num_vertices() - 1)),
-      static_cast<int>(arg_int("resistance: v", argv[2], 0, g.num_vertices() - 1)));
+      static_cast<int>(arg_int("resistance: v", argv[2], 0, g.num_vertices() - 1)),
+      1e-8, rt);
   std::cerr << "rounds=" << rep.run.rounds << "\n";
   std::cout << rep.resistance << "\n";
   return 0;
@@ -262,7 +239,6 @@ int main(int argc, char** argv) {
   // Peel off the global flags before command dispatch.
   int threads = 0;  // 0 = exec::default_threads() (LAPCLIQUE_THREADS or 1)
   clique::RoutingMode routing = clique::default_routing_mode();
-  linalg::Backend numerics = linalg::default_backend();
   const char* trace_path = nullptr;
   const char* fault_spec = nullptr;
   const char* fault_report = nullptr;
@@ -279,15 +255,19 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  const auto flag_int = [&](int& i, const char* flag, std::int64_t lo, std::int64_t hi) {
+    const char* v = flag_value(i, flag);
+    try {
+      return arg_int(flag, v, lo, hi);
+    } catch (const std::exception& ex) {
+      std::cerr << "error: " << ex.what() << "\n";
+      std::exit(2);
+    }
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0) {
-      const char* v = flag_value(i, "--threads");
-      try {
-        threads = static_cast<int>(arg_int("--threads", v, 1, exec::kMaxThreads));
-      } catch (const std::exception& ex) {
-        std::cerr << "error: " << ex.what() << "\n";
-        return 2;
-      }
+      threads = static_cast<int>(flag_int(i, "--threads", 1, exec::kMaxThreads));
     } else if (std::strcmp(argv[i], "--routing") == 0) {
       const char* v = flag_value(i, "--routing");
       const auto parsed = clique::routing_mode_from_string(v);
@@ -297,41 +277,18 @@ int main(int argc, char** argv) {
         return 2;
       }
       routing = *parsed;
-    } else if (std::strcmp(argv[i], "--numerics") == 0) {
-      const char* v = flag_value(i, "--numerics");
-      const auto parsed = linalg::backend_from_string(v);
-      if (!parsed.has_value()) {
-        std::cerr << "--numerics: expected auto|dense|sparse, got '" << v
-                  << "'\n";
-        return 2;
-      }
-      numerics = *parsed;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace_path = flag_value(i, "--trace");
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       fault_spec = flag_value(i, "--faults");
     } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
-      const char* v = flag_value(i, "--fault-seed");
-      try {
-        fault_seed = static_cast<std::uint64_t>(
-            arg_int("--fault-seed", v, 0, std::numeric_limits<std::int64_t>::max()));
-      } catch (const std::exception& ex) {
-        std::cerr << "error: " << ex.what() << "\n";
-        return 2;
-      }
+      fault_seed = static_cast<std::uint64_t>(flag_int(i, "--fault-seed", 0, kMax));
     } else if (std::strcmp(argv[i], "--fault-report") == 0) {
       fault_report = flag_value(i, "--fault-report");
     } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
       checkpoint_path = flag_value(i, "--checkpoint");
     } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
-      const char* v = flag_value(i, "--checkpoint-every");
-      try {
-        checkpoint_every = arg_int("--checkpoint-every", v, 1,
-                                   std::numeric_limits<std::int64_t>::max());
-      } catch (const std::exception& ex) {
-        std::cerr << "error: " << ex.what() << "\n";
-        return 2;
-      }
+      checkpoint_every = flag_int(i, "--checkpoint-every", 1, kMax);
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       resume = true;
     } else {
@@ -343,9 +300,6 @@ int main(int argc, char** argv) {
   char** rest = args.data() + 2;
   const int nrest = static_cast<int>(args.size()) - 2;
 
-  obs::RoundLedger ledger;
-  obs::TraceSession trace(trace_path != nullptr ? &ledger : nullptr);
-
   std::unique_ptr<fault::FaultPlan> plan;
   if (fault_spec != nullptr) {
     try {
@@ -356,33 +310,31 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  fault::FaultSession faults(plan.get());
-
-  // One Runtime describes the whole invocation; the facade entry points pick
-  // it up via default_runtime(), and set_threads() covers the commands that
-  // drive subsystem calls directly (orient --random).
-  Runtime rt;
-  rt.threads = threads;
-  rt.routing_mode = routing;
-  rt.numerics = numerics;
-  if (checkpoint_path != nullptr) rt.checkpoint_path = checkpoint_path;
-  rt.checkpoint_every = checkpoint_every;
-  rt.resume = resume;
   if (resume && checkpoint_path == nullptr) {
     std::cerr << "--resume requires --checkpoint <path>\n";
     return 2;
   }
-  set_default_runtime(rt);
-  exec::set_threads(rt.resolved_threads());
+
+  // One Runtime describes the whole invocation, and every command runs
+  // under it.
+  obs::RoundLedger ledger;
+  Runtime rt;
+  rt.threads = threads;
+  rt.trace = trace_path != nullptr ? &ledger : nullptr;
+  rt.faults = plan.get();
+  rt.routing_mode = routing;
+  if (checkpoint_path != nullptr) rt.checkpoint_path = checkpoint_path;
+  rt.checkpoint_every = checkpoint_every;
+  rt.resume = resume;
 
   int rc = 2;
   try {
-    if (cmd == "maxflow") rc = cmd_maxflow(nrest, rest);
-    else if (cmd == "mincost") rc = cmd_mincost(nrest, rest);
-    else if (cmd == "orient") rc = cmd_orient(nrest, rest);
-    else if (cmd == "sparsify") rc = cmd_sparsify(nrest, rest);
-    else if (cmd == "solve") rc = cmd_solve(nrest, rest);
-    else if (cmd == "resistance") rc = cmd_resistance(nrest, rest);
+    if (cmd == "maxflow") rc = cmd_maxflow(nrest, rest, rt);
+    else if (cmd == "mincost") rc = cmd_mincost(nrest, rest, rt);
+    else if (cmd == "orient") rc = cmd_orient(nrest, rest, rt);
+    else if (cmd == "sparsify") rc = cmd_sparsify(nrest, rest, rt);
+    else if (cmd == "solve") rc = cmd_solve(nrest, rest, rt);
+    else if (cmd == "resistance") rc = cmd_resistance(nrest, rest, rt);
     else if (cmd == "gen-maxflow") rc = cmd_gen_maxflow(nrest, rest);
     else if (cmd == "gen-mincost") rc = cmd_gen_mincost(nrest, rest);
     else return usage();

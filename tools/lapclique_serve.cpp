@@ -13,27 +13,24 @@
 //
 // Usage:
 //   lapclique_serve [--cache-capacity N] [--max-request-bytes N]
-//                   [--threads N] [--numerics auto|dense|sparse]
-//                   [--default-deadline-ms N]
+//                   [--threads N] [--default-deadline-ms N]
 //                   [--port P] [--serve-workers N] [--max-pending N]
 //                   [--faults SPEC] [--fault-seed N]
 //
-//   --cache-capacity N       artifacts kept before LRU eviction (default 16)
-//   --numerics B             default numerics backend for cached artifacts
-//                            (auto | dense | sparse, default auto); requests
-//                            override per call with their "numerics" field.
-//                            Deliberately not read from LAPCLIQUE_NUMERICS:
-//                            a server's responses must not depend on its
-//                            environment.
+//   --cache-capacity N       artifacts kept before LRU eviction (>= 1,
+//                            default 16)
 //   --max-request-bytes N    per-request byte cap, enforced on the stream
-//                            (default 4194304)
+//                            (>= 1, default 4194304)
 //   --threads N              default worker threads for requests that do not
 //                            pass their own "threads" field
+//                            (1..exec::kMaxThreads)
 //   --default-deadline-ms N  deadline for requests without "deadline_ms"
 //                            (default 0 = none)
-//   --port P                 listen on 127.0.0.1:P (0 = ephemeral; the bound
-//                            port is printed to stderr) instead of stdin
-//   --serve-workers N        concurrent connection workers (default 4)
+//   --port P                 listen on 127.0.0.1:P (0..65535; 0 = ephemeral,
+//                            the bound port is printed to stderr) instead of
+//                            stdin
+//   --serve-workers N        concurrent connection workers
+//                            (1..exec::kMaxThreads, default 4)
 //   --max-pending N          queued connections tolerated while all workers
 //                            are busy; beyond this, shed with "overloaded"
 //                            (default 16)
@@ -42,18 +39,26 @@
 //                            the socket frontend
 //   --fault-seed N           seed for the fault plan (default 1)
 //
+// A numeric flag that is not an integer in its range exits 2 with a message
+// naming the flag.  Each artifact's LDL^T kernel follows its graph
+// (linalg::resolve_backend) and is reported in the response's artifact
+// block; no flag or request field picks it.
+//
 // Responses are identical in both transports: the socket path wraps the
 // same Server::handle the stdin loop and the test suite drive.
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
+#include "args.hpp"
 #include "exec/pool.hpp"
 #include "fault/fault_plan.hpp"
-#include "linalg/backend.hpp"
 #include "serve/frontend.hpp"
 #include "serve/server.hpp"
 
@@ -70,8 +75,7 @@ extern "C" void on_terminate(int) {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--cache-capacity N] [--max-request-bytes N] [--threads N]"
-               " [--numerics auto|dense|sparse] [--default-deadline-ms N]"
-               " [--port P] [--serve-workers N]"
+               " [--default-deadline-ms N] [--port P] [--serve-workers N]"
                " [--max-pending N] [--faults SPEC] [--fault-seed N]\n";
   return 2;
 }
@@ -85,6 +89,13 @@ int main(int argc, char** argv) {
   int port = -1;
   std::string fault_spec;
   std::uint64_t fault_seed = 1;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr int kMaxThreads = lapclique::exec::kMaxThreads;
+  // A deadline is steady_clock::now() plus this many ms: half the clock's range.
+  constexpr std::int64_t kMaxDeadlineMs =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::duration::max())
+          .count() / 2;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -93,34 +104,33 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--cache-capacity") {
-      opt.cache_capacity = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--max-request-bytes") {
-      opt.max_request_bytes = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--threads") {
-      threads = static_cast<int>(std::atoll(next()));
-    } else if (arg == "--numerics") {
-      const char* name = next();
-      const std::optional<lapclique::linalg::Backend> backend =
-          lapclique::linalg::backend_from_string(name);
-      if (!backend.has_value()) {
-        std::cerr << "lapclique_serve: bad --numerics \"" << name
-                  << "\" (auto | dense | sparse)\n";
-        return 2;
+    const auto next_int = [&](std::int64_t lo, std::int64_t hi) {
+      const char* v = next();
+      try {
+        return lapclique::tools::arg_int(arg.c_str(), v, lo, hi);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "lapclique_serve: " << e.what() << "\n";
+        std::exit(2);
       }
-      opt.solver.backend = *backend;
+    };
+    if (arg == "--cache-capacity") {
+      opt.cache_capacity = static_cast<std::size_t>(next_int(1, kMax));
+    } else if (arg == "--max-request-bytes") {
+      opt.max_request_bytes = static_cast<std::size_t>(next_int(1, kMax));
+    } else if (arg == "--threads") {
+      threads = static_cast<int>(next_int(1, kMaxThreads));
     } else if (arg == "--default-deadline-ms") {
-      opt.default_deadline_ms = std::atoll(next());
+      opt.default_deadline_ms = next_int(0, kMaxDeadlineMs);
     } else if (arg == "--port") {
-      port = static_cast<int>(std::atoll(next()));
+      port = static_cast<int>(next_int(0, 65535));
     } else if (arg == "--serve-workers") {
-      fopt.workers = static_cast<int>(std::atoll(next()));
+      fopt.workers = static_cast<int>(next_int(1, kMaxThreads));
     } else if (arg == "--max-pending") {
-      fopt.max_pending = static_cast<std::size_t>(std::atoll(next()));
+      fopt.max_pending = static_cast<std::size_t>(next_int(0, kMax));
     } else if (arg == "--faults") {
       fault_spec = next();
     } else if (arg == "--fault-seed") {
-      fault_seed = static_cast<std::uint64_t>(std::atoll(next()));
+      fault_seed = static_cast<std::uint64_t>(next_int(0, kMax));
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
