@@ -70,7 +70,7 @@ BandwidthViolation::BandwidthViolation(std::string phase, std::string primitive,
       offered_(offered),
       limit_(limit) {}
 
-Network::Network(int n) : n_(n), inboxes_(static_cast<std::size_t>(std::max(n, 0))) {
+Network::Network(int n) : n_(n) {
   if (n <= 0) throw std::invalid_argument("Network: n must be positive");
 }
 
@@ -184,22 +184,9 @@ std::int64_t Network::worst_pair_multiplicity(const std::vector<Msg>& msgs) {
   return max_multiplicity(keys_);
 }
 
-void Network::deliver(const std::vector<Msg>& msgs) {
-  // Each inbox grows once, by the receive count of this batch's tally; the
-  // messages then land in arrival order.
-  for (std::size_t v = 0; v < inboxes_.size(); ++v) {
-    std::vector<Msg>& box = inboxes_[v];
-    const std::size_t need = box.size() + static_cast<std::size_t>(recv_[v]);
-    if (need > box.capacity()) box.reserve(std::max(need, 2 * box.size()));
-  }
-  for (const Msg& msg : msgs) inboxes_[static_cast<std::size_t>(msg.dst)].push_back(msg);
-}
-
 void Network::exchange(const std::vector<Msg>& msgs) {
   if (msgs.empty()) return;
   tally(msgs);
-  const std::int64_t worst_mult = worst_pair_multiplicity(msgs);
-  deliver(msgs);
   if (routing_mode_ == RoutingMode::kBroadcast) {
     // Each source broadcasts its queue one word per round; receivers filter.
     // Rounds = max words sent by one source.
@@ -208,8 +195,8 @@ void Network::exchange(const std::vector<Msg>& msgs) {
            sent_, recv_);
   } else {
     // Rounds = max multiplicity over ordered (src,dst) pairs.
-    record("exchange", worst_mult, static_cast<std::int64_t>(msgs.size()), sent_,
-           recv_);
+    record("exchange", worst_pair_multiplicity(msgs),
+           static_cast<std::int64_t>(msgs.size()), sent_, recv_);
   }
   run_recovery(msgs);
 }
@@ -221,7 +208,6 @@ void Network::lenzen_route(const std::vector<Msg>& msgs) {
     // No routing needed: every broadcast is heard by all, so the batch takes
     // exactly max-words-per-source rounds regardless of the receive profile.
     const std::int64_t max_sent = *std::max_element(sent_.begin(), sent_.end());
-    deliver(msgs);
     record("bcast_route", max_sent, static_cast<std::int64_t>(msgs.size()), sent_,
            recv_);
     run_recovery(msgs);
@@ -239,7 +225,6 @@ void Network::lenzen_route(const std::vector<Msg>& msgs) {
     run_recovery(msgs);
     return;
   }
-  deliver(msgs);
   record("lenzen_route", lenzen_constant() * c,
          static_cast<std::int64_t>(msgs.size()), sent_, recv_);
   run_recovery(msgs);
@@ -317,8 +302,6 @@ std::int64_t Network::execute_route(const std::vector<Msg>& msgs, std::int64_t c
     phase2.emplace_back(intermediate[i], msgs[i].dst);
   }
   rounds += std::max<std::int64_t>(run_phase(phase2), 1);
-
-  deliver(msgs);
   return rounds;
 }
 
@@ -330,9 +313,9 @@ void Network::run_recovery(const std::vector<Msg>& msgs) {
 
   // Detection: receivers verify the per-batch checksum and sequence numbers
   // that every sender attaches, so dropped, corrupted, and crash-lost words
-  // are identified exactly and duplicates are discarded on arrival.  The
-  // delivered contents (already in the inboxes) are the corrected copies —
-  // injection perturbs only the accounting, never algorithm-visible data.
+  // are identified exactly and duplicates are discarded on arrival.
+  // Injection perturbs only the accounting: the algorithm keeps the words it
+  // sent, so a fault never reaches algorithm-visible data.
   const std::int64_t op = plan.begin_batch();
   const int victim = plan.crash_victim(op);
   const bool crash_hits = victim >= 0 && victim < n_;
@@ -463,18 +446,6 @@ void Network::charge_recovery(std::int64_t rec_rounds, std::int64_t rec_words) {
   set_phase(prev);
 }
 
-std::vector<Msg> Network::drain_inbox(int node) {
-  check_node(node);
-  std::vector<Msg> out;
-  out.swap(inboxes_[static_cast<std::size_t>(node)]);
-  return out;
-}
-
-const std::vector<Msg>& Network::inbox(int node) const {
-  check_node(node);
-  return inboxes_[static_cast<std::size_t>(node)];
-}
-
 void Network::reset_accounting() {
   rounds_ = 0;
   words_ = 0;
@@ -483,20 +454,7 @@ void Network::reset_accounting() {
 }
 
 NetworkSnapshot Network::snapshot() const {
-  for (const std::vector<Msg>& box : inboxes_) {
-    if (!box.empty()) {
-      throw std::logic_error(
-          "Network::snapshot: undrained inbox — snapshots are only valid at "
-          "batch boundaries");
-    }
-  }
-  NetworkSnapshot s;
-  s.rounds = rounds_;
-  s.words = words_;
-  s.phase = phase_;
-  s.ledger = ledger_;
-  s.op_log = op_log_;
-  return s;
+  return {rounds_, words_, phase_, ledger_, op_log_};
 }
 
 void Network::restore(NetworkSnapshot s) {

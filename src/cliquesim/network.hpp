@@ -1,12 +1,13 @@
 // The congested clique network: n nodes, synchronous rounds, per-round
 // bandwidth of one word per ordered pair of nodes.
 //
-// The Network is a *deterministic round-accounting simulator*: the delivery
-// primitives (direct exchange, Lenzen routing) actually move words between
-// per-node mailboxes, the bulk charges (charge, charge_all_to_all,
-// charge_announcement, charge_gossip) book modeled transfers, and both
-// charge rounds according to the model.  Algorithms query `rounds()` for the
-// quantity the paper's theorems bound.
+// The Network is a *deterministic round-accounting simulator*: it charges
+// and moves no data.  The two batch primitives (direct exchange, Lenzen
+// routing) validate and charge a batch of point-to-point messages that the
+// caller builds and keeps; the bulk charges (charge, charge_all_to_all,
+// charge_announcement, charge_gossip) book modeled transfers.  Algorithms
+// keep their own data and query `rounds()` for the quantity the paper's
+// theorems bound.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +28,7 @@ namespace lapclique::clique {
 /// Thrown when an operation would exceed the model's bandwidth limit of one
 /// word per ordered pair per round (executed routing's spread phase checks
 /// it).  Carries the offending phase and the offered/allowed quantities; the
-/// network's accounting, inboxes, and op log are untouched by the failed
-/// operation.
+/// network's accounting and op log are untouched by the failed operation.
 class BandwidthViolation : public std::runtime_error {
  public:
   BandwidthViolation(std::string phase, std::string primitive,
@@ -68,9 +68,9 @@ struct OpRecord {
 };
 
 /// Value snapshot of a Network's accounting state, used by the checkpoint
-/// subsystem (src/ckpt).  Inboxes are deliberately absent: snapshots are
-/// only taken at batch boundaries where every delivered message has been
-/// drained, which Network::snapshot() enforces.
+/// subsystem (src/ckpt).  The Network holds no messages, so this is all of
+/// its state apart from the routing mode (checked against the checkpoint
+/// header) and the attached tracer and fault plan (restored by src/ckpt).
 struct NetworkSnapshot {
   std::int64_t rounds = 0;
   std::int64_t words = 0;
@@ -79,14 +79,14 @@ struct NetworkSnapshot {
   std::vector<OpRecord> op_log;
 };
 
-/// How the network realizes and charges communication.  kCharged and
-/// kExecuted are two accountings of the same unicast Congested Clique;
-/// kBroadcast switches to the Broadcast Congested Clique of Forster–de Vos
-/// (arXiv:2205.12059).  Delivery is identical in every mode — only the
-/// charging differs — so algorithm outputs are bit-identical across modes.
+/// How the network charges communication.  kCharged and kExecuted are two
+/// accountings of the same unicast Congested Clique; kBroadcast switches to
+/// the Broadcast Congested Clique of Forster–de Vos (arXiv:2205.12059).  The
+/// modes differ only in what they charge, never in what an algorithm
+/// learns, so algorithm outputs are bit-identical across modes.
 enum class RoutingMode {
-  /// Charge the proven cost (lenzen_constant * c rounds) and deliver
-  /// directly — the standard fidelity for round-complexity studies.
+  /// Charge the proven cost (lenzen_constant * c rounds) — the standard
+  /// fidelity for round-complexity studies.
   kCharged,
   /// Execute a deterministic sort/spread/deliver schedule whose sub-rounds
   /// are individually checked against the one-word-per-ordered-pair
@@ -139,14 +139,14 @@ class Network {
   void set_tracer(obs::RoundLedger* ledger) { tracer_ = ledger; }
   [[nodiscard]] obs::RoundLedger* tracer() const { return tracer_; }
 
-  /// Attach a FaultPlan: every delivery path (exchange, lenzen_route, and
-  /// bulk charges with words > 0) then runs the deterministic
+  /// Attach a FaultPlan: every transfer (exchange, lenzen_route, and bulk
+  /// charges with words > 0) then runs the deterministic
   /// detect-and-retransmit recovery protocol, charging its rounds under the
-  /// dedicated "recovery" phase.  Injection never mutates
-  /// delivered payloads — corrupted/dropped words are re-sent and duplicates
-  /// are discarded by sequence number — so algorithm outputs stay
-  /// bit-identical to the fault-free run.  Pass nullptr to detach; the
-  /// detached case costs one pointer compare per operation.
+  /// dedicated "recovery" phase.  Injection reaches only the accounting —
+  /// corrupted/dropped words are charged as re-sent and duplicates as
+  /// discarded by sequence number — so algorithm outputs stay bit-identical
+  /// to the fault-free run.  Pass nullptr to detach; the detached case
+  /// costs one pointer compare per operation.
   void set_fault_plan(fault::FaultPlan* plan) { fault_plan_ = plan; }
   [[nodiscard]] fault::FaultPlan* fault_plan() const { return fault_plan_; }
 
@@ -180,16 +180,17 @@ class Network {
   /// ceil(W/n)-word share: ceil(W/n) rounds, W words.
   void charge_gossip(std::int64_t words);
 
-  /// Deliver a batch of point-to-point messages subject to the per-round
+  /// Charge a batch of point-to-point messages subject to the per-round
   /// bandwidth limit: the batch is split into sub-rounds so that no ordered
   /// pair carries more than one word per charged round.  Charges the number
-  /// of sub-rounds (max multiplicity over ordered pairs).
+  /// of sub-rounds (max multiplicity over ordered pairs).  The batch is
+  /// validated and counted, not stored: the caller keeps its messages.
   void exchange(const std::vector<Msg>& msgs);
 
   /// Lenzen's deterministic routing: any message set in which every node
-  /// sends at most `c*n` and receives at most `c*n` words is delivered in
-  /// O(c) rounds.  We charge `lenzen_constant() * c` rounds and deliver
-  /// directly.
+  /// sends at most `c*n` and receives at most `c*n` words is routed in O(c)
+  /// rounds.  We charge `lenzen_constant() * c` rounds; like exchange, it
+  /// stores nothing.
   void lenzen_route(const std::vector<Msg>& msgs);
 
   /// The constant in the charged Lenzen bound: 16, as in the proof of
@@ -199,19 +200,16 @@ class Network {
   [[nodiscard]] RoutingMode routing_mode() const { return routing_mode_; }
   void set_routing_mode(RoutingMode mode) { routing_mode_ = mode; }
 
-  /// Drain node `v`'s inbox (messages delivered by exchange/lenzen_route).
-  [[nodiscard]] std::vector<Msg> drain_inbox(int node);
-
-  /// Peek without draining (for tests).
-  [[nodiscard]] const std::vector<Msg>& inbox(int node) const;
+  /// No-op: the Network holds no messages.  Kept only because
+  /// benchmark/src/probes.cpp still calls it; delete both together.
+  void drain_inbox(int /*node*/) const {}
 
   void reset_accounting();
 
   // --- checkpoint support (src/ckpt) ---
 
   /// Copy out the accounting state (rounds, words, phase, phase ledger, op
-  /// log).  Throws std::logic_error if any inbox holds undrained messages —
-  /// snapshots are only meaningful at batch boundaries.
+  /// log).
   [[nodiscard]] NetworkSnapshot snapshot() const;
   /// Replace the accounting state.  Restores `phase` directly (without the
   /// set_phase tracer hook: the tracer's own state is restored separately by
@@ -230,7 +228,6 @@ class Network {
   /// `primitive` and run bulk recovery when a fault plan is armed.
   void charge_impl(const char* primitive, std::int64_t rounds,
                    std::int64_t words);
-  void deliver(const std::vector<Msg>& msgs);
   void record(const char* primitive, std::int64_t rounds, std::int64_t words,
               std::int64_t max_load);
   void record(const char* primitive, std::int64_t rounds, std::int64_t words,
@@ -240,7 +237,7 @@ class Network {
   std::int64_t execute_route(const std::vector<Msg>& msgs, std::int64_t c);
   [[noreturn]] void raise_violation(const char* primitive, std::int64_t offered,
                                     std::int64_t limit);
-  /// Detect-and-retransmit pass over a delivered message batch; charges the
+  /// Detect-and-retransmit pass over a charged message batch; charges the
   /// retransmission rounds under the "recovery" phase.
   void run_recovery(const std::vector<Msg>& msgs);
   /// Count-based recovery for the bulk charges, where no per-message
@@ -259,7 +256,6 @@ class Network {
   fault::FaultPlan* fault_plan_ = nullptr;
   PhaseLedger ledger_;
   std::vector<OpRecord> op_log_;
-  std::vector<std::vector<Msg>> inboxes_;
   /// The current batch's per-node send and receive counts (from tally) and
   /// its ordered-pair sort keys; the buffers are reused across batches.
   std::vector<std::int64_t> sent_;

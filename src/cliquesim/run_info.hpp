@@ -31,10 +31,12 @@ struct RunInfo {
   /// Numerics backend that produced this run's Laplacian factorizations
   /// ("dense" / "sparse"; empty when the run factored nothing).  Set by the
   /// solver/flow layers, not by capture() — backend choice is numerics
-  /// state, invisible to the network.  No charge reads it, but rounds that
-  /// depend on solution bits do: min-cost flow rounding starts from the
-  /// IPM's fractional flow, so its rounding and finishing rounds differ by
-  /// backend (docs/PERFORMANCE.md).
+  /// state, invisible to the network.  No charge reads it.  Rounds that
+  /// depend on solution bits (min-cost flow rounding starts from the IPM's
+  /// fractional flow) follow the kernel's bits, but the kernel is a
+  /// function of the instance, so every run of one instance charges the
+  /// same rounds (docs/PERFORMANCE.md, "Why the choice is safe to make per
+  /// instance").
   std::string numerics;
   /// Nonzeros in the preconditioner factor (diagonal included); 0 when the
   /// run factored nothing.

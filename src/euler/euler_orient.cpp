@@ -152,7 +152,9 @@ struct Machine {
 
   /// One routed exchange: every active ring occurrence sends one word to a
   /// neighbor occurrence.  Returns the received word per destination occ.
-  /// `to_succ` selects direction.
+  /// `to_succ` selects direction.  succ and pred are bijections on each
+  /// ring, so no occurrence receives two words and the batch's order is
+  /// immaterial.
   std::vector<std::optional<Word>> ring_exchange(
       const std::vector<std::optional<Word>>& payload, bool to_succ) {
     std::vector<Msg> batch;
@@ -167,10 +169,8 @@ struct Machine {
     if (batch.empty()) return received;
     net->lenzen_route(batch);
     ++forward_rounds;  // one routed super-step
-    for (int v = 0; v < net->size(); ++v) {
-      for (const Msg& msg : net->drain_inbox(v)) {
-        received[static_cast<std::size_t>(msg.tag)] = msg.payload;
-      }
+    for (const Msg& msg : batch) {
+      received[static_cast<std::size_t>(msg.tag)] = msg.payload;
     }
     return received;
   }
@@ -404,7 +404,6 @@ struct Machine {
       if (!batch.empty()) {
         net->lenzen_route(batch);
         ++forward_rounds;
-        for (int v = 0; v < net->size(); ++v) (void)net->drain_inbox(v);
       }
       if (!any_moving) break;
     }

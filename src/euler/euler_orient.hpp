@@ -20,9 +20,12 @@
 //      same round cost as the forward pass, per the paper's step 4).
 //
 // Simulation fidelity: colors, proposals, accepts, and probes are real
-// messages through the Network (so congestion audits see them); ring
-// bookkeeping (successor tables, path concatenation) is simulator
-// scaffolding that a real deployment would keep in per-node memory.
+// message batches charged through the Network's Lenzen routing (so
+// congestion audits see every word).  The Network charges and stores
+// nothing, so a receiving occurrence reads its word from the batch it was
+// sent in.  Ring bookkeeping (successor tables, path concatenation) is
+// simulator scaffolding that a real deployment would keep in per-node
+// memory.
 #pragma once
 
 #include <cstdint>

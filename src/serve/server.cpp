@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "ckpt/checkpoint.hpp"
-#include "exec/pool.hpp"
 #include "flow/maxflow_ipm.hpp"
 #include "flow/mincost_ipm.hpp"
 #include "graph/connectivity.hpp"
@@ -85,15 +84,6 @@ double parse_eps(const json::Value& req) {
     throw RequestError("bad_request", "eps must be in (0, 1/2]");
   }
   return eps;
-}
-
-int parse_threads(const json::Value& req) {
-  const std::optional<std::int64_t> threads = optional_int(req, "threads");
-  if (!threads.has_value()) return exec::threads();
-  if (*threads < 1 || *threads > 4096) {
-    throw RequestError("bad_request", "threads must be in [1, 4096]");
-  }
-  return static_cast<int>(*threads);
 }
 
 /// The demand vector chi_u - chi_v of one resistance query.
@@ -296,6 +286,10 @@ Deadline parse_deadline(const json::Value& req, std::int64_t default_ms) {
   if (ms.has_value()) {
     if (*ms < 0) {
       throw RequestError("bad_request", "deadline_ms must be >= 0");
+    }
+    if (*ms > kMaxDeadlineMs) {
+      throw RequestError("bad_request", "deadline_ms out of range [0, " +
+                                            std::to_string(kMaxDeadlineMs) + "]");
     }
     return Deadline::after_ms(*ms);
   }
@@ -585,7 +579,6 @@ std::string Server::handle_laplacian(const json::Value& req,
   }
   const std::vector<linalg::Vec> bs = parse_columns(req, op, n);
 
-  const exec::ThreadScope scope(parse_threads(req));
   obs::RoundLedger ledger;
   const ArtifactCache::Acquired acq =
       cache_.acquire(slot->g, slot->hash, eps, mode, &ledger);
@@ -653,7 +646,6 @@ std::string Server::handle_flow_max(const json::Value& req,
     fopt.known_value = *v;
   }
 
-  const exec::ThreadScope scope(parse_threads(req));
   clique::Network net(std::max(n, 2));
   net.set_routing_mode(mode);
   const flow::MaxFlowIpmReport rep = [&] {
@@ -711,7 +703,6 @@ std::string Server::handle_flow_mincost(const json::Value& req,
     fopt.max_iterations = *v;
   }
 
-  const exec::ThreadScope scope(parse_threads(req));
   clique::Network net(std::max(n, 2));
   net.set_routing_mode(mode);
   const flow::MinCostIpmReport rep = [&] {

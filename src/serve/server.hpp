@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -36,6 +37,14 @@
 
 namespace lapclique::serve {
 
+/// The largest deadline in milliseconds, for a request's "deadline_ms" and
+/// the daemon's --default-deadline-ms: half of steady_clock's range, so a
+/// deadline of now() plus this many ms cannot overflow the clock.
+inline constexpr std::int64_t kMaxDeadlineMs =
+    std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::duration::max())
+        .count() / 2;
+
 struct ServerOptions {
   /// ArtifactCache capacity in artifacts (LRU beyond this).
   std::size_t cache_capacity = 16;
@@ -43,9 +52,9 @@ struct ServerOptions {
   /// being parsed.
   std::size_t max_request_bytes = 4u << 20u;
   /// Deadline applied to requests that carry no "deadline_ms" field, in
-  /// milliseconds; 0 = no default deadline.  A request's own "deadline_ms"
-  /// always wins ("deadline_ms":0 is an already-expired deadline, useful for
-  /// deterministic abort testing).
+  /// milliseconds, at most kMaxDeadlineMs; 0 = no default deadline.  A
+  /// request's own "deadline_ms" always wins ("deadline_ms":0 is an
+  /// already-expired deadline, useful for deterministic abort testing).
   std::int64_t default_deadline_ms = 0;
 };
 

@@ -2,7 +2,8 @@
 # Numeric-flag check against the real lapclique_serve daemon: each of its
 # eight numeric flags must refuse junk, trailing characters and values out
 # of the field's range with exit status 2 and a message that names the flag,
-# and values in range must still configure the daemon.
+# and values in range must still configure the daemon.  A value outside
+# int64 must be reported as out of range, not as junk.
 #
 # Every refused case also carries an invalid --faults spec and reads stdin
 # from /dev/null, so a daemon that skipped the numeric check would exit on
@@ -16,13 +17,13 @@ set -u
 BIN="${1:?usage: serve_flags_test.sh <lapclique_serve binary>}"
 failures=0
 
-refuse() {  # refuse FLAG VALUE...
+refuse() {  # [SAYS=TEXT] refuse FLAG VALUE...: the message names FLAG, then TEXT
   local flag="$1" value err status
   shift
   for value in "$@"; do
     err="$("$BIN" "$flag" "$value" --faults '!' </dev/null 2>&1 >/dev/null)"
     status=$?
-    if [ "$status" -ne 2 ] || [[ "$err" != *"$flag"* ]]; then
+    if [ "$status" -ne 2 ] || [[ "$err" != *"$flag"*"${SAYS:-}"* ]]; then
       echo "serve_flags_test: $flag $value: exit $status, stderr: $err" >&2
       failures=$((failures + 1))
     fi
@@ -37,11 +38,16 @@ refuse --port abc -3 64k 65536
 refuse --serve-workers abc -3 64k 0 65
 refuse --max-pending abc -3 64k
 refuse --fault-seed abc -3 64k
+SAYS="out of range" refuse --default-deadline-ms 4611686018428 \
+  99999999999999999999 -99999999999999999999
+SAYS="out of range" refuse --fault-seed 99999999999999999999
+SAYS="out of range" refuse --cache-capacity 99999999999999999999
 
 # In range: the daemon starts in stdin mode and reports the capacity it got.
 out="$(echo '{"op":"cache.stats","id":1}' |
   "$BIN" --cache-capacity 3 --max-request-bytes 65536 --threads 2 \
-    --default-deadline-ms 0 --serve-workers 1 --max-pending 0 --fault-seed 0)"
+    --default-deadline-ms 4611686018427 --serve-workers 1 --max-pending 0 \
+    --fault-seed 0)"
 status=$?
 if [ "$status" -ne 0 ] || [[ "$out" != *'"capacity":3'* ]]; then
   echo "serve_flags_test: in-range flags: exit $status, stdout: $out" >&2

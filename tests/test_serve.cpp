@@ -115,14 +115,13 @@ json::Value vec_json(const linalg::Vec& b) {
 
 std::string solve_request(const std::string& graph_name, const linalg::Vec& b,
                           double eps, const std::string& id,
-                          int threads = 0, const std::string& routing = "") {
+                          const std::string& routing = "") {
   json::Object req;
   req.emplace("op", "solve");
   req.emplace("id", id);
   req.emplace("graph", graph_name);
   req.emplace("eps", eps);
   req.emplace("b", vec_json(b));
-  if (threads > 0) req.emplace("threads", threads);
   if (!routing.empty()) req.emplace("routing", routing);
   return json::Value(std::move(req)).dump();
 }
@@ -250,20 +249,21 @@ TEST(Serve, InterleavingInvariance) {
 }
 
 TEST(Serve, ThreadCountInvariance) {
-  // The same request at threads 1 and 8 (both via the request field and via
-  // the global pool) yields byte-identical bodies.
+  // The same request with the pool at 1 and 8 threads yields byte-identical
+  // bodies.  A "threads" member is ignored like any unknown member: the
+  // daemon's --threads sets the pool once.
   const graph::Graph g = test_graph(26, 80, 31);
   const linalg::Vec b = random_b(26, 33);
+  const std::string req = solve_request("g", b, 1e-6, "s");
+  std::string with_threads = req;
+  with_threads.insert(with_threads.size() - 1, ",\"threads\":0");
   std::vector<std::string> bodies;
   for (const int threads : {1, 8}) {
+    const exec::ThreadScope scope(threads);
     Server server;
     parse_ok(server.handle(load_request("g", g)));
-    bodies.push_back(server.handle(solve_request("g", b, 1e-6, "s", threads)));
-
-    const exec::ThreadScope scope(threads);
-    Server global_server;
-    parse_ok(global_server.handle(load_request("g", g)));
-    bodies.push_back(global_server.handle(solve_request("g", b, 1e-6, "s")));
+    bodies.push_back(server.handle(req));
+    bodies.push_back(server.handle(with_threads));
   }
   for (std::size_t i = 1; i < bodies.size(); ++i) {
     EXPECT_EQ(bodies[i], bodies[0]) << i;
@@ -440,7 +440,7 @@ TEST(Serve, RoutingModeIsPartOfTheCacheKey) {
   parse_ok(server.handle(load_request("g", g)));
   const std::string charged = server.handle(solve_request("g", b, 1e-6, "s"));
   const std::string broadcast =
-      server.handle(solve_request("g", b, 1e-6, "s", 0, "broadcast"));
+      server.handle(solve_request("g", b, 1e-6, "s", "broadcast"));
   EXPECT_NE(charged, broadcast);  // different accounting, different artifact
   EXPECT_EQ(server.cache_stats().misses, 2);
   EXPECT_EQ(server.cache_stats().size, 2u);
@@ -571,7 +571,7 @@ TEST(Serve, MalformedRequestsGetLocatedErrorsAndLeaveStateIntact) {
       {solve_request("g", b, -1.0, "e3"), "bad_request"},  // eps <= 0
       {solve_request("g", linalg::Vec(3, 1.0), 1e-6, "e4"),
        "bad_request"},  // wrong b size
-      {solve_request("g", b, 1e-6, "e5", 0, "psychic"),
+      {solve_request("g", b, 1e-6, "e5", "psychic"),
        "bad_request"},  // unknown routing
       {"{\"op\":\"graph.drop\",\"name\":\"missing\",\"id\":\"e6\"}",
        "unknown_graph"},
@@ -882,10 +882,20 @@ TEST(Serve, DeadlineZeroAbortsDeterministicallyAtAdmission) {
 }
 
 TEST(Serve, DeadlineNegativeIsRejected) {
+  // So is a deadline past kMaxDeadlineMs, which now() plus it would
+  // overflow; that message names the range.
   Server server;
-  expect_error(server.handle("{\"op\":\"health\",\"id\":\"x\","
-                             "\"deadline_ms\":-5}"),
-               "bad_request");
+  const auto health = [&server](const std::string& ms) {
+    return server.handle("{\"op\":\"health\",\"id\":\"x\",\"deadline_ms\":" + ms +
+                         "}");
+  };
+  expect_error(health("-5"), "bad_request");
+  for (const std::string ms : {"4611686018428", "9223372036854775807"}) {
+    const std::string body = health(ms);
+    expect_error(body, "bad_request");
+    EXPECT_NE(body.find("out of range [0, 4611686018427]"), std::string::npos) << body;
+  }
+  EXPECT_EQ(server.load().deadline_exceeded, 0);
 }
 
 TEST(Serve, DeadlineAbortsLongFlowAtBatchBoundaryWithPartialRun) {
@@ -934,11 +944,14 @@ TEST(Serve, GenerousDeadlineAndDefaultDeadlineDoNotPerturbBodies) {
     parse_ok(s->handle(load_request("g", g)));
   }
   const std::string req = solve_request("g", b, 1e-5, "s");
-  std::string roomy = req;
-  roomy.insert(roomy.size() - 1, ",\"deadline_ms\":600000");
 
   const std::string baseline = plain.handle(req);
-  EXPECT_EQ(plain.handle(roomy), baseline);
+  // 4611686018427 is kMaxDeadlineMs with steady_clock's int64 nanoseconds.
+  for (const std::string ms : {"600000", "4611686018427"}) {
+    std::string roomy = req;
+    roomy.insert(roomy.size() - 1, ",\"deadline_ms\":" + ms);
+    EXPECT_EQ(plain.handle(roomy), baseline) << ms;
+  }
   EXPECT_EQ(defaulted.handle(req), baseline);
   EXPECT_EQ(plain.load().deadline_exceeded, 0);
   EXPECT_EQ(defaulted.load().deadline_exceeded, 0);

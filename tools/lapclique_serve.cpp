@@ -21,11 +21,10 @@
 //                            default 16)
 //   --max-request-bytes N    per-request byte cap, enforced on the stream
 //                            (>= 1, default 4194304)
-//   --threads N              default worker threads for requests that do not
-//                            pass their own "threads" field
-//                            (1..exec::kMaxThreads)
+//   --threads N              worker threads of the dense LDL^T, set once at
+//                            startup for every request (1..exec::kMaxThreads)
 //   --default-deadline-ms N  deadline for requests without "deadline_ms"
-//                            (default 0 = none)
+//                            (0..serve::kMaxDeadlineMs, default 0 = none)
 //   --port P                 listen on 127.0.0.1:P (0..65535; 0 = ephemeral,
 //                            the bound port is printed to stderr) instead of
 //                            stdin
@@ -46,7 +45,6 @@
 //
 // Responses are identical in both transports: the socket path wraps the
 // same Server::handle the stdin loop and the test suite drive.
-#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -91,11 +89,6 @@ int main(int argc, char** argv) {
   std::uint64_t fault_seed = 1;
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   constexpr int kMaxThreads = lapclique::exec::kMaxThreads;
-  // A deadline is steady_clock::now() plus this many ms: half the clock's range.
-  constexpr std::int64_t kMaxDeadlineMs =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::duration::max())
-          .count() / 2;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -120,7 +113,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       threads = static_cast<int>(next_int(1, kMaxThreads));
     } else if (arg == "--default-deadline-ms") {
-      opt.default_deadline_ms = next_int(0, kMaxDeadlineMs);
+      opt.default_deadline_ms = next_int(0, lapclique::serve::kMaxDeadlineMs);
     } else if (arg == "--port") {
       port = static_cast<int>(next_int(0, 65535));
     } else if (arg == "--serve-workers") {
