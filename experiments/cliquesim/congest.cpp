@@ -48,7 +48,6 @@ void CongestNetwork::step(const std::vector<Msg>& msgs) {
     inboxes_[static_cast<std::size_t>(m.dst)].push_back(m);
   }
   ++rounds_;
-#if LAPCLIQUE_TRACE
   if (tracer_ != nullptr) {
     std::vector<std::int64_t> sent(static_cast<std::size_t>(n_), 0);
     std::vector<std::int64_t> recv(static_cast<std::size_t>(n_), 0);
@@ -59,7 +58,6 @@ void CongestNetwork::step(const std::vector<Msg>& msgs) {
     tracer_->record_op("congest_step", 1,
                        static_cast<std::int64_t>(msgs.size()), sent, recv);
   }
-#endif
 }
 
 std::vector<Msg> CongestNetwork::drain_inbox(int node) {

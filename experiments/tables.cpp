@@ -24,15 +24,6 @@ namespace lapclique::experiments {
 
 namespace {
 
-/// The runtime of every facade call below: `mode` routing, whatever
-/// LAPCLIQUE_ROUTING says.  Networks built directly (clique::Network(n)) are
-/// already charged and environment-free.
-Runtime pinned_runtime(clique::RoutingMode mode = clique::RoutingMode::kCharged) {
-  Runtime rt;
-  rt.routing_mode = mode;
-  return rt;
-}
-
 /// e_0 - e_{n-1}: the right-hand side of every Laplacian solve here.
 std::vector<double> dipole(int n) {
   std::vector<double> b(static_cast<std::size_t>(n), 0.0);
@@ -91,7 +82,9 @@ Table e1_routing() {
   for (const clique::RoutingMode mode :
        {clique::RoutingMode::kCharged, clique::RoutingMode::kExecuted,
         clique::RoutingMode::kBroadcast}) {
-    const auto rep = solve_laplacian(g, dipole(256), 1e-6, {}, pinned_runtime(mode));
+    Runtime rt;
+    rt.routing_mode = mode;
+    const auto rep = solve_laplacian(g, dipole(256), 1e-6, {}, rt);
     t.rows.push_back(
         {clique::to_string(mode), cell(rep.run.rounds), cell(rep.run.words)});
   }
@@ -107,7 +100,7 @@ Table e1_u() {
   for (const std::int64_t u : {1, 16, 256, 4096, 65536}) {
     const Graph g =
         graph::with_random_weights(graph::random_connected_gnm(96, 384, 17), u, 19);
-    const auto rep = solve_laplacian(g, dipole(96), 1e-6, {}, pinned_runtime());
+    const auto rep = solve_laplacian(g, dipole(96), 1e-6);
     t.rows.push_back({cell(u), cell(rep.run.rounds)});
   }
   return t;
@@ -121,7 +114,7 @@ Table e2_families() {
           {}};
   const auto row = [&t](const char* family, const Graph& g) {
     const int n = g.num_vertices();
-    const SparsifyReport rep = sparsify(g, {}, pinned_runtime());
+    const SparsifyReport rep = sparsify(g);
     const std::string alpha =
         n <= 64 ? fixed(linalg::generalized_condition_number(graph::laplacian(g),
                                                              graph::laplacian(rep.h)),
@@ -149,7 +142,7 @@ Table e2_weights() {
   for (const std::int64_t u : {1, 256, 65536}) {
     const Graph g =
         graph::with_random_weights(graph::random_connected_gnm(64, 384, 3), u, 5);
-    const SparsifyReport rep = sparsify(g, {}, pinned_runtime());
+    const SparsifyReport rep = sparsify(g);
     t.rows.push_back({cell(u), cell(rep.h.num_edges()), cell(rep.stats.weight_classes)});
   }
   return t;
@@ -381,7 +374,7 @@ Table e7() {
   for (const int n : {32, 64, 128, 256}) {
     const Graph g = graph::random_connected_gnm(n, 6 * n, 41);
     const std::vector<double> b = dipole(n);
-    const auto det = solve_laplacian(g, b, 1e-6, {}, pinned_runtime());
+    const auto det = solve_laplacian(g, b, 1e-6);
 
     // Randomized baseline, charged as: one round to agree on randomness,
     // gathering H, then one round per Chebyshev iteration.  Its

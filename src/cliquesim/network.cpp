@@ -1,7 +1,6 @@
 #include "cliquesim/network.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <span>
 #include <sstream>
 
@@ -53,15 +52,6 @@ std::optional<RoutingMode> routing_mode_from_string(std::string_view name) {
   return std::nullopt;
 }
 
-RoutingMode default_routing_mode() {
-  static const RoutingMode mode = [] {
-    const char* env = std::getenv("LAPCLIQUE_ROUTING");
-    if (env == nullptr) return RoutingMode::kCharged;
-    return routing_mode_from_string(env).value_or(RoutingMode::kCharged);
-  }();
-  return mode;
-}
-
 BandwidthViolation::BandwidthViolation(std::string phase, std::string primitive,
                                        std::int64_t offered, std::int64_t limit)
     : std::runtime_error(violation_message(phase, primitive, offered, limit)),
@@ -85,9 +75,7 @@ void Network::check_node(int v) const {
 
 void Network::set_phase(std::string phase) {
   phase_ = std::move(phase);
-#if LAPCLIQUE_TRACE
   if (tracer_ != nullptr) tracer_->switch_phase(phase_);
-#endif
 }
 
 void Network::charge(std::int64_t rounds, std::int64_t words) {
@@ -139,11 +127,7 @@ void Network::record(const char* primitive, std::int64_t rounds,
   words_ += words;
   ledger_.add(phase_, rounds);
   op_log_.push_back(OpRecord{phase_, rounds, words, max_load});
-#if LAPCLIQUE_TRACE
   if (tracer_ != nullptr) tracer_->record_op(primitive, rounds, words, max_load);
-#else
-  (void)primitive;
-#endif
 }
 
 void Network::record(const char* primitive, std::int64_t rounds,
@@ -156,11 +140,7 @@ void Network::record(const char* primitive, std::int64_t rounds,
   words_ += words;
   ledger_.add(phase_, rounds);
   op_log_.push_back(OpRecord{phase_, rounds, words, max_load});
-#if LAPCLIQUE_TRACE
   if (tracer_ != nullptr) tracer_->record_op(primitive, rounds, words, sent, recv);
-#else
-  (void)primitive;
-#endif
 }
 
 void Network::tally(const std::vector<Msg>& msgs) {
@@ -176,12 +156,12 @@ void Network::tally(const std::vector<Msg>& msgs) {
   }
 }
 
-std::int64_t Network::worst_pair_multiplicity(const std::vector<Msg>& msgs) {
+std::span<std::int64_t> Network::pair_keys(const std::vector<Msg>& msgs) {
   keys_.resize(msgs.size());
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     keys_[i] = static_cast<std::int64_t>(msgs[i].src) * n_ + msgs[i].dst;
   }
-  return max_multiplicity(keys_);
+  return keys_;
 }
 
 void Network::exchange(const std::vector<Msg>& msgs) {
@@ -195,7 +175,7 @@ void Network::exchange(const std::vector<Msg>& msgs) {
            sent_, recv_);
   } else {
     // Rounds = max multiplicity over ordered (src,dst) pairs.
-    record("exchange", worst_pair_multiplicity(msgs),
+    record("exchange", max_multiplicity(pair_keys(msgs)),
            static_cast<std::int64_t>(msgs.size()), sent_, recv_);
   }
   run_recovery(msgs);
@@ -247,62 +227,31 @@ std::int64_t Network::execute_route(const std::vector<Msg>& msgs, std::int64_t c
   // actually used*, so the accounting stays honest even on adversarial
   // batches where greedy needs more.  Every sub-round respects the
   // one-word-per-ordered-pair limit by construction of the schedule.
-  std::vector<std::size_t> order(msgs.size());
-  for (std::size_t i = 0; i < msgs.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&msgs](std::size_t a, std::size_t b) {
-    const Msg& x = msgs[a];
-    const Msg& y = msgs[b];
-    if (x.src != y.src) return x.src < y.src;
-    if (x.dst != y.dst) return x.dst < y.dst;
-    if (x.tag != y.tag) return x.tag < y.tag;
-    return x.payload.bits() < y.payload.bits();
-  });
-  std::int64_t rounds = 4;  // the sorting primitive
-
-  // Schedule one phase of moves into sub-rounds (no ordered pair repeats
-  // within one sub-round): the greedy slot assignment takes as many
-  // sub-rounds as the phase's most repeated ordered pair.
-  const auto run_phase = [this](const std::vector<std::pair<int, int>>& moves) {
-    std::vector<std::int64_t> keys;
-    keys.reserve(moves.size());
-    for (const auto& mv : moves) {
-      if (mv.first == mv.second) continue;  // staying put is free
-      keys.push_back(static_cast<std::int64_t>(mv.first) * n_ + mv.second);
-    }
-    return max_multiplicity(keys);
-  };
-
-  // Phase 1: per-source round-robin over the source's destination-sorted
-  // outbox.
-  std::vector<int> intermediate(msgs.size(), -1);
-  std::vector<std::pair<int, int>> phase1;
-  phase1.reserve(msgs.size());
-  {
-    int prev_src = -1;
-    std::size_t k = 0;
-    for (std::size_t idx : order) {
-      if (msgs[idx].src != prev_src) {
-        prev_src = msgs[idx].src;
-        k = 0;
-      }
-      const int j = static_cast<int>(
-          (static_cast<std::size_t>(msgs[idx].src) + k++) %
-          static_cast<std::size_t>(n_));
-      intermediate[idx] = j;
-      phase1.emplace_back(msgs[idx].src, j);
-    }
+  //
+  // Messages of one (src, dst) pair take consecutive ranks at their source,
+  // so both phases depend only on the sorted src * n + dst keys (tags and
+  // payloads never reach the schedule).  A phase takes as many sub-rounds
+  // as its most repeated ordered pair; a move that stays put is free.
+  const std::span<std::int64_t> keys = pair_keys(msgs);
+  std::sort(keys.begin(), keys.end());
+  const auto n = static_cast<std::int64_t>(n_);
+  std::int64_t spread = 0;
+  std::size_t delivers = 0;  // deliver keys overwrite keys[0, delivers)
+  std::int64_t src = -1;
+  std::int64_t k = 0;  // rank of the message at its source
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::int64_t s = keys[i] / n;
+    const std::int64_t dst = keys[i] % n;
+    k = s == src ? k + 1 : 0;
+    src = s;
+    const std::int64_t j = (s + k) % n;
+    // The k-th message is the (k / n + 1)-th on the ordered pair (s, j).
+    if (j != s) spread = std::max(spread, k / n + 1);
+    if (j != dst) keys[delivers++] = j * n + dst;
   }
-  const std::int64_t r1 = run_phase(phase1);
-  if (r1 > c) raise_violation("lenzen_route", r1, c);
-  rounds += std::max<std::int64_t>(r1, 1);
-
-  std::vector<std::pair<int, int>> phase2;
-  phase2.reserve(msgs.size());
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
-    phase2.emplace_back(intermediate[i], msgs[i].dst);
-  }
-  rounds += std::max<std::int64_t>(run_phase(phase2), 1);
-  return rounds;
+  if (spread > c) raise_violation("lenzen_route", spread, c);
+  const std::int64_t deliver = max_multiplicity(keys.first(delivers));
+  return 4 + std::max<std::int64_t>(spread, 1) + std::max<std::int64_t>(deliver, 1);
 }
 
 void Network::run_recovery(const std::vector<Msg>& msgs) {

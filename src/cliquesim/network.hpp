@@ -102,19 +102,13 @@ enum class RoutingMode {
 };
 
 /// Stable lower-case name of a routing mode ("charged" / "executed" /
-/// "broadcast") — the spelling used by --routing, LAPCLIQUE_ROUTING, and
-/// runtime_to_json.
+/// "broadcast") — the spelling used by --routing, the serve protocol's
+/// "routing" member, and runtime_to_json.
 [[nodiscard]] const char* to_string(RoutingMode mode);
 
 /// Parse the spelling produced by to_string; std::nullopt on anything else.
 [[nodiscard]] std::optional<RoutingMode> routing_mode_from_string(
     std::string_view name);
-
-/// Process-wide default mode: the LAPCLIQUE_ROUTING environment variable
-/// (charged | executed | broadcast, read once), else kCharged.  Runtime's
-/// routing_mode member defaults to this; a bare `Network net(n)` stays
-/// kCharged so direct-construction golden tests are env-independent.
-[[nodiscard]] RoutingMode default_routing_mode();
 
 class Network {
  public:
@@ -135,7 +129,7 @@ class Network {
   /// Attach a RoundLedger that observes (never charges) every operation:
   /// rounds/words per span, per-primitive totals, per-node congestion.
   /// Pass nullptr to detach.  The null-ledger case costs one pointer
-  /// compare per operation; -DLAPCLIQUE_TRACE=0 compiles even that out.
+  /// compare per operation.
   void set_tracer(obs::RoundLedger* ledger) { tracer_ = ledger; }
   [[nodiscard]] obs::RoundLedger* tracer() const { return tracer_; }
 
@@ -222,8 +216,9 @@ class Network {
   /// Validate a batch's node ids and count each node's sent and received
   /// messages into sent_ / recv_.
   void tally(const std::vector<Msg>& msgs);
-  /// The most messages one ordered (src, dst) pair carries in the batch.
-  std::int64_t worst_pair_multiplicity(const std::vector<Msg>& msgs);
+  /// Fill keys_ with the batch's ordered-pair keys src * n + dst, in batch
+  /// order.
+  std::span<std::int64_t> pair_keys(const std::vector<Msg>& msgs);
   /// Shared body of charge() and the semantic helpers: record under
   /// `primitive` and run bulk recovery when a fault plan is armed.
   void charge_impl(const char* primitive, std::int64_t rounds,

@@ -9,8 +9,7 @@
 
 namespace lapclique {
 
-// Every entry point: bound the pool to the runtime's thread count for the
-// duration of the call, build a Network configured by the runtime, run the
+// Every entry point: build a Network configured by the runtime, run the
 // algorithm, snapshot the accounting into report.run.
 
 namespace {
@@ -25,7 +24,7 @@ struct CheckpointSession {
   explicit CheckpointSession(const Runtime& rt) {
     if (rt.checkpoint_path.empty()) return;
     writer = std::make_unique<ckpt::CheckpointWriter>(
-        rt.checkpoint_path, rt.checkpoint_every, rt.resolved_threads());
+        rt.checkpoint_path, rt.checkpoint_every, exec::threads());
     if (rt.resume) resumed = ckpt::load_checkpoint(rt.checkpoint_path);
   }
 
@@ -43,14 +42,12 @@ solver::CliqueSolveReport solve_laplacian(const Graph& g, std::span<const double
                                           double eps,
                                           const solver::LaplacianSolverOptions& opt,
                                           const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   return solver::solve_laplacian_clique(g, b, eps, opt, net);
 }
 
 SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt,
                         const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   SparsifyReport rep;
   spectral::SparsifyResult r = spectral::deterministic_sparsify(g, opt, &net);
@@ -61,7 +58,6 @@ SparsifyReport sparsify(const Graph& g, const spectral::SparsifyOptions& opt,
 }
 
 OrientationReport eulerian_orientation(const Graph& g, const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   OrientationReport rep;
   const euler::OrientationResult r = euler::eulerian_orientation(g, net);
@@ -74,7 +70,6 @@ OrientationReport eulerian_orientation(const Graph& g, const Runtime& rt) {
 RoundFlowReport round_flow(const Digraph& g, const graph::Flow& f, int s, int t,
                            const euler::FlowRoundingOptions& opt,
                            const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   RoundFlowReport rep;
   const euler::FlowRoundingResult r = euler::round_flow(g, f, s, t, net, opt);
@@ -87,7 +82,6 @@ RoundFlowReport round_flow(const Digraph& g, const graph::Flow& f, int s, int t,
 flow::MaxFlowIpmReport max_flow(const Digraph& g, int s, int t,
                                 const flow::MaxFlowIpmOptions& opt,
                                 const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   if (rt.checkpoint_path.empty()) {
     return flow::max_flow_clique(g, s, t, net, opt);
@@ -102,7 +96,6 @@ flow::MinCostIpmReport min_cost_flow(const Digraph& g,
                                      std::span<const std::int64_t> sigma,
                                      const flow::MinCostIpmOptions& opt,
                                      const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   if (rt.checkpoint_path.empty()) {
     return flow::min_cost_flow_clique(g, sigma, net, opt);
@@ -116,7 +109,6 @@ flow::MinCostIpmReport min_cost_flow(const Digraph& g,
 flow::MinCostMaxFlowReport min_cost_max_flow(const Digraph& g, int s, int t,
                                              const flow::MinCostIpmOptions& opt,
                                              const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   return flow::min_cost_max_flow_clique(g, s, t, net, opt);
 }
@@ -124,20 +116,17 @@ flow::MinCostMaxFlowReport min_cost_max_flow(const Digraph& g, int s, int t,
 flow::ApproxMaxFlowReport approx_max_flow(const Graph& g, int s, int t,
                                           const flow::ApproxMaxFlowOptions& opt,
                                           const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   return flow::approx_max_flow_undirected(g, s, t, net, opt);
 }
 
 mst::MstResult minimum_spanning_forest(const Graph& g, const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   return mst::boruvka_clique(g, net);
 }
 
 solver::ResistanceReport effective_resistance(const Graph& g, int u, int v,
                                               double eps, const Runtime& rt) {
-  exec::ThreadScope scope(rt.resolved_threads());
   clique::Network net = make_network(g.num_vertices(), rt);
   return solver::effective_resistance_clique(g, u, v, eps, {}, net);
 }

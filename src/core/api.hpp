@@ -10,9 +10,10 @@
 //
 // Every entry point returns the answer together with the congested-clique
 // accounting block (`report.run` — the quantity the theorems bound), and
-// every entry point takes a trailing `lapclique::Runtime` (threads, trace
-// sink, fault plan, routing options) that defaults to default_runtime().
-// Results are bit-identical for every thread count.
+// every entry point takes a trailing `lapclique::Runtime` (trace sink,
+// fault plan, routing mode, checkpointing) that defaults to
+// default_runtime().  Results are bit-identical for every thread count
+// (exec::set_threads).
 //
 // This header carries declarations only; result structs live in
 // core/api_types.hpp.  Generators, DIMACS I/O, and the sequential baselines

@@ -6,11 +6,6 @@
 
 namespace lapclique {
 
-int Runtime::resolved_threads() const {
-  if (threads < 1) return exec::default_threads();
-  return threads > exec::kMaxThreads ? exec::kMaxThreads : threads;
-}
-
 const Runtime& default_runtime() {
   static const Runtime rt;
   return rt;
@@ -26,7 +21,7 @@ clique::Network make_network(int n, const Runtime& rt) {
 
 obs::json::Value runtime_to_json(const Runtime& rt) {
   obs::json::Object o;
-  o["threads"] = rt.resolved_threads();
+  o["threads"] = exec::threads();
   o["trace_enabled"] = rt.trace != nullptr;
   const fault::FaultPlan* plan = rt.faults;
   o["faults_enabled"] = plan != nullptr;

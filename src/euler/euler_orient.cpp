@@ -488,30 +488,30 @@ OrientationResult eulerian_orientation(const Graph& g, Network& net,
   for (; level < max_levels; ++level) {
     mac.level = level;
     {
-      LAPCLIQUE_TRACE_SPAN(net.tracer(), "build_rings");
+      const obs::TraceSpan span(net.tracer(), "build_rings");
       mac.build_rings();
     }
     const std::vector<int> members = mac.ring_members();
     if (members.empty()) break;
     if (opt.marking == MarkingRule::kColeVishkin) {
       {
-        LAPCLIQUE_TRACE_SPAN(net.tracer(), "cole_vishkin_coloring");
+        const obs::TraceSpan span(net.tracer(), "cole_vishkin_coloring");
         mac.color_rings(members);
       }
       {
-        LAPCLIQUE_TRACE_SPAN(net.tracer(), "ring_matching");
+        const obs::TraceSpan span(net.tracer(), "ring_matching");
         mac.match_rings(members);
       }
       {
-        LAPCLIQUE_TRACE_SPAN(net.tracer(), "mark_from_matching");
+        const obs::TraceSpan span(net.tracer(), "mark_from_matching");
         mac.mark_from_matching(members);
       }
     } else {
-      LAPCLIQUE_TRACE_SPAN(net.tracer(), "randomized_marking");
+      const obs::TraceSpan span(net.tracer(), "randomized_marking");
       mac.mark_randomized(members);
     }
     {
-      LAPCLIQUE_TRACE_SPAN(net.tracer(), "contract");
+      const obs::TraceSpan span(net.tracer(), "contract");
       mac.contract(members);
     }
   }
@@ -540,7 +540,7 @@ OrientationResult eulerian_orientation(const Graph& g, Network& net,
 
   // Step 4: reverse replay of steps 2-3 (paper charges the same rounds).
   {
-    LAPCLIQUE_TRACE_SPAN(net.tracer(), "reverse_replay");
+    const obs::TraceSpan span(net.tracer(), "reverse_replay");
     net.charge(mac.forward_rounds);
   }
 

@@ -65,7 +65,7 @@ FlowRoundingResult round_flow(const Digraph& g, const Flow& f, int s, int t,
   const auto base_arcs = static_cast<std::size_t>(g.num_arcs());
   while (static_cast<double>(step) < inv_delta) {
     ++out.phases;
-    LAPCLIQUE_TRACE_SPAN(net.tracer(), "rounding_phase");
+    const obs::TraceSpan span(net.tracer(), "rounding_phase");
     // E' = arcs whose unit count is odd at the current granularity
     // (plus the closing edge).  Collect them into an undirected graph.
     std::vector<int> odd_arcs;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -93,7 +92,7 @@ class Pool {
   }
 
  private:
-  Pool() { set_active(default_threads()); }
+  Pool() = default;
 
   ~Pool() {
     {
@@ -166,18 +165,6 @@ class Pool {
 };
 
 }  // namespace
-
-int default_threads() {
-  static const int value = [] {
-    const char* env = std::getenv("LAPCLIQUE_THREADS");
-    if (env == nullptr || *env == '\0') return 1;
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1) return 1;
-    return v > kMaxThreads ? kMaxThreads : static_cast<int>(v);
-  }();
-  return value;
-}
 
 int threads() { return Pool::instance().active(); }
 

@@ -21,10 +21,10 @@
 //     index ranges with a fixed per-index arithmetic sequence, never
 //     through atomics on doubles or combining in completion order.
 //
-// Thread-count selection: exec::set_threads / exec::ThreadScope bound how
-// many workers participate; the process default comes from the
-// LAPCLIQUE_THREADS environment variable (absent ⇒ 1, so library users opt
-// in).  `lapclique::Runtime` (core/runtime.hpp) carries the per-run value.
+// Thread-count selection: the pool starts at one thread, and
+// exec::set_threads / exec::ThreadScope are the only ways to change how
+// many workers participate.  The tools call set_threads once at startup
+// from their --threads flag.
 #pragma once
 
 #include <condition_variable>
@@ -55,11 +55,9 @@ inline constexpr std::int64_t kMaxShards = 256;
 /// count is cheap.  Thread-compatible: call from the simulation thread only.
 void set_threads(int n);
 
-/// Process default: LAPCLIQUE_THREADS env var, else 1.
-[[nodiscard]] int default_threads();
-
-/// RAII: bounds participation for a scope (the Runtime entry points use
-/// this so `Runtime::threads` applies for exactly one call).
+/// RAII: bounds participation for a scope and restores the previous count
+/// on exit.  The count is process-wide, so scopes on two threads can
+/// restore each other's values: use one from one thread at a time.
 class ThreadScope {
  public:
   explicit ThreadScope(int n) : prev_(threads()) { set_threads(n); }

@@ -121,7 +121,7 @@ linalg::Vec ElectricalSolver::potentials(std::span<const double> chi) const {
 linalg::Vec ElectricalSolver::potentials(std::span<const double> chi,
                                          clique::Network& net,
                                          std::int64_t rounds_per_solve) const {
-  LAPCLIQUE_TRACE_SPAN(net.tracer(), "electrical_solve");
+  const obs::TraceSpan span(net.tracer(), "electrical_solve");
   obs::count(net.tracer(), "electrical_solves");
   net.charge_all_to_all(rounds_per_solve);
   return potentials(chi);

@@ -154,7 +154,7 @@ double safe_step(const Transformed& tr, const std::vector<double>& dir, double d
 std::vector<double> augmentation(Transformed& tr, int s, int t, double target_f,
                                  double delta, Electrical& el) {
   clique::Network& net = el.net;
-  LAPCLIQUE_TRACE_SPAN(net.tracer(), "augmentation");
+  const obs::TraceSpan span(net.tracer(), "augmentation");
   linalg::Vec chi(static_cast<std::size_t>(tr.nv), 0.0);
   chi[static_cast<std::size_t>(s)] = -target_f;
   chi[static_cast<std::size_t>(t)] = target_f;
@@ -183,7 +183,7 @@ std::vector<double> augmentation(Transformed& tr, int s, int t, double target_f,
 /// the correction's residue.
 void fixing(Transformed& tr, Electrical& el) {
   clique::Network& net = el.net;
-  LAPCLIQUE_TRACE_SPAN(net.tracer(), "fixing");
+  const obs::TraceSpan span(net.tracer(), "fixing");
   const std::size_t m = tr.edges.size();
   std::vector<double> theta(m);
   for (std::size_t i = 0; i < m; ++i) {
@@ -221,7 +221,7 @@ void boosting(Transformed& tr, const std::vector<double>& rho,
               std::int64_t max_cap, Electrical& el) {
   clique::Network& net = el.net;
   el.solver.reset();
-  LAPCLIQUE_TRACE_SPAN(net.tracer(), "boosting");
+  const obs::TraceSpan span(net.tracer(), "boosting");
   // rho is the congestion vector of the *last augmentation*; boosting steps
   // in between may have grown the edge list, so only the edges rho covers
   // are candidates.

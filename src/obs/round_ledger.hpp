@@ -16,11 +16,10 @@
 // is open), which is what lets tests assert *where* rounds are spent, not
 // just how many.
 //
-// Cost discipline: a Network with no ledger attached pays one pointer
-// compare per operation (the runtime null-ledger), and compiling with
-// -DLAPCLIQUE_TRACE=0 removes even that plus every LAPCLIQUE_TRACE_SPAN
-// call site, so the EXPERIMENTS.md numbers are reproducible bit-for-bit
-// with tracing on or off (the ledger observes, never charges).
+// Cost discipline: tracing runs exactly when a caller attaches a ledger.  A
+// Network with none attached pays one pointer compare per operation, and a
+// TraceSpan on a null ledger does nothing; the ledger observes, never
+// charges, so round counts are identical with tracing on or off.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +30,6 @@
 #include <vector>
 
 #include "obs/json.hpp"
-
-// Compile-time master switch for the tracing hooks.  Defaults to on; the
-// hooks are pointer-check cheap, but -DLAPCLIQUE_TRACE=0 compiles them out
-// entirely for calibration runs.
-#ifndef LAPCLIQUE_TRACE
-#define LAPCLIQUE_TRACE 1
-#endif
 
 namespace lapclique::obs {
 
@@ -185,8 +177,8 @@ class RoundLedger {
 };
 
 /// RAII span: opens on construction (no-op on a null ledger), closes on
-/// destruction.  Prefer the LAPCLIQUE_TRACE_SPAN macro at instrumentation
-/// sites so -DLAPCLIQUE_TRACE=0 removes the call entirely.
+/// destruction.  Instrumentation sites write
+/// `const obs::TraceSpan span(net.tracer(), "name");`.
 class TraceSpan {
  public:
   TraceSpan(RoundLedger* ledger, std::string_view name) : ledger_(ledger) {
@@ -203,28 +195,10 @@ class TraceSpan {
   int id_ = -1;
 };
 
-/// Null-safe counter bump, compiled out with the tracing hooks.
-#if LAPCLIQUE_TRACE
+/// Null-safe counter bump.
 inline void count(RoundLedger* ledger, std::string_view name,
                   std::int64_t delta = 1) {
   if (ledger != nullptr) ledger->add_counter(name, delta);
 }
-#else
-inline void count(RoundLedger* /*ledger*/, std::string_view /*name*/,
-                  std::int64_t /*delta*/ = 1) {}
-#endif
 
 }  // namespace lapclique::obs
-
-// Scoped span macro: LAPCLIQUE_TRACE_SPAN(ledger_ptr, "name");
-#if LAPCLIQUE_TRACE
-#define LAPCLIQUE_TRACE_CONCAT_INNER(a, b) a##b
-#define LAPCLIQUE_TRACE_CONCAT(a, b) LAPCLIQUE_TRACE_CONCAT_INNER(a, b)
-#define LAPCLIQUE_TRACE_SPAN(ledger, name)                       \
-  ::lapclique::obs::TraceSpan LAPCLIQUE_TRACE_CONCAT(            \
-      lapclique_trace_span_, __LINE__)(ledger, name)
-#else
-#define LAPCLIQUE_TRACE_SPAN(ledger, name) \
-  do {                                     \
-  } while (false)
-#endif

@@ -22,9 +22,10 @@ ArtifactCache::ArtifactCache(std::size_t capacity)
   stats_.capacity = capacity_;
 }
 
-ArtifactCache::Acquired ArtifactCache::acquire(
-    const graph::Graph& g, std::uint64_t graph_hash, double eps,
-    clique::RoutingMode mode, obs::RoundLedger* request_ledger) {
+std::shared_ptr<const Artifact> ArtifactCache::acquire(const graph::Graph& g,
+                                                      std::uint64_t graph_hash,
+                                                      double eps,
+                                                      clique::RoutingMode mode) {
   const ArtifactKey key{graph_hash, eps_bit_pattern(eps), mode};
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -32,23 +33,23 @@ ArtifactCache::Acquired ArtifactCache::acquire(
     if (it != entries_.end()) {
       ++stats_.hits;
       it->second.last_use = ++tick_;
-      return {it->second.artifact, true};
+      return it->second.artifact;
     }
     ++stats_.misses;
   }
 
   // Build outside the lock: construction can be expensive, and concurrent
-  // misses on different keys must not serialize.  The build network charges
-  // onto the requesting request's ledger, making "this request paid for
-  // construction" observable without entering any response body.
+  // misses on different keys must not serialize.
   auto artifact = std::make_shared<Artifact>();
   {
     clique::Network net(std::max(g.num_vertices(), 2));
     net.set_routing_mode(mode);
-    net.set_tracer(request_ledger);
     artifact->solver = std::make_shared<const solver::LaplacianSolver>(
         g, solver::LaplacianSolverOptions{}, &net);
     artifact->construction.capture(net);
+    const linalg::FactorStats& factor = artifact->solver->factor_stats();
+    artifact->construction.numerics = linalg::to_string(factor.chosen);
+    artifact->construction.factor_fill = factor.fill_nnz;
   }
 
   const std::lock_guard<std::mutex> lock(mu_);
@@ -57,7 +58,7 @@ ArtifactCache::Acquired ArtifactCache::acquire(
     // A concurrent miss on the same key finished first; both artifacts are
     // bit-identical, so keep the cached one and drop ours.
     it->second.last_use = ++tick_;
-    return {it->second.artifact, false};
+    return it->second.artifact;
   }
   while (entries_.size() >= capacity_) {
     auto victim = entries_.begin();
@@ -71,7 +72,7 @@ ArtifactCache::Acquired ArtifactCache::acquire(
   entry.artifact = artifact;
   entry.last_use = ++tick_;
   entries_.emplace(key, std::move(entry));
-  return {std::move(artifact), false};
+  return artifact;
 }
 
 CacheStats ArtifactCache::stats() const {

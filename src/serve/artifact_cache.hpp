@@ -14,17 +14,14 @@
 //
 // Determinism contract (docs/SERVING.md): construction accounting is a
 // property of the *artifact*, not of the request that happened to build it.
-// acquire() charges the build on a private Network whose tracer is the
-// requesting request's ledger — so that request's RoundLedger records the
-// construction phases ("solver/sparsify", "solver/gather_sparsifier",
-// "solver/range_estimation") on a miss and records zero rounds in them on a
-// hit, which is how tests/test_serve.cpp proves hits skip construction —
-// while the stored RunInfo is identical no matter which request built it.
-// Response bodies therefore cannot depend on cache state.
+// acquire() charges the build on a private Network and stores its RunInfo
+// (the construction phases "solver/sparsify", "solver/gather_sparsifier",
+// "solver/range_estimation", plus the factor's kernel and fill), identical
+// no matter which request built it.  Response bodies therefore cannot
+// depend on cache state; stats() counts hits and misses.
 //
 // Eviction is LRU over whole artifacts.  Because any evicted artifact is
-// rebuilt bit-identically on the next miss, eviction never changes outputs
-// — only the rounds recorded on the *rebuilding* request's private ledger.
+// rebuilt bit-identically on the next miss, eviction never changes outputs.
 #pragma once
 
 #include <cstdint>
@@ -71,20 +68,16 @@ class ArtifactCache {
  public:
   explicit ArtifactCache(std::size_t capacity = 16);
 
-  struct Acquired {
-    std::shared_ptr<const Artifact> artifact;
-    bool hit = false;
-  };
-
   /// Return the artifact for (graph_hash(g), eps, mode), building it on a
   /// miss.  The build runs on a private Network (routing mode from the key)
-  /// whose tracer is `request_ledger`, outside the cache lock; if another
-  /// thread inserted the same key meanwhile, the already-cached artifact
-  /// wins (both are bit-identical, being deterministic functions of the
-  /// key).  `g` must be the graph whose content hash is `graph_hash`.
-  [[nodiscard]] Acquired acquire(const graph::Graph& g, std::uint64_t graph_hash,
-                                 double eps, clique::RoutingMode mode,
-                                 obs::RoundLedger* request_ledger);
+  /// outside the cache lock; if another thread inserted the same key
+  /// meanwhile, the already-cached artifact wins (both are bit-identical,
+  /// being deterministic functions of the key).  `g` must be the graph
+  /// whose content hash is `graph_hash`.
+  [[nodiscard]] std::shared_ptr<const Artifact> acquire(const graph::Graph& g,
+                                                        std::uint64_t graph_hash,
+                                                        double eps,
+                                                        clique::RoutingMode mode);
 
   [[nodiscard]] CacheStats stats() const;
   void clear();

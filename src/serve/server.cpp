@@ -53,20 +53,17 @@ json::Value stats_to_json(const solver::LaplacianSolveStats& st) {
 /// the factor kernel follows the instance.)
 json::Value artifact_to_json(const Artifact& artifact, std::uint64_t hash,
                              double eps, clique::RoutingMode mode) {
-  const linalg::FactorStats& factor = artifact.solver->factor_stats();
   json::Object o;
   o.emplace("construction", run_to_json(artifact.construction));
   o.emplace("eps", eps);
-  o.emplace("factor_fill", factor.fill_nnz);
+  o.emplace("factor_fill", artifact.construction.factor_fill);
   o.emplace("graph", hash_to_string(hash));
-  o.emplace("numerics_chosen", std::string(linalg::to_string(factor.chosen)));
+  o.emplace("numerics_chosen", artifact.construction.numerics);
   o.emplace("routing", clique::to_string(mode));
   return {std::move(o)};
 }
 
 clique::RoutingMode parse_routing(const json::Value& req) {
-  // Deliberately NOT defaulted from LAPCLIQUE_ROUTING: a server's responses
-  // must not depend on its environment.
   const std::optional<std::string> name = optional_string(req, "routing");
   if (!name.has_value()) return clique::RoutingMode::kCharged;
   const std::optional<clique::RoutingMode> mode =
@@ -168,40 +165,6 @@ std::vector<linalg::Vec> parse_columns(const json::Value& req,
     }
   }
   return bs;
-}
-
-std::int64_t phase_rounds(const clique::PhaseLedger& phases, const char* phase) {
-  const auto it = phases.rounds_by_phase.find(phase);
-  return it == phases.rounds_by_phase.end() ? 0 : it->second;
-}
-
-/// Per-phase rounds from the accounting every build keeps: the artifact's
-/// construction phases when this request built it (`construction` is null
-/// on a hit) plus the request network's solve phases.  A traced build
-/// checks them against the request's RoundLedger, which records both.
-void fill_telemetry(RequestTelemetry* telemetry, const clique::PhaseLedger* construction,
-                    const clique::PhaseLedger& solve,
-                    [[maybe_unused]] const obs::RoundLedger& ledger) {
-  if (telemetry == nullptr) return;
-  static constexpr const char* kPhases[] = {
-      "solver/sparsify", "solver/gather_sparsifier", "solver/range_estimation",
-      "solver/chebyshev", "solver/fallback"};
-  for (const char* phase : kPhases) {
-    std::int64_t rounds = phase_rounds(solve, phase);
-    if (construction != nullptr) rounds += phase_rounds(*construction, phase);
-#if LAPCLIQUE_TRACE
-    if (rounds != ledger.rounds_in(phase)) {
-      throw std::logic_error(std::string("request telemetry: phase ledger and round "
-                                         "ledger disagree on ") +
-                             phase);
-    }
-#endif
-    telemetry->ledger_rounds[phase] = rounds;
-  }
-  telemetry->construction_rounds =
-      telemetry->ledger_rounds["solver/sparsify"] +
-      telemetry->ledger_rounds["solver/gather_sparsifier"] +
-      telemetry->ledger_rounds["solver/range_estimation"];
 }
 
 // --- per-request deadlines -------------------------------------------------
@@ -323,8 +286,7 @@ std::shared_ptr<const Server::Slot> Server::find_graph(
   return it->second;
 }
 
-std::string Server::handle(const std::string& line, RequestTelemetry* telemetry) {
-  if (telemetry != nullptr) *telemetry = {};
+std::string Server::handle(const std::string& line) {
   const InFlightGuard in_flight(in_flight_);
   json::Value id;  // null until the request yields one
   try {
@@ -362,7 +324,7 @@ std::string Server::handle(const std::string& line, RequestTelemetry* telemetry)
               })
             : ckpt::CancellationFn());
 
-    std::string response = dispatch(req, id, op, telemetry);
+    std::string response = dispatch(req, id, op);
     completed_.fetch_add(1, std::memory_order_relaxed);
     return response;
   } catch (const DeadlineError& e) {
@@ -389,13 +351,12 @@ std::string Server::handle(const std::string& line, RequestTelemetry* telemetry)
 }
 
 std::string Server::dispatch(const json::Value& req, const json::Value& id,
-                             const std::string& op,
-                             RequestTelemetry* telemetry) {
+                             const std::string& op) {
   if (op == "graph.load") return handle_graph_load(req, id);
   if (op == "graph.drop") return handle_graph_drop(req, id);
   if (op == "solve" || op == "solve_batch" || op == "resistance" ||
       op == "resistance_batch") {
-    return handle_laplacian(req, id, op, telemetry);
+    return handle_laplacian(req, id, op);
   }
   if (op == "flow.max") return handle_flow_max(req, id);
   if (op == "flow.mincost") return handle_flow_mincost(req, id);
@@ -557,8 +518,7 @@ std::string Server::handle_graph_drop(const json::Value& req,
 }
 
 std::string Server::handle_laplacian(const json::Value& req,
-                                     const json::Value& id, const std::string& op,
-                                     RequestTelemetry* telemetry) {
+                                     const json::Value& id, const std::string& op) {
   const bool resistance = op == "resistance" || op == "resistance_batch";
   const bool batch = op == "solve_batch" || op == "resistance_batch";
   // solve_batch states its preconditions as "solve ...".
@@ -579,28 +539,20 @@ std::string Server::handle_laplacian(const json::Value& req,
   }
   const std::vector<linalg::Vec> bs = parse_columns(req, op, n);
 
-  obs::RoundLedger ledger;
-  const ArtifactCache::Acquired acq =
-      cache_.acquire(slot->g, slot->hash, eps, mode, &ledger);
-  if (telemetry != nullptr) {
-    telemetry->cache_lookup = true;
-    telemetry->cache_hit = acq.hit;
-  }
+  const std::shared_ptr<const Artifact> artifact =
+      cache_.acquire(slot->g, slot->hash, eps, mode);
   check_deadline("artifact construction");
 
   clique::Network net(std::max(n, 2));
   net.set_routing_mode(mode);
-  net.set_tracer(&ledger);
   std::vector<solver::LaplacianSolveStats> stats;
   const std::vector<linalg::Vec> xs =
-      acq.artifact->solver->solve_block(bs, eps, &stats, &net);
+      artifact->solver->solve_block(bs, eps, &stats, &net);
   if (resistance) {
     for (std::size_t c = 0; c < bs.size(); ++c) solver::charge_potential_broadcast(net);
   }
   RunInfo run;
   run.capture(net);
-  fill_telemetry(telemetry, acq.hit ? nullptr : &acq.artifact->construction.phases,
-                 net.ledger(), ledger);
 
   // Per column: the solution x, or the resistance (chi_u - chi_v)^T x.
   json::Array values;
@@ -617,7 +569,7 @@ std::string Server::handle_laplacian(const json::Value& req,
   result.emplace("stats",
                  batch ? json::Value(std::move(stats_json)) : std::move(stats_json[0]));
   json::Object extra;
-  extra.emplace("artifact", artifact_to_json(*acq.artifact, slot->hash, eps, mode));
+  extra.emplace("artifact", artifact_to_json(*artifact, slot->hash, eps, mode));
   extra.emplace("result", json::Value(std::move(result)));
   extra.emplace("run", run_to_json(run));
   return ok_response(id, op, std::move(extra));

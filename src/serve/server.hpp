@@ -12,8 +12,8 @@
 //     evictions.  The "run" block captures only the request's own solve
 //     network; construction accounting is the cached artifact's property and
 //     is echoed identically whether this request built it or not.
-//   * Each request runs on its own Network and its own RoundLedger, so
-//     concurrent handle() calls never share mutable accounting state.
+//   * Each request runs on its own Network, so concurrent handle() calls
+//     never share mutable accounting state.
 //
 // handle() is safe to call from multiple threads (the registry and cache
 // are internally locked); serve() is the single-threaded stdin/stdout loop
@@ -74,23 +74,6 @@ struct LoadSnapshot {
   bool draining = false;
 };
 
-/// Out-of-band per-request observability for tests and benches: never enters
-/// the response body (which must be cache-state independent).
-struct RequestTelemetry {
-  /// The op consulted the ArtifactCache (one of the four Laplacian ops).
-  bool cache_lookup = false;
-  bool cache_hit = false;
-  /// Rounds the request was charged per phase, from the network phase
-  /// ledgers every build keeps (a traced build checks them against the
-  /// request's RoundLedger).  On a cache miss the construction phases
-  /// ("solver/sparsify", "solver/gather_sparsifier",
-  /// "solver/range_estimation") are the built artifact's and non-zero; on a
-  /// hit they are exactly zero — the skip-construction proof.
-  std::map<std::string, std::int64_t> ledger_rounds;
-  /// Sum of the three construction phases above.
-  std::int64_t construction_rounds = 0;
-};
-
 class Server {
  public:
   explicit Server(ServerOptions opt = {});
@@ -99,8 +82,7 @@ class Server {
   /// newline).  Never throws and never crashes on malformed input: every
   /// failure becomes an error response, and a failed request leaves the
   /// graph registry and artifact cache exactly as they were.
-  [[nodiscard]] std::string handle(const std::string& line,
-                                   RequestTelemetry* telemetry = nullptr);
+  [[nodiscard]] std::string handle(const std::string& line);
 
   /// Line loop: read requests from `in`, write one response line per
   /// request (flushed), stop at EOF or after a "shutdown" op.  Blank lines
@@ -153,14 +135,14 @@ class Server {
   [[nodiscard]] std::shared_ptr<const Slot> find_graph(const std::string& name) const;
 
   std::string dispatch(const obs::json::Value& request, const obs::json::Value& id,
-                       const std::string& op, RequestTelemetry* telemetry);
+                       const std::string& op);
   std::string handle_graph_load(const obs::json::Value& req, const obs::json::Value& id);
   std::string handle_graph_drop(const obs::json::Value& req, const obs::json::Value& id);
   /// The four Laplacian ops (solve, solve_batch, resistance,
   /// resistance_batch): one prelude, per-op columns, one solve_block call
   /// against the cached artifact, and per-op result shaping.
   std::string handle_laplacian(const obs::json::Value& req, const obs::json::Value& id,
-                               const std::string& op, RequestTelemetry* telemetry);
+                               const std::string& op);
   std::string handle_flow_max(const obs::json::Value& req, const obs::json::Value& id);
   std::string handle_flow_mincost(const obs::json::Value& req, const obs::json::Value& id);
   std::string handle_cache_stats(const obs::json::Value& id);

@@ -34,8 +34,8 @@ void sparsify_class(const Graph& g, const std::vector<int>& class_edges,
     }
 
     const ExpanderDecomposition dec = [&] {
-      LAPCLIQUE_TRACE_SPAN(net != nullptr ? net->tracer() : nullptr,
-                           "expander_decomp");
+      const obs::TraceSpan span(net != nullptr ? net->tracer() : nullptr,
+                                "expander_decomp");
       return expander_decompose(gi, opt.decomp, net);
     }();
     if (net != nullptr) net->charge(1);  // every node broadcasts its degree/ID

@@ -5,18 +5,16 @@
 #      for the same pair plus the one broadcast of the two potentials, and
 #      must differ from its rounds under --routing charged, so the flag
 #      reached the command;
-#   2. when tracing is compiled in, its broadcast --trace must charge
-#      Broadcast Congested Clique primitives (bcast_*), not unicast ones,
-#      and under both routings the trace's total_rounds must equal the
-#      rounds= line: the potentials' broadcast is charged, not added.
+#   2. its broadcast --trace must charge Broadcast Congested Clique
+#      primitives (bcast_*), not unicast ones, and under both routings the
+#      trace's total_rounds must equal the rounds= line: the potentials'
+#      broadcast is charged, not added.
 #
 # Registered by tests/CMakeLists.txt as `cli_resistance_routing`; argument 1
-# is the lapclique_cli binary path, argument 2 is 1 when the build compiles
-# tracing in (LAPCLIQUE_TRACE) and 0 when it does not.
+# is the lapclique_cli binary path.
 set -u
 
-BIN="${1:?usage: cli_resistance_routing_test.sh <lapclique_cli binary> <traced 0|1>}"
-TRACED="${2:?usage: cli_resistance_routing_test.sh <lapclique_cli binary> <traced 0|1>}"
+BIN="${1:?usage: cli_resistance_routing_test.sh <lapclique_cli binary>}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
@@ -38,10 +36,8 @@ printf '8 9\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n5 6\n6 7\n7 0\n' >"$TMP/g.el"
 
 "$BIN" --routing broadcast --trace "$TMP/t.json" resistance "$TMP/g.el" 0 5 \
   >"$TMP/r.out" 2>"$TMP/r.err" || fail "resistance failed: $(cat "$TMP/r.err")"
-if [ "$TRACED" = 1 ]; then
-  grep -q '"bcast_' "$TMP/t.json" ||
-    fail "broadcast trace charges no bcast_* primitive"
-fi
+grep -q '"bcast_' "$TMP/t.json" ||
+  fail "broadcast trace charges no bcast_* primitive"
 
 "$BIN" --routing broadcast solve "$TMP/g.el" 0 5 \
   >"$TMP/s.out" 2>"$TMP/s.err" || fail "solve failed: $(cat "$TMP/s.err")"
@@ -57,14 +53,12 @@ C="$(rounds_of "$TMP/c.err")"
   fail "resistance rounds=$R, expected solve rounds=$S plus 1"
 [ "$R" -ne "$C" ] ||
   fail "resistance rounds=$R under broadcast equal the charged rounds=$C"
-if [ "$TRACED" = 1 ]; then
-  TR="$(trace_rounds_of "$TMP/t.json")"
-  TC="$(trace_rounds_of "$TMP/c.json")"
-  [ "$TR" = "$R" ] ||
-    fail "broadcast trace total_rounds='$TR', expected the rounds=$R line"
-  [ "$TC" = "$C" ] ||
-    fail "charged trace total_rounds='$TC', expected the rounds=$C line"
-fi
+TR="$(trace_rounds_of "$TMP/t.json")"
+TC="$(trace_rounds_of "$TMP/c.json")"
+[ "$TR" = "$R" ] ||
+  fail "broadcast trace total_rounds='$TR', expected the rounds=$R line"
+[ "$TC" = "$C" ] ||
+  fail "charged trace total_rounds='$TC', expected the rounds=$C line"
 
 echo "cli_resistance_routing_test: OK (resistance rounds=$R, solve rounds=$S," \
   "charged resistance rounds=$C)"

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Numeric-flag check against the real lapclique_serve daemon: each of its
-# eight numeric flags must refuse junk, trailing characters and values out
-# of the field's range with exit status 2 and a message that names the flag,
-# and values in range must still configure the daemon.  A value outside
-# int64 must be reported as out of range, not as junk.
+# Flag check against the real lapclique_serve daemon: each of its eight
+# numeric flags must refuse junk, trailing characters and values out of the
+# field's range with exit status 2 and a message that names the flag, and
+# values in range must still configure the daemon.  A value outside int64
+# must be reported as out of range, not as junk.  --faults must refuse, with
+# exit status 2, every clause but the three sock-* ones (naming the clause)
+# and any spec given without --port (naming --port).
 #
 # Every refused case also carries an invalid --faults spec and reads stdin
 # from /dev/null, so a daemon that skipped the numeric check would exit on
@@ -42,6 +44,25 @@ SAYS="out of range" refuse --default-deadline-ms 4611686018428 \
   99999999999999999999 -99999999999999999999
 SAYS="out of range" refuse --fault-seed 99999999999999999999
 SAYS="out of range" refuse --cache-capacity 99999999999999999999
+
+# --faults: only the socket clauses apply, and only to the --port frontend.
+# Both cases run in stdin mode on an empty stdin, so a daemon that accepted
+# them would answer nothing and exit 0.
+for clause in drop=0.5 corrupt=0.3 dup=0.1 crash=1@0 retries=2 preempt=1 \
+  ipm-nan@0 solver-nan@all; do
+  err="$("$BIN" --faults "sock-drop=0.1,$clause" </dev/null 2>&1 >/dev/null)"
+  status=$?
+  if [ "$status" -ne 2 ] || [[ "$err" != *"'$clause'"* ]]; then
+    echo "serve_flags_test: --faults clause $clause: exit $status, stderr: $err" >&2
+    failures=$((failures + 1))
+  fi
+done
+err="$("$BIN" --faults sock-slow=0.1 </dev/null 2>&1 >/dev/null)"
+status=$?
+if [ "$status" -ne 2 ] || [[ "$err" != *"--port"* ]]; then
+  echo "serve_flags_test: --faults without --port: exit $status, stderr: $err" >&2
+  failures=$((failures + 1))
+fi
 
 # In range: the daemon starts in stdin mode and reports the capacity it got.
 out="$(echo '{"op":"cache.stats","id":1}' |

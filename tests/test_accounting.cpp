@@ -46,10 +46,8 @@ void expect_charged(const std::string& label,
     std::int64_t phase_sum = 0;
     for (const auto& [phase, rounds] : run.phases.rounds_by_phase) phase_sum += rounds;
     EXPECT_EQ(phase_sum, run.rounds);
-#if LAPCLIQUE_TRACE
     EXPECT_EQ(run.rounds, ledger.total_rounds());
     EXPECT_EQ(run.words, ledger.total_words());
-#endif
   }
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "exec/pool.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "linalg/backend.hpp"
@@ -242,11 +243,11 @@ TEST(BackendDifferential, PerBackendBitStabilityAcrossThreadsAndRouting) {
     b.back() = -1.0;
     std::vector<std::vector<double>> outputs;
     for (const int threads : {1, 8}) {
+      const exec::ThreadScope scope(threads);
       for (const clique::RoutingMode mode :
            {clique::RoutingMode::kCharged, clique::RoutingMode::kExecuted,
             clique::RoutingMode::kBroadcast}) {
         Runtime rt;
-        rt.threads = threads;
         rt.routing_mode = mode;
         const auto rep = solve_laplacian(g, b, 1e-8, {}, rt);
         EXPECT_EQ(rep.run.numerics, expected);

@@ -21,6 +21,7 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "core/api.hpp"
+#include "exec/pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 #include "graph/rng.hpp"
@@ -151,8 +152,8 @@ void max_flow_preempt_sweep(const std::string& name, const graph::Digraph& g,
   const std::string tag = name + "_" + clique::to_string(mode) + "_t" +
                           std::to_string(threads);
 
+  const exec::ThreadScope scope(threads);
   Runtime base_rt;
-  base_rt.threads = threads;
   base_rt.routing_mode = mode;
 
   obs::RoundLedger ref_ledger;
@@ -200,8 +201,8 @@ void min_cost_preempt_sweep(clique::RoutingMode mode, int threads) {
   const std::string tag =
       std::string(clique::to_string(mode)) + "_t" + std::to_string(threads);
 
+  const exec::ThreadScope scope(threads);
   Runtime base_rt;
-  base_rt.threads = threads;
   base_rt.routing_mode = mode;
 
   obs::RoundLedger ref_ledger;

@@ -1,8 +1,9 @@
 // Bit-determinism across thread counts — the exec/ contract.
 //
-// Every public entry point is run at threads = 1, 2, and 8 (more workers
-// than this container has cores, which is the point: shard boundaries are a
-// pure function of the work size, never of scheduling).  The suite asserts
+// Every public entry point is run under each routing mode (charged,
+// executed, broadcast) at threads = 1, 2, and 8 (more workers than a small
+// host has cores, which is the point: shard boundaries are a pure function
+// of the work size, never of scheduling).  Per mode, the suite asserts
 //
 //   * numeric outputs are BYTE-identical (doubles compared through their
 //     bit patterns, not with tolerances),
@@ -22,6 +23,7 @@
 
 #include "core/api.hpp"
 #include "euler/euler_orient.hpp"
+#include "exec/pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 #include "obs/round_ledger.hpp"
@@ -46,40 +48,47 @@ struct Observed {
   std::string ledger_json;  ///< full span tree (empty when tracing is off)
 };
 
-void expect_identical(const Observed& a, const Observed& b, int t) {
-  ASSERT_EQ(a.values.size(), b.values.size()) << "threads=" << t;
+void expect_identical(const Observed& a, const Observed& b, const std::string& where) {
+  ASSERT_EQ(a.values.size(), b.values.size()) << where;
   for (std::size_t i = 0; i < a.values.size(); ++i) {
-    EXPECT_EQ(bits(a.values[i]), bits(b.values[i]))
-        << "threads=" << t << " value index " << i;
+    EXPECT_EQ(bits(a.values[i]), bits(b.values[i])) << where << " value index " << i;
   }
-  EXPECT_EQ(a.ints, b.ints) << "threads=" << t;
-  EXPECT_EQ(a.rounds, b.rounds) << "threads=" << t;
-  EXPECT_EQ(a.words, b.words) << "threads=" << t;
-  EXPECT_EQ(a.phases, b.phases) << "threads=" << t;
-  EXPECT_EQ(a.ledger_json, b.ledger_json) << "threads=" << t;
+  EXPECT_EQ(a.ints, b.ints) << where;
+  EXPECT_EQ(a.rounds, b.rounds) << where;
+  EXPECT_EQ(a.words, b.words) << where;
+  EXPECT_EQ(a.phases, b.phases) << where;
+  EXPECT_EQ(a.ledger_json, b.ledger_json) << where;
 }
 
-/// Runs `fn(rt)` at each thread count and asserts every run observes the
-/// same bits.  `fn` must fill values/ints; the harness fills the accounting
-/// channels from the RunInfo that `fn` returns and from the attached ledger.
+/// Runs `fn(rt)` under each routing mode at each thread count and asserts
+/// that, per mode, every run observes the same bits.  `fn` must fill
+/// values/ints; the harness fills the accounting channels from the RunInfo
+/// that `fn` returns and from the attached ledger.
 template <typename Fn>
 void expect_thread_invariant(Fn fn) {
-  std::optional<Observed> base;
-  for (int t : {1, 2, 8}) {
-    obs::RoundLedger ledger;
-    Runtime rt;
-    rt.threads = t;
-    rt.trace = &ledger;
-    Observed got;
-    const RunInfo run = fn(rt, got);
-    got.rounds = run.rounds;
-    got.words = run.words;
-    got.phases = run.phases.rounds_by_phase;
-    got.ledger_json = ledger.to_json().dump();
-    if (!base) {
-      base = std::move(got);
-    } else {
-      expect_identical(*base, got, t);
+  for (const clique::RoutingMode mode :
+       {clique::RoutingMode::kCharged, clique::RoutingMode::kExecuted,
+        clique::RoutingMode::kBroadcast}) {
+    std::optional<Observed> base;
+    for (int t : {1, 2, 8}) {
+      const exec::ThreadScope scope(t);
+      obs::RoundLedger ledger;
+      Runtime rt;
+      rt.routing_mode = mode;
+      rt.trace = &ledger;
+      Observed got;
+      const RunInfo run = fn(rt, got);
+      got.rounds = run.rounds;
+      got.words = run.words;
+      got.phases = run.phases.rounds_by_phase;
+      got.ledger_json = ledger.to_json().dump();
+      if (!base) {
+        base = std::move(got);
+      } else {
+        expect_identical(*base, got,
+                         std::string(clique::to_string(mode)) +
+                             " threads=" + std::to_string(t));
+      }
     }
   }
 }

@@ -1,11 +1,12 @@
-// The fault-injection contract (docs/ROBUSTNESS.md): for any fault seed,
-// every solver/flow entry point returns a result bit-identical to the
-// fault-free run — injection perturbs only the round accounting, which grows
-// by exactly the rounds charged under the dedicated "recovery" phase, within
-// the bounds promised by RecoveryStats.  The algorithm-level drills
-// (ipm-nan@K, solver-nan@K) are the exception: they exist to force the
-// guard-rail paths (Chebyshev -> direct factorization, IPM -> exact
-// sequential baseline) and are tested for graceful degradation instead.
+// The fault-injection contract (docs/ROBUSTNESS.md): for any fault seed and
+// under every routing mode, every solver/flow entry point returns a result
+// bit-identical to the fault-free run — injection perturbs only the round
+// accounting, which grows by exactly the rounds charged under the dedicated
+// "recovery" phase, within the bounds promised by RecoveryStats.  The
+// algorithm-level drills (ipm-nan@K, solver-nan@K) are the exception: they
+// exist to force the guard-rail paths (Chebyshev -> direct factorization,
+// IPM -> exact sequential baseline) and are tested for graceful degradation
+// instead.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -33,6 +34,12 @@ using test::base_seed;
 // A spec that exercises every transport fault kind, including a crash in an
 // early communication batch.
 const char* const kTransportSpec = "drop=0.02,corrupt=0.01,dup=0.02,crash=1@3";
+
+// The recovery tests run under each routing mode: broadcast retransmits per
+// source, and executed routing charges its own schedule.
+constexpr clique::RoutingMode kModes[] = {clique::RoutingMode::kCharged,
+                                          clique::RoutingMode::kExecuted,
+                                          clique::RoutingMode::kBroadcast};
 
 // The RecoveryStats invariants documented in fault_plan.hpp.
 void expect_stats_invariants(const RecoveryStats& st) {
@@ -116,29 +123,35 @@ TEST(FaultSpecGrammar, RejectsMalformedSpecs) {
 TEST(FaultRecovery, DrillOnlySpecAddsNoRounds) {
   // A spec with only algorithm-level drills must leave the transport
   // accounting untouched: no draws, no recovery phase, identical rounds.
-  FaultPlan plan(parse_fault_spec("ipm-nan@5,solver-nan@2"), base_seed());
-  clique::Network plain(6);
-  clique::Network faulty(6);
-  faulty.set_fault_plan(&plan);
   std::vector<clique::Msg> msgs;
   for (int k = 0; k < 24; ++k) {
     msgs.push_back(clique::Msg{k % 6, (k + 1) % 6, k, clique::Word(std::int64_t{k})});
   }
-  for (clique::Network* net : {&plain, &faulty}) {
-    net->exchange(msgs);
-    net->lenzen_route(msgs);
-    net->charge(3, 100);
+  for (const clique::RoutingMode mode : kModes) {
+    SCOPED_TRACE(clique::to_string(mode));
+    FaultPlan plan(parse_fault_spec("ipm-nan@5,solver-nan@2"), base_seed());
+    clique::Network plain(6);
+    clique::Network faulty(6);
+    faulty.set_fault_plan(&plan);
+    for (clique::Network* net : {&plain, &faulty}) {
+      net->set_routing_mode(mode);
+      net->exchange(msgs);
+      net->lenzen_route(msgs);
+      net->charge(3, 100);
+    }
+    EXPECT_EQ(plain.rounds(), faulty.rounds());
+    EXPECT_EQ(plain.words_sent(), faulty.words_sent());
+    EXPECT_EQ(faulty.ledger().rounds_by_phase.count("recovery"), 0u);
+    EXPECT_EQ(plan.stats().recovery_rounds, 0);
   }
-  EXPECT_EQ(plain.rounds(), faulty.rounds());
-  EXPECT_EQ(plain.words_sent(), faulty.words_sent());
-  EXPECT_EQ(faulty.ledger().rounds_by_phase.count("recovery"), 0u);
-  EXPECT_EQ(plan.stats().recovery_rounds, 0);
 }
 
 TEST(FaultRecovery, RecoveryIsDeterministicAndPhaseCharged) {
-  const auto run = [](std::uint64_t seed, RecoveryStats* stats_out) {
+  const auto run = [](std::uint64_t seed, clique::RoutingMode mode,
+                      RecoveryStats* stats_out) {
     FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
     clique::Network net(8);
+    net.set_routing_mode(mode);
     net.set_fault_plan(&plan);
     std::vector<clique::Msg> msgs;
     for (int k = 0; k < 64; ++k) {
@@ -157,17 +170,20 @@ TEST(FaultRecovery, RecoveryIsDeterministicAndPhaseCharged) {
     EXPECT_EQ(ledgered, plan.stats().recovery_rounds);
     return net.rounds();
   };
-  RecoveryStats a;
-  RecoveryStats b;
-  const std::int64_t rounds_a = run(base_seed(), &a);
-  const std::int64_t rounds_b = run(base_seed(), &b);
-  EXPECT_EQ(rounds_a, rounds_b);
-  expect_stats_equal(a, b);
-  expect_stats_invariants(a);
-  // This spec and workload must actually inject something, or the suite
-  // is vacuous.
-  EXPECT_GT(a.words_dropped + a.words_corrupted, 0);
-  EXPECT_EQ(a.crash_events, 1);
+  for (const clique::RoutingMode mode : kModes) {
+    SCOPED_TRACE(clique::to_string(mode));
+    RecoveryStats a;
+    RecoveryStats b;
+    const std::int64_t rounds_a = run(base_seed(), mode, &a);
+    const std::int64_t rounds_b = run(base_seed(), mode, &b);
+    EXPECT_EQ(rounds_a, rounds_b);
+    expect_stats_equal(a, b);
+    expect_stats_invariants(a);
+    // This spec and workload must actually inject something, or the suite
+    // is vacuous.
+    EXPECT_GT(a.words_dropped + a.words_corrupted, 0);
+    EXPECT_EQ(a.crash_events, 1);
+  }
 }
 
 TEST(FaultRecovery, OverheadIsExactlyTheRecoveryPhase) {
@@ -177,20 +193,25 @@ TEST(FaultRecovery, OverheadIsExactlyTheRecoveryPhase) {
   for (int k = 0; k < 40; ++k) {
     msgs.push_back(clique::Msg{k % 5, (k + 2) % 5, k, clique::Word(std::int64_t{k})});
   }
-  clique::Network clean(5);
-  clean.exchange(msgs);
-  clean.charge(1, 300);
-  for (std::uint64_t seed = base_seed(); seed < base_seed() + 5; ++seed) {
-    FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
-    clique::Network net(5);
-    net.set_fault_plan(&plan);
-    net.exchange(msgs);
-    net.charge(1, 300);
-    EXPECT_EQ(net.rounds(), clean.rounds() + plan.stats().recovery_rounds) << seed;
-    EXPECT_EQ(net.words_sent(),
-              clean.words_sent() + plan.stats().recovery_words)
-        << seed;
-    expect_stats_invariants(plan.stats());
+  for (const clique::RoutingMode mode : kModes) {
+    SCOPED_TRACE(clique::to_string(mode));
+    clique::Network clean(5);
+    clean.set_routing_mode(mode);
+    clean.exchange(msgs);
+    clean.charge(1, 300);
+    for (std::uint64_t seed = base_seed(); seed < base_seed() + 5; ++seed) {
+      FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
+      clique::Network net(5);
+      net.set_routing_mode(mode);
+      net.set_fault_plan(&plan);
+      net.exchange(msgs);
+      net.charge(1, 300);
+      EXPECT_EQ(net.rounds(), clean.rounds() + plan.stats().recovery_rounds) << seed;
+      EXPECT_EQ(net.words_sent(),
+                clean.words_sent() + plan.stats().recovery_words)
+          << seed;
+      expect_stats_invariants(plan.stats());
+    }
   }
 }
 
@@ -198,17 +219,22 @@ TEST(FaultRecovery, OverheadIsExactlyTheRecoveryPhase) {
 
 TEST(FaultRecovery, EulerOrientationBitIdenticalUnderFaults) {
   const Graph g = graph::union_of_random_closed_walks(24, 5, 9, 7);
-  clique::Network clean_net(24);
-  const auto clean = euler::eulerian_orientation(g, clean_net);
-  for (std::uint64_t seed = base_seed(); seed < base_seed() + 3; ++seed) {
-    FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
-    clique::Network net(24);
-    net.set_fault_plan(&plan);
-    const auto faulted = euler::eulerian_orientation(g, net);
-    EXPECT_EQ(faulted.orientation, clean.orientation) << seed;
-    EXPECT_EQ(faulted.levels, clean.levels) << seed;
-    EXPECT_EQ(faulted.rounds, clean.rounds + plan.stats().recovery_rounds) << seed;
-    expect_stats_invariants(plan.stats());
+  for (const clique::RoutingMode mode : kModes) {
+    SCOPED_TRACE(clique::to_string(mode));
+    clique::Network clean_net(24);
+    clean_net.set_routing_mode(mode);
+    const auto clean = euler::eulerian_orientation(g, clean_net);
+    for (std::uint64_t seed = base_seed(); seed < base_seed() + 3; ++seed) {
+      FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
+      clique::Network net(24);
+      net.set_routing_mode(mode);
+      net.set_fault_plan(&plan);
+      const auto faulted = euler::eulerian_orientation(g, net);
+      EXPECT_EQ(faulted.orientation, clean.orientation) << seed;
+      EXPECT_EQ(faulted.levels, clean.levels) << seed;
+      EXPECT_EQ(faulted.rounds, clean.rounds + plan.stats().recovery_rounds) << seed;
+      expect_stats_invariants(plan.stats());
+    }
   }
 }
 
@@ -217,20 +243,26 @@ TEST(FaultRecovery, SolveLaplacianBitIdenticalUnderFaults) {
   std::vector<double> b(20, 0.0);
   b[0] = 1.0;
   b[19] = -1.0;
-  const auto clean = solve_laplacian(g, b, 1e-6);
-  for (std::uint64_t seed = base_seed(); seed < base_seed() + 3; ++seed) {
-    FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
+  for (const clique::RoutingMode mode : kModes) {
+    SCOPED_TRACE(clique::to_string(mode));
     Runtime rt;
-    rt.faults = &plan;
-    const auto faulted = solve_laplacian(g, b, 1e-6, {}, rt);
-    EXPECT_EQ(faulted.x, clean.x) << seed;
-    EXPECT_FALSE(faulted.stats.exact_fallback);
-    EXPECT_EQ(faulted.run.rounds, clean.run.rounds + plan.stats().recovery_rounds) << seed;
-    const auto it = faulted.run.phases.rounds_by_phase.find("recovery");
-    ASSERT_NE(it, faulted.run.phases.rounds_by_phase.end()) << seed;
-    EXPECT_EQ(it->second, plan.stats().recovery_rounds) << seed;
-    EXPECT_GT(it->second, 0) << seed;
-    expect_stats_invariants(plan.stats());
+    rt.routing_mode = mode;
+    const auto clean = solve_laplacian(g, b, 1e-6, {}, rt);
+    for (std::uint64_t seed = base_seed(); seed < base_seed() + 3; ++seed) {
+      FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
+      Runtime faulty = rt;
+      faulty.faults = &plan;
+      const auto faulted = solve_laplacian(g, b, 1e-6, {}, faulty);
+      EXPECT_EQ(faulted.x, clean.x) << seed;
+      EXPECT_FALSE(faulted.stats.exact_fallback);
+      EXPECT_EQ(faulted.run.rounds, clean.run.rounds + plan.stats().recovery_rounds)
+          << seed;
+      const auto it = faulted.run.phases.rounds_by_phase.find("recovery");
+      ASSERT_NE(it, faulted.run.phases.rounds_by_phase.end()) << seed;
+      EXPECT_EQ(it->second, plan.stats().recovery_rounds) << seed;
+      EXPECT_GT(it->second, 0) << seed;
+      expect_stats_invariants(plan.stats());
+    }
   }
 }
 
@@ -239,19 +271,24 @@ TEST(FaultRecovery, MaxFlowBitIdenticalUnderFaults) {
   flow::MaxFlowIpmOptions opt;
   opt.iteration_scale = 0.02;
   opt.max_iterations = 300;
-  const auto clean = max_flow(g, 0, 11, opt);
-  for (std::uint64_t seed : {base_seed(), base_seed() + 1}) {
-    FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
+  for (const clique::RoutingMode mode : kModes) {
+    SCOPED_TRACE(clique::to_string(mode));
     Runtime rt;
-    rt.faults = &plan;
-    const auto faulted = max_flow(g, 0, 11, opt, rt);
-    EXPECT_FALSE(faulted.run.used_fallback);
-    EXPECT_EQ(faulted.value, clean.value) << seed;
-    EXPECT_EQ(faulted.flow, clean.flow) << seed;
-    EXPECT_EQ(faulted.ipm_iterations, clean.ipm_iterations) << seed;
-    EXPECT_GE(faulted.run.rounds, clean.run.rounds) << seed;
-    EXPECT_GT(plan.stats().recovery_rounds, 0) << seed;
-    expect_stats_invariants(plan.stats());
+    rt.routing_mode = mode;
+    const auto clean = max_flow(g, 0, 11, opt, rt);
+    for (std::uint64_t seed : {base_seed(), base_seed() + 1}) {
+      FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
+      Runtime faulty = rt;
+      faulty.faults = &plan;
+      const auto faulted = max_flow(g, 0, 11, opt, faulty);
+      EXPECT_FALSE(faulted.run.used_fallback);
+      EXPECT_EQ(faulted.value, clean.value) << seed;
+      EXPECT_EQ(faulted.flow, clean.flow) << seed;
+      EXPECT_EQ(faulted.ipm_iterations, clean.ipm_iterations) << seed;
+      EXPECT_GE(faulted.run.rounds, clean.run.rounds) << seed;
+      EXPECT_GT(plan.stats().recovery_rounds, 0) << seed;
+      expect_stats_invariants(plan.stats());
+    }
   }
 }
 
@@ -261,19 +298,24 @@ TEST(FaultRecovery, MinCostFlowBitIdenticalUnderFaults) {
   flow::MinCostIpmOptions opt;
   opt.iteration_scale = 0.002;
   opt.max_iterations = 40;
-  const auto clean = min_cost_flow(g, sigma, opt);
-  for (std::uint64_t seed : {base_seed(), base_seed() + 1}) {
-    FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
+  for (const clique::RoutingMode mode : kModes) {
+    SCOPED_TRACE(clique::to_string(mode));
     Runtime rt;
-    rt.faults = &plan;
-    const auto faulted = min_cost_flow(g, sigma, opt, rt);
-    EXPECT_FALSE(faulted.run.used_fallback);
-    EXPECT_EQ(faulted.feasible, clean.feasible) << seed;
-    EXPECT_EQ(faulted.cost, clean.cost) << seed;
-    EXPECT_EQ(faulted.flow, clean.flow) << seed;
-    EXPECT_GE(faulted.run.rounds, clean.run.rounds) << seed;
-    EXPECT_GT(plan.stats().recovery_rounds, 0) << seed;
-    expect_stats_invariants(plan.stats());
+    rt.routing_mode = mode;
+    const auto clean = min_cost_flow(g, sigma, opt, rt);
+    for (std::uint64_t seed : {base_seed(), base_seed() + 1}) {
+      FaultPlan plan(parse_fault_spec(kTransportSpec), seed);
+      Runtime faulty = rt;
+      faulty.faults = &plan;
+      const auto faulted = min_cost_flow(g, sigma, opt, faulty);
+      EXPECT_FALSE(faulted.run.used_fallback);
+      EXPECT_EQ(faulted.feasible, clean.feasible) << seed;
+      EXPECT_EQ(faulted.cost, clean.cost) << seed;
+      EXPECT_EQ(faulted.flow, clean.flow) << seed;
+      EXPECT_GE(faulted.run.rounds, clean.run.rounds) << seed;
+      EXPECT_GT(plan.stats().recovery_rounds, 0) << seed;
+      expect_stats_invariants(plan.stats());
+    }
   }
 }
 

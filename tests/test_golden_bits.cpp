@@ -9,8 +9,8 @@
 // electrical solve shows up here even when the integral answer and the round
 // count happen to survive it.  The runs call the IPMs directly on a Network
 // built in code, and kAuto picks each factor kernel from the instance, so no
-// environment variable (LAPCLIQUE_ROUTING, LAPCLIQUE_TEST_SEED) can move a
-// pinned value.
+// environment variable (LAPCLIQUE_TEST_SEED included) can move a pinned
+// value.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -32,6 +32,7 @@
 
 #include "core/api.hpp"
 #include "euler/euler_orient.hpp"
+#include "exec/pool.hpp"
 #include "graph/generators.hpp"
 
 namespace lapclique {
@@ -67,9 +68,9 @@ void expect_model_invariant(const char* label,
   std::map<RoutingMode, ModelRun> by_mode;
   for (RoutingMode mode : kAllModes) {
     for (int threads : {1, 8}) {
+      const exec::ThreadScope scope(threads);
       Runtime rt;
       rt.routing_mode = mode;
-      rt.threads = threads;
       ModelRun got;
       const RunInfo run = fn(rt, got);
       got.rounds = run.rounds;

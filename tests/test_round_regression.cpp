@@ -40,9 +40,7 @@ TEST(GoldenRounds, E1LaplacianEpsSweep) {
     ledger.reset();
     (void)solver.solve(b, eps);
     EXPECT_EQ(net.rounds(), rounds) << "eps=" << eps;
-#if LAPCLIQUE_TRACE
     EXPECT_EQ(ledger.total_rounds(), rounds) << "eps=" << eps;
-#endif
   }
 }
 

@@ -2,6 +2,10 @@
 // per-sub-round bandwidth verification baked into the scheduler.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <vector>
+
 #include "cliquesim/network.hpp"
 #include "euler/euler_orient.hpp"
 #include "graph/generators.hpp"
@@ -22,6 +26,55 @@ std::vector<Msg> random_batch(int n, int count, std::uint64_t seed) {
                        Word(static_cast<std::int64_t>(rng.next()))});
   }
   return msgs;
+}
+
+/// A batch built against the executed schedule: n in [2, 40], one source
+/// and one destination loaded above n, repeated (src, dst) pairs whose
+/// copies differ in tag and payload, and self-messages.
+std::vector<Msg> adversarial_batch(std::uint64_t seed, int& n) {
+  graph::SplitMix64 rng(seed);
+  n = 2 + static_cast<int>(rng.next_below(39));
+  const auto node = [&rng, n] {
+    return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  std::vector<Msg> msgs;
+  const auto send = [&](int s, int d) {
+    msgs.push_back(Msg{s, d, static_cast<std::int64_t>(rng.next_below(8)),
+                       Word(static_cast<std::int64_t>(rng.next()))});
+  };
+  const int hot_src = node();
+  for (int k = 0, load = n * (1 + node() % 4) + node(); k < load; ++k) {
+    send(hot_src, node());
+  }
+  const int hot_dst = node();
+  for (int k = 0, load = n * (1 + node() % 3) + node(); k < load; ++k) {
+    send(node(), hot_dst);
+  }
+  for (int p = 0; p < n; ++p) {
+    const int s = node();
+    const int d = node();
+    for (int r = 0, reps = 1 + node() % 6; r < reps; ++r) send(s, d);
+  }
+  for (int k = 0; k < n; ++k) {
+    const int v = node();
+    send(v, v);
+  }
+  return msgs;
+}
+
+TEST(ExecutedRouting, AdversarialBatchesChargeExactRounds) {
+  // Exact executed rounds, not bounds: a schedule rewrite must reproduce
+  // every value.  Fixed seeds, so LAPCLIQUE_TEST_SEED cannot move them.
+  const std::int64_t expected[] = {16, 10, 14, 12, 11, 12, 13, 13, 13, 12, 13, 13,
+                                   12, 13, 10, 13, 15, 14, 12, 15, 14, 16, 15, 13};
+  for (std::uint64_t seed = 0; seed < std::size(expected); ++seed) {
+    int n = 0;
+    const std::vector<Msg> msgs = adversarial_batch(seed, n);
+    Network net(n);
+    net.set_routing_mode(RoutingMode::kExecuted);
+    net.lenzen_route(msgs);
+    EXPECT_EQ(net.rounds(), expected[seed]) << "seed " << seed << ", n " << n;
+  }
 }
 
 TEST(ExecutedRouting, UnitLoadCostsConstantRounds) {

@@ -2,8 +2,9 @@
 //
 // The contract under test (docs/SERVING.md): response bodies are a pure
 // function of the request — independent of request interleaving, server
-// thread count, cache hits/misses, and evictions — and cache hits provably
-// skip artifact construction (RoundLedger construction phases == 0).
+// thread count, cache hits/misses, and evictions — and cache hits skip
+// artifact construction (a hit adds no miss, and a request's own run block
+// never holds a construction phase).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -180,38 +181,37 @@ TEST(Serve, SolveMatchesDirectSolverBitwise) {
 }
 
 TEST(Serve, CacheHitSkipsConstructionAndKeepsBodyBytes) {
-  // The acceptance criterion: on a hit the request's private ledger records
-  // zero rounds in every construction phase, yet the response bytes match
-  // the cold solve exactly.
+  // The acceptance criterion: the first solve misses and the second hits
+  // (one more hit, no more misses), yet the response bytes match exactly.
+  // Construction rounds live in the artifact block; the run block holds
+  // only the request's own solve.
   Server server;
   const graph::Graph g = test_graph(24, 70, 5);
   const linalg::Vec b = random_b(24, 7);
   parse_ok(server.handle(load_request("g", g)));
   const std::string req = solve_request("g", b, 1e-6, "s");
 
-  RequestTelemetry cold;
-  const std::string cold_body = server.handle(req, &cold);
-  ASSERT_TRUE(cold.cache_lookup);
-  EXPECT_FALSE(cold.cache_hit);
-  EXPECT_GT(cold.construction_rounds, 0);
-  EXPECT_GT(cold.ledger_rounds.at("solver/sparsify"), 0);
-  EXPECT_GT(cold.ledger_rounds.at("solver/range_estimation"), 0);
+  const std::string cold_body = server.handle(req);
+  CacheStats s = server.cache_stats();
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.hits, 0);
 
-  RequestTelemetry warm;
-  const std::string warm_body = server.handle(req, &warm);
-  ASSERT_TRUE(warm.cache_lookup);
-  EXPECT_TRUE(warm.cache_hit);
-  EXPECT_EQ(warm.construction_rounds, 0);
-  EXPECT_EQ(warm.ledger_rounds.at("solver/sparsify"), 0);
-  EXPECT_EQ(warm.ledger_rounds.at("solver/gather_sparsifier"), 0);
-  EXPECT_EQ(warm.ledger_rounds.at("solver/range_estimation"), 0);
-  // The hit still paid for its own solve.
-  EXPECT_GT(warm.ledger_rounds.at("solver/chebyshev"), 0);
-
-  EXPECT_EQ(warm_body, cold_body);
-  const CacheStats s = server.cache_stats();
+  const std::string warm_body = server.handle(req);
+  s = server.cache_stats();
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(warm_body, cold_body);
+
+  const json::Value resp = parse_ok(warm_body);
+  const json::Value& built = resp.at("artifact").at("construction").at("phases");
+  EXPECT_GT(built.at("solver/sparsify").as_int(), 0);
+  EXPECT_GT(built.at("solver/range_estimation").as_int(), 0);
+  const json::Value& run = resp.at("run").at("phases");
+  EXPECT_GT(run.at("solver/chebyshev").as_int(), 0);
+  for (const char* phase :
+       {"solver/sparsify", "solver/gather_sparsifier", "solver/range_estimation"}) {
+    EXPECT_FALSE(run.contains(phase)) << phase;
+  }
 }
 
 TEST(Serve, InterleavingInvariance) {
@@ -470,18 +470,26 @@ TEST(Serve, FactorKernelFollowsTheInstance) {
   EXPECT_EQ(small.at("artifact").at("factor_fill").as_int(), 256 * 257 / 2);
 
   const std::string plain = solve_request("large", random_b(512, 403), 1e-6, "l");
-  RequestTelemetry t;
-  const std::string body = server.handle(plain, &t);
-  EXPECT_FALSE(t.cache_hit);
+  const std::string body = server.handle(plain);
+  EXPECT_EQ(server.cache_stats().misses, 2);
   const json::Value large = parse_ok(body);
   EXPECT_EQ(large.at("artifact").at("numerics_chosen").as_string(), "sparse");
   EXPECT_EQ(large.at("artifact").at("factor_fill").as_int(), 104650);
   EXPECT_FALSE(large.at("artifact").contains("numerics"));
 
+  // The construction block reports the factor it built.
+  for (const json::Value* artifact : {&small.at("artifact"), &large.at("artifact")}) {
+    const json::Value& built = artifact->at("construction");
+    EXPECT_EQ(built.at("numerics").as_string(),
+              artifact->at("numerics_chosen").as_string());
+    EXPECT_EQ(built.at("factor_fill").as_int(), artifact->at("factor_fill").as_int());
+  }
+
   std::string with_dense = plain;
   with_dense.insert(with_dense.size() - 1, ",\"numerics\":\"dense\"");
-  EXPECT_EQ(server.handle(with_dense, &t), body);
-  EXPECT_TRUE(t.cache_hit);
+  const CacheStats before = server.cache_stats();
+  EXPECT_EQ(server.handle(with_dense), body);
+  EXPECT_EQ(server.cache_stats().hits, before.hits + 1);
   EXPECT_EQ(server.cache_stats().misses, 2);
 }
 
@@ -504,10 +512,8 @@ TEST(Serve, ResistanceBatchMatchesScalarResistanceBitwise) {
     pairs_json.push_back(json::Value(std::move(row)));
   }
   req.emplace("pairs", json::Value(std::move(pairs_json)));
-  RequestTelemetry t;
-  const json::Value batch =
-      parse_ok(server.handle(json::Value(std::move(req)).dump(), &t));
-  EXPECT_TRUE(t.cache_lookup);
+  const json::Value batch = parse_ok(server.handle(json::Value(std::move(req)).dump()));
+  EXPECT_EQ(server.cache_stats().misses, 1);
   const json::Array& rs = batch.at("result").at("resistances").as_array();
   ASSERT_EQ(rs.size(), pairs.size());
   ASSERT_EQ(batch.at("result").at("stats").as_array().size(), pairs.size());
@@ -523,10 +529,10 @@ TEST(Serve, ResistanceBatchMatchesScalarResistanceBitwise) {
     sreq.emplace("eps", 1e-8);
     sreq.emplace("u", pairs[i].first);
     sreq.emplace("v", pairs[i].second);
-    RequestTelemetry st;
-    const json::Value scalar =
-        parse_ok(server.handle(json::Value(std::move(sreq)).dump(), &st));
-    EXPECT_TRUE(st.cache_hit) << i;  // shared artifact
+    const CacheStats before = server.cache_stats();
+    const json::Value scalar = parse_ok(server.handle(json::Value(std::move(sreq)).dump()));
+    EXPECT_EQ(server.cache_stats().hits, before.hits + 1) << i;  // shared artifact
+    EXPECT_EQ(server.cache_stats().misses, 1) << i;
     EXPECT_EQ(bits_of(num(rs[i])), bits_of(num(scalar.at("result").at("resistance"))))
         << "pair " << i;
     scalar_rounds += scalar.at("run").at("rounds").as_int();
@@ -804,11 +810,10 @@ TEST(Serve, CacheClearForcesRebuildWithIdenticalBody) {
   const std::string first = server.handle(req);
   parse_ok(server.handle("{\"op\":\"cache.clear\",\"id\":\"c\"}"));
   EXPECT_EQ(server.cache_stats().size, 0u);
-  RequestTelemetry t;
-  const std::string second = server.handle(req, &t);
-  EXPECT_FALSE(t.cache_hit);        // rebuilt from scratch...
-  EXPECT_EQ(second, first);         // ...to the same bytes
-  EXPECT_EQ(server.cache_stats().misses, 2);
+  const std::string second = server.handle(req);
+  EXPECT_EQ(server.cache_stats().misses, 2);  // rebuilt from scratch...
+  EXPECT_EQ(server.cache_stats().hits, 0);
+  EXPECT_EQ(second, first);                   // ...to the same bytes
 
   const json::Value stats =
       parse_ok(server.handle("{\"op\":\"cache.stats\",\"id\":\"st\"}"));

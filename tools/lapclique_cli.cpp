@@ -11,9 +11,9 @@
 //
 // Global flags (any command):
 //   --threads <n>          split the dense LDL^T's rows (the only sharded
-//                          kernel, at n >= 257) across n worker threads
-//                          (outputs are bit-identical for every n; default
-//                          LAPCLIQUE_THREADS or 1)
+//                          kernel, at n >= 257) across n worker threads,
+//                          set once at startup (outputs are bit-identical
+//                          for every n; default 1)
 //   --trace <out.json>     write a per-phase round/congestion trace (the
 //                          obs::RoundLedger JSON schema; "-" for stdout)
 //   --faults <spec>        inject deterministic faults into every simulated
@@ -23,9 +23,9 @@
 //   --routing <mode>       charged | executed | broadcast — unicast charged
 //                          bounds (default), unicast with executed Lenzen
 //                          schedules, or the Broadcast Congested Clique
-//                          (docs/MODELS.md); default LAPCLIQUE_ROUTING or
-//                          charged.  Outputs are bit-identical across modes;
-//                          only the round/word accounting changes
+//                          (docs/MODELS.md).  Outputs are bit-identical
+//                          across modes; only the round/word accounting
+//                          changes
 //   --fault-seed <n>       seed for the fault plan (default 1)
 //   --fault-report <path>  write the machine-readable recovery summary JSON
 //                          to <path> ("-" for stdout; default: stderr)
@@ -237,8 +237,8 @@ int cmd_gen_mincost(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // Peel off the global flags before command dispatch.
-  int threads = 0;  // 0 = exec::default_threads() (LAPCLIQUE_THREADS or 1)
-  clique::RoutingMode routing = clique::default_routing_mode();
+  int threads = 1;
+  clique::RoutingMode routing = clique::RoutingMode::kCharged;
   const char* trace_path = nullptr;
   const char* fault_spec = nullptr;
   const char* fault_report = nullptr;
@@ -315,11 +315,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // One Runtime describes the whole invocation, and every command runs
-  // under it.
+  // One pool size and one Runtime describe the whole invocation, and every
+  // command runs under them.
+  exec::set_threads(threads);
   obs::RoundLedger ledger;
   Runtime rt;
-  rt.threads = threads;
   rt.trace = trace_path != nullptr ? &ledger : nullptr;
   rt.faults = plan.get();
   rt.routing_mode = routing;

@@ -33,15 +33,18 @@
 //   --max-pending N          queued connections tolerated while all workers
 //                            are busy; beyond this, shed with "overloaded"
 //                            (default 16)
-//   --faults SPEC            fault plan (fault/fault_plan.hpp grammar); the
-//                            sock-* clauses arm transport fault injection on
-//                            the socket frontend
+//   --faults SPEC            socket fault plan for the --port frontend:
+//                            sock-drop, sock-partial and sock-slow clauses
+//                            only (fault/fault_plan.hpp grammar)
 //   --fault-seed N           seed for the fault plan (default 1)
 //
 // A numeric flag that is not an integer in its range exits 2 with a message
-// naming the flag.  Each artifact's LDL^T kernel follows its graph
-// (linalg::resolve_backend) and is reported in the response's artifact
-// block; no flag or request field picks it.
+// naming the flag.  So does a --faults clause the daemon cannot apply (any
+// clause but the three sock-* ones: the simulated network's faults and
+// drills belong to lapclique_cli), and --faults without --port.  Each
+// artifact's LDL^T kernel follows its graph (linalg::resolve_backend) and
+// is reported in the response's artifact block; no flag or request field
+// picks it.
 //
 // Responses are identical in both transports: the socket path wraps the
 // same Server::handle the stdin loop and the test suite drive.
@@ -51,6 +54,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -140,6 +144,22 @@ int main(int argc, char** argv) {
       fopt.faults = &*faults;
     } catch (const std::exception& e) {
       std::cerr << "lapclique_serve: bad --faults spec: " << e.what() << "\n";
+      return 2;
+    }
+    // The spec parsed, so every clause starting "sock-" is one of the three
+    // socket clauses.
+    std::stringstream clauses(fault_spec);
+    for (std::string clause; std::getline(clauses, clause, ',');) {
+      if (clause.rfind("sock-", 0) != 0) {
+        std::cerr << "lapclique_serve: --faults clause '" << clause
+                  << "' does not apply to the daemon (only sock-drop, "
+                     "sock-partial and sock-slow do)\n";
+        return 2;
+      }
+    }
+    if (port < 0) {
+      std::cerr << "lapclique_serve: --faults requires --port (its sock-* "
+                   "clauses act on the socket frontend)\n";
       return 2;
     }
   }
