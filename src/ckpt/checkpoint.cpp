@@ -86,16 +86,6 @@ void Encoder::str(const std::string& s) {
   buf_.append(s);
 }
 
-void Encoder::f64_vec(const std::vector<double>& v) {
-  u64(v.size());
-  for (double x : v) f64(x);
-}
-
-void Encoder::i64_vec(const std::vector<std::int64_t>& v) {
-  u64(v.size());
-  for (std::int64_t x : v) i64(x);
-}
-
 void Decoder::need(std::size_t n, const char* what) const {
   // pos_ <= size always, so the subtraction cannot wrap; a sum could.
   if (n > buf_.size() - pos_) {
@@ -153,198 +143,108 @@ std::string Decoder::str() {
   return s;
 }
 
-std::vector<double> Decoder::f64_vec() {
-  const std::size_t len = count(8, "f64 vector element");
-  std::vector<double> v;
-  v.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) v.push_back(f64());
-  return v;
-}
-
-std::vector<std::int64_t> Decoder::i64_vec() {
-  const std::size_t len = count(8, "i64 vector element");
-  std::vector<std::int64_t> v;
-  v.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) v.push_back(i64());
-  return v;
-}
-
 void Decoder::fail(const std::string& what) const {
   throw CheckpointError(source_, offset(), what);
 }
 
-// --- snapshot codecs -------------------------------------------------------
+// --- layouts ---------------------------------------------------------------
+//
+// Each section's field order, written once and run by both coders.  Minimum
+// encoded sizes: a string is at least its 8-byte length, totals are four
+// i64s.
 
 namespace {
 
-void encode_totals(Encoder& e, const obs::OpTotals& t) {
-  e.i64(t.rounds);
-  e.i64(t.words);
-  e.i64(t.ops);
-  e.i64(t.max_node_load);
+constexpr std::size_t kTotals = 4 * 8;
+
+template <typename Coder>
+void totals_fields(Coder& c, Field<Coder, obs::OpTotals>& t) {
+  c.i64(t.rounds);
+  c.i64(t.words);
+  c.i64(t.ops);
+  c.i64(t.max_node_load);
 }
 
-obs::OpTotals decode_totals(Decoder& d) {
-  obs::OpTotals t;
-  t.rounds = d.i64();
-  t.words = d.i64();
-  t.ops = d.i64();
-  t.max_node_load = d.i64();
-  return t;
+template <typename Coder>
+void network_fields(Coder& c, Field<Coder, clique::NetworkSnapshot>& s) {
+  c.i64(s.rounds);
+  c.i64(s.words);
+  c.str(s.phase);
+  c.map(s.ledger.rounds_by_phase, 8 + 8, "phase-ledger entry",
+        [&](auto& rounds) { c.i64(rounds); });
+  c.seq(s.op_log, 8 + 3 * 8, "op-log record", [&](auto& op) {
+    c.str(op.phase);
+    c.i64(op.rounds);
+    c.i64(op.words);
+    c.i64(op.max_node_load);
+  });
 }
 
-void encode_network(Encoder& e, const clique::NetworkSnapshot& s) {
-  e.i64(s.rounds);
-  e.i64(s.words);
-  e.str(s.phase);
-  e.u64(s.ledger.rounds_by_phase.size());
-  for (const auto& [phase, rounds] : s.ledger.rounds_by_phase) {
-    e.str(phase);
-    e.i64(rounds);
-  }
-  e.u64(s.op_log.size());
-  for (const clique::OpRecord& op : s.op_log) {
-    e.str(op.phase);
-    e.i64(op.rounds);
-    e.i64(op.words);
-    e.i64(op.max_node_load);
-  }
+template <typename Coder>
+void ledger_fields(Coder& c, Field<Coder, obs::LedgerSnapshot>& s) {
+  c.seq(s.nodes, 8 + 8 + 4 + 8 + kTotals + 8, "span node", [&](auto& n) {
+    c.str(n.name);
+    c.int64(n.parent);
+    c.flag(n.is_phase);
+    c.i64(n.visits);
+    totals_fields(c, n.self);
+    c.seq(n.children, 8, "span child", [&](auto& id) { c.int64(id); });
+  });
+  c.seq(s.stack, 8, "span stack entry", [&](auto& id) { c.int64(id); });
+  totals_fields(c, s.total);
+  c.map(s.primitives, 8 + kTotals, "primitive",
+        [&](auto& t) { totals_fields(c, t); });
+  c.map(s.counters, 8 + 8, "counter", [&](auto& v) { c.i64(v); });
+  c.i64_vec(s.sent);
+  c.i64_vec(s.recv);
 }
 
-clique::NetworkSnapshot decode_network(Decoder& d) {
-  clique::NetworkSnapshot s;
-  s.rounds = d.i64();
-  s.words = d.i64();
-  s.phase = d.str();
-  // Minimum encoded sizes: a string is at least its 8-byte length.
-  const std::size_t phases = d.count(8 + 8, "phase-ledger entry");
-  for (std::size_t i = 0; i < phases; ++i) {
-    std::string phase = d.str();
-    s.ledger.rounds_by_phase[std::move(phase)] = d.i64();
-  }
-  const std::size_t ops = d.count(8 + 3 * 8, "op-log record");
-  s.op_log.reserve(ops);
-  for (std::size_t i = 0; i < ops; ++i) {
-    clique::OpRecord op;
-    op.phase = d.str();
-    op.rounds = d.i64();
-    op.words = d.i64();
-    op.max_node_load = d.i64();
-    s.op_log.push_back(std::move(op));
-  }
-  return s;
+template <typename Coder>
+void fault_state_fields(Coder& c, Field<Coder, fault::FaultPlanSnapshot>& s) {
+  c.u64(s.draws);
+  c.i64(s.op_counter);
+  auto& st = s.stats;
+  c.i64(st.words_dropped);
+  c.i64(st.words_corrupted);
+  c.i64(st.words_duplicated);
+  c.i64(st.crash_events);
+  c.i64(st.crash_affected_words);
+  c.i64(st.faulty_batches);
+  c.i64(st.retransmit_attempts);
+  c.i64(st.retransmitted_words);
+  c.i64(st.armored_batches);
+  c.i64(st.armored_words);
+  c.i64(st.recovery_rounds);
+  c.i64(st.recovery_words);
+  c.i64(st.ipm_fallbacks);
+  c.i64(st.solver_fallbacks);
 }
 
-void encode_ledger(Encoder& e, const obs::LedgerSnapshot& s) {
-  e.u64(s.nodes.size());
-  for (const obs::SpanNode& n : s.nodes) {
-    e.str(n.name);
-    e.i64(n.parent);
-    e.u32(n.is_phase ? 1 : 0);
-    e.i64(n.visits);
-    encode_totals(e, n.self);
-    e.u64(n.children.size());
-    for (int c : n.children) e.i64(c);
+/// The container body: header, fault state, network, ledger, payload.
+template <typename Coder>
+void body_fields(Coder& c, Field<Coder, Checkpoint>& ck) {
+  c.mark(ck.field_offsets, "algo");
+  c.str(ck.algo);
+  c.mark(ck.field_offsets, "graph_hash");
+  c.u64(ck.graph_hash);
+  c.mark(ck.field_offsets, "routing_mode");
+  c.str(ck.routing_mode);
+  c.mark(ck.field_offsets, "threads");
+  c.i64(ck.threads);
+  c.mark(ck.field_offsets, "batch");
+  c.i64(ck.batch);
+  c.mark(ck.field_offsets, "fault");
+  c.flag(ck.has_fault_plan);
+  if (ck.has_fault_plan) {
+    c.str(ck.fault_spec);
+    c.u64(ck.fault_seed);
+    fault_state_fields(c, ck.fault_state);
   }
-  e.u64(s.stack.size());
-  for (int id : s.stack) e.i64(id);
-  encode_totals(e, s.total);
-  e.u64(s.primitives.size());
-  for (const auto& [name, totals] : s.primitives) {
-    e.str(name);
-    encode_totals(e, totals);
-  }
-  e.u64(s.counters.size());
-  for (const auto& [name, value] : s.counters) {
-    e.str(name);
-    e.i64(value);
-  }
-  e.i64_vec(s.sent);
-  e.i64_vec(s.recv);
-}
-
-obs::LedgerSnapshot decode_ledger(Decoder& d) {
-  obs::LedgerSnapshot s;
-  // Minimum encoded sizes: a string is at least its 8-byte length, totals
-  // are four i64s.
-  constexpr std::size_t kTotals = 4 * 8;
-  const std::size_t nodes = d.count(8 + 8 + 4 + 8 + kTotals + 8, "span node");
-  s.nodes.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    obs::SpanNode n;
-    n.name = d.str();
-    n.parent = static_cast<int>(d.i64());
-    n.is_phase = d.u32() != 0;
-    n.visits = d.i64();
-    n.self = decode_totals(d);
-    const std::size_t kids = d.count(8, "span child");
-    n.children.reserve(kids);
-    for (std::size_t k = 0; k < kids; ++k) {
-      n.children.push_back(static_cast<int>(d.i64()));
-    }
-    s.nodes.push_back(std::move(n));
-  }
-  const std::size_t depth = d.count(8, "span stack entry");
-  s.stack.reserve(depth);
-  for (std::size_t i = 0; i < depth; ++i) {
-    s.stack.push_back(static_cast<int>(d.i64()));
-  }
-  s.total = decode_totals(d);
-  const std::size_t prims = d.count(8 + kTotals, "primitive");
-  for (std::size_t i = 0; i < prims; ++i) {
-    std::string name = d.str();
-    s.primitives[std::move(name)] = decode_totals(d);
-  }
-  const std::size_t counters = d.count(8 + 8, "counter");
-  for (std::size_t i = 0; i < counters; ++i) {
-    std::string name = d.str();
-    s.counters[std::move(name)] = d.i64();
-  }
-  s.sent = d.i64_vec();
-  s.recv = d.i64_vec();
-  return s;
-}
-
-void encode_fault_state(Encoder& e, const fault::FaultPlanSnapshot& s) {
-  e.u64(s.draws);
-  e.i64(s.op_counter);
-  const fault::RecoveryStats& st = s.stats;
-  e.i64(st.words_dropped);
-  e.i64(st.words_corrupted);
-  e.i64(st.words_duplicated);
-  e.i64(st.crash_events);
-  e.i64(st.crash_affected_words);
-  e.i64(st.faulty_batches);
-  e.i64(st.retransmit_attempts);
-  e.i64(st.retransmitted_words);
-  e.i64(st.armored_batches);
-  e.i64(st.armored_words);
-  e.i64(st.recovery_rounds);
-  e.i64(st.recovery_words);
-  e.i64(st.ipm_fallbacks);
-  e.i64(st.solver_fallbacks);
-}
-
-fault::FaultPlanSnapshot decode_fault_state(Decoder& d) {
-  fault::FaultPlanSnapshot s;
-  s.draws = d.u64();
-  s.op_counter = d.i64();
-  fault::RecoveryStats& st = s.stats;
-  st.words_dropped = d.i64();
-  st.words_corrupted = d.i64();
-  st.words_duplicated = d.i64();
-  st.crash_events = d.i64();
-  st.crash_affected_words = d.i64();
-  st.faulty_batches = d.i64();
-  st.retransmit_attempts = d.i64();
-  st.retransmitted_words = d.i64();
-  st.armored_batches = d.i64();
-  st.armored_words = d.i64();
-  st.recovery_rounds = d.i64();
-  st.recovery_words = d.i64();
-  st.ipm_fallbacks = d.i64();
-  st.solver_fallbacks = d.i64();
-  return s;
+  network_fields(c, ck.net);
+  c.mark(ck.field_offsets, "ledger");
+  c.flag(ck.has_ledger);
+  if (ck.has_ledger) ledger_fields(c, ck.ledger);
+  c.str(ck.state);
 }
 
 std::string where(const Checkpoint& ck) {
@@ -363,33 +263,13 @@ long long offset_of(const Checkpoint& ck, const std::string& field) {
 // --- container -------------------------------------------------------------
 
 std::string encode_checkpoint(const Checkpoint& ck) {
-  Encoder e;
-  e.str(ck.algo);
-  e.u64(ck.graph_hash);
-  e.str(ck.routing_mode);
-  e.i64(ck.threads);
-  e.i64(ck.batch);
-  e.u32(ck.has_fault_plan ? 1 : 0);
-  if (ck.has_fault_plan) {
-    e.str(ck.fault_spec);
-    e.u64(ck.fault_seed);
-    encode_fault_state(e, ck.fault_state);
-  }
-  encode_network(e, ck.net);
-  e.u32(ck.has_ledger ? 1 : 0);
-  if (ck.has_ledger) encode_ledger(e, ck.ledger);
-  e.str(ck.state);
-
   std::string out(kMagic, sizeof(kMagic));
-  {
-    Encoder head;
-    head.u32(kSchemaVersion);
-    out += head.take();
-  }
+  Encoder e;
+  e.u32(kSchemaVersion);
+  body_fields(e, ck);
   out += e.take();
-  const std::uint64_t sum = fnv1a64(out.data(), out.size());
   Encoder tail;
-  tail.u64(sum);
+  tail.u64(fnv1a64(out.data(), out.size()));
   out += tail.take();
   return out;
 }
@@ -440,29 +320,16 @@ Checkpoint decode_checkpoint(const std::string& source,
 
   const std::string body = bytes.substr(kHeader, bytes.size() - kHeader - kTail);
   Decoder d(source, body, kHeader);
-  ck.field_offsets["algo"] = d.offset();
-  ck.algo = d.str();
-  ck.field_offsets["graph_hash"] = d.offset();
-  ck.graph_hash = d.u64();
-  ck.field_offsets["routing_mode"] = d.offset();
-  ck.routing_mode = d.str();
-  ck.field_offsets["threads"] = d.offset();
-  ck.threads = d.i64();
-  ck.field_offsets["batch"] = d.offset();
-  ck.batch = d.i64();
-  ck.field_offsets["fault"] = d.offset();
-  ck.has_fault_plan = d.u32() != 0;
-  if (ck.has_fault_plan) {
-    ck.fault_spec = d.str();
-    ck.fault_seed = d.u64();
-    ck.fault_state = decode_fault_state(d);
-  }
-  ck.net = decode_network(d);
-  ck.field_offsets["ledger"] = d.offset();
-  ck.has_ledger = d.u32() != 0;
-  if (ck.has_ledger) ck.ledger = decode_ledger(d);
-  ck.state = d.str();
+  body_fields(d, ck);
   if (!d.done()) d.fail("trailing junk after checkpoint body");
+  // resume_run parses the stored spec; a spec that does not parse is a
+  // malformed file, rejected here at its field.
+  try {
+    (void)fault_signature(ck);
+  } catch (const std::invalid_argument& ex) {
+    throw CheckpointError(source, offset_of(ck, "fault"),
+                          std::string("unparsable fault spec: ") + ex.what());
+  }
   return ck;
 }
 
@@ -518,30 +385,35 @@ Checkpoint load_checkpoint(const std::string& path) {
 
 // --- compatibility ---------------------------------------------------------
 
-std::string fault_signature(const fault::FaultPlan* plan) {
-  if (plan == nullptr) return "";
-  fault::FaultSpec spec = plan->spec();
+namespace {
+
+/// The accounting-relevant part of a fault configuration: the spec without
+/// its preempt clause (preemption schedules the kill, it never perturbs
+/// accounting) or its sock-* clauses (they act on the serving frontend's
+/// real sockets, never on the simulated run), plus the seed when anything
+/// is left.
+std::string signature(fault::FaultSpec spec, std::uint64_t seed) {
   spec.preempt_at = fault::FaultSpec::kNever;
-  // sock-* faults act on the serving frontend's real sockets, never on the
-  // simulated run, so like preempt= they are accounting-neutral.
   spec.sock_drop = spec.sock_partial = spec.sock_slow = 0.0;
   const std::string text = fault::to_string(spec);
   if (text.empty()) return "";
-  return text + "#" + std::to_string(plan->seed());
+  return text + "#" + std::to_string(seed);
+}
+
+}  // namespace
+
+std::string fault_signature(const fault::FaultPlan* plan) {
+  return plan == nullptr ? "" : signature(plan->spec(), plan->seed());
 }
 
 std::string fault_signature(const Checkpoint& ck) {
   if (!ck.has_fault_plan || ck.fault_spec.empty()) return "";
-  fault::FaultSpec spec = fault::parse_fault_spec(ck.fault_spec);
-  spec.preempt_at = fault::FaultSpec::kNever;
-  spec.sock_drop = spec.sock_partial = spec.sock_slow = 0.0;
-  const std::string text = fault::to_string(spec);
-  if (text.empty()) return "";
-  return text + "#" + std::to_string(ck.fault_seed);
+  return signature(fault::parse_fault_spec(ck.fault_spec), ck.fault_seed);
 }
 
 void resume_run(const Checkpoint& ck, const std::string& algo,
-                std::uint64_t graph_hash, clique::Network& net) {
+                std::uint64_t graph_hash, clique::Network& net,
+                const std::function<void()>& decode_state) {
   if (ck.algo != algo) {
     throw CheckpointError(where(ck), offset_of(ck, "algo"),
                           "checkpoint is for algorithm '" + ck.algo +
@@ -583,6 +455,7 @@ void resume_run(const Checkpoint& ck, const std::string& algo,
         "carries none — the resumed trace could not be byte-faithful "
         "(resume without a tracer, or re-checkpoint with one attached)");
   }
+  decode_state();
   // Order matters: nothing below throws, so a rejected resume (above) leaves
   // the run container untouched (strong guarantee).
   if (tracer != nullptr) tracer->restore(ck.ledger);

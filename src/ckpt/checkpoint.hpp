@@ -8,7 +8,7 @@
 // boundaries, the complete resumable state of a run —
 //
 //   * the algorithm payload (flow iterate, duals, congestion vectors —
-//     opaque bytes produced by the IPM's own encoder),
+//     opaque bytes laid out by the IPM's own field list),
 //   * the Network accounting (rounds, words, phase, phase ledger, op log),
 //   * the attached RoundLedger's full span tree (so the trace JSON of a
 //     resumed run is byte-equal to an uninterrupted one),
@@ -34,7 +34,7 @@
 //
 //   offset 0   magic   "LAPCKPT1"                      (8 bytes)
 //   offset 8   schema  u32 (kSchemaVersion)
-//   offset 12  body    tagged fields (see checkpoint.cpp)
+//   offset 12  body    the fields of `body_fields` (checkpoint.cpp)
 //   tail       u64 FNV-1a checksum of everything before it
 #pragma once
 
@@ -42,6 +42,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cliquesim/network.hpp"
@@ -76,9 +77,25 @@ class CheckpointError : public io::ParseError {
       : io::ParseError(path, offset, what) {}
 };
 
-/// Append-only little-endian encoder for checkpoint bodies.  The IPMs use it
-/// for their opaque state payloads; the container uses it for the header and
-/// run snapshots.
+// Encoder and Decoder share one set of field members, so each layout (the
+// container body in checkpoint.cpp, each IPM's payload in its own file) is
+// one function template that both coders run, e.g.
+//
+//   template <typename Coder>
+//   void fields(Coder& c, Field<Coder, OpTotals>& t) { c.i64(t.rounds); ... }
+//
+// The Encoder's members write the field, the Decoder's overwrite it.  `seq`
+// and `map` carry the minimum encoded size of one element (keys included)
+// and its name, so the Decoder rejects a count the bytes left cannot back;
+// `mark` records a header field's offset when decoding.
+
+class Encoder;
+
+/// A field as a layout takes it: const when encoding, mutable when decoding.
+template <typename Coder, typename T>
+using Field = std::conditional_t<std::is_same_v<Coder, Encoder>, const T, T>;
+
+/// Append-only little-endian encoder for checkpoint bodies.
 class Encoder {
  public:
   void u32(std::uint32_t v);
@@ -86,8 +103,36 @@ class Encoder {
   void i64(std::int64_t v);
   void f64(double v);  ///< exact bit pattern, so doubles round-trip bitwise
   void str(const std::string& s);
-  void f64_vec(const std::vector<double>& v);
-  void i64_vec(const std::vector<std::int64_t>& v);
+  void f64_vec(const std::vector<double>& v) {
+    seq(v, 8, "", [&](double x) { f64(x); });
+  }
+  void i64_vec(const std::vector<std::int64_t>& v) {
+    seq(v, 8, "", [&](std::int64_t x) { i64(x); });
+  }
+  void flag(bool b) { u32(b ? 1 : 0); }
+  /// Any integer, widened to an i64.
+  template <typename Int>
+  void int64(Int v) { i64(static_cast<std::int64_t>(v)); }
+  /// An enumerator in [0, last], as an i64.
+  template <typename Enum>
+  void enumeration(Enum v, Enum, const char*) { int64(v); }
+  /// A u64 count, then each element through `field`.
+  template <typename T, typename Fn>
+  void seq(const std::vector<T>& v, std::size_t, const char*, const Fn& field) {
+    u64(v.size());
+    for (const T& x : v) field(x);
+  }
+  /// A u64 count, then each entry as its key string and `field(value)`.
+  template <typename V, typename Fn>
+  void map(const std::map<std::string, V>& m, std::size_t, const char*,
+           const Fn& field) {
+    u64(m.size());
+    for (const auto& [key, value] : m) {
+      str(key);
+      field(value);
+    }
+  }
+  void mark(const std::map<std::string, long long>&, const char*) {}
 
   [[nodiscard]] const std::string& bytes() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
@@ -110,12 +155,62 @@ class Decoder {
   std::int64_t i64();
   double f64();
   std::string str();
-  std::vector<double> f64_vec();
-  std::vector<std::int64_t> i64_vec();
+  std::vector<double> f64_vec() {
+    std::vector<double> v;
+    f64_vec(v);
+    return v;
+  }
+  std::vector<std::int64_t> i64_vec() {
+    std::vector<std::int64_t> v;
+    i64_vec(v);
+    return v;
+  }
   /// A u64 element count, rejected unless the bytes left can hold that many
   /// elements of at least `min_bytes` (>= 1) encoded bytes each.  Callers
   /// reserve or loop on the result.
   std::size_t count(std::size_t min_bytes, const char* what);
+
+  // The Encoder's field members, overwriting the field.
+  void u64(std::uint64_t& v) { v = u64(); }
+  void i64(std::int64_t& v) { v = i64(); }
+  void f64(double& v) { v = f64(); }
+  void str(std::string& s) { s = str(); }
+  void f64_vec(std::vector<double>& v) {
+    seq(v, 8, "f64 vector element", [&](double& x) { f64(x); });
+  }
+  void i64_vec(std::vector<std::int64_t>& v) {
+    seq(v, 8, "i64 vector element", [&](std::int64_t& x) { i64(x); });
+  }
+  void flag(bool& b) { b = u32() != 0; }
+  /// Narrows the i64 to the field's type.
+  template <typename Int>
+  void int64(Int& v) { v = static_cast<Int>(i64()); }
+  /// Rejects, after the i64, a value outside [0, last] as "unknown <what> <v>".
+  template <typename Enum>
+  void enumeration(Enum& v, Enum last, const char* what) {
+    const std::int64_t x = i64();
+    if (x < 0 || x > static_cast<std::int64_t>(last)) {
+      fail(std::string("unknown ") + what + " " + std::to_string(x));
+    }
+    v = static_cast<Enum>(x);
+  }
+  template <typename T, typename Fn>
+  void seq(std::vector<T>& v, std::size_t min_bytes, const char* what,
+           const Fn& field) {
+    const std::size_t n = count(min_bytes, what);
+    v.clear();
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) field(v.emplace_back());
+  }
+  template <typename V, typename Fn>
+  void map(std::map<std::string, V>& m, std::size_t min_bytes,
+           const char* what, const Fn& field) {
+    m.clear();
+    for (std::size_t i = count(min_bytes, what); i > 0; --i) field(m[str()]);
+  }
+  void mark(std::map<std::string, long long>& offsets, const char* name) {
+    offsets[name] = offset();
+  }
 
   /// Absolute file offset the decoder has reached (base + position).
   [[nodiscard]] long long offset() const {
@@ -165,8 +260,9 @@ struct Checkpoint {
 [[nodiscard]] std::string encode_checkpoint(const Checkpoint& ck);
 
 /// Parse and validate a container produced by encode_checkpoint.  Throws
-/// CheckpointError on truncation, bad magic, schema skew, or checksum
-/// mismatch — always before returning anything (strong guarantee).
+/// CheckpointError on truncation, bad magic, schema skew, checksum mismatch,
+/// or a stored fault spec that does not parse — always before returning
+/// anything (strong guarantee).
 [[nodiscard]] Checkpoint decode_checkpoint(const std::string& source,
                                            const std::string& bytes);
 
@@ -186,14 +282,17 @@ void save_checkpoint(const std::string& path, const Checkpoint& ck);
 /// Continue a run from a checkpoint.  Checks the header against the run —
 /// algorithm, graph hash, routing mode, and fault signature must all match —
 /// and, when a tracer is attached, that the checkpoint carries a ledger for
-/// it to continue (else the resumed trace could not be byte-faithful).  Only
-/// then restores the run container: network accounting, attached ledger,
-/// attached fault plan.  Every rejection is a located CheckpointError thrown
-/// before the run is touched.  Must run before the resumed code path charges
-/// anything.  Thread count is informational (outputs are thread-invariant by
-/// the determinism contract) and not checked.
+/// it to continue (else the resumed trace could not be byte-faithful); then
+/// runs `decode_state`, the algorithm's payload decoder.  Only then restores
+/// the run container: network accounting, attached ledger, attached fault
+/// plan.  Every rejection, the payload's included, is a located
+/// CheckpointError thrown before the run is touched.  Must run before the
+/// resumed code path charges anything.  Thread count is informational
+/// (outputs are thread-invariant by the determinism contract) and not
+/// checked.
 void resume_run(const Checkpoint& ck, const std::string& algo,
-                std::uint64_t graph_hash, clique::Network& net);
+                std::uint64_t graph_hash, clique::Network& net,
+                const std::function<void()>& decode_state);
 
 /// Writes checkpoints for one run.  `due(batch)` is true every `every`-th
 /// boundary (boundary 0 included, so even a run preempted in its first batch

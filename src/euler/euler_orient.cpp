@@ -53,7 +53,10 @@ struct Machine {
   std::vector<int> partner;    ///< matched partner occurrence (-1 = unmatched)
   std::vector<char> marked;
 
-  std::int64_t forward_rounds = 0;  ///< comm rounds of the contraction pass
+  /// Steps of the contraction pass the reverse replay repeats: each routed
+  /// batch counts one, whatever rounds it was charged, as does each counted
+  /// single round.
+  std::int64_t forward_steps = 0;
 
   [[nodiscard]] int other_end(const Link& l, int occ) const {
     return l.a == occ ? l.b : l.a;
@@ -168,7 +171,7 @@ struct Machine {
     std::vector<std::optional<Word>> received(occs.size());
     if (batch.empty()) return received;
     net->lenzen_route(batch);
-    ++forward_rounds;  // one routed super-step
+    ++forward_steps;  // one routed super-step
     for (const Msg& msg : batch) {
       received[static_cast<std::size_t>(msg.tag)] = msg.payload;
     }
@@ -213,7 +216,7 @@ struct Machine {
       maxc = 1;
       for (int o : members) maxc = std::max(maxc, color[static_cast<std::size_t>(o)]);
       net->charge(1);  // max over colors, known to all
-      ++forward_rounds;
+      ++forward_steps;
     }
     // 6 -> 3: three shift-and-recolor rounds.
     for (std::int64_t cc = 5; cc >= 3; --cc) {
@@ -373,7 +376,7 @@ struct Machine {
 
     // The initial hop (marked occ -> first neighbor) is one routed round.
     net->charge(1);
-    ++forward_rounds;
+    ++forward_steps;
     // Relay hops; each hop is one routed batch of real messages.  The
     // deterministic marking guarantees 4 hops suffice; the randomized one
     // only bounds gaps w.h.p., so it relays as long as probes are moving.
@@ -403,7 +406,7 @@ struct Machine {
       }
       if (!batch.empty()) {
         net->lenzen_route(batch);
-        ++forward_rounds;
+        ++forward_steps;
       }
       if (!any_moving) break;
     }
@@ -520,7 +523,7 @@ OrientationResult eulerian_orientation(const Graph& g, Network& net,
   }
   out.levels = level;
 
-  // Leaders decide; expansion is the reverse replay (same comm cost).
+  // Leaders decide; expansion is the reverse replay (charged below).
   for (const Link& l : mac.finished) {
     std::int8_t flip = 1;
     if (l.forced_sign != 0) {
@@ -538,10 +541,11 @@ OrientationResult eulerian_orientation(const Graph& g, Network& net,
     if (o == 0) throw std::logic_error("eulerian_orientation: uncovered edge");
   }
 
-  // Step 4: reverse replay of steps 2-3 (paper charges the same rounds).
+  // Step 4: reverse replay of steps 2-3, charged one round per forward
+  // step (not the forward pass's charged rounds).
   {
     const obs::TraceSpan span(net.tracer(), "reverse_replay");
-    net.charge(mac.forward_rounds);
+    net.charge(mac.forward_steps);
   }
 
   out.rounds = net.rounds() - rounds_before;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -40,18 +42,35 @@ double parse_probability(const std::string& clause, const std::string& text) {
   return p;
 }
 
+/// `text` as an integer in [lo, hi], the range of the field it fills.
 std::int64_t parse_int(const std::string& clause, const std::string& text,
-                       std::int64_t lo) {
+                       std::int64_t lo,
+                       std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
   std::size_t pos = 0;
   long long v = 0;
   try {
     v = std::stoll(text, &pos);
+  } catch (const std::out_of_range&) {
+    bad_clause(clause, "value out of range");
   } catch (const std::exception&) {
     bad_clause(clause, "expected an integer");
   }
   if (pos != text.size()) bad_clause(clause, "trailing junk after integer");
-  if (v < lo) bad_clause(clause, "value out of range");
+  if (v < lo || v > hi) bad_clause(clause, "value out of range");
   return v;
+}
+
+/// A probability as the default stream prints it, unless those six
+/// significant digits read back as another double: then with the 17 that
+/// read back exactly, so a spec's text always parses to the spec it names.
+std::string probability_text(double p) {
+  std::ostringstream out;
+  out << p;
+  if (std::strtod(out.str().c_str(), nullptr) != p) {
+    out.str("");
+    out << std::setprecision(17) << p;
+  }
+  return out.str();
 }
 
 }  // namespace
@@ -74,7 +93,8 @@ FaultSpec parse_fault_spec(const std::string& text) {
     } else if (key == "dup") {
       spec.duplicate = parse_probability(clause, val);
     } else if (key == "retries") {
-      spec.max_retries = static_cast<int>(parse_int(clause, val, 0));
+      spec.max_retries = static_cast<int>(
+          parse_int(clause, val, 0, std::numeric_limits<int>::max()));
     } else if (key == "preempt") {
       spec.preempt_at = parse_int(clause, val, 0);
     } else if (key == "sock-drop") {
@@ -87,7 +107,8 @@ FaultSpec parse_fault_spec(const std::string& text) {
       const auto at = val.find('@');
       if (at == std::string::npos) bad_clause(clause, "expected NODE@OP");
       CrashPoint cp;
-      cp.node = static_cast<int>(parse_int(clause, val.substr(0, at), 0));
+      cp.node = static_cast<int>(
+          parse_int(clause, val.substr(0, at), 0, std::numeric_limits<int>::max()));
       cp.op = parse_int(clause, val.substr(at + 1), 0);
       spec.crashes.push_back(cp);
     } else if (clause.rfind("ipm-nan@", 0) == 0) {
@@ -122,15 +143,17 @@ std::string to_string(const FaultSpec& spec) {
     (out << ... << parts);
     sep = ",";
   };
-  if (spec.drop > 0) clause("drop=", spec.drop);
-  if (spec.corrupt > 0) clause("corrupt=", spec.corrupt);
-  if (spec.duplicate > 0) clause("dup=", spec.duplicate);
+  if (spec.drop > 0) clause("drop=", probability_text(spec.drop));
+  if (spec.corrupt > 0) clause("corrupt=", probability_text(spec.corrupt));
+  if (spec.duplicate > 0) clause("dup=", probability_text(spec.duplicate));
   for (const CrashPoint& cp : spec.crashes) clause("crash=", cp.node, "@", cp.op);
   if (spec.max_retries != FaultSpec{}.max_retries) clause("retries=", spec.max_retries);
   if (spec.preempt_at != FaultSpec::kNever) clause("preempt=", spec.preempt_at);
-  if (spec.sock_drop > 0) clause("sock-drop=", spec.sock_drop);
-  if (spec.sock_partial > 0) clause("sock-partial=", spec.sock_partial);
-  if (spec.sock_slow > 0) clause("sock-slow=", spec.sock_slow);
+  if (spec.sock_drop > 0) clause("sock-drop=", probability_text(spec.sock_drop));
+  if (spec.sock_partial > 0) {
+    clause("sock-partial=", probability_text(spec.sock_partial));
+  }
+  if (spec.sock_slow > 0) clause("sock-slow=", probability_text(spec.sock_slow));
   if (spec.ipm_nan_at != FaultSpec::kNever) clause("ipm-nan@", spec.ipm_nan_at);
   if (spec.solver_nan_at == FaultSpec::kAlways) {
     clause("solver-nan@all");

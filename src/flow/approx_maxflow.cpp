@@ -85,7 +85,7 @@ DecideResult decide(const Graph& g, int s, int t, double target_f,
     out.factor = solver->factor_stats();
     const linalg::Vec phi = solver->potentials(chi);
     const std::vector<double> f = solver->induced_flow(phi);
-    net.charge(rounds_per_solve + 1);
+    net.charge_all_to_all(rounds_per_solve + 1);
     ++out.iterations;
 
     for (std::size_t i = 0; i < m; ++i) {
@@ -136,7 +136,8 @@ ApproxMaxFlowReport approx_max_flow_undirected(const Graph& g, int s, int t,
     for (const graph::Edge& e : g.edges()) ee.push_back({e.u, e.v, 1.0 / e.w});
     rep.rounds_per_solve =
         calibrate_solve_rounds(g.num_vertices(), ee, kSolveEps);
-    net.charge(rep.rounds_per_solve);
+    // The calibration solve itself (broadcast rounds, like every solve).
+    net.charge_all_to_all(rep.rounds_per_solve);
   }
 
   // Binary search over F (the decision procedure is approximate, so stop

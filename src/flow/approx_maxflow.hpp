@@ -12,8 +12,8 @@
 //   output the average flow scaled by (1-O(eps)).
 // An outer binary search over F gives the approximate max flow.  Each
 // iteration is one Laplacian solve, so in the congested clique each
-// iteration costs the Theorem 1.1 rounds (charged from a calibration solve,
-// as in the exact IPMs).
+// iteration costs the Theorem 1.1 rounds (charged from a calibration solve
+// as all-to-all exchanges, as in the exact IPMs).
 #pragma once
 
 #include "cliquesim/network.hpp"

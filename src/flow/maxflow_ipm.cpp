@@ -405,73 +405,48 @@ struct IpmLoopState {
   std::vector<double> rho;
 };
 
+/// The payload layout, run by both coders.
+template <typename Coder>
+void state_fields(Coder& c, ckpt::Field<Coder, IpmLoopState>& st,
+                  ckpt::Field<Coder, MaxFlowIpmReport>& rep) {
+  c.i64(st.rounds_before);
+  c.i64(st.words_before);
+  c.i64(st.m0);
+  c.f64(st.target_f);
+  c.int64(st.boosts);
+  c.i64(rep.rounds_per_solve);
+  c.int64(rep.ipm_iterations);
+  c.int64(rep.augmentation_steps);
+  c.int64(rep.boosting_steps);
+  c.int64(rep.laplacian_solves);
+  c.int64(st.tr.nv);
+  c.f64_vec(st.tr.y);
+  // Seven 8-byte fields per edge.
+  c.seq(st.tr.edges, 7 * 8, "transformed edge", [&](auto& ed) {
+    c.int64(ed.u);
+    c.int64(ed.v);
+    c.f64(ed.up);
+    c.f64(ed.um);
+    c.f64(ed.f);
+    c.enumeration(ed.kind, EKind::kBoost, "transformed-edge kind");
+    c.int64(ed.orig);
+  });
+  c.f64_vec(st.rho);
+}
+
 std::string encode_ipm_state(const IpmLoopState& st,
                              const MaxFlowIpmReport& rep) {
   ckpt::Encoder e;
-  e.i64(st.rounds_before);
-  e.i64(st.words_before);
-  e.i64(st.m0);
-  e.f64(st.target_f);
-  e.i64(st.boosts);
-  e.i64(rep.rounds_per_solve);
-  e.i64(rep.ipm_iterations);
-  e.i64(rep.augmentation_steps);
-  e.i64(rep.boosting_steps);
-  e.i64(rep.laplacian_solves);
-  e.i64(st.tr.nv);
-  e.f64_vec(st.tr.y);
-  e.u64(st.tr.edges.size());
-  for (const TEdge& ed : st.tr.edges) {
-    e.i64(ed.u);
-    e.i64(ed.v);
-    e.f64(ed.up);
-    e.f64(ed.um);
-    e.f64(ed.f);
-    e.i64(static_cast<std::int64_t>(ed.kind));
-    e.i64(ed.orig);
-  }
-  e.f64_vec(st.rho);
+  state_fields(e, st, rep);
   return e.take();
 }
 
-IpmLoopState decode_ipm_state(const ckpt::Checkpoint& ck,
-                              MaxFlowIpmReport& rep) {
+void decode_ipm_state(const ckpt::Checkpoint& ck, IpmLoopState& st,
+                      MaxFlowIpmReport& rep) {
   ckpt::Decoder d(ck.source.empty() ? "<maxflow checkpoint>" : ck.source,
                   ck.state);
-  IpmLoopState st;
-  st.rounds_before = d.i64();
-  st.words_before = d.i64();
-  st.m0 = d.i64();
-  st.target_f = d.f64();
-  st.boosts = static_cast<int>(d.i64());
-  rep.rounds_per_solve = d.i64();
-  rep.ipm_iterations = static_cast<int>(d.i64());
-  rep.augmentation_steps = static_cast<int>(d.i64());
-  rep.boosting_steps = static_cast<int>(d.i64());
-  rep.laplacian_solves = static_cast<int>(d.i64());
-  st.tr.nv = static_cast<int>(d.i64());
-  st.tr.y = d.f64_vec();
-  // Seven 8-byte fields per edge.
-  const std::size_t m = d.count(7 * 8, "transformed edge");
-  st.tr.edges.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    TEdge ed;
-    ed.u = static_cast<int>(d.i64());
-    ed.v = static_cast<int>(d.i64());
-    ed.up = d.f64();
-    ed.um = d.f64();
-    ed.f = d.f64();
-    const std::int64_t kind = d.i64();
-    if (kind < 0 || kind > static_cast<std::int64_t>(EKind::kBoost)) {
-      d.fail("unknown transformed-edge kind " + std::to_string(kind));
-    }
-    ed.kind = static_cast<EKind>(kind);
-    ed.orig = static_cast<int>(d.i64());
-    st.tr.edges.push_back(ed);
-  }
-  st.rho = d.f64_vec();
+  state_fields(d, st, rep);
   if (!d.done()) d.fail("trailing junk after max-flow IPM state");
-  return st;
 }
 
 }  // namespace
@@ -492,15 +467,15 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
   std::int64_t it0 = 0;
 
   if (hooks.resume != nullptr) {
-    // Bit-identical continuation: verify the header, restore the run
-    // container (accounting + attached ledger + fault-plan counters), then
-    // decode the loop state — all before a single charge or phase switch,
-    // so the resumed run's ledgers pick up exactly where the checkpointed
-    // run left them.  In particular set_phase must NOT run here: the
-    // restored ledger already holds the open "maxflow/ipm" phase span, and
+    // Bit-identical continuation: verify the header, decode the loop state,
+    // then restore the run container (accounting + attached ledger +
+    // fault-plan counters) — all before a single charge or phase switch, so
+    // the resumed run's ledgers pick up exactly where the checkpointed run
+    // left them.  In particular set_phase must NOT run here: the restored
+    // ledger already holds the open "maxflow/ipm" phase span, and
     // re-switching would bump its visit count.
-    ckpt::resume_run(*hooks.resume, kCkptAlgo, ghash, net);
-    st = decode_ipm_state(*hooks.resume, rep);
+    ckpt::resume_run(*hooks.resume, kCkptAlgo, ghash, net,
+                     [&] { decode_ipm_state(*hooks.resume, st, rep); });
     it0 = hooks.resume->batch;
   } else {
     net.set_phase("maxflow/setup");

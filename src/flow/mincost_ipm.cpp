@@ -187,90 +187,80 @@ struct IpmLoopState {
   std::vector<double> rho;
 };
 
-/// The decoded payload: loop state plus the checkpointed lift's central-path
-/// vectors and G1 arc keys.  (Resume rebuilds the identical G1 via
-/// build_lifted — charge-free and deterministic — and only validates sizes
-/// against the keys.)
-struct DecodedState {
-  IpmLoopState st;
-  std::vector<std::int64_t> arc_from;
-  std::vector<std::int64_t> arc_to;
-  std::vector<std::int64_t> arc_cost;
-  std::vector<std::int64_t> arc_aux;
-  std::vector<double> f;
-  std::vector<double> s;
-  std::vector<double> nu;
-  std::vector<double> y;
-  double mu_hat = 0;
-};
-
-std::string encode_ipm_state(const Lifted& lf, const IpmLoopState& st,
-                             const MinCostIpmReport& rep) {
-  ckpt::Encoder e;
-  e.i64(st.rounds_before);
-  e.i64(st.words_before);
-  e.i64(st.total_progress);
-  e.i64(rep.rounds_per_solve);
-  e.i64(rep.ipm_iterations);
-  e.i64(rep.perturbations);
-  e.i64(rep.laplacian_solves);
-  e.f64(lf.mu_hat);
+/// G1's arc keys as the payload carries them.  Resume rebuilds the identical
+/// G1 via build_lifted — charge-free and deterministic — and only checks the
+/// keys' sizes against it.
+struct ArcKeys {
   std::vector<std::int64_t> from;
   std::vector<std::int64_t> to;
   std::vector<std::int64_t> cost;
   std::vector<std::int64_t> aux;
+};
+
+/// The payload layout, run by both coders: loop state plus the lift's arc
+/// keys and central-path vectors.
+template <typename Coder>
+void state_fields(Coder& c, ckpt::Field<Coder, Lifted>& lf,
+                  ckpt::Field<Coder, IpmLoopState>& st,
+                  ckpt::Field<Coder, MinCostIpmReport>& rep,
+                  ckpt::Field<Coder, ArcKeys>& keys) {
+  c.i64(st.rounds_before);
+  c.i64(st.words_before);
+  c.i64(st.total_progress);
+  c.i64(rep.rounds_per_solve);
+  c.int64(rep.ipm_iterations);
+  c.int64(rep.perturbations);
+  c.int64(rep.laplacian_solves);
+  c.f64(lf.mu_hat);
+  c.i64_vec(keys.from);
+  c.i64_vec(keys.to);
+  c.i64_vec(keys.cost);
+  c.i64_vec(keys.aux);
+  c.f64_vec(lf.f);
+  c.f64_vec(lf.s);
+  c.f64_vec(lf.nu);
+  c.f64_vec(lf.y);
+  c.f64_vec(st.rho);
+}
+
+std::string encode_ipm_state(const Lifted& lf, const IpmLoopState& st,
+                             const MinCostIpmReport& rep) {
+  ArcKeys keys;
   for (int q = 0; q < lf.nq; ++q) {
     const graph::Arc& a = lf.g1.arc(q);
-    from.push_back(a.from);
-    to.push_back(a.to);
-    cost.push_back(a.cost);
-    aux.push_back(lf.is_aux[static_cast<std::size_t>(q)]);
+    keys.from.push_back(a.from);
+    keys.to.push_back(a.to);
+    keys.cost.push_back(a.cost);
+    keys.aux.push_back(lf.is_aux[static_cast<std::size_t>(q)]);
   }
-  e.i64_vec(from);
-  e.i64_vec(to);
-  e.i64_vec(cost);
-  e.i64_vec(aux);
-  e.f64_vec(lf.f);
-  e.f64_vec(lf.s);
-  e.f64_vec(lf.nu);
-  e.f64_vec(lf.y);
-  e.f64_vec(st.rho);
+  ckpt::Encoder e;
+  state_fields(e, lf, st, rep, keys);
   return e.take();
 }
 
-DecodedState decode_ipm_state(const ckpt::Checkpoint& ck,
-                              MinCostIpmReport& rep) {
-  ckpt::Decoder d(ck.source.empty() ? "<mincost checkpoint>" : ck.source,
-                  ck.state);
-  DecodedState ds;
-  ds.st.rounds_before = d.i64();
-  ds.st.words_before = d.i64();
-  ds.st.total_progress = d.i64();
-  rep.rounds_per_solve = d.i64();
-  rep.ipm_iterations = static_cast<int>(d.i64());
-  rep.perturbations = static_cast<int>(d.i64());
-  rep.laplacian_solves = static_cast<int>(d.i64());
-  ds.mu_hat = d.f64();
-  ds.arc_from = d.i64_vec();
-  ds.arc_to = d.i64_vec();
-  ds.arc_cost = d.i64_vec();
-  ds.arc_aux = d.i64_vec();
-  ds.f = d.f64_vec();
-  ds.s = d.f64_vec();
-  ds.nu = d.f64_vec();
-  ds.y = d.f64_vec();
-  ds.st.rho = d.f64_vec();
-  const std::size_t nq = ds.arc_from.size();
-  if (ds.arc_to.size() != nq || ds.arc_cost.size() != nq ||
-      ds.arc_aux.size() != nq) {
+/// Decodes onto `lf`, which build_lifted made for this instance, and rejects
+/// a payload whose lift does not match it.
+void decode_ipm_state(const ckpt::Checkpoint& ck, Lifted& lf,
+                      IpmLoopState& st, MinCostIpmReport& rep) {
+  const std::string source =
+      ck.source.empty() ? "<mincost checkpoint>" : ck.source;
+  ckpt::Decoder d(source, ck.state);
+  ArcKeys keys;
+  state_fields(d, lf, st, rep, keys);
+  const std::size_t nq = keys.from.size();
+  if (keys.to.size() != nq || keys.cost.size() != nq || keys.aux.size() != nq) {
     d.fail("inconsistent G1 arc-key vectors in min-cost IPM state");
   }
-  if (ds.f.size() != 2 * nq || ds.s.size() != 2 * nq ||
-      ds.nu.size() != 2 * nq || ds.st.rho.size() != 2 * nq) {
+  if (lf.f.size() != 2 * nq || lf.s.size() != 2 * nq ||
+      lf.nu.size() != 2 * nq || st.rho.size() != 2 * nq) {
     d.fail("bipartite vector sizes do not match the G1 arc count");
   }
   if (!d.done()) d.fail("trailing junk after min-cost IPM state");
-  return ds;
+  if (static_cast<int>(nq) != lf.nq ||
+      lf.y.size() != static_cast<std::size_t>(lf.np + lf.nq)) {
+    throw ckpt::CheckpointError(
+        source, 12, "checkpointed lift does not match the rebuilt instance");
+  }
 }
 
 }  // namespace
@@ -320,28 +310,16 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
 
   if (hooks.resume != nullptr) {
     // Bit-identical continuation (same discipline as the max-flow IPM):
-    // verify the header, restore the run container (accounting + attached
-    // ledger + fault-plan counters), decode the loop state — all before a
-    // single charge or phase switch.  In particular set_phase must NOT run
-    // here: the restored ledger already holds the open checkpointed phase
-    // span, and re-switching would bump its visit count.  build_lifted above
-    // is charge-free and deterministic, so the rebuilt G1 is the one the
-    // checkpoint describes; the decoded sizes are checked against it.
-    ckpt::resume_run(*hooks.resume, kCkptAlgo, ghash, net);
-    DecodedState ds = decode_ipm_state(*hooks.resume, rep);
-    if (static_cast<int>(ds.arc_from.size()) != lf.nq ||
-        ds.y.size() != static_cast<std::size_t>(lf.np + lf.nq)) {
-      throw ckpt::CheckpointError(
-          hooks.resume->source.empty() ? "<mincost checkpoint>"
-                                       : hooks.resume->source,
-          12, "checkpointed lift does not match the rebuilt instance");
-    }
-    lf.f = std::move(ds.f);
-    lf.s = std::move(ds.s);
-    lf.nu = std::move(ds.nu);
-    lf.y = std::move(ds.y);
-    lf.mu_hat = ds.mu_hat;
-    st = std::move(ds.st);
+    // verify the header, decode the loop state onto the lift, restore the
+    // run container (accounting + attached ledger + fault-plan counters) —
+    // all before a single charge or phase switch.  In particular set_phase
+    // must NOT run here: the restored ledger already holds the open
+    // checkpointed phase span, and re-switching would bump its visit count.
+    // build_lifted above is charge-free and deterministic, so the rebuilt G1
+    // is the one the checkpoint describes; the decoded sizes are checked
+    // against it.
+    ckpt::resume_run(*hooks.resume, kCkptAlgo, ghash, net,
+                     [&] { decode_ipm_state(*hooks.resume, lf, st, rep); });
     t0 = hooks.resume->batch;
   } else {
     net.set_phase("mincost/setup");

@@ -31,12 +31,8 @@ class LineReader {
   int line_no_ = 0;
 };
 
-/// Sizes past this are virtually certainly a corrupted header, and letting
-/// them through would turn one flipped byte into a multi-gigabyte allocation.
-constexpr std::int64_t kMaxPlausibleSize = 50'000'000;
-
 void check_plausible(int line_no, std::int64_t n, std::int64_t m) {
-  if (n > kMaxPlausibleSize || m > kMaxPlausibleSize) {
+  if (n > kMaxVertices || m > kMaxArcs) {
     throw ParseError(line_no, "implausibly large problem size in header");
   }
 }
@@ -238,6 +234,7 @@ graph::Graph read_edge_list(std::istream& in) {
     if (!ss || u < 0 || v < 0 || u >= n || v >= n) {
       throw ParseError(reader.line_no(), "bad edge line");
     }
+    if (u == v) throw ParseError(reader.line_no(), "self-loops not allowed");
     if (!(ss >> w)) {
       ss.clear();
       w = 1.0;

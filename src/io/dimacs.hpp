@@ -57,6 +57,14 @@ class ParseError : public std::runtime_error {
   long long offset_ = -1;
 };
 
+/// Size caps shared by every reader of untrusted graph input (the three
+/// readers below, the serve daemon's graph.load) and by the CLI's
+/// generators, so the CLI never writes a file it refuses to read.  A header
+/// past them is virtually certainly corrupt, and letting it through would
+/// turn one flipped byte into a gigabyte allocation.
+inline constexpr std::int64_t kMaxVertices = 1'000'000;
+inline constexpr std::int64_t kMaxArcs = 50'000'000;
+
 MaxFlowProblem read_dimacs_max_flow(std::istream& in);
 void write_dimacs_max_flow(std::ostream& out, const MaxFlowProblem& p);
 

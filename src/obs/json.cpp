@@ -171,7 +171,7 @@ class Parser {
   }
 
  private:
-  [[noreturn]] void fail(const char* why) const {
+  [[noreturn]] void fail(const std::string& why) const {
     throw std::invalid_argument(std::string("json parse error at offset ") +
                                 std::to_string(pos_) + ": " + why);
   }
@@ -245,6 +245,9 @@ class Parser {
     return s;
   }
 
+  /// One number token, parsed by a single std::from_chars call that must
+  /// consume all of it and stay in range: an integer when it has no
+  /// fraction or exponent and fits an int64, else a double.
   Value parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
@@ -263,60 +266,78 @@ class Parser {
         ++pos_;
       }
     }
-    const std::string_view tok = text_.substr(start, pos_ - start);
-    if (tok.empty() || tok == "-") fail("bad number");
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
     if (!is_double) {
       std::int64_t i = 0;
-      const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), i);
-      if (ec == std::errc() && p == tok.data() + tok.size()) return Value(i);
+      const auto [p, ec] = std::from_chars(first, last, i);
+      if (ec == std::errc() && p == last) return Value(i);
     }
-    return Value(std::stod(std::string(tok)));
+    double d = 0;
+    const auto [p, ec] = std::from_chars(first, last, d);
+    if (ec != std::errc() || p != last) {
+      pos_ = start;
+      fail("bad number");
+    }
+    return Value(d);
+  }
+
+  Value parse_object() {
+    ++pos_;
+    Object obj;
+    skip_ws();
+    if (peek() == '}') {
+      ++pos_;
+      return Value(std::move(obj));
+    }
+    while (true) {
+      skip_ws();
+      std::string key = parse_string();
+      skip_ws();
+      expect(':');
+      obj.emplace(std::move(key), parse_value());
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect('}');
+      return Value(std::move(obj));
+    }
+  }
+
+  Value parse_array() {
+    ++pos_;
+    Array arr;
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return Value(std::move(arr));
+    }
+    while (true) {
+      arr.push_back(parse_value());
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect(']');
+      return Value(std::move(arr));
+    }
   }
 
   Value parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') {
-      ++pos_;
-      Object obj;
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return Value(std::move(obj));
+    if (c == '{' || c == '[') {
+      // Each level is one recursion; bound it before it exhausts the stack.
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
       }
-      while (true) {
-        skip_ws();
-        std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        obj.emplace(std::move(key), parse_value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return Value(std::move(obj));
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      Array arr;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return Value(std::move(arr));
-      }
-      while (true) {
-        arr.push_back(parse_value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return Value(std::move(arr));
-      }
+      ++depth_;
+      Value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
     }
     if (c == '"') return Value(parse_string());
     if (consume_literal("true")) return Value(true);
@@ -325,8 +346,13 @@ class Parser {
     return parse_number();
   }
 
+  /// Deepest array/object nesting accepted: far above the deepest document
+  /// the repo writes (a CLI trace nests 9 levels, a serve request 3).
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

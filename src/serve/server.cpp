@@ -14,6 +14,7 @@
 #include "flow/maxflow_ipm.hpp"
 #include "flow/mincost_ipm.hpp"
 #include "graph/connectivity.hpp"
+#include "io/dimacs.hpp"
 #include "linalg/vector_ops.hpp"
 #include "solver/resistance.hpp"
 
@@ -22,10 +23,6 @@ namespace lapclique::serve {
 namespace json = obs::json;
 
 namespace {
-
-/// Registry sanity cap: a request must not allocate per-vertex state for an
-/// absurd n before any edge data backs it up.
-constexpr std::int64_t kMaxVertices = 1000000;
 
 int checked_vertex(std::int64_t v, int n, const char* what) {
   if (v < 0 || v >= n) {
@@ -418,9 +415,11 @@ std::string Server::handle_graph_load(const json::Value& req,
     }
     n = *explicit_n;
   }
-  if (n < 1 || n > kMaxVertices) {
+  // The input-size cap every graph reader shares: a request must not
+  // allocate per-vertex state for an absurd n before edge data backs it up.
+  if (n < 1 || n > io::kMaxVertices) {
     throw RequestError("bad_request", "vertex count must be in [1, " +
-                                          std::to_string(kMaxVertices) + "]");
+                                          std::to_string(io::kMaxVertices) + "]");
   }
 
   // Build the whole slot before touching the registry: a failed load leaves

@@ -118,6 +118,49 @@ TEST(FaultSpecGrammar, RejectsMalformedSpecs) {
   }
 }
 
+TEST(FaultSpecGrammar, IntegerClausesCheckTheirFieldRange) {
+  // Each integer clause is checked against the field it fills: an int for
+  // retries and crash nodes, an int64 for the rest.  Nothing wraps.
+  const char* const out_of_range[] = {
+      "retries=4294967295",             // would wrap to -1
+      "retries=2147483648",             // one past INT_MAX
+      "crash=4294967297@0",             // would wrap to node 1
+      "crash=0@99999999999999999999",   // past int64
+      "preempt=99999999999999999999",   // past int64
+      "ipm-nan@-3",                     // negative
+  };
+  for (const char* text : out_of_range) {
+    try {
+      (void)parse_fault_spec(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(parse_fault_spec("retries=2147483647").max_retries, 2147483647);
+  EXPECT_EQ(parse_fault_spec("crash=2147483647@0").crashes.at(0).node, 2147483647);
+}
+
+TEST(FaultSpecGrammar, ToStringKeepsEveryProbability) {
+  // Six significant digits would print 0.9999999 as 1, a spec that does
+  // not parse; the text keeps the digits the value needs.
+  for (const char* text : {"drop=0.9999999", "drop=0.5,corrupt=0.4999999",
+                           "dup=0.123456789", "sock-slow=0.30000000000000004"}) {
+    const FaultSpec once = parse_fault_spec(text);
+    const std::string printed = to_string(once);
+    const FaultSpec twice = parse_fault_spec(printed);
+    EXPECT_EQ(to_string(twice), printed) << text;
+    EXPECT_EQ(once.drop, twice.drop) << printed;
+    EXPECT_EQ(once.corrupt, twice.corrupt) << printed;
+    EXPECT_EQ(once.duplicate, twice.duplicate) << printed;
+    EXPECT_EQ(once.sock_slow, twice.sock_slow) << printed;
+  }
+  // Six digits that read back exactly print as before.
+  EXPECT_EQ(to_string(parse_fault_spec("drop=0.05,corrupt=0.005")),
+            "drop=0.05,corrupt=0.005");
+}
+
 // --- transport recovery on a raw network ---------------------------------
 
 TEST(FaultRecovery, DrillOnlySpecAddsNoRounds) {

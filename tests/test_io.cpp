@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "flow/dinic.hpp"
 #include "graph/generators.hpp"
@@ -211,6 +212,42 @@ TEST(EdgeList, RejectsImplausiblyLargeHeader) {
 TEST(EdgeList, RejectsNegativeHeader) {
   std::istringstream in("-3 1\n0 1\n");
   EXPECT_THROW((void)read_edge_list(in), ParseError);
+}
+
+TEST(EdgeList, SelfLoopIsALocatedParseError) {
+  // The Graph refuses self-loops too, but unlocated; the reader names the line.
+  std::istringstream in("3 2\n0 1\n2 2\n");
+  try {
+    (void)read_edge_list(in);
+    FAIL() << "a self-loop was read";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 3) << e.what();
+  }
+}
+
+TEST(InputCaps, EveryReaderRefusesAHeaderPastTheSharedVertexCap) {
+  // A 29-byte max-flow file once allocated adjacency for ten million
+  // vertices.  All three readers stop one vertex past the cap that serve's
+  // graph.load and the CLI's generators use too.
+  const std::string past = std::to_string(kMaxVertices + 1);
+  const auto expect_refused = [](const auto& read, const std::string& doc) {
+    std::istringstream in(doc);
+    try {
+      (void)read(in);
+      ADD_FAILURE() << "read past the cap: " << doc;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 1) << e.what();
+      EXPECT_NE(std::string(e.what()).find("implausibly large"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused([](std::istream& in) { return read_dimacs_max_flow(in); },
+                 "p max " + past + " 0\nn 1 s\nn 2 t\n");
+  expect_refused([](std::istream& in) { return read_dimacs_min_cost(in); },
+                 "p min " + past + " 0\n");
+  expect_refused([](std::istream& in) { return read_edge_list(in); }, past + " 0\n");
+  expect_refused([](std::istream& in) { return read_edge_list(in); },
+                 "2 " + std::to_string(kMaxArcs + 1) + "\n");
 }
 
 TEST(FlowWriter, EmitsValueAndNonzeroArcs) {

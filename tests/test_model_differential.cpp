@@ -237,6 +237,25 @@ TEST(ModelDifferential, ApproxMaxFlow) {
                          });
 }
 
+// Every round approx_max_flow charges is an all-to-all exchange of one word
+// per node (the calibration solve and each MWU iteration, as in the exact
+// IPMs), so its words follow from its rounds in each model.
+TEST(ModelDifferential, ApproxMaxFlowChargesAllToAllWords) {
+  const Graph g = graph::random_connected_gnm(12, 36, 29);
+  const std::int64_t n = g.num_vertices();
+  flow::ApproxMaxFlowOptions opt;
+  opt.eps = 0.2;
+  opt.iteration_scale = 0.3;
+  for (RoutingMode mode : kAllModes) {
+    Runtime rt;
+    rt.routing_mode = mode;
+    const RunInfo run = approx_max_flow(g, 0, 11, opt, rt).run;
+    const std::int64_t per_round = mode == RoutingMode::kBroadcast ? n : n * (n - 1);
+    EXPECT_EQ(run.rounds, 272639) << clique::to_string(mode);
+    EXPECT_EQ(run.words, run.rounds * per_round) << clique::to_string(mode);
+  }
+}
+
 TEST(ModelDifferential, MinimumSpanningForest) {
   const Graph g = graph::with_random_weights(
       graph::random_connected_gnm(64, 256, 30), 32, 31);

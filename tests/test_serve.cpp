@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <random>
@@ -714,6 +715,50 @@ TEST(Serve, TruncationFuzzNeverCrashesOrCorruptsState) {
   }
   // The server still answers the original request byte-identically.
   EXPECT_EQ(server.handle(good), baseline);
+}
+
+/// The `parse` error `body` carries, with its offset.
+std::int64_t parse_error_offset_of(const std::string& body) {
+  const json::Value v = json::parse(body);
+  EXPECT_FALSE(v.at("ok").as_bool()) << body;
+  EXPECT_EQ(v.at("error").at("code").as_string(), "parse") << body;
+  if (!v.at("error").contains("offset")) {
+    ADD_FAILURE() << "parse error without an offset: " << body;
+    return -1;
+  }
+  return v.at("error").at("offset").as_int();
+}
+
+TEST(Serve, DeepNestingIsALocatedParseError) {
+  // 30 KB of '[' recursed once per level, past the stack.  The parser stops
+  // at its nesting limit, on the first '[' past it.
+  Server server;
+  EXPECT_EQ(parse_error_offset_of(server.handle(std::string(30000, '['))), 256);
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"a\":";
+  EXPECT_EQ(parse_error_offset_of(server.handle(objects)), 256 * 5);
+  parse_ok(server.handle("{\"op\":\"health\",\"id\":\"after\"}"));
+}
+
+TEST(Serve, BadNumbersAreLocatedParseErrors) {
+  // Each token is refused at its first byte (offset 20): one out of range,
+  // two with no digits, two with a second fraction or exponent, and one
+  // whose exponent has no digits.
+  Server server;
+  for (const char* number : {"1e999", "-e5", "1.2.3", "1e5e5", "1e", "--1"}) {
+    const std::string line =
+        std::string("{\"op\":\"health\",\"id\":") + number + "}";
+    EXPECT_EQ(parse_error_offset_of(server.handle(line)), 20) << line;
+  }
+  // Valid numbers still parse, to the bits strtod gives them.
+  for (const char* number : {"0.1", "-2.5e-300", "1e308",
+                             "123456789012345678901", "-0.0",
+                             "4.9406564584124654e-324"}) {
+    const json::Value v = json::parse(std::string("[") + number + "]");
+    EXPECT_EQ(bits_of(v.as_array()[0].as_double()),
+              bits_of(std::strtod(number, nullptr)))
+        << number;
+  }
 }
 
 TEST(Serve, ConcurrentSubmissionMatchesSequentialBodies) {

@@ -204,8 +204,9 @@ int cmd_resistance(int argc, char** argv, const Runtime& rt) {
 
 int cmd_gen_maxflow(int argc, char** argv) {
   if (argc < 4) return usage();
-  const int n = static_cast<int>(arg_int("gen-maxflow: n", argv[0], 2, 1000000));
-  const int m = static_cast<int>(arg_int("gen-maxflow: m", argv[1], 0, 100000000));
+  const int n =
+      static_cast<int>(arg_int("gen-maxflow: n", argv[0], 2, io::kMaxVertices));
+  const int m = static_cast<int>(arg_int("gen-maxflow: m", argv[1], 0, io::kMaxArcs));
   const std::int64_t cap =
       arg_int("gen-maxflow: U", argv[2], 1, std::int64_t{1} << 40);
   const auto seed = static_cast<std::uint64_t>(
@@ -220,8 +221,9 @@ int cmd_gen_maxflow(int argc, char** argv) {
 
 int cmd_gen_mincost(int argc, char** argv) {
   if (argc < 4) return usage();
-  const int n = static_cast<int>(arg_int("gen-mincost: n", argv[0], 2, 1000000));
-  const int m = static_cast<int>(arg_int("gen-mincost: m", argv[1], 0, 100000000));
+  const int n =
+      static_cast<int>(arg_int("gen-mincost: n", argv[0], 2, io::kMaxVertices));
+  const int m = static_cast<int>(arg_int("gen-mincost: m", argv[1], 0, io::kMaxArcs));
   const std::int64_t w =
       arg_int("gen-mincost: W", argv[2], 1, std::int64_t{1} << 40);
   const auto seed = static_cast<std::uint64_t>(
