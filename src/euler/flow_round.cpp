@@ -53,12 +53,12 @@ FlowRoundingResult round_flow(const Digraph& g, const Flow& f, int s, int t,
 
   // Algorithm 1, line 1-2: close the circulation with a t->s edge carrying
   // the total flow value (always added; if the value is already integral the
-  // closing edge just never lands in E').
-  double total = 0;
-  for (int a : g.out_arcs(s)) total += f[static_cast<std::size_t>(a)];
-  for (int a : g.in_arcs(s)) total -= f[static_cast<std::size_t>(a)];
-  std::int64_t total_units =
-      static_cast<std::int64_t>(std::round(total * inv_delta));
+  // closing edge just never lands in E').  Summed in units, not from f: a
+  // double sum past 2^53 units can get the parity wrong, and then E' has odd
+  // degrees.
+  std::int64_t total_units = 0;
+  for (int a : g.out_arcs(s)) total_units += units[static_cast<std::size_t>(a)];
+  for (int a : g.in_arcs(s)) total_units -= units[static_cast<std::size_t>(a)];
 
   FlowRoundingResult out;
   std::int64_t step = 1;  // current Delta in units of the base grid

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "flow/dinic.hpp"
@@ -37,16 +36,14 @@ struct DecideResult {
   double routed_fraction = 0;
   std::vector<double> flow;
   int iterations = 0;
-  linalg::FactorStats factor;  ///< of the last solve (topology is fixed)
 };
 
 /// `solver` is the run's one electrical solver: every decide iteration of
-/// every probe solves on g's topology, so only the first solve builds it and
-/// the rest refactor it for their resistances.
+/// every probe solves on g's topology, so only the first solve analyzes it
+/// and the rest refactor it for their resistances.
 DecideResult decide(const Graph& g, int s, int t, double target_f,
                     const ApproxMaxFlowOptions& opt, clique::Network& net,
-                    std::int64_t rounds_per_solve,
-                    std::optional<ElectricalSolver>& solver) {
+                    std::int64_t rounds_per_solve, ElectricalSolver& solver) {
   const auto m = static_cast<std::size_t>(g.num_edges());
   const double md = static_cast<double>(m);
   const double rho = std::sqrt(md / opt.eps);
@@ -66,25 +63,16 @@ DecideResult decide(const Graph& g, int s, int t, double target_f,
   for (int it = 0; it < iters; ++it) {
     double total_w = 0;
     for (double x : w) total_w += x;
-    std::vector<double> r(m);
+    std::vector<ElectricalEdge> ee;
+    ee.reserve(m);
     for (std::size_t i = 0; i < m; ++i) {
       const graph::Edge& e = g.edge(static_cast<int>(i));
-      r[i] = (w[i] + opt.eps * total_w / md) / (e.w * e.w);
+      const double r = (w[i] + opt.eps * total_w / md) / (e.w * e.w);
+      ee.push_back(ElectricalEdge{e.u, e.v, r});
     }
-    if (solver.has_value()) {
-      solver->refactor(r);
-    } else {
-      std::vector<ElectricalEdge> ee;
-      ee.reserve(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        const graph::Edge& e = g.edge(static_cast<int>(i));
-        ee.push_back(ElectricalEdge{e.u, e.v, r[i]});
-      }
-      solver.emplace(g.num_vertices(), std::move(ee));
-    }
-    out.factor = solver->factor_stats();
-    const linalg::Vec phi = solver->potentials(chi);
-    const std::vector<double> f = solver->induced_flow(phi);
+    solver.factor(g.num_vertices(), std::move(ee));
+    const linalg::Vec phi = solver.potentials(chi);
+    const std::vector<double> f = solver.induced_flow(phi);
     net.charge_all_to_all(rounds_per_solve + 1);
     ++out.iterations;
 
@@ -149,15 +137,15 @@ ApproxMaxFlowReport approx_max_flow_undirected(const Graph& g, int s, int t,
     return rep;
   }
   // Establish a feasible starting point at the scale of the answer.
-  std::optional<ElectricalSolver> solver;
+  ElectricalSolver solver;
   while (hi - lo > opt.eps * std::max(hi, 1.0)) {
     const double mid = (lo + hi) / 2.0;
     ++rep.probes;
     DecideResult d = decide(g, s, t, mid, opt, net, rep.rounds_per_solve, solver);
     rep.iterations += d.iterations;
     if (d.iterations > 0) {
-      rep.run.numerics = linalg::to_string(d.factor.chosen);
-      rep.run.factor_fill = d.factor.fill_nnz;
+      rep.run.numerics = linalg::to_string(solver.factor_stats().chosen);
+      rep.run.factor_fill = solver.factor_stats().fill_nnz;
     }
     const double achieved = d.routed_fraction * mid;
     if (achieved > rep.value) {

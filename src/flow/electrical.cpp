@@ -1,5 +1,6 @@
 #include "flow/electrical.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "graph/graph.hpp"
@@ -109,6 +110,22 @@ void ElectricalSolver::refactor(std::span<const double> resistances) {
   for (std::size_t i = 0; i < edges_.size(); ++i) w[i] = conductance(resistances[i]);
   for (std::size_t i = 0; i < edges_.size(); ++i) edges_[i].resistance = resistances[i];
   factor_.refactor(laplacian_values(w));
+}
+
+void ElectricalSolver::factor(int n, std::vector<ElectricalEdge> edges) {
+  const bool same_topology =
+      !slot_ptr_.empty() && n == n_ &&
+      std::equal(edges.begin(), edges.end(), edges_.begin(), edges_.end(),
+                 [](const ElectricalEdge& a, const ElectricalEdge& b) {
+                   return a.u == b.u && a.v == b.v;
+                 });
+  if (!same_topology) {
+    *this = ElectricalSolver(n, std::move(edges));
+    return;
+  }
+  std::vector<double> r(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) r[i] = edges[i].resistance;
+  refactor(r);
 }
 
 linalg::Vec ElectricalSolver::potentials(std::span<const double> chi) const {

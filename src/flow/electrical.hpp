@@ -11,15 +11,16 @@
 // complexity of a Theorem 1.1 solve depends on the topology and eps, not on
 // the resistance values, so the charge is exact, not an estimate.
 //
-// A solver is built once per topology.  The constructor fixes the
+// A solver holds one topology at a time.  Analyzing a topology fixes the
 // Laplacian's pattern, records for each of its entries which edges'
 // conductances sum into it, in the order graph::laplacian's
 // CsrMatrix::from_triplets would sum them, and runs the factor's pattern
 // analysis.  refactor() turns new resistances on the same edges into new
 // Laplacian values and a numeric refactor, bitwise what a fresh solver on
-// those resistances computes.  The IPMs keep one solver while only the
-// resistances change and build a new one when the topology does (max-flow
-// Boosting).
+// those resistances computes.  factor() makes that choice itself: each flow
+// algorithm holds one solver for its whole run and hands it every solve's
+// edges, and the solver refactors while only the resistances change and
+// analyzes anew when the topology does (max-flow Boosting).
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,9 @@ struct ElectricalEdge {
 
 class ElectricalSolver {
  public:
+  /// A solver that holds no topology yet: its first factor() analyzes.
+  ElectricalSolver() = default;
+
   /// Builds the conductance Laplacian for the given resistances and factors
   /// it with the kernel its pattern resolves to.  Throws std::invalid_argument
   /// or std::out_of_range, with graph::Graph's messages, for a negative n,
@@ -51,6 +55,13 @@ class ElectricalSolver {
   /// order) on the same topology.  Rejects r <= 0 and r = +inf with the
   /// constructor's messages before changing anything.
   void refactor(std::span<const double> resistances);
+
+  /// Factors the conductance Laplacian of (n, edges): refactor() when n and
+  /// every edge's endpoints match the held topology, otherwise the
+  /// constructor's analysis of the new one.  Either way the factor is
+  /// bitwise a fresh solver's, so the choice moves cost, never bits; it
+  /// throws what that constructor or refactor() throws.
+  void factor(int n, std::vector<ElectricalEdge> edges);
 
   /// phi with L phi = chi (chi must sum to ~0).  Charges nothing.
   [[nodiscard]] linalg::Vec potentials(std::span<const double> chi) const;
@@ -75,10 +86,12 @@ class ElectricalSolver {
   /// The Laplacian's CSR values for conductances w, one per edge.
   [[nodiscard]] linalg::Vec laplacian_values(std::span<const double> w) const;
 
-  int n_;
+  int n_ = 0;
   std::vector<ElectricalEdge> edges_;
   /// Laplacian slot k sums terms_[slot_ptr_[k] .. slot_ptr_[k+1]) in order;
   /// a term is 2 * edge (diagonal, +w) or 2 * edge + 1 (off-diagonal, -w).
+  /// Empty only before the first analysis (an analysis always ends it with
+  /// the total term count).
   std::vector<int> slot_ptr_;
   std::vector<int> terms_;
   linalg::BackendLaplacianFactor factor_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <queue>
 #include <stdexcept>
 
@@ -92,47 +91,26 @@ double resistance(const TEdge& e) {
 
 double min_residual(const TEdge& e) { return std::min(e.up - e.f, e.um + e.f); }
 
-/// The electrical solves of one run.  Augmentation and Fixing change only
-/// the resistances, so one ElectricalSolver serves every solve on a
-/// topology and is refactored in place; Boosting, the one step that changes
-/// the topology, drops it and the next solve builds the solver for the new
-/// one.  A resumed run starts with none.
+/// The electrical solves of one run, on one ElectricalSolver.  Augmentation
+/// and Fixing change only the resistances, so the solver refactors; after
+/// Boosting, the one step that changes the topology, it analyzes the new
+/// one.  A resumed run's first solve analyzes.
 struct Electrical {
   clique::Network& net;
   std::int64_t rounds_per_solve = 0;
   int& solves;
-  linalg::FactorStats stats;  ///< of the most recent factor
-  std::optional<ElectricalSolver> solver;
+  ElectricalSolver solver;
 
   /// One electrical-flow solve on the current resistances.
   linalg::Vec potentials(const Transformed& tr, std::span<const double> chi) {
-    std::vector<double> r(tr.edges.size());
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = resistance(tr.edges[i]);
-    if (solver.has_value()) {
-      solver->refactor(r);
-    } else {
-      std::vector<ElectricalEdge> ee;
-      ee.reserve(tr.edges.size());
-      for (std::size_t i = 0; i < r.size(); ++i) {
-        ee.push_back(ElectricalEdge{tr.edges[i].u, tr.edges[i].v, r[i]});
-      }
-      solver.emplace(tr.nv, std::move(ee));
-    }
-    stats = solver->factor_stats();
+    std::vector<ElectricalEdge> ee;
+    ee.reserve(tr.edges.size());
+    for (const TEdge& e : tr.edges) ee.push_back(ElectricalEdge{e.u, e.v, resistance(e)});
+    solver.factor(tr.nv, std::move(ee));
     ++solves;
-    return solver->potentials(chi, net, rounds_per_solve);
+    return solver.potentials(chi, net, rounds_per_solve);
   }
 };
-
-std::vector<double> induced_flow(const Transformed& tr, std::span<const double> phi) {
-  std::vector<double> f(tr.edges.size());
-  for (std::size_t i = 0; i < tr.edges.size(); ++i) {
-    const TEdge& e = tr.edges[i];
-    f[i] = (phi[static_cast<std::size_t>(e.v)] - phi[static_cast<std::size_t>(e.u)]) /
-           resistance(e);
-  }
-  return f;
-}
 
 /// Largest step in (0, delta] keeping every edge strictly interior.
 double safe_step(const Transformed& tr, const std::vector<double>& dir, double delta) {
@@ -159,7 +137,7 @@ std::vector<double> augmentation(Transformed& tr, int s, int t, double target_f,
   chi[static_cast<std::size_t>(s)] = -target_f;
   chi[static_cast<std::size_t>(t)] = target_f;
   const linalg::Vec phi = el.potentials(tr, chi);
-  const std::vector<double> ftilde = induced_flow(tr, phi);
+  const std::vector<double> ftilde = el.solver.induced_flow(phi);
 
   const double step = safe_step(tr, ftilde, delta);
   for (std::size_t i = 0; i < tr.edges.size(); ++i) {
@@ -206,7 +184,7 @@ void fixing(Transformed& tr, Electrical& el) {
   }
   for (double& r : residue) r = -r;
   const linalg::Vec phi = el.potentials(tr, residue);
-  const std::vector<double> thetap = induced_flow(tr, phi);
+  const std::vector<double> thetap = el.solver.induced_flow(phi);
   const double step2 = safe_step(tr, thetap, 1.0);
   for (std::size_t i = 0; i < m; ++i) tr.edges[i].f += step2 * thetap[i];
   for (int v = 0; v < tr.nv; ++v) {
@@ -216,11 +194,9 @@ void fixing(Transformed& tr, Electrical& el) {
 }
 
 /// Algorithm 5 (Boosting): replace the most congested edges by paths.  The
-/// new topology needs a new electrical solver.
+/// next electrical solve analyzes the new topology.
 void boosting(Transformed& tr, const std::vector<double>& rho,
-              std::int64_t max_cap, Electrical& el) {
-  clique::Network& net = el.net;
-  el.solver.reset();
+              std::int64_t max_cap, clique::Network& net) {
   const obs::TraceSpan span(net.tracer(), "boosting");
   // rho is the congestion vector of the *last augmentation*; boosting steps
   // in between may have grown the edge list, so only the edges rho covers
@@ -238,8 +214,10 @@ void boosting(Transformed& tr, const std::vector<double>& rho,
     const std::size_t ei = order[static_cast<std::size_t>(picked)];
     TEdge e = tr.edges[ei];
     const double rmin = std::max(min_residual(e), 1e-9);
-    int beta = 2 + static_cast<int>(std::ceil(2.0 * static_cast<double>(max_cap) / rmin));
-    beta = std::min(beta, kBoostBetaCap);
+    // Clamped in double before the cast: 2U / rmin can pass INT_MAX.
+    const int beta = static_cast<int>(
+        std::min(2.0 + std::ceil(2.0 * static_cast<double>(max_cap) / rmin),
+                 static_cast<double>(kBoostBetaCap)));
 
     const double grad = 1.0 / (e.up - e.f) - 1.0 / (e.um + e.f);
     // Path u = v0, v1, ..., v_beta = v.
@@ -523,15 +501,15 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
   }
 
   Transformed& tr = st.tr;
-  Electrical el{net, rep.rounds_per_solve, rep.laplacian_solves, {}, {}};
+  Electrical el{net, rep.rounds_per_solve, rep.laplacian_solves, {}};
   // RunInfo reports the most recent factor.  Boosting changes the topology,
   // and as the transformed graph grows past 512 vertices kAuto moves from
   // the dense to the sparse factor, so this describes the last topology
   // solved on, not every one.
   const auto record_numerics = [&] {
     if (rep.laplacian_solves > 0) {
-      rep.run.numerics = linalg::to_string(el.stats.chosen);
-      rep.run.factor_fill = el.stats.fill_nnz;
+      rep.run.numerics = linalg::to_string(el.solver.factor_stats().chosen);
+      rep.run.factor_fill = el.solver.factor_stats().fill_nnz;
     }
   };
   const double m = static_cast<double>(st.m0);
@@ -614,7 +592,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
       fixing(tr, el);
       ++rep.augmentation_steps;
     } else {
-      boosting(tr, st.rho, max_cap, el);
+      boosting(tr, st.rho, max_cap, net);
       ++st.boosts;
       ++rep.boosting_steps;
     }

@@ -27,12 +27,12 @@
 //
 // Factor reuse: Augmentation and Fixing change only the resistances, and
 // Boosting is the only step that changes the topology.  A run therefore
-// keeps one flow::ElectricalSolver — one pattern analysis — per topology and
-// refactors it numerically for each solve; Boosting drops it and the next
-// solve builds the solver for the boosted graph.  A refactor is bitwise a
+// hands every solve to one flow::ElectricalSolver, which refactors its
+// pattern analysis numerically while the topology holds and analyzes the
+// boosted graph at the first solve after Boosting.  A refactor is bitwise a
 // fresh factor, so iteration counts, Boosting choices and rounds do not
-// depend on the reuse, and a resumed run simply builds its solver at its
-// first solve (checkpoints carry no factor state).
+// depend on the reuse, and a resumed run simply analyzes at its first solve
+// (checkpoints carry no factor state).
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 
 #include "euler/flow_round.hpp"
@@ -360,35 +359,27 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
   const std::int64_t words_before = st.words_before;
   // One electrical solver per run: the bipartite topology plus the v0 star
   // never changes, so every solve after the first refactors it for the new
-  // resistances.  A resumed run builds it at its first solve.
+  // resistances.  A resumed run analyzes at its first solve.
   //
   // A slack that overflows pushes a resistance to +inf, whose conductance 0
   // the solver rejects.  Such a step has diverged as surely as a non-finite
   // iterate, so `factor` returns the reason to degrade instead of factoring.
-  std::optional<ElectricalSolver> solver;
+  ElectricalSolver solver;
   const auto factor = [&](BipartiteElectrical be) -> const char* {
     for (const ElectricalEdge& e : be.edges) {
       if (!(e.resistance > 0) || !(1.0 / e.resistance > 0)) {
         return "non-positive or infinite electrical resistance";
       }
     }
-    if (solver.has_value()) {
-      std::vector<double> r(be.edges.size());
-      for (std::size_t i = 0; i < r.size(); ++i) r[i] = be.edges[i].resistance;
-      solver->refactor(r);
-    } else {
-      solver.emplace(be.nv, std::move(be.edges));
-    }
+    solver.factor(be.nv, std::move(be.edges));
     return nullptr;
   };
-  // Stats of the most recent Laplacian factorization; every Progress step
-  // factors the same bipartite topology, so "last" is also "all" for the
-  // backend choice.
-  linalg::FactorStats fstats;
+  // Every Progress step factors the same bipartite topology, so the most
+  // recent factor's backend choice is also every factor's.
   const auto record_numerics = [&] {
     if (rep.laplacian_solves > 0) {
-      rep.run.numerics = linalg::to_string(fstats.chosen);
-      rep.run.factor_fill = fstats.fill_nnz;
+      rep.run.numerics = linalg::to_string(solver.factor_stats().chosen);
+      rep.run.factor_fill = solver.factor_stats().fill_nnz;
     }
   };
   // Guard rail: a diverging electrical-flow step leaves NaN/inf in the
@@ -516,16 +507,10 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                      1e-18);
       }
       if (const char* reason = factor(make_electrical(lf, r))) return degrade(reason);
-      fstats = solver->factor_stats();
       ++rep.laplacian_solves;
-      const linalg::Vec phi = solver->potentials(chi, net, rep.rounds_per_solve);
-      std::vector<double> ftilde(static_cast<std::size_t>(me));
-      for (int e = 0; e < me; ++e) {
-        ftilde[static_cast<std::size_t>(e)] =
-            (phi[static_cast<std::size_t>(lf.q_of_edge(e))] -
-             phi[static_cast<std::size_t>(lf.p_of_edge(e))]) /
-            r[static_cast<std::size_t>(e)];
-      }
+      const linalg::Vec phi = solver.potentials(chi, net, rep.rounds_per_solve);
+      // Bipartite edges come first, so entry e < me is edge e's flow.
+      const std::vector<double> ftilde = solver.induced_flow(phi);
       for (int e = 0; e < me; ++e) {
         rho[static_cast<std::size_t>(e)] =
             std::abs(ftilde[static_cast<std::size_t>(e)]) /
@@ -576,11 +561,10 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
       }
       if (const char* reason = factor(make_electrical(lf, r2))) return degrade(reason);
       ++rep.laplacian_solves;
-      const linalg::Vec phi2 = solver->potentials(chi2, net, rep.rounds_per_solve);
+      const linalg::Vec phi2 = solver.potentials(chi2, net, rep.rounds_per_solve);
+      const std::vector<double> ftilde2 = solver.induced_flow(phi2);
       for (int e = 0; e < me; ++e) {
-        const double ft2 = (phi2[static_cast<std::size_t>(lf.q_of_edge(e))] -
-                            phi2[static_cast<std::size_t>(lf.p_of_edge(e))]) /
-                           r2[static_cast<std::size_t>(e)];
+        const double ft2 = ftilde2[static_cast<std::size_t>(e)];
         double fnew = fsharp[static_cast<std::size_t>(e)] + ft2;
         // Stay strictly inside (0,1) x (partner) — the IPM's interior.
         fnew = std::clamp(fnew, 1e-9, 1.0 - 1e-9);

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "graph/rng.hpp"
 
@@ -279,6 +280,12 @@ Graph doubled(const Graph& g) {
 
 Digraph random_flow_network(int n, int m, std::int64_t max_cap, std::uint64_t seed) {
   if (n < 2) throw std::invalid_argument("random_flow_network: n >= 2");
+  // Every ordered pair but self-loops, arcs into s and arcs out of t.
+  const std::int64_t pairs = std::int64_t{n} * n - 3 * std::int64_t{n} + 3;
+  if (m > pairs) {
+    throw std::invalid_argument(
+        "random_flow_network: m must be at most n^2 - 3n + 3 = " + std::to_string(pairs));
+  }
   SplitMix64 rng(seed);
   Digraph g(n);
   std::set<std::pair<int, int>> used;
@@ -343,6 +350,11 @@ Digraph layered_flow_network(int layers, int width, std::int64_t max_cap,
 Digraph random_unit_cost_digraph(int n, int m, std::int64_t max_cost,
                                  std::uint64_t seed) {
   if (n < 2) throw std::invalid_argument("random_unit_cost_digraph: n >= 2");
+  const std::int64_t pairs = std::int64_t{n} * (n - 1);
+  if (m > pairs) {
+    throw std::invalid_argument(
+        "random_unit_cost_digraph: m must be at most n(n - 1) = " + std::to_string(pairs));
+  }
   SplitMix64 rng(seed);
   Digraph g(n);
   std::set<std::pair<int, int>> used;

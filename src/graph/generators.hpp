@@ -61,12 +61,15 @@ Graph doubled(const Graph& g);
 
 // --- directed flow instances ---------------------------------------------
 /// Random digraph with capacities in {1..max_cap}; guarantees at least one
-/// s-t path (s=0, t=n-1) by embedding a random chain.
+/// s-t path (s=0, t=n-1) by embedding a random chain.  Throws
+/// std::invalid_argument for m > n^2 - 3n + 3, the distinct arcs n vertices
+/// hold with none into s or out of t.
 Digraph random_flow_network(int n, int m, std::int64_t max_cap, std::uint64_t seed);
 /// Layered DAG flow network, the structured max-flow workload.
 Digraph layered_flow_network(int layers, int width, std::int64_t max_cap,
                              std::uint64_t seed);
-/// Unit-capacity digraph with costs in {1..max_cost}.
+/// Unit-capacity digraph with costs in {1..max_cost}.  Throws
+/// std::invalid_argument for m > n(n - 1), the distinct arcs n vertices hold.
 Digraph random_unit_cost_digraph(int n, int m, std::int64_t max_cost,
                                  std::uint64_t seed);
 

@@ -37,6 +37,12 @@ void check_plausible(int line_no, std::int64_t n, std::int64_t m) {
   }
 }
 
+void check_arc_value(int line_no, const char* what, std::int64_t v) {
+  if (v < -kMaxArcValue || v > kMaxArcValue) {
+    throw ParseError(line_no, std::string(what) + " past the 2^37 bound");
+  }
+}
+
 }  // namespace
 
 MaxFlowProblem read_dimacs_max_flow(std::istream& in) {
@@ -94,6 +100,7 @@ MaxFlowProblem read_dimacs_max_flow(std::istream& in) {
         if (!ss || u < 1 || v < 1 || u > n || v > n || cap < 0) {
           throw ParseError(reader.line_no(), "bad arc descriptor");
         }
+        check_arc_value(reader.line_no(), "arc capacity", cap);
         if (u != v) p.g.add_arc(u - 1, v - 1, cap);
         ++arcs_seen;
         break;
@@ -181,6 +188,8 @@ MinCostProblem read_dimacs_min_cost(std::istream& in) {
         if (low != 0) {
           throw ParseError(reader.line_no(), "lower bounds not supported");
         }
+        check_arc_value(reader.line_no(), "arc capacity", cap);
+        check_arc_value(reader.line_no(), "arc cost", cost);
         if (u != v) p.g.add_arc(u - 1, v - 1, cap, cost);
         ++arcs_seen;
         break;
@@ -245,6 +254,9 @@ graph::Graph read_edge_list(std::istream& in) {
     }
     if (!(w > 0) || !std::isfinite(w)) {
       throw ParseError(reader.line_no(), "weight must be positive and finite");
+    }
+    if (w < kMinEdgeWeight || w > kMaxEdgeWeight) {
+      throw ParseError(reader.line_no(), "weight outside [2^-20, 2^20]");
     }
     g.add_edge(u, v, w);
   }

@@ -13,7 +13,9 @@
 // sigma(v), so sigma = -supply).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -64,6 +66,20 @@ class ParseError : public std::runtime_error {
 /// turn one flipped byte into a gigabyte allocation.
 inline constexpr std::int64_t kMaxVertices = 1'000'000;
 inline constexpr std::int64_t kMaxArcs = 50'000'000;
+
+/// Value bounds shared by the same readers (and, for arcs, the generators).
+/// An arc's capacity and |cost| are at most kMaxArcValue = 2^37, the largest
+/// power of two whose kMaxArcs-fold sum stays below 2^63: the IPMs total
+/// capacities and costs in int64 (2U for the max-flow preconditioning
+/// edges, the sum of |cost| for the min-cost lift).  An undirected edge
+/// weight lies in [kMinEdgeWeight, kMaxEdgeWeight] = [2^-20, 2^20]: weights
+/// 2^53 apart on one small graph already collapse a pivot of the dense
+/// factor.  A value past a bound is a line-located ParseError, or a serve
+/// bad_request.
+inline constexpr std::int64_t kMaxArcValue = std::int64_t{1} << 37;
+static_assert(kMaxArcs <= std::numeric_limits<std::int64_t>::max() / kMaxArcValue);
+inline constexpr double kMinEdgeWeight = 0x1p-20;
+inline constexpr double kMaxEdgeWeight = 0x1p20;
 
 MaxFlowProblem read_dimacs_max_flow(std::istream& in);
 void write_dimacs_max_flow(std::ostream& out, const MaxFlowProblem& p);

@@ -38,44 +38,7 @@ CsrMatrix CsrMatrix::from_triplets(int n, std::span<const Triplet> triplets) {
     }
   }
   m.rowptr_[static_cast<std::size_t>(n)] = static_cast<int>(m.colidx_.size());
-  m.build_sell();
   return m;
-}
-
-void CsrMatrix::build_sell() {
-  constexpr int C = kSellSlice;
-  const std::int64_t slices = (static_cast<std::int64_t>(n_) + C - 1) / C;
-  sell_ptr_.assign(static_cast<std::size_t>(slices) + 1, 0);
-  for (std::int64_t s = 0; s < slices; ++s) {
-    int width = 0;
-    const int r0 = static_cast<int>(s) * C;
-    const int r1 = std::min(n_, r0 + C);
-    for (int r = r0; r < r1; ++r) {
-      width = std::max(width, rowptr_[static_cast<std::size_t>(r) + 1] -
-                                  rowptr_[static_cast<std::size_t>(r)]);
-    }
-    sell_ptr_[static_cast<std::size_t>(s) + 1] =
-        sell_ptr_[static_cast<std::size_t>(s)] + static_cast<std::int64_t>(width) * C;
-  }
-  const auto total = static_cast<std::size_t>(sell_ptr_[static_cast<std::size_t>(slices)]);
-  sell_cols_.assign(total, 0);
-  sell_vals_.assign(total, 0.0);
-  for (std::int64_t s = 0; s < slices; ++s) {
-    const int r0 = static_cast<int>(s) * C;
-    const int r1 = std::min(n_, r0 + C);
-    const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
-    for (int r = r0; r < r1; ++r) {
-      const int lane = r - r0;
-      const int kb = rowptr_[static_cast<std::size_t>(r)];
-      const int ke = rowptr_[static_cast<std::size_t>(r) + 1];
-      for (int k = kb; k < ke; ++k) {
-        const auto slot =
-            static_cast<std::size_t>(base + static_cast<std::int64_t>(k - kb) * C + lane);
-        sell_cols_[slot] = colidx_[static_cast<std::size_t>(k)];
-        sell_vals_[slot] = vals_[static_cast<std::size_t>(k)];
-      }
-    }
-  }
 }
 
 Vec CsrMatrix::multiply(std::span<const double> x) const {
@@ -88,34 +51,15 @@ void CsrMatrix::multiply_into(std::span<const double> x, std::span<double> y) co
   if (static_cast<int>(x.size()) != n_ || static_cast<int>(y.size()) != n_) {
     throw std::invalid_argument("CsrMatrix::multiply: size mismatch");
   }
-  // SELL kernel: lanes of a slice advance in lockstep over entry index j;
-  // lane l's accumulator sees row (slice*C+l)'s entries in ascending column
-  // order — the exact per-row sequence of the scalar CSR loop.  Short lanes
-  // are guarded by len[l]; padded slots never reach the arithmetic.
-  constexpr int C = kSellSlice;
-  const std::int64_t slices = (static_cast<std::int64_t>(n_) + C - 1) / C;
-  for (std::int64_t s = 0; s < slices; ++s) {
-    const int r0 = static_cast<int>(s) * C;
-    const int lanes = std::min(C, n_ - r0);
-    const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
-    const std::int64_t width = (sell_ptr_[static_cast<std::size_t>(s) + 1] - base) / C;
-    double acc[C] = {};
-    int len[C] = {};
-    for (int l = 0; l < lanes; ++l) {
-      len[l] = rowptr_[static_cast<std::size_t>(r0 + l) + 1] -
-               rowptr_[static_cast<std::size_t>(r0 + l)];
+  const int* rp = rowptr_.data();
+  const int* ci = colidx_.data();
+  const double* v = vals_.data();
+  for (int r = 0; r < n_; ++r) {
+    double s = 0.0;
+    for (int k = rp[r]; k < rp[r + 1]; ++k) {
+      s += v[k] * x[static_cast<std::size_t>(ci[k])];
     }
-    for (std::int64_t j = 0; j < width; ++j) {
-      const auto slot = static_cast<std::size_t>(base + j * C);
-      for (int l = 0; l < lanes; ++l) {
-        if (j < len[l]) {
-          acc[l] += sell_vals_[slot + static_cast<std::size_t>(l)] *
-                    x[static_cast<std::size_t>(
-                        sell_cols_[slot + static_cast<std::size_t>(l)])];
-        }
-      }
-    }
-    for (int l = 0; l < lanes; ++l) y[static_cast<std::size_t>(r0 + l)] = acc[l];
+    y[static_cast<std::size_t>(r)] = s;
   }
 }
 
@@ -130,39 +74,19 @@ void CsrMatrix::multiply_block_axpy_into(double coef, std::span<const Vec> x,
       throw std::invalid_argument("CsrMatrix::multiply_block_axpy: size mismatch");
     }
   }
-  if (k == 0) return;
-  // multiply_into's SELL walk, once per column: a slice's entries stay in
-  // cache across its k column passes, and lane l's accumulator sees row
-  // (slice*C+l)'s entries in ascending column order, exactly as
-  // multiply_into does.  The row product s lands as y[c][r] += coef*s, the
-  // same multiply-add a separate axpy pass performs on a stored A x[c] — so
+  // multiply_into's row walk, with a row's entries serving every column
+  // while in cache.  The row product s lands as y[c][r] += coef*s, the same
+  // multiply-add a separate axpy pass performs on a stored A x[c] — so
   // column c is bitwise `axpy(coef, multiply(x[c]), y[c])`.
-  constexpr int C = kSellSlice;
-  const std::int64_t slices = (static_cast<std::int64_t>(n_) + C - 1) / C;
-  for (std::int64_t s = 0; s < slices; ++s) {
-    const int r0 = static_cast<int>(s) * C;
-    const int lanes = std::min(C, n_ - r0);
-    const std::int64_t base = sell_ptr_[static_cast<std::size_t>(s)];
-    const std::int64_t width = (sell_ptr_[static_cast<std::size_t>(s) + 1] - base) / C;
-    int len[C] = {};
-    for (int l = 0; l < lanes; ++l) {
-      len[l] = rowptr_[static_cast<std::size_t>(r0 + l) + 1] -
-               rowptr_[static_cast<std::size_t>(r0 + l)];
-    }
+  const int* rp = rowptr_.data();
+  const int* ci = colidx_.data();
+  const double* v = vals_.data();
+  for (int r = 0; r < n_; ++r) {
     for (std::size_t c = 0; c < k; ++c) {
       const double* xc = x[c].data();
-      double acc[C] = {};
-      for (std::int64_t j = 0; j < width; ++j) {
-        const auto slot = static_cast<std::size_t>(base + j * C);
-        for (int l = 0; l < lanes; ++l) {
-          if (j < len[l]) {
-            acc[l] += sell_vals_[slot + static_cast<std::size_t>(l)] *
-                      xc[sell_cols_[slot + static_cast<std::size_t>(l)]];
-          }
-        }
-      }
-      double* yc = y[c].data();
-      for (int l = 0; l < lanes; ++l) yc[r0 + l] += coef * acc[l];
+      double s = 0.0;
+      for (int e = rp[r]; e < rp[r + 1]; ++e) s += v[e] * xc[ci[e]];
+      y[c][static_cast<std::size_t>(r)] += coef * s;
     }
   }
 }
@@ -227,9 +151,6 @@ CsrMatrix CsrMatrix::plus(const CsrMatrix& other) const {
 CsrMatrix CsrMatrix::scaled(double alpha) const {
   CsrMatrix m = *this;
   for (double& v : m.vals_) v *= alpha;
-  // The sliced layout mirrors vals_ — scale it in place rather than
-  // rebuilding (padding slots stay 0*alpha = ±0, never read anyway).
-  for (double& v : m.sell_vals_) v *= alpha;
   return m;
 }
 

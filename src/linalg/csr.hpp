@@ -1,14 +1,7 @@
 // Compressed sparse row matrix (square, real), the workhorse format for
-// Laplacians.  Built from triplets; duplicate entries are summed.
-//
-// Alongside the classic rowptr/colidx/vals arrays the matrix carries a
-// SELL-like sliced layout (rows grouped in slices of kSellSlice, entries
-// transposed within the slice so lane l, entry j sits at slice_base + j*C + l)
-// that the matvec kernels stream for SIMD-friendly access.  Bit-identity with
-// the scalar CSR kernels is preserved by construction: each row's entries are
-// visited in the same ascending-column order, and short lanes are guarded by
-// per-lane lengths — padding slots exist in storage but never enter the
-// arithmetic (adding a padded +0.0 would flip a -0.0 accumulator).
+// Laplacians.  Built from triplets; duplicate entries are summed.  Both
+// matvec kernels walk the rows in order, and each row's sum starts at 0.0
+// and adds its entries in ascending column order.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +39,7 @@ class CsrMatrix {
   void multiply_into(std::span<const double> x, std::span<double> y) const;
 
   /// Multi-RHS fused matvec-accumulate: y[c] += coef * (A x[c]) for every
-  /// column, one walk over the matrix whose slices serve every column while
+  /// column, one walk over the matrix whose rows serve every column while
   /// in cache — the epilogue of the fused Chebyshev triad
   /// (linalg/chebyshev).  Per row the product accumulates in the same entry
   /// order as multiply(), then lands as a single y[c][r] += coef*s, so
@@ -73,25 +66,11 @@ class CsrMatrix {
   /// alpha * A
   [[nodiscard]] CsrMatrix scaled(double alpha) const;
 
-  /// Rows per SELL slice.  A pure constant: slice boundaries are part of the
-  /// storage layout, never a tuning knob that could vary between runs.
-  static constexpr int kSellSlice = 8;
-
  private:
-  /// (Re)derives the sliced layout from rowptr_/colidx_/vals_.
-  void build_sell();
-
   int n_ = 0;
   std::vector<int> rowptr_;
   std::vector<int> colidx_;
   std::vector<double> vals_;
-  // SELL-like sliced storage: slice s covers rows [s*C, s*C+C) and owns
-  // sell_ptr_[s+1]-sell_ptr_[s] = width*C slots; row r's j-th entry lives at
-  // sell_ptr_[s] + j*C + (r - s*C).  Short rows leave trailing slots as
-  // (col=0, val=0) padding that the kernels never read.
-  std::vector<std::int64_t> sell_ptr_;
-  std::vector<int> sell_cols_;
-  std::vector<double> sell_vals_;
 };
 
 }  // namespace lapclique::linalg

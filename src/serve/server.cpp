@@ -453,6 +453,12 @@ std::string Server::handle_graph_load(const json::Value& req,
         cost = row[3].as_int();
       }
       if (cap < 0) throw RequestError("bad_request", "arc capacity must be >= 0");
+      // The readers' bound (io::kMaxArcValue), so a flow op never overflows.
+      if (cap > io::kMaxArcValue || cost < -io::kMaxArcValue ||
+          cost > io::kMaxArcValue) {
+        throw RequestError("bad_request",
+                           "arc capacity and |cost| must be at most 2^37");
+      }
       slot->dg.add_arc(from, to, cap, cost);
     }
     slot->hash = ckpt::graph_hash(slot->dg);
@@ -479,6 +485,11 @@ std::string Server::handle_graph_load(const json::Value& req,
       }
       if (!(w > 0) || !std::isfinite(w)) {
         throw RequestError("bad_request", "edge weights must be finite and > 0");
+      }
+      // The readers' range (io::kMinEdgeWeight..kMaxEdgeWeight), so a solve
+      // never meets a collapsed pivot.
+      if (w < io::kMinEdgeWeight || w > io::kMaxEdgeWeight) {
+        throw RequestError("bad_request", "edge weights must be in [2^-20, 2^20]");
       }
       slot->g.add_edge(u, v, w);
     }

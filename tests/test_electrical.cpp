@@ -162,6 +162,34 @@ TEST(Electrical, RefactorIsBitwiseAFreshSolver) {
   }
 }
 
+TEST(Electrical, FactorIsBitwiseAFreshSolverWhetherItRefactorsOrAnalyzes) {
+  // factor() refactors when the topology holds and analyzes when it moves;
+  // either way its potentials are a fresh solver's, bit for bit.
+  ElectricalSolver solver;
+  const auto expect_fresh = [&solver](int n, const std::vector<ElectricalEdge>& edges,
+                                      const char* step) {
+    const ElectricalSolver fresh(n, edges);
+    EXPECT_EQ(solver.size(), n) << step;
+    EXPECT_EQ(solver.factor_stats().fill_nnz, fresh.factor_stats().fill_nnz) << step;
+    const auto chi = pair_demand(n, 0, n - 1);
+    const auto phi = solver.potentials(chi);
+    EXPECT_TRUE(same_bits(phi, fresh.potentials(chi))) << step;
+    EXPECT_TRUE(same_bits(solver.induced_flow(phi), fresh.induced_flow(phi))) << step;
+  };
+  solver.factor(12, parallel_edges(1));
+  expect_fresh(12, parallel_edges(1), "first analysis");
+  solver.factor(12, parallel_edges(2));
+  expect_fresh(12, parallel_edges(2), "same topology");
+  std::vector<ElectricalEdge> moved = parallel_edges(3);
+  moved.back().u = 4;  // 9-5 becomes 4-5: same n and edge count
+  solver.factor(12, moved);
+  expect_fresh(12, moved, "one endpoint moved");
+  std::vector<ElectricalEdge> grown = parallel_edges(4);
+  grown.push_back({11, 12, 2.0});
+  solver.factor(13, grown);
+  expect_fresh(13, grown, "one vertex added");
+}
+
 TEST(Electrical, RefactorRejectsWhatTheConstructorRejects) {
   const auto message = [](auto&& build) -> std::string {
     try {

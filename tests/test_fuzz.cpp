@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
@@ -193,15 +194,37 @@ TEST(ServeFuzz, EveryLineGetsOneResponseAndStateSurvives) {
   const std::string baseline = server.handle(probe);
   ASSERT_TRUE(json::parse(baseline).at("ok").as_bool()) << baseline;
 
-  const std::vector<std::string> seeds = {
-      R"({"op":"health","id":"h"})",
-      R"({"op":"graph.load","id":"l","name":"fuzz",)"
-      R"("edges":[[0,1,2.5],[1,2],[2,3,0.5],[3,0],[0,2,1]]})",
-      R"({"op":"solve","id":"s","graph":"fuzz","eps":1e-6,"b":[1,-1,0.5,-0.5]})",
-      R"({"op":"resistance_batch","id":7,"graph":"fuzz","eps":0.0001,)"
-      R"("pairs":[[0,2],[1,3]]})"};
+  // Each seed request, paired for a graph.load with the request that uses
+  // the graph: every mutated load that succeeds is followed by that use.
+  // Every failure must be the client's: a value the ops cannot compute with
+  // is refused at load, never met by a later op as an internal error.
+  const std::string fuzz_solve =
+      R"({"op":"solve","id":"s","graph":"fuzz","eps":1e-6,"b":[1,-1,0.5,-0.5]})";
+  const std::string net_flow =
+      R"({"op":"flow.max","id":"m","graph":"net","s":0,"t":3,)"
+      R"("iteration_scale":0.01,"max_iterations":4})";
+  const std::vector<std::pair<std::string, std::string>> seeds = {
+      {R"({"op":"health","id":"h"})", ""},
+      {R"({"op":"graph.load","id":"l","name":"fuzz",)"
+       R"("edges":[[0,1,2.5],[1,2],[2,3,0.5],[3,0],[0,2,1]]})",
+       fuzz_solve},
+      {fuzz_solve, ""},
+      {R"({"op":"resistance_batch","id":7,"graph":"fuzz","eps":0.0001,)"
+       R"("pairs":[[0,2],[1,3]]})",
+       ""},
+      {R"({"op":"graph.load","id":"a","name":"net",)"
+       R"("arcs":[[0,1,3],[0,2,2,1],[1,3,2],[2,3,3],[1,2,1]]})",
+       net_flow},
+      {net_flow, ""}};
+  const auto expect_not_internal = [](const json::Value& v, const std::string& body,
+                                      const std::string& line) {
+    if (!v.at("ok").as_bool()) {
+      EXPECT_NE(v.at("error").at("code").as_string(), "internal")
+          << body << "\nfor: " << line.substr(0, 400);
+    }
+  };
   graph::SplitMix64 rng(base_seed());
-  for (const std::string& seed : seeds) {
+  for (const auto& [seed, use] : seeds) {
     for (int i = 0; i < kMutations; ++i) {
       const std::string line =
           mutate(seed, rng, rng.next_below(2) == 0 ? "[" : "{\"a\":");
@@ -225,10 +248,15 @@ TEST(ServeFuzz, EveryLineGetsOneResponseAndStateSurvives) {
       ASSERT_EQ(body.find('\n'), std::string::npos) << body;
       const json::Value v = json::parse(body);
       ASSERT_EQ(v.kind(), json::Value::Kind::kObject) << body;
+      expect_not_internal(v, body, line);
       if (!parses) {
         ASSERT_FALSE(v.at("ok").as_bool()) << body;
         EXPECT_EQ(v.at("error").at("code").as_string(), "parse") << body;
         EXPECT_TRUE(v.at("error").contains("offset")) << body;
+      }
+      if (!use.empty() && v.at("ok").as_bool()) {
+        const std::string used = server.handle(use);
+        expect_not_internal(json::parse(used), used, line);
       }
     }
   }

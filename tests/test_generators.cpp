@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -206,6 +207,16 @@ TEST(Generators, UnitCostDigraph) {
     EXPECT_GE(g.arc(a).cost, 1);
     EXPECT_LE(g.arc(a).cost, 9);
   }
+}
+
+TEST(Generators, FlowInstancesRefuseMoreArcsThanTheVerticesHold) {
+  // Both generators draw distinct pairs until they have m, so an m past the
+  // pairs n vertices hold would never return.  n = 3 holds 0->1, 0->2 and
+  // 1->2 with no arc into s = 0 or out of t = 2; n = 4 holds 4 * 3 arcs.
+  EXPECT_EQ(random_flow_network(3, 3, 4, 1).num_arcs(), 3);
+  EXPECT_THROW((void)random_flow_network(3, 4, 4, 1), std::invalid_argument);
+  EXPECT_EQ(random_unit_cost_digraph(4, 12, 4, 1).num_arcs(), 12);
+  EXPECT_THROW((void)random_unit_cost_digraph(4, 13, 4, 1), std::invalid_argument);
 }
 
 TEST(Generators, FeasibleDemandsSumToZero) {

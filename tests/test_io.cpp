@@ -250,6 +250,41 @@ TEST(InputCaps, EveryReaderRefusesAHeaderPastTheSharedVertexCap) {
                  "2 " + std::to_string(kMaxArcs + 1) + "\n");
 }
 
+TEST(InputCaps, EveryReaderRefusesAValuePastTheSharedBounds) {
+  // A 4-arc file with one capacity of 2^63 - 1 once overflowed max-flow's
+  // int64 2U, costs past 2^61 overflowed min-cost's sum of |cost|, and an
+  // edge weight of 2^63 among weights of 1 collapsed a pivot.  Each reader
+  // names the line of a value past its bound and reads a value at it.
+  const auto line_of_refusal = [](const auto& read, const std::string& doc) {
+    std::istringstream in(doc);
+    try {
+      (void)read(in);
+    } catch (const ParseError& e) {
+      return e.line();
+    }
+    return 0;
+  };
+  const auto max_flow = [](std::istream& in) { return read_dimacs_max_flow(in); };
+  const auto min_cost = [](std::istream& in) { return read_dimacs_min_cost(in); };
+  const auto edge_list = [](std::istream& in) { return read_edge_list(in); };
+  const std::string at = std::to_string(kMaxArcValue);
+  const std::string past = std::to_string(kMaxArcValue + 1);
+  const std::string max_head = "p max 4 4\nn 1 s\nn 4 t\na 1 2 1\na 1 3 1\na 2 4 1\n";
+  EXPECT_EQ(line_of_refusal(max_flow, max_head + "a 3 4 9223372036854775807\n"), 7);
+  EXPECT_EQ(line_of_refusal(max_flow, max_head + "a 3 4 " + past + "\n"), 7);
+  EXPECT_EQ(line_of_refusal(max_flow, max_head + "a 3 4 " + at + "\n"), 0);
+  const std::string min_head = "p min 3 2\na 1 2 0 1 1\n";
+  EXPECT_EQ(line_of_refusal(min_cost, min_head + "a 2 3 0 " + past + " 1\n"), 3);
+  EXPECT_EQ(line_of_refusal(min_cost, min_head + "a 2 3 0 1 " + past + "\n"), 3);
+  EXPECT_EQ(line_of_refusal(min_cost, min_head + "a 2 3 0 1 -" + past + "\n"), 3);
+  EXPECT_EQ(line_of_refusal(min_cost, min_head + "a 2 3 0 1 -9223372036854775808\n"), 3);
+  EXPECT_EQ(line_of_refusal(min_cost, min_head + "a 2 3 0 " + at + " -" + at + "\n"), 0);
+  EXPECT_EQ(line_of_refusal(edge_list, "3 2\n0 1\n1 2 9223372036854775808\n"), 3);
+  EXPECT_EQ(line_of_refusal(edge_list, "3 2\n0 1\n1 2 1048577\n"), 3);
+  EXPECT_EQ(line_of_refusal(edge_list, "3 2\n0 1\n1 2 9.5e-7\n"), 3);
+  EXPECT_EQ(line_of_refusal(edge_list, "3 2\n0 1 1048576\n1 2 9.5367431640625e-07\n"), 0);
+}
+
 TEST(FlowWriter, EmitsValueAndNonzeroArcs) {
   graph::Digraph g(3);
   g.add_arc(0, 1, 2);

@@ -44,6 +44,18 @@ TEST(MaxFlowIpm, SeriesParallel) {
   EXPECT_TRUE(graph::is_feasible_st_flow(g, f, 0, 3));
 }
 
+TEST(MaxFlowIpm, MatchesDinicAtCapacitiesOf2To32) {
+  // FlowRounding once took the closing edge's unit count from a double sum
+  // of the flow out of s.  Past 2^53 units that sum can get the parity
+  // wrong, and the Eulerian orientation then threw on odd degrees.  The
+  // options are lapclique_cli maxflow's.
+  const Digraph g = graph::random_flow_network(40, 160, std::int64_t{1} << 32, 1);
+  MaxFlowIpmOptions opt;
+  opt.iteration_scale = 0.02;
+  opt.max_iterations = 1000;
+  EXPECT_EQ(run(g, 0, 39, opt).value, dinic_max_flow(g, 0, 39).value);
+}
+
 class MaxFlowIpmRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MaxFlowIpmRandom, MatchesDinicOracle) {

@@ -623,6 +623,27 @@ TEST(Serve, MalformedRequestsGetLocatedErrorsAndLeaveStateIntact) {
   EXPECT_EQ(server.handle(good), baseline);
 }
 
+TEST(Serve, GraphLoadRefusesValuesPastTheReadersBounds) {
+  // An arc capacity of 2^63 - 1 once made flow.max answer internal (its 2U
+  // overflowed int64), and an edge weight of 2^63 among weights of 1 made
+  // every later solve answer internal (a collapsed pivot).  graph.load now
+  // refuses both, as the readers do, and loads values at the bounds.
+  Server server;
+  const auto load = [&server](const std::string& rows) {
+    return server.handle(R"({"op":"graph.load","id":"l","name":"b",)" + rows + "}");
+  };
+  expect_error(load(R"("arcs":[[0,1,1],[0,2,1],[1,3,1],[2,3,9223372036854775807]])"),
+               "bad_request");
+  expect_error(load(R"("arcs":[[0,1,1],[1,2,137438953473]])"), "bad_request");
+  expect_error(load(R"("arcs":[[0,1,1,-137438953473]])"), "bad_request");
+  parse_ok(load(R"("arcs":[[0,1,137438953472,-137438953472]])"));
+  expect_error(load(R"("edges":[[0,1],[1,2],[2,3,9223372036854775808],[3,0]])"),
+               "bad_request");
+  expect_error(load(R"("edges":[[0,1],[1,2,1048577]])"), "bad_request");
+  expect_error(load(R"("edges":[[0,1],[1,2,9.5e-7]])"), "bad_request");
+  parse_ok(load(R"("edges":[[0,1,1048576],[1,2,9.5367431640625e-07]])"));
+}
+
 TEST(Serve, LaplacianOpErrorsKeepTheirCodesAndMessages) {
   // The four Laplacian ops share one handler, yet each keeps its own error
   // texts: the exact code and message of every precondition, per op.

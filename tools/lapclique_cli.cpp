@@ -208,7 +208,7 @@ int cmd_gen_maxflow(int argc, char** argv) {
       static_cast<int>(arg_int("gen-maxflow: n", argv[0], 2, io::kMaxVertices));
   const int m = static_cast<int>(arg_int("gen-maxflow: m", argv[1], 0, io::kMaxArcs));
   const std::int64_t cap =
-      arg_int("gen-maxflow: U", argv[2], 1, std::int64_t{1} << 40);
+      arg_int("gen-maxflow: U", argv[2], 1, io::kMaxArcValue);
   const auto seed = static_cast<std::uint64_t>(
       arg_int("gen-maxflow: seed", argv[3], 0, std::numeric_limits<std::int64_t>::max()));
   io::MaxFlowProblem p;
@@ -225,7 +225,7 @@ int cmd_gen_mincost(int argc, char** argv) {
       static_cast<int>(arg_int("gen-mincost: n", argv[0], 2, io::kMaxVertices));
   const int m = static_cast<int>(arg_int("gen-mincost: m", argv[1], 0, io::kMaxArcs));
   const std::int64_t w =
-      arg_int("gen-mincost: W", argv[2], 1, std::int64_t{1} << 40);
+      arg_int("gen-mincost: W", argv[2], 1, io::kMaxArcValue);
   const auto seed = static_cast<std::uint64_t>(
       arg_int("gen-mincost: seed", argv[3], 0, std::numeric_limits<std::int64_t>::max()));
   io::MinCostProblem p;
