@@ -467,9 +467,8 @@ void resume_run(const Checkpoint& ck, const std::string& algo,
 
 // --- writer ----------------------------------------------------------------
 
-CheckpointWriter::CheckpointWriter(std::string path, std::int64_t every,
-                                   std::int64_t threads)
-    : path_(std::move(path)), every_(every), threads_(threads) {
+CheckpointWriter::CheckpointWriter(std::string path, std::int64_t every)
+    : path_(std::move(path)), every_(every) {
   if (path_.empty()) {
     throw std::invalid_argument("CheckpointWriter: empty path");
   }
@@ -486,7 +485,6 @@ void CheckpointWriter::commit(const clique::Network& net,
   ck.algo = algo;
   ck.graph_hash = graph_hash;
   ck.routing_mode = clique::to_string(net.routing_mode());
-  ck.threads = threads_;
   ck.batch = batch;
   const fault::FaultPlan* plan = net.fault_plan();
   if (plan != nullptr) {

@@ -28,7 +28,7 @@
 // Determinism contract (pinned by tests/test_checkpoint.cpp): a run
 // preempted at ANY batch and resumed from its last checkpoint produces
 // byte-identical outputs, round/word ledgers, and trace JSON to an
-// uninterrupted run, at any thread count and in all three routing modes.
+// uninterrupted run, in all three routing modes.
 //
 // Format (little-endian throughout):
 //
@@ -237,7 +237,7 @@ struct Checkpoint {
   std::string algo;             ///< "maxflow" | "mincost"
   std::uint64_t graph_hash = 0;
   std::string routing_mode;     ///< clique::to_string spelling
-  std::int64_t threads = 1;     ///< informational: writer's thread count
+  std::int64_t threads = 1;     ///< informational; always 1 when written
   std::int64_t batch = 0;       ///< boundary index this snapshot was taken at
 
   bool has_fault_plan = false;
@@ -287,9 +287,8 @@ void save_checkpoint(const std::string& path, const Checkpoint& ck);
 /// the run container: network accounting, attached ledger, attached fault
 /// plan.  Every rejection, the payload's included, is a located
 /// CheckpointError thrown before the run is touched.  Must run before the
-/// resumed code path charges anything.  Thread count is informational
-/// (outputs are thread-invariant by the determinism contract) and not
-/// checked.
+/// resumed code path charges anything.  The header's `threads` field is
+/// informational and not checked.
 void resume_run(const Checkpoint& ck, const std::string& algo,
                 std::uint64_t graph_hash, clique::Network& net,
                 const std::function<void()>& decode_state);
@@ -299,8 +298,7 @@ void resume_run(const Checkpoint& ck, const std::string& algo,
 /// resumes instead of restarting).
 class CheckpointWriter {
  public:
-  explicit CheckpointWriter(std::string path, std::int64_t every = 1,
-                            std::int64_t threads = 1);
+  explicit CheckpointWriter(std::string path, std::int64_t every = 1);
 
   [[nodiscard]] bool due(std::int64_t batch) const {
     return every_ > 0 && batch % every_ == 0;
@@ -313,13 +311,11 @@ class CheckpointWriter {
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::int64_t every() const { return every_; }
-  [[nodiscard]] std::int64_t threads() const { return threads_; }
   [[nodiscard]] std::int64_t written() const { return written_; }
 
  private:
   std::string path_;
   std::int64_t every_ = 1;
-  std::int64_t threads_ = 1;
   std::int64_t written_ = 0;
 };
 

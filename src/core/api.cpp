@@ -5,7 +5,6 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "euler/euler_orient.hpp"
-#include "exec/pool.hpp"
 
 namespace lapclique {
 
@@ -23,8 +22,8 @@ struct CheckpointSession {
 
   explicit CheckpointSession(const Runtime& rt) {
     if (rt.checkpoint_path.empty()) return;
-    writer = std::make_unique<ckpt::CheckpointWriter>(
-        rt.checkpoint_path, rt.checkpoint_every, exec::threads());
+    writer = std::make_unique<ckpt::CheckpointWriter>(rt.checkpoint_path,
+                                                      rt.checkpoint_every);
     if (rt.resume) resumed = ckpt::load_checkpoint(rt.checkpoint_path);
   }
 

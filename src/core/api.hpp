@@ -12,8 +12,7 @@
 // accounting block (`report.run` — the quantity the theorems bound), and
 // every entry point takes a trailing `lapclique::Runtime` (trace sink,
 // fault plan, routing mode, checkpointing) that defaults to
-// default_runtime().  Results are bit-identical for every thread count
-// (exec::set_threads).
+// default_runtime().  Every entry point computes on the calling thread.
 //
 // This header carries declarations only; result structs live in
 // core/api_types.hpp.  Generators, DIMACS I/O, and the sequential baselines

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "exec/pool.hpp"
-
 namespace lapclique {
 
 const Runtime& default_runtime() {
@@ -21,7 +19,6 @@ clique::Network make_network(int n, const Runtime& rt) {
 
 obs::json::Value runtime_to_json(const Runtime& rt) {
   obs::json::Object o;
-  o["threads"] = exec::threads();
   o["trace_enabled"] = rt.trace != nullptr;
   const fault::FaultPlan* plan = rt.faults;
   o["faults_enabled"] = plan != nullptr;

@@ -8,9 +8,8 @@
 //   auto rep = lapclique::solve_laplacian(g, b, 1e-8, {}, rt);
 //
 // Every API entry point's Runtime parameter defaults to default_runtime(),
-// a default-constructed Runtime.  Worker threads are process-wide, not per
-// run: exec::set_threads / exec::ThreadScope (exec/pool.hpp) set them, and
-// the thread count never affects results (docs/PERFORMANCE.md).
+// a default-constructed Runtime.  Every run computes on the calling thread
+// (docs/PERFORMANCE.md).
 #pragma once
 
 #include <string>
@@ -48,9 +47,8 @@ struct Runtime {
 [[nodiscard]] clique::Network make_network(int n,
                                            const Runtime& rt = default_runtime());
 
-/// JSON object describing the runtime config and the pool's thread count
-/// (exec::threads()) — the CLI embeds this under the "runtime" key of
-/// --trace / --fault-report output.
+/// JSON object describing the runtime config — the CLI embeds this under
+/// the "runtime" key of --trace / --fault-report output.
 [[nodiscard]] obs::json::Value runtime_to_json(const Runtime& rt = default_runtime());
 
 }  // namespace lapclique

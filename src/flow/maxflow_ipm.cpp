@@ -9,6 +9,7 @@
 #include "euler/flow_round.hpp"
 #include "flow/dinic.hpp"
 #include "flow/distributed_sssp.hpp"
+#include "linalg/pivot_collapse.hpp"
 
 namespace lapclique::flow {
 
@@ -562,44 +563,52 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
   const std::int64_t iters = std::min<std::int64_t>(
       opt.max_iterations, static_cast<std::int64_t>(std::ceil(budget)));
 
-  if (hooks.resume == nullptr) {
-    net.set_phase("maxflow/ipm");
-    st.rho = augmentation(tr, s, t, target_f, delta0, el);
-    fixing(tr, el);
-    ++rep.augmentation_steps;
-    if (const char* reason = divergence()) return degrade(reason);
-    // Boundary 0: the state after initial augmentation, so even a run
-    // preempted inside its very first loop batch resumes instead of
-    // restarting.  Boundaries double as deadline-check points for the serve
-    // frontend, checked even when no checkpoint hooks are attached.
-    ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, encode);
-  }
-
-  for (std::int64_t it = it0; it < iters; ++it) {
-    ++rep.ipm_iterations;
-    if (const char* reason = divergence()) return degrade(reason);
-    const double val = tr.value_out_of(s);
-    if (val >= target_f - kTargetSlack) break;
-
-    double rho3 = 0;
-    for (double r : st.rho) rho3 += std::abs(r) * std::abs(r) * std::abs(r);
-    rho3 = std::cbrt(rho3);
-
-    if (rho3 <= rho_threshold || st.boosts >= 60 || !opt.enable_boosting) {
-      const double delta =
-          std::min(delta0, 1.0 / (33.0 * std::max(rho3, 1e-9)));
-      st.rho = augmentation(tr, s, t, target_f, delta, el);
+  // A pivot that collapses in an electrical factorization is divergence
+  // too: the resistances have spread past what LDL^T without pivoting can
+  // factor.  Only that exception is caught; preemption and serve deadlines
+  // are runtime_errors as well and must pass through.
+  try {
+    if (hooks.resume == nullptr) {
+      net.set_phase("maxflow/ipm");
+      st.rho = augmentation(tr, s, t, target_f, delta0, el);
       fixing(tr, el);
       ++rep.augmentation_steps;
-    } else {
-      boosting(tr, st.rho, max_cap, net);
-      ++st.boosts;
-      ++rep.boosting_steps;
+      if (const char* reason = divergence()) return degrade(reason);
+      // Boundary 0: the state after initial augmentation, so even a run
+      // preempted inside its very first loop batch resumes instead of
+      // restarting.  Boundaries double as deadline-check points for the
+      // serve frontend, checked even when no checkpoint hooks are attached.
+      ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, encode);
     }
-    // Boundary it+1: the state a continuation entering the loop at it+1
-    // needs — written before the preempt check, so a preempted run always
-    // leaves the snapshot it will resume from.
-    ckpt::boundary(hooks, net, it + 1, kCkptAlgo, ghash, encode);
+
+    for (std::int64_t it = it0; it < iters; ++it) {
+      ++rep.ipm_iterations;
+      if (const char* reason = divergence()) return degrade(reason);
+      const double val = tr.value_out_of(s);
+      if (val >= target_f - kTargetSlack) break;
+
+      double rho3 = 0;
+      for (double r : st.rho) rho3 += std::abs(r) * std::abs(r) * std::abs(r);
+      rho3 = std::cbrt(rho3);
+
+      if (rho3 <= rho_threshold || st.boosts >= 60 || !opt.enable_boosting) {
+        const double delta =
+            std::min(delta0, 1.0 / (33.0 * std::max(rho3, 1e-9)));
+        st.rho = augmentation(tr, s, t, target_f, delta, el);
+        fixing(tr, el);
+        ++rep.augmentation_steps;
+      } else {
+        boosting(tr, st.rho, max_cap, net);
+        ++st.boosts;
+        ++rep.boosting_steps;
+      }
+      // Boundary it+1: the state a continuation entering the loop at it+1
+      // needs — written before the preempt check, so a preempted run always
+      // leaves the snapshot it will resume from.
+      ckpt::boundary(hooks, net, it + 1, kCkptAlgo, ghash, encode);
+    }
+  } catch (const linalg::PivotCollapse&) {
+    return degrade("pivot collapsed in an electrical factorization");
   }
   if (const char* reason = divergence()) return degrade(reason);
   rep.routed_fraction = tr.value_out_of(s) / std::max(target_f, 1e-9);

@@ -71,7 +71,8 @@ struct MaxFlowIpmReport {
   /// run.used_fallback means the IPM diverged and the result came from the
   /// exact Dinic baseline (value/flow are still exact; rounds include the
   /// "maxflow/fallback" gather).  Divergence is non-finite electrical-flow
-  /// state (solver divergence, or the ipm-nan fault drill).
+  /// state (solver divergence, or the ipm-nan fault drill) or a pivot that
+  /// collapses in an electrical factorization (linalg::PivotCollapse).
   RunInfo run;
   std::int64_t rounds_per_solve = 0;  ///< calibrated Theorem 1.1 cost
   int ipm_iterations = 0;

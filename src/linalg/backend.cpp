@@ -9,8 +9,8 @@ namespace lapclique::linalg {
 namespace {
 
 /// kAuto thresholds.  Pure constants: the resolution must be a deterministic
-/// function of (n, nnz) so reruns, threads, and routing modes all see the
-/// same factorization.  They were set from a dense-vs-sparse timing of
+/// function of (n, nnz) so reruns and routing modes all see the same
+/// factorization.  They were set from a dense-vs-sparse timing of
 /// kernels that have since been replaced (docs/PERFORMANCE.md); below
 /// kSparseMinN the golden instances at n <= 256 stay on the dense bits.
 constexpr int kSparseMinN = 512;

@@ -72,7 +72,7 @@ class BackendLaplacianFactor {
                                         Backend requested = Backend::kAuto);
 
   /// Numeric factor for `values` in the analyzed pattern's CSR slot order.
-  /// Throws on pivot collapse, leaving the factor unusable.
+  /// Throws PivotCollapse, leaving the factor unusable.
   void refactor(std::span<const double> values);
 
   static BackendLaplacianFactor factor(const CsrMatrix& laplacian,

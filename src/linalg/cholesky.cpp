@@ -4,20 +4,14 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "exec/pool.hpp"
-
 namespace lapclique::linalg {
 
 namespace {
 
-/// Column-block width for the blocked triangular solves.  A pure constant:
-/// block boundaries must not depend on the thread count (exec/pool.hpp).
+/// Column-block width for the blocked triangular solves.  The backward
+/// block walk fixes each row's accumulation order, so this constant is part
+/// of the solve's bits.
 constexpr std::int64_t kSolveBlock = 128;
-
-/// Minimum flop count before a loop goes through the pool; below this the
-/// dispatch overhead dominates.  Shard boundaries never change a row's
-/// arithmetic, so the sequential/parallel decision cannot change any bits.
-constexpr std::int64_t kParallelFlops = 16384;
 
 bool negative_zero(double v) { return v == 0.0 && std::signbit(v); }
 
@@ -107,10 +101,7 @@ DenseLdlt DenseLdlt::factor(int n, std::span<const double> dense, double min_piv
   mul.reserve(nn);
   bool finite = true;  // every L and d entry computed so far is finite
 
-  // Left-looking LDL^T, one column of L at a time.  For a fixed column j
-  // the rows i > j are independent and each runs the exact arithmetic the
-  // sequential loop would, so sharding rows over the pool is bit-identical
-  // to a single-threaded factorization.
+  // Left-looking LDL^T, one column of L at a time.
   for (std::size_t j = 0; j < nn; ++j) {
     double* col = lt + j * nn;
     double dj = a[j * nn + j];
@@ -128,24 +119,11 @@ DenseLdlt DenseLdlt::factor(int n, std::span<const double> dense, double min_piv
       mul.push_back({lt + k * nn, ljk, d[k]});
     }
     if (!(std::abs(dj) > min_pivot)) {
-      throw std::runtime_error("DenseLdlt: pivot collapsed; matrix not SPD enough");
+      throw PivotCollapse("DenseLdlt: pivot collapsed; matrix not SPD enough");
     }
     d[j] = dj;
-
-    const auto rows = [col, j, dj, &mul](std::int64_t b, std::int64_t e) {
-      const std::size_t i0 = j + 1 + static_cast<std::size_t>(b);
-      const std::size_t i1 = j + 1 + static_cast<std::size_t>(e);
-      absorb_columns(col, mul, i0, i1);
-      for (std::size_t i = i0; i < i1; ++i) col[i] /= dj;
-    };
-    const auto tail = static_cast<std::int64_t>(nn - j - 1);
-    const auto work = static_cast<std::int64_t>(mul.size());
-    if (tail * work >= kParallelFlops) {
-      // Shard so each task carries a few thousand multiply-adds.
-      exec::parallel_for(tail, std::max<std::int64_t>(1, kParallelFlops / work), rows);
-    } else {
-      rows(0, tail);
-    }
+    absorb_columns(col, mul, j + 1, nn);
+    for (std::size_t i = j + 1; i < nn; ++i) col[i] /= dj;
     finite = finite && std::isfinite(dj) &&
              std::all_of(col + j + 1, col + nn,
                          [](double v) { return std::isfinite(v); });
@@ -161,28 +139,16 @@ void DenseLdlt::solve_inplace(std::span<double> x) const {
   const double* lt = lt_.data();
   double* xs = x.data();
 
-  // Both substitutions run the same blocked schedule at every thread count:
-  // a sequential triangular solve on the diagonal block, then a fan-out
-  // update of the remaining rows sharded over the pool.  Each row's
-  // accumulation order is fixed by the block walk (never by the thread
-  // count), which is what makes the solver bit-reproducible in parallel.
+  // Both substitutions walk column blocks: a triangular solve on the
+  // diagonal block, then a fan-out update of the remaining rows.  Each row's
+  // accumulation order is fixed by the block walk.
 
   // Forward: L y = b, column-oriented.  Row i still subtracts its columns
   // in ascending k, the order of the classic row-oriented loop.
   for (std::size_t c0 = 0; c0 < n; c0 += kSolveBlock) {
     const std::size_t c1 = std::min(n, c0 + static_cast<std::size_t>(kSolveBlock));
     for (std::size_t k = c0; k < c1; ++k) forward_columns(xs, lt, n, k, k + 1, k + 1, c1);
-    const std::int64_t tail = static_cast<std::int64_t>(n - c1);
-    const auto update = [lt, xs, n, c0, c1](std::int64_t b, std::int64_t e) {
-      forward_columns(xs, lt, n, c0, c1, c1 + static_cast<std::size_t>(b),
-                      c1 + static_cast<std::size_t>(e));
-    };
-    if (tail * static_cast<std::int64_t>(c1 - c0) >= kParallelFlops) {
-      exec::parallel_for(tail, std::max<std::int64_t>(1, kParallelFlops / kSolveBlock),
-                         update);
-    } else {
-      update(0, tail);
-    }
+    forward_columns(xs, lt, n, c0, c1, c1, n);
   }
 
   // Diagonal.
@@ -195,45 +161,31 @@ void DenseLdlt::solve_inplace(std::span<double> x) const {
   for (std::size_t blk = nblocks; blk-- > 0;) {
     const std::size_t c0 = blk * static_cast<std::size_t>(kSolveBlock);
     const std::size_t c1 = std::min(n, c0 + static_cast<std::size_t>(kSolveBlock));
-    const std::int64_t rows = static_cast<std::int64_t>(c1 - c0);
     // Four rows' dot products at once: four independent chains, each in
     // ascending k.
-    const auto absorb = [lt, xs, n, c0, c1](std::int64_t b, std::int64_t e) {
-      std::size_t i = c0 + static_cast<std::size_t>(b);
-      const std::size_t iend = c0 + static_cast<std::size_t>(e);
-      for (; i + 4 <= iend; i += 4) {
-        const double* r0 = lt + i * n;
-        const double* r1 = r0 + n;
-        const double* r2 = r1 + n;
-        const double* r3 = r2 + n;
-        double s0 = xs[i], s1 = xs[i + 1], s2 = xs[i + 2], s3 = xs[i + 3];
-        for (std::size_t k = c1; k < n; ++k) {
-          const double xk = xs[k];
-          s0 -= r0[k] * xk;
-          s1 -= r1[k] * xk;
-          s2 -= r2[k] * xk;
-          s3 -= r3[k] * xk;
-        }
-        xs[i] = s0;
-        xs[i + 1] = s1;
-        xs[i + 2] = s2;
-        xs[i + 3] = s3;
+    std::size_t i = c0;
+    for (; i + 4 <= c1; i += 4) {
+      const double* r0 = lt + i * n;
+      const double* r1 = r0 + n;
+      const double* r2 = r1 + n;
+      const double* r3 = r2 + n;
+      double s0 = xs[i], s1 = xs[i + 1], s2 = xs[i + 2], s3 = xs[i + 3];
+      for (std::size_t k = c1; k < n; ++k) {
+        const double xk = xs[k];
+        s0 -= r0[k] * xk;
+        s1 -= r1[k] * xk;
+        s2 -= r2[k] * xk;
+        s3 -= r3[k] * xk;
       }
-      for (; i < iend; ++i) {
-        double s = xs[i];
-        for (std::size_t k = c1; k < n; ++k) s -= lt[i * n + k] * xs[k];
-        xs[i] = s;
-      }
-    };
-    const std::int64_t absorb_flops = rows * static_cast<std::int64_t>(n - c1);
-    if (absorb_flops >= kParallelFlops) {
-      exec::parallel_for(
-          rows,
-          std::max<std::int64_t>(1, kParallelFlops /
-                                        std::max<std::int64_t>(1, n - c1)),
-          absorb);
-    } else {
-      absorb(0, rows);
+      xs[i] = s0;
+      xs[i + 1] = s1;
+      xs[i + 2] = s2;
+      xs[i + 3] = s3;
+    }
+    for (; i < c1; ++i) {
+      double s = xs[i];
+      for (std::size_t k = c1; k < n; ++k) s -= lt[i * n + k] * xs[k];
+      xs[i] = s;
     }
     for (std::size_t ii = c1; ii-- > c0;) {
       double s = xs[ii];

@@ -12,12 +12,14 @@
 #include <span>
 #include <vector>
 
+#include "linalg/pivot_collapse.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace lapclique::linalg {
 
 /// Dense LDL^T of an SPD matrix (no pivoting; the matrices we factor are
-/// diagonally dominant).  Throws if a pivot collapses below `min_pivot`.
+/// diagonally dominant).  Throws PivotCollapse if a pivot's magnitude is
+/// not above `min_pivot`.
 ///
 /// Layout: L is stored once, column-major — column j of the unit lower
 /// triangle is the contiguous run lt_[j*n + i], i > j — next to D's diagonal.

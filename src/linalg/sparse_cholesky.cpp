@@ -212,7 +212,7 @@ void SparseLdlt::refactor(std::span<const double> values, double min_pivot) {
     }
 
     if (!(std::abs(diag) > min_pivot)) {
-      throw std::runtime_error("SparseLdlt: pivot collapsed; matrix not SPD enough");
+      throw PivotCollapse("SparseLdlt: pivot collapsed; matrix not SPD enough");
     }
     d_[static_cast<std::size_t>(j)] = diag;
 

@@ -14,16 +14,17 @@
 // The structural pattern is exactly the numeric one for the matrices this
 // library factors: grounded Laplacians are M-matrices, so every Schur
 // update to an off-diagonal entry has the same sign and nothing cancels to
-// zero.  Everything here is sequential and therefore trivially bit-stable
-// across thread counts; determinism only requires that the ordering itself
-// be a pure function of the sparsity pattern, which rcm_ordering
-// guarantees by breaking every tie on the smaller vertex id.
+// zero.  Everything here runs on the calling thread; determinism only
+// requires that the ordering itself be a pure function of the sparsity
+// pattern, which rcm_ordering guarantees by breaking every tie on the
+// smaller vertex id.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "linalg/csr.hpp"
+#include "linalg/pivot_collapse.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace lapclique::linalg {
@@ -48,10 +49,10 @@ class SparseLdlt {
                             std::span<const int> col_idx);
 
   /// Numeric LDL^T of the analyzed pattern with `values` in its CSR slot
-  /// order.  Throws on pivot collapse, leaving the factor unusable.
+  /// order.  Throws PivotCollapse, leaving the factor unusable.
   void refactor(std::span<const double> values, double min_pivot = 1e-300);
 
-  /// analyze(a's pattern) + refactor(a's values).  Throws on pivot collapse.
+  /// analyze(a's pattern) + refactor(a's values).  Throws PivotCollapse.
   static SparseLdlt factor(const CsrMatrix& a, double min_pivot = 1e-300);
 
   [[nodiscard]] int size() const { return n_; }

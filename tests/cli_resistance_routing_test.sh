@@ -8,7 +8,10 @@
 #   2. its broadcast --trace must charge Broadcast Congested Clique
 #      primitives (bcast_*), not unicast ones, and under both routings the
 #      trace's total_rounds must equal the rounds= line: the potentials'
-#      broadcast is charged, not added.
+#      broadcast is charged, not added;
+#   3. the Runtime has no thread count (every command computes on the
+#      calling thread), so `--threads 4 solve ...` and
+#      `solve ... --threads 4` must exit 2 with the usage line.
 #
 # Registered by tests/CMakeLists.txt as `cli_resistance_routing`; argument 1
 # is the lapclique_cli binary path.
@@ -59,6 +62,14 @@ TC="$(trace_rounds_of "$TMP/c.json")"
   fail "broadcast trace total_rounds='$TR', expected the rounds=$R line"
 [ "$TC" = "$C" ] ||
   fail "charged trace total_rounds='$TC', expected the rounds=$C line"
+
+for args in "--threads 4 solve $TMP/g.el 0 5" "solve $TMP/g.el 0 5 1e-8 --threads 4"; do
+  # $args is split into its words on purpose (mktemp paths hold no spaces).
+  "$BIN" $args >"$TMP/t4.out" 2>"$TMP/t4.err"
+  T4=$?
+  [ "$T4" -eq 2 ] && grep -q '^usage:' "$TMP/t4.err" ||
+    fail "'$args' exited $T4 ($(head -c 200 "$TMP/t4.err")), expected 2 and usage"
+done
 
 echo "cli_resistance_routing_test: OK (resistance rounds=$R, solve rounds=$S," \
   "charged resistance rounds=$C)"

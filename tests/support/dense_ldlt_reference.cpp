@@ -5,20 +5,12 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "exec/pool.hpp"
-
 namespace lapclique::test {
 
 namespace {
 
-/// Column-block width for the blocked triangular solves.  A pure constant:
-/// block boundaries must not depend on the thread count (exec/pool.hpp).
+/// Column-block width for the blocked triangular solves, as in the kernel.
 constexpr std::int64_t kSolveBlock = 128;
-
-/// Minimum flop count before a loop goes through the pool; below this the
-/// dispatch overhead dominates.  Depends only on problem size, so the
-/// sequential/parallel decision is itself deterministic.
-constexpr std::int64_t kParallelFlops = 16384;
 
 }  // namespace
 
@@ -34,10 +26,7 @@ DenseLdltReference DenseLdltReference::factor(int n, std::span<const double> den
   const auto nn = static_cast<std::size_t>(n);
   double* l = f.l_.data();
 
-  // Left-looking LDL^T.  For a fixed column j the updates of rows
-  // i = j+1..n-1 are independent and each runs the exact arithmetic the
-  // sequential loop would, so sharding rows over the pool is bit-identical
-  // to a single-threaded factorization.
+  // Left-looking LDL^T.
   for (int j = 0; j < n; ++j) {
     const std::size_t ju = static_cast<std::size_t>(j);
     double dj = l[ju * nn + ju];
@@ -48,25 +37,13 @@ DenseLdltReference DenseLdltReference::factor(int n, std::span<const double> den
       throw std::runtime_error("DenseLdlt: pivot collapsed; matrix not SPD enough");
     }
     f.d_[ju] = dj;
-    const std::int64_t tail = n - j - 1;
-    const auto row_update = [l, nn, ju, dj, d = f.d_.data()](std::int64_t b,
-                                                             std::int64_t e) {
-      for (std::int64_t t = b; t < e; ++t) {
-        const std::size_t i = ju + 1 + static_cast<std::size_t>(t);
-        double lij = l[i * nn + ju];
-        const double* li = l + i * nn;
-        const double* lj = l + ju * nn;
-        for (std::size_t k = 0; k < ju; ++k) lij -= li[k] * lj[k] * d[k];
-        l[i * nn + ju] = lij / dj;
-      }
-    };
-    if (tail * static_cast<std::int64_t>(ju) >= kParallelFlops) {
-      // Shard so each task carries a few thousand multiply-adds.
-      const std::int64_t grain =
-          std::max<std::int64_t>(1, kParallelFlops / std::max<std::int64_t>(1, ju));
-      exec::parallel_for(tail, grain, row_update);
-    } else {
-      row_update(0, tail);
+    const double* d = f.d_.data();
+    for (std::size_t i = ju + 1; i < nn; ++i) {
+      double lij = l[i * nn + ju];
+      const double* li = l + i * nn;
+      const double* lj = l + ju * nn;
+      for (std::size_t k = 0; k < ju; ++k) lij -= li[k] * lj[k] * d[k];
+      l[i * nn + ju] = lij / dj;
     }
   }
 
@@ -74,12 +51,9 @@ DenseLdltReference DenseLdltReference::factor(int n, std::span<const double> den
   // column i of L), so backward substitution streams memory contiguously.
   f.lt_.assign(nn * nn, 0.0);
   double* lt = f.lt_.data();
-  exec::parallel_for(n, 64, [l, lt, nn](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      const auto iu = static_cast<std::size_t>(i);
-      for (std::size_t k = iu + 1; k < nn; ++k) lt[iu * nn + k] = l[k * nn + iu];
-    }
-  });
+  for (std::size_t i = 0; i < nn; ++i) {
+    for (std::size_t k = i + 1; k < nn; ++k) lt[i * nn + k] = l[k * nn + i];
+  }
   return f;
 }
 
@@ -92,11 +66,9 @@ void DenseLdltReference::solve_inplace(std::span<double> x) const {
   const double* lt = lt_.data();
   double* xs = x.data();
 
-  // Both substitutions run the same blocked schedule at every thread count:
-  // a sequential triangular solve on the diagonal block, then a fan-out
-  // update of the remaining rows sharded over the pool.  Each row's
-  // accumulation order is fixed by the block walk (never by the thread
-  // count), which is what makes the solver bit-reproducible in parallel.
+  // Both substitutions walk column blocks: a triangular solve on the
+  // diagonal block, then a fan-out update of the remaining rows.  Each row's
+  // accumulation order is fixed by the block walk.
 
   // Forward: L y = b.  Row i accumulates columns in ascending order —
   // identical to the classic row-oriented loop.
@@ -107,20 +79,10 @@ void DenseLdltReference::solve_inplace(std::span<double> x) const {
       for (std::size_t k = c0; k < i; ++k) s -= l[i * n + k] * xs[k];
       xs[i] = s;
     }
-    const std::int64_t tail = static_cast<std::int64_t>(n - c1);
-    const auto update = [l, xs, n, c0, c1](std::int64_t b, std::int64_t e) {
-      for (std::int64_t t = b; t < e; ++t) {
-        const std::size_t i = c1 + static_cast<std::size_t>(t);
-        double s = xs[i];
-        for (std::size_t k = c0; k < c1; ++k) s -= l[i * n + k] * xs[k];
-        xs[i] = s;
-      }
-    };
-    if (tail * static_cast<std::int64_t>(c1 - c0) >= kParallelFlops) {
-      exec::parallel_for(tail, std::max<std::int64_t>(1, kParallelFlops / kSolveBlock),
-                         update);
-    } else {
-      update(0, tail);
+    for (std::size_t i = c1; i < n; ++i) {
+      double s = xs[i];
+      for (std::size_t k = c0; k < c1; ++k) s -= l[i * n + k] * xs[k];
+      xs[i] = s;
     }
   }
 
@@ -134,24 +96,10 @@ void DenseLdltReference::solve_inplace(std::span<double> x) const {
   for (std::size_t blk = nblocks; blk-- > 0;) {
     const std::size_t c0 = blk * static_cast<std::size_t>(kSolveBlock);
     const std::size_t c1 = std::min(n, c0 + static_cast<std::size_t>(kSolveBlock));
-    const std::int64_t rows = static_cast<std::int64_t>(c1 - c0);
-    const auto absorb = [lt, xs, n, c0, c1](std::int64_t b, std::int64_t e) {
-      for (std::int64_t t = b; t < e; ++t) {
-        const std::size_t i = c0 + static_cast<std::size_t>(t);
-        double s = xs[i];
-        for (std::size_t k = c1; k < n; ++k) s -= lt[i * n + k] * xs[k];
-        xs[i] = s;
-      }
-    };
-    const std::int64_t absorb_flops = rows * static_cast<std::int64_t>(n - c1);
-    if (absorb_flops >= kParallelFlops) {
-      exec::parallel_for(
-          rows,
-          std::max<std::int64_t>(1, kParallelFlops /
-                                        std::max<std::int64_t>(1, n - c1)),
-          absorb);
-    } else {
-      absorb(0, rows);
+    for (std::size_t i = c0; i < c1; ++i) {
+      double s = xs[i];
+      for (std::size_t k = c1; k < n; ++k) s -= lt[i * n + k] * xs[k];
+      xs[i] = s;
     }
     for (std::size_t ii = c1; ii-- > c0;) {
       double s = xs[ii];

@@ -2,8 +2,8 @@
 //
 //   * a flow run preempted at ANY batch boundary and resumed from its last
 //     checkpoint produces byte-identical outputs, round/word ledgers, and
-//     trace JSON to an uninterrupted run — at threads 1 and 8 and in all
-//     three routing modes (the preempt-at-every-batch sweeps below);
+//     trace JSON to an uninterrupted run — in all three routing modes (the
+//     preempt-at-every-batch sweeps below);
 //   * attaching a writer never changes what a run computes or charges;
 //   * corrupt, truncated, schema-skewed, or mismatched checkpoint files are
 //     rejected with a located CheckpointError before any run state is
@@ -21,7 +21,6 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "core/api.hpp"
-#include "exec/pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 #include "graph/rng.hpp"
@@ -145,14 +144,11 @@ graph::Digraph sweep_flow_network() {
 // ctest runs tests in parallel processes.
 void max_flow_preempt_sweep(const std::string& name, const graph::Digraph& g,
                             const flow::MaxFlowIpmOptions& opt,
-                            std::int64_t first_batch, clique::RoutingMode mode,
-                            int threads) {
+                            std::int64_t first_batch, clique::RoutingMode mode) {
   const int s = 0;
   const int t = g.num_vertices() - 1;
-  const std::string tag = name + "_" + clique::to_string(mode) + "_t" +
-                          std::to_string(threads);
+  const std::string tag = name + "_" + clique::to_string(mode);
 
-  const exec::ThreadScope scope(threads);
   Runtime base_rt;
   base_rt.routing_mode = mode;
 
@@ -194,14 +190,12 @@ void max_flow_preempt_sweep(const std::string& name, const graph::Digraph& g,
   EXPECT_TRUE(past_last_boundary) << tag << ": sweep never ran past the last boundary";
 }
 
-void min_cost_preempt_sweep(clique::RoutingMode mode, int threads) {
+void min_cost_preempt_sweep(clique::RoutingMode mode) {
   const graph::Digraph g = graph::random_unit_cost_digraph(9, 24, 5, base_seed() + 41);
   const std::vector<std::int64_t> sigma =
       graph::feasible_unit_demands(g, 2, base_seed() + 91);
-  const std::string tag =
-      std::string(clique::to_string(mode)) + "_t" + std::to_string(threads);
+  const std::string tag = clique::to_string(mode);
 
-  const exec::ThreadScope scope(threads);
   Runtime base_rt;
   base_rt.routing_mode = mode;
 
@@ -244,13 +238,13 @@ void min_cost_preempt_sweep(clique::RoutingMode mode, int threads) {
   EXPECT_TRUE(past_last_boundary) << tag << ": sweep never ran past the last boundary";
 }
 
+// The two "AllModesAndThreads" names predate the removal of the thread
+// sweep; they are kept so that the test ids stay stable.
 TEST(CheckpointSweep, MaxFlowPreemptEveryBatchAllModesAndThreads) {
   for (clique::RoutingMode mode :
        {clique::RoutingMode::kCharged, clique::RoutingMode::kExecuted,
         clique::RoutingMode::kBroadcast}) {
-    for (int threads : {1, 8}) {
-      max_flow_preempt_sweep("all", sweep_flow_network(), quick_max(), 0, mode, threads);
-    }
+    max_flow_preempt_sweep("all", sweep_flow_network(), quick_max(), 0, mode);
   }
 }
 
@@ -265,14 +259,14 @@ TEST(CheckpointSweep, MaxFlowResumeAfterLastBoost) {
   const graph::Digraph g = graph::random_flow_network(24, 96, 4, base_seed() + 40);
   flow::MaxFlowIpmOptions opt;
   opt.iteration_scale = 0.02;
-  max_flow_preempt_sweep("boosted", g, opt, 60, clique::RoutingMode::kCharged, 1);
+  max_flow_preempt_sweep("boosted", g, opt, 60, clique::RoutingMode::kCharged);
 }
 
 TEST(CheckpointSweep, MinCostPreemptEveryBatchAllModesAndThreads) {
   for (clique::RoutingMode mode :
        {clique::RoutingMode::kCharged, clique::RoutingMode::kExecuted,
         clique::RoutingMode::kBroadcast}) {
-    for (int threads : {1, 8}) min_cost_preempt_sweep(mode, threads);
+    min_cost_preempt_sweep(mode);
   }
 }
 

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/pool.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "linalg/backend.hpp"
@@ -117,7 +116,7 @@ TEST(DenseLdlt, SolvesSmallSpd) {
 
 TEST(DenseLdlt, ThrowsOnIndefinite) {
   const std::vector<double> a{0.0, 1.0, 1.0, 0.0};
-  EXPECT_THROW(DenseLdlt::factor(2, a, 1e-12), std::runtime_error);
+  EXPECT_THROW(DenseLdlt::factor(2, a, 1e-12), PivotCollapse);
 }
 
 TEST(DenseLdlt, SizeMismatchThrows) {
@@ -230,35 +229,31 @@ std::vector<Vec> reference_rhs(int n) {
 }
 
 TEST(DenseLdlt, MatchesReferenceBitwise) {
-  // kSolveBlock is 128, and n = 257 and 300 put the dense factor's column
-  // updates through the pool.
-  for (const int threads : {1, 8}) {
-    const exec::ThreadScope scope(threads);
-    for (const int n : {1, 2, 3, 127, 128, 129, 200, 256, 257, 300}) {
-      for (const auto& [name, a] : dense_inputs(n)) {
-        const std::string where = name + " n=" + std::to_string(n) +
-                                  " threads=" + std::to_string(threads);
-        std::optional<test::DenseLdltReference> ref;
-        std::optional<DenseLdlt> f;
-        try {
-          ref = test::DenseLdltReference::factor(n, a);
-        } catch (const std::runtime_error&) {
-        }
-        try {
-          f = DenseLdlt::factor(n, a);
-        } catch (const std::runtime_error&) {
-        }
-        ASSERT_EQ(f.has_value(), ref.has_value()) << where;
-        if (!f) continue;
-        const std::vector<Vec> bs = reference_rhs(n);
-        std::vector<Vec> block = bs;
-        f->solve_block_inplace(block);
-        for (std::size_t c = 0; c < bs.size(); ++c) {
-          Vec want = bs[c];
-          ref->solve_inplace(want);
-          ASSERT_TRUE(same_bits(f->solve(bs[c]), want)) << where << " rhs " << c;
-          ASSERT_TRUE(same_bits(block[c], want)) << where << " block rhs " << c;
-        }
+  // kSolveBlock is 128, so the sizes put the blocked solves on zero, one and
+  // two block edges.
+  for (const int n : {1, 2, 3, 127, 128, 129, 200, 256, 257, 300}) {
+    for (const auto& [name, a] : dense_inputs(n)) {
+      const std::string where = name + " n=" + std::to_string(n);
+      std::optional<test::DenseLdltReference> ref;
+      std::optional<DenseLdlt> f;
+      try {
+        ref = test::DenseLdltReference::factor(n, a);
+      } catch (const std::runtime_error&) {
+      }
+      try {
+        f = DenseLdlt::factor(n, a);
+      } catch (const std::runtime_error&) {
+      }
+      ASSERT_EQ(f.has_value(), ref.has_value()) << where;
+      if (!f) continue;
+      const std::vector<Vec> bs = reference_rhs(n);
+      std::vector<Vec> block = bs;
+      f->solve_block_inplace(block);
+      for (std::size_t c = 0; c < bs.size(); ++c) {
+        Vec want = bs[c];
+        ref->solve_inplace(want);
+        ASSERT_TRUE(same_bits(f->solve(bs[c]), want)) << where << " rhs " << c;
+        ASSERT_TRUE(same_bits(block[c], want)) << where << " block rhs " << c;
       }
     }
   }
@@ -376,7 +371,7 @@ TEST(SparseLdlt, FillInReportedAndBounded) {
 TEST(SparseLdlt, ThrowsOnIndefinite) {
   const std::vector<Triplet> t{{0, 1, 1.0}, {1, 0, 1.0}};
   const CsrMatrix a = CsrMatrix::from_triplets(2, t);
-  EXPECT_THROW(SparseLdlt::factor(a), std::runtime_error);
+  EXPECT_THROW(SparseLdlt::factor(a), PivotCollapse);
 }
 
 TEST(SparseLdlt, RefactorIsBitwiseAFreshFactor) {
@@ -406,7 +401,7 @@ TEST(SparseLdlt, RefactorRejectsIndefiniteAndMismatchedValues) {
   try {
     f.refactor(indefinite);
     FAIL() << "expected the pivot-collapse error";
-  } catch (const std::runtime_error& e) {
+  } catch (const PivotCollapse& e) {
     EXPECT_NE(std::string(e.what()).find("pivot collapsed"), std::string::npos)
         << e.what();
   }

@@ -1,9 +1,8 @@
-// Bit-determinism across thread counts — the exec/ contract.
+// Bit-determinism across repeated runs.
 //
-// Every public entry point is run under each routing mode (charged,
-// executed, broadcast) at threads = 1, 2, and 8 (more workers than a small
-// host has cores, which is the point: shard boundaries are a pure function
-// of the work size, never of scheduling).  Per mode, the suite asserts
+// Every public entry point is run twice under each routing mode (charged,
+// executed, broadcast), in one process, so no state a run leaves behind (a
+// static or a cache) may reach the next.  Per mode, the suite asserts
 //
 //   * numeric outputs are BYTE-identical (doubles compared through their
 //     bit patterns, not with tolerances),
@@ -13,7 +12,9 @@
 //
 // and repeats the check with an active FaultPlan, where recovery replays
 // must also land on the same rounds.  Instance seeds derive from
-// LAPCLIQUE_TEST_SEED (see test_seed.hpp).
+// LAPCLIQUE_TEST_SEED (see test_seed.hpp).  The test names keep
+// "AcrossThreadCounts" from when the suite also swept thread counts, so
+// that their ids stay stable; every kernel now runs on the calling thread.
 #include <cstdint>
 #include <cstring>
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 
 #include "core/api.hpp"
 #include "euler/euler_orient.hpp"
-#include "exec/pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 #include "obs/round_ledger.hpp"
@@ -60,18 +60,17 @@ void expect_identical(const Observed& a, const Observed& b, const std::string& w
   EXPECT_EQ(a.ledger_json, b.ledger_json) << where;
 }
 
-/// Runs `fn(rt)` under each routing mode at each thread count and asserts
-/// that, per mode, every run observes the same bits.  `fn` must fill
-/// values/ints; the harness fills the accounting channels from the RunInfo
-/// that `fn` returns and from the attached ledger.
+/// Runs `fn(rt)` twice under each routing mode and asserts that, per mode,
+/// both runs observe the same bits.  `fn` must fill values/ints; the
+/// harness fills the accounting channels from the RunInfo that `fn` returns
+/// and from the attached ledger.
 template <typename Fn>
-void expect_thread_invariant(Fn fn) {
+void expect_repeat_invariant(Fn fn) {
   for (const clique::RoutingMode mode :
        {clique::RoutingMode::kCharged, clique::RoutingMode::kExecuted,
         clique::RoutingMode::kBroadcast}) {
     std::optional<Observed> base;
-    for (int t : {1, 2, 8}) {
-      const exec::ThreadScope scope(t);
+    for (int pass = 0; pass < 2; ++pass) {
       obs::RoundLedger ledger;
       Runtime rt;
       rt.routing_mode = mode;
@@ -86,8 +85,7 @@ void expect_thread_invariant(Fn fn) {
         base = std::move(got);
       } else {
         expect_identical(*base, got,
-                         std::string(clique::to_string(mode)) +
-                             " threads=" + std::to_string(t));
+                         std::string(clique::to_string(mode)) + " second run");
       }
     }
   }
@@ -98,7 +96,7 @@ TEST(Determinism, SolveLaplacianAcrossThreadCounts) {
   std::vector<double> b(48, 0.0);
   b[0] = 1.0;
   b[47] = -1.0;
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = solve_laplacian(g, b, 1e-8, {}, rt);
     got.values = rep.x;
     got.ints = {rep.stats.chebyshev_iterations, rep.stats.restarts};
@@ -111,7 +109,7 @@ TEST(Determinism, SparsifyAcrossThreadCounts) {
   const Graph g = graph::with_random_weights(
       graph::random_connected_gnm(40, 240, test::base_seed() + 1), 64,
       test::base_seed() + 2);
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = sparsify(g, {}, rt);
     for (const graph::Edge& e : rep.h.edges()) {
       got.ints.push_back(e.u);
@@ -127,7 +125,7 @@ TEST(Determinism, SparsifyAcrossThreadCounts) {
 TEST(Determinism, EulerianOrientationAcrossThreadCounts) {
   const Graph g = graph::union_of_random_closed_walks(32, 6, 10,
                                                       test::base_seed() + 3);
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = eulerian_orientation(g, rt);
     for (std::int8_t o : rep.orientation) got.ints.push_back(o);
     got.ints.push_back(rep.levels);
@@ -143,7 +141,7 @@ TEST(Determinism, RoundFlowAcrossThreadCounts) {
   g.add_arc(2, 3, 1);
   euler::FlowRoundingOptions opt;
   opt.delta = 0.5;
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = round_flow(g, {0.5, 0.5, 0.5, 0.5}, 0, 3, opt, rt);
     got.values = rep.flow;
     got.ints = {rep.phases};
@@ -156,7 +154,7 @@ TEST(Determinism, MaxFlowAcrossThreadCounts) {
   flow::MaxFlowIpmOptions opt;
   opt.iteration_scale = 0.02;
   opt.max_iterations = 300;
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = max_flow(g, 0, 11, opt, rt);
     got.ints = rep.flow;
     got.ints.push_back(rep.value);
@@ -173,7 +171,7 @@ TEST(Determinism, MinCostFlowAcrossThreadCounts) {
   flow::MinCostIpmOptions opt;
   opt.iteration_scale = 0.002;
   opt.max_iterations = 40;
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = min_cost_flow(g, sigma, opt, rt);
     got.ints = rep.flow;
     got.ints.push_back(rep.feasible ? 1 : 0);
@@ -188,7 +186,7 @@ TEST(Determinism, MinCostMaxFlowAcrossThreadCounts) {
   flow::MinCostIpmOptions opt;
   opt.iteration_scale = 0.002;
   opt.max_iterations = 40;
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = min_cost_max_flow(g, 0, 9, opt, rt);
     got.ints = rep.flow;
     got.ints.push_back(rep.value);
@@ -203,7 +201,7 @@ TEST(Determinism, ApproxMaxFlowAcrossThreadCounts) {
   flow::ApproxMaxFlowOptions opt;
   opt.eps = 0.2;
   opt.iteration_scale = 0.3;
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = approx_max_flow(g, 0, 11, opt, rt);
     got.values = rep.flow;
     got.values.push_back(rep.value);
@@ -216,7 +214,7 @@ TEST(Determinism, MinimumSpanningForestAcrossThreadCounts) {
   const Graph g = graph::with_random_weights(
       graph::random_connected_gnm(64, 256, test::base_seed() + 9), 32,
       test::base_seed() + 10);
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = minimum_spanning_forest(g, rt);
     for (int e : rep.edges) got.ints.push_back(e);
     got.ints.push_back(rep.phases);
@@ -227,7 +225,7 @@ TEST(Determinism, MinimumSpanningForestAcrossThreadCounts) {
 
 TEST(Determinism, EffectiveResistanceAcrossThreadCounts) {
   const Graph g = graph::random_connected_gnm(24, 72, test::base_seed() + 11);
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     const auto rep = effective_resistance(g, 0, 23, 1e-8, rt);
     got.values = {rep.resistance};
     return rep.run;
@@ -235,9 +233,9 @@ TEST(Determinism, EffectiveResistanceAcrossThreadCounts) {
 }
 
 // --- under an active fault plan -------------------------------------------
-// A fresh FaultPlan with the same seed is armed for every thread count: the
-// injected drops/corruptions/duplicates and their recovery replays must land
-// on identical rounds regardless of how the node-local compute is sharded.
+// A fresh FaultPlan with the same seed is armed for each run: the injected
+// drops/corruptions/duplicates and their recovery replays must land on
+// identical rounds.
 
 TEST(Determinism, SolveLaplacianUnderFaultsAcrossThreadCounts) {
   const Graph g = graph::random_connected_gnm(20, 60, test::base_seed() + 12);
@@ -248,7 +246,7 @@ TEST(Determinism, SolveLaplacianUnderFaultsAcrossThreadCounts) {
   spec.drop = 0.01;
   spec.corrupt = 0.005;
   spec.duplicate = 0.01;
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     fault::FaultPlan plan(spec, test::base_seed());
     Runtime faulty = rt;
     faulty.faults = &plan;
@@ -269,7 +267,7 @@ TEST(Determinism, MaxFlowUnderFaultsAcrossThreadCounts) {
   fault::FaultSpec spec;
   spec.drop = 0.005;
   spec.duplicate = 0.005;
-  expect_thread_invariant([&](const Runtime& rt, Observed& got) {
+  expect_repeat_invariant([&](const Runtime& rt, Observed& got) {
     fault::FaultPlan plan(spec, test::base_seed() + 1);
     Runtime faulty = rt;
     faulty.faults = &plan;

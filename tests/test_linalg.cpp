@@ -4,7 +4,6 @@
 #include <cstring>
 #include <random>
 
-#include "exec/pool.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "linalg/backend.hpp"
@@ -236,6 +235,9 @@ void expect_columns_bitwise_equal(const std::vector<Vec>& got,
   }
 }
 
+/// (k, calls): a k-column block call, made `calls` times on the same
+/// operands, against k one-column calls.  Every repeat must give the same
+/// bits: the kernels keep no state between calls.
 class BlockKernels : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 /// Reference for CsrMatrix::multiply_block_axpy_into: per column, the
@@ -248,8 +250,7 @@ std::vector<Vec> multiply_axpy_per_column(const CsrMatrix& a, double coef,
 }
 
 TEST_P(BlockKernels, CsrMultiplyBlockBitwiseEqualsScalar) {
-  const auto [k, threads] = GetParam();
-  const exec::ThreadScope scope(threads);
+  const auto [k, calls] = GetParam();
   std::mt19937_64 rng(test::base_seed() + static_cast<std::uint64_t>(k));
   const graph::Graph g = graph::random_connected_gnm(40, 140, test::base_seed());
   const CsrMatrix l = graph::laplacian(g);
@@ -258,14 +259,15 @@ TEST_P(BlockKernels, CsrMultiplyBlockBitwiseEqualsScalar) {
   const double coef = -0.37;
 
   const std::vector<Vec> want = multiply_axpy_per_column(l, coef, xs, y0);
-  std::vector<Vec> got = y0;
-  l.multiply_block_axpy_into(coef, xs, got);
-  expect_columns_bitwise_equal(got, want, "csr");
+  for (int call = 0; call < calls; ++call) {
+    std::vector<Vec> got = y0;
+    l.multiply_block_axpy_into(coef, xs, got);
+    expect_columns_bitwise_equal(got, want, "csr");
+  }
 }
 
 TEST_P(BlockKernels, LaplacianFactorSolveBlockBitwiseEqualsScalar) {
-  const auto [k, threads] = GetParam();
-  const exec::ThreadScope scope(threads);
+  const auto [k, calls] = GetParam();
   std::mt19937_64 rng(test::base_seed() + 100 + static_cast<std::uint64_t>(k));
   const graph::Graph g = graph::random_connected_gnm(35, 110, test::base_seed() + 1);
   const BackendLaplacianFactor f = BackendLaplacianFactor::factor(graph::laplacian(g));
@@ -274,13 +276,14 @@ TEST_P(BlockKernels, LaplacianFactorSolveBlockBitwiseEqualsScalar) {
   std::vector<Vec> want;
   want.reserve(bs.size());
   for (const Vec& b : bs) want.push_back(f.solve(b));
-  expect_columns_bitwise_equal(f.solve_block(bs), want, "factor");
+  for (int call = 0; call < calls; ++call) {
+    expect_columns_bitwise_equal(f.solve_block(bs), want, "factor");
+  }
 }
 
 TEST_P(BlockKernels, PreconditionedChebyshevBlockBitwiseEqualsScalar) {
   // A k-column call against k one-column calls of the one entry point.
-  const auto [k, threads] = GetParam();
-  const exec::ThreadScope scope(threads);
+  const auto [k, calls] = GetParam();
   std::mt19937_64 rng(test::base_seed() + 200 + static_cast<std::uint64_t>(k));
   const graph::Graph g = graph::random_connected_gnm(30, 90, test::base_seed() + 2);
   const CsrMatrix l = graph::laplacian(g);
@@ -303,17 +306,22 @@ TEST_P(BlockKernels, PreconditionedChebyshevBlockBitwiseEqualsScalar) {
         preconditioned_chebyshev(l, solve_b, std::span<const Vec>(&b, 1), opt, &st)[0]);
     want_stats.push_back(st[0]);
   }
-  std::vector<ChebyshevStats> stats;
-  const std::vector<Vec> got = preconditioned_chebyshev(l, solve_b, bs, opt, &stats);
-  expect_columns_bitwise_equal(got, want, "chebyshev");
-  ASSERT_EQ(stats.size(), want_stats.size());
-  for (std::size_t c = 0; c < stats.size(); ++c) {
-    EXPECT_EQ(stats[c].iterations, want_stats[c].iterations) << c;
-    EXPECT_EQ(bits_of(stats[c].final_residual), bits_of(want_stats[c].final_residual))
-        << c;
+  for (int call = 0; call < calls; ++call) {
+    std::vector<ChebyshevStats> stats;
+    const std::vector<Vec> got = preconditioned_chebyshev(l, solve_b, bs, opt, &stats);
+    expect_columns_bitwise_equal(got, want, "chebyshev");
+    ASSERT_EQ(stats.size(), want_stats.size());
+    for (std::size_t c = 0; c < stats.size(); ++c) {
+      EXPECT_EQ(stats[c].iterations, want_stats[c].iterations) << c;
+      EXPECT_EQ(bits_of(stats[c].final_residual),
+                bits_of(want_stats[c].final_residual))
+          << c;
+    }
   }
 }
 
+// k columns x {1, 8} calls.  The ids "(k, 1)" and "(k, 8)" are the ones
+// this grid had when its second value was a thread count.
 INSTANTIATE_TEST_SUITE_P(Sweep, BlockKernels,
                          ::testing::Combine(::testing::Values(1, 3, 7),
                                             ::testing::Values(1, 8)));

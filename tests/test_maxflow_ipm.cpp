@@ -131,6 +131,24 @@ TEST(MaxFlowIpm, NoPathGivesZero) {
   EXPECT_EQ(r.value, 0);
 }
 
+TEST(MaxFlowIpm, CollapsedPivotDegradesToDinic) {
+  // One capacity of about 2^27 among capacities of 1-3: at the default
+  // budget the iterate spreads the resistances until, near iteration 2,600,
+  // a pivot of an electrical factor collapses.  That is divergence, like a
+  // non-finite iterate: the run answers Dinic's flow and says why.
+  Digraph g(4);
+  g.add_arc(0, 1, 3);
+  g.add_arc(0, 2, 2, 1);
+  g.add_arc(1, 3, 2);
+  g.add_arc(2, 3, 3);
+  g.add_arc(1, 2, 150000001);
+  const auto r = run(g, 0, 3, MaxFlowIpmOptions{});
+  EXPECT_TRUE(r.run.used_fallback);
+  EXPECT_EQ(r.run.fallback_reason, "pivot collapsed in an electrical factorization");
+  EXPECT_EQ(r.value, 5);
+  EXPECT_EQ(r.flow, dinic_max_flow(g, 0, 3).flow);
+}
+
 TEST(MaxFlowIpm, DeterministicAcrossRuns) {
   const Digraph g = graph::random_flow_network(10, 26, 4, 11);
   const auto a = run(g, 0, 9, quick_options());

@@ -1,16 +1,16 @@
 // Cross-model differential harness — the correctness lever behind
 // RoutingMode::kBroadcast.
 //
-// Every facade entry point is run under all three routing modes (unicast
-// charged, unicast executed, Broadcast Congested Clique) at threads = 1 and
-// 8, and the suite asserts
+// Every facade entry point is run twice under each of the three routing
+// modes (unicast charged, unicast executed, Broadcast Congested Clique), and
+// the suite asserts
 //
-//   * solution vectors/flows are BYTE-identical across the full mode x
-//     thread grid (doubles compared through their bit patterns, exactly as
-//     in test_determinism.cpp) — the modes differ in accounting only, never
-//     in delivered data;
-//   * round and word counts are a function of the mode alone, not of the
-//     thread count;
+//   * solution vectors/flows are BYTE-identical across all six runs
+//     (doubles compared through their bit patterns, exactly as in
+//     test_determinism.cpp) — the modes differ in accounting only, never in
+//     delivered data;
+//   * round and word counts are a function of the mode alone: both passes
+//     over a mode charge the same;
 //   * broadcast golden round counts are pinned exactly, mirroring the
 //     unicast goldens in test_round_regression.cpp;
 //   * a broadcast ledgers no more words than unicast (each word crosses the
@@ -32,7 +32,6 @@
 
 #include "core/api.hpp"
 #include "euler/euler_orient.hpp"
-#include "exec/pool.hpp"
 #include "graph/generators.hpp"
 
 namespace lapclique {
@@ -58,17 +57,16 @@ struct ModelRun {
   std::int64_t words = 0;
 };
 
-/// Runs `fn` over the full mode x thread grid and asserts the differential
-/// invariants.  `golden_broadcast_rounds` pins the broadcast accounting the
-/// same way test_round_regression.cpp pins unicast.
+/// Runs `fn` twice per mode and asserts the differential invariants.
+/// `golden_broadcast_rounds` pins the broadcast accounting the same way
+/// test_round_regression.cpp pins unicast.
 template <typename Fn>
 void expect_model_invariant(const char* label,
                             std::int64_t golden_broadcast_rounds, Fn fn) {
   std::optional<ModelRun> base;
   std::map<RoutingMode, ModelRun> by_mode;
   for (RoutingMode mode : kAllModes) {
-    for (int threads : {1, 8}) {
-      const exec::ThreadScope scope(threads);
+    for (int pass = 0; pass < 2; ++pass) {
       Runtime rt;
       rt.routing_mode = mode;
       ModelRun got;
@@ -81,26 +79,26 @@ void expect_model_invariant(const char* label,
       } else {
         ASSERT_EQ(base->values.size(), got.values.size())
             << label << " mode=" << clique::to_string(mode)
-            << " threads=" << threads;
+            << " pass=" << pass;
         for (std::size_t i = 0; i < got.values.size(); ++i) {
           EXPECT_EQ(bits(base->values[i]), bits(got.values[i]))
               << label << " mode=" << clique::to_string(mode)
-              << " threads=" << threads << " value index " << i;
+              << " pass=" << pass << " value index " << i;
         }
         EXPECT_EQ(base->ints, got.ints)
             << label << " mode=" << clique::to_string(mode)
-            << " threads=" << threads;
+            << " pass=" << pass;
       }
 
       const auto [it, fresh] = by_mode.emplace(mode, got);
       if (!fresh) {
-        // Accounting depends on the mode only, never on the thread count.
+        // Accounting depends on the mode only: both passes charge the same.
         EXPECT_EQ(it->second.rounds, got.rounds)
             << label << " mode=" << clique::to_string(mode)
-            << " threads=" << threads;
+            << " pass=" << pass;
         EXPECT_EQ(it->second.words, got.words)
             << label << " mode=" << clique::to_string(mode)
-            << " threads=" << threads;
+            << " pass=" << pass;
       }
     }
   }

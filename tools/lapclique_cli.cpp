@@ -10,10 +10,6 @@
 //   lapclique_cli gen-mincost <n> <m> <W> <seed>  random instance to stdout
 //
 // Global flags (any command):
-//   --threads <n>          split the dense LDL^T's rows (the only sharded
-//                          kernel, at n >= 257) across n worker threads,
-//                          set once at startup (outputs are bit-identical
-//                          for every n; default 1)
 //   --trace <out.json>     write a per-phase round/congestion trace (the
 //                          obs::RoundLedger JSON schema; "-" for stdout)
 //   --faults <spec>        inject deterministic faults into every simulated
@@ -37,10 +33,14 @@
 //                          fresh; outputs and ledgers are bit-identical to
 //                          an uninterrupted run
 //
-// Both JSON outputs embed a "runtime" block (threads, fault spec, routing
-// mode) so a saved trace records the configuration that produced it.  The
-// LDL^T kernel that factors each Laplacian follows the instance
+// Both JSON outputs embed a "runtime" block (fault spec, routing mode) so a
+// saved trace records the configuration that produced it.  The LDL^T kernel
+// that factors each Laplacian follows the instance
 // (linalg::resolve_backend); RunInfo reports it, and no flag picks it.
+// Every command computes on the calling thread.
+//
+// A command given any argument it does not take, an unknown flag included,
+// exits 2 with the usage line.
 //
 // Edge lists: "N M" header then "u v [w]" lines, 0-based.
 #include <cstring>
@@ -55,7 +55,6 @@
 #include "args.hpp"
 #include "core/api.hpp"
 #include "euler/euler_orient.hpp"
-#include "exec/pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "flow/mincost_maxflow.hpp"
 #include "graph/generators.hpp"
@@ -105,7 +104,7 @@ std::ifstream open_or_die(const char* path) {
 }
 
 int cmd_maxflow(int argc, char** argv, const Runtime& rt) {
-  if (argc < 1) return usage();
+  if (argc != 1) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const io::MaxFlowProblem p = io::read_dimacs_max_flow(in);
   std::cerr << "n=" << p.g.num_vertices() << " m=" << p.g.num_arcs()
@@ -121,7 +120,7 @@ int cmd_maxflow(int argc, char** argv, const Runtime& rt) {
 }
 
 int cmd_mincost(int argc, char** argv, const Runtime& rt) {
-  if (argc < 1) return usage();
+  if (argc != 1) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const io::MinCostProblem p = io::read_dimacs_min_cost(in);
   flow::MinCostIpmOptions opt;
@@ -138,13 +137,13 @@ int cmd_mincost(int argc, char** argv, const Runtime& rt) {
 }
 
 int cmd_orient(int argc, char** argv, const Runtime& rt) {
-  if (argc < 1) return usage();
+  if (argc < 1 || argc > 2 || (argc == 2 && std::strcmp(argv[1], "--random") != 0)) {
+    return usage();
+  }
   std::ifstream in = open_or_die(argv[0]);
   const Graph g = io::read_edge_list(in);
   euler::EulerOrientOptions opt;
-  if (argc >= 2 && std::strcmp(argv[1], "--random") == 0) {
-    opt.marking = euler::MarkingRule::kRandomized;
-  }
+  if (argc == 2) opt.marking = euler::MarkingRule::kRandomized;
   // make_network applies the whole Runtime (tracer, fault plan, --routing).
   clique::Network net = make_network(g.num_vertices(), rt);
   const auto rep = euler::eulerian_orientation(g, net, nullptr, opt);
@@ -161,7 +160,7 @@ int cmd_orient(int argc, char** argv, const Runtime& rt) {
 }
 
 int cmd_sparsify(int argc, char** argv, const Runtime& rt) {
-  if (argc < 1) return usage();
+  if (argc != 1) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const Graph g = io::read_edge_list(in);
   const auto rep = sparsify(g, {}, rt);
@@ -172,7 +171,7 @@ int cmd_sparsify(int argc, char** argv, const Runtime& rt) {
 }
 
 int cmd_solve(int argc, char** argv, const Runtime& rt) {
-  if (argc < 3) return usage();
+  if (argc < 3 || argc > 4) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const Graph g = io::read_edge_list(in);
   const int u = static_cast<int>(arg_int("solve: u", argv[1], 0, g.num_vertices() - 1));
@@ -189,7 +188,7 @@ int cmd_solve(int argc, char** argv, const Runtime& rt) {
 }
 
 int cmd_resistance(int argc, char** argv, const Runtime& rt) {
-  if (argc < 3) return usage();
+  if (argc != 3) return usage();
   std::ifstream in = open_or_die(argv[0]);
   const Graph g = io::read_edge_list(in);
   const auto rep = effective_resistance(
@@ -203,7 +202,7 @@ int cmd_resistance(int argc, char** argv, const Runtime& rt) {
 }
 
 int cmd_gen_maxflow(int argc, char** argv) {
-  if (argc < 4) return usage();
+  if (argc != 4) return usage();
   const int n =
       static_cast<int>(arg_int("gen-maxflow: n", argv[0], 2, io::kMaxVertices));
   const int m = static_cast<int>(arg_int("gen-maxflow: m", argv[1], 0, io::kMaxArcs));
@@ -220,7 +219,7 @@ int cmd_gen_maxflow(int argc, char** argv) {
 }
 
 int cmd_gen_mincost(int argc, char** argv) {
-  if (argc < 4) return usage();
+  if (argc != 4) return usage();
   const int n =
       static_cast<int>(arg_int("gen-mincost: n", argv[0], 2, io::kMaxVertices));
   const int m = static_cast<int>(arg_int("gen-mincost: m", argv[1], 0, io::kMaxArcs));
@@ -239,7 +238,6 @@ int cmd_gen_mincost(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // Peel off the global flags before command dispatch.
-  int threads = 1;
   clique::RoutingMode routing = clique::RoutingMode::kCharged;
   const char* trace_path = nullptr;
   const char* fault_spec = nullptr;
@@ -268,9 +266,7 @@ int main(int argc, char** argv) {
   };
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<int>(flag_int(i, "--threads", 1, exec::kMaxThreads));
-    } else if (std::strcmp(argv[i], "--routing") == 0) {
+    if (std::strcmp(argv[i], "--routing") == 0) {
       const char* v = flag_value(i, "--routing");
       const auto parsed = clique::routing_mode_from_string(v);
       if (!parsed.has_value()) {
@@ -317,9 +313,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // One pool size and one Runtime describe the whole invocation, and every
-  // command runs under them.
-  exec::set_threads(threads);
+  // One Runtime describes the whole invocation, and every command runs
+  // under it.
   obs::RoundLedger ledger;
   Runtime rt;
   rt.trace = trace_path != nullptr ? &ledger : nullptr;

@@ -13,7 +13,7 @@
 //
 // Usage:
 //   lapclique_serve [--cache-capacity N] [--max-request-bytes N]
-//                   [--threads N] [--default-deadline-ms N]
+//                   [--default-deadline-ms N]
 //                   [--port P] [--serve-workers N] [--max-pending N]
 //                   [--faults SPEC] [--fault-seed N]
 //
@@ -21,8 +21,6 @@
 //                            default 16)
 //   --max-request-bytes N    per-request byte cap, enforced on the stream
 //                            (>= 1, default 4194304)
-//   --threads N              worker threads of the dense LDL^T, set once at
-//                            startup for every request (1..exec::kMaxThreads)
 //   --default-deadline-ms N  deadline for requests without "deadline_ms"
 //                            (0..serve::kMaxDeadlineMs, default 0 = none)
 //   --port P                 listen on 127.0.0.1:P (0..65535; 0 = ephemeral,
@@ -44,7 +42,8 @@
 // drills belong to lapclique_cli), and --faults without --port.  Each
 // artifact's LDL^T kernel follows its graph (linalg::resolve_backend) and
 // is reported in the response's artifact block; no flag or request field
-// picks it.
+// picks it.  Each request computes on the thread that handles it: the
+// stdin loop's, or its connection's worker under --port.
 //
 // Responses are identical in both transports: the socket path wraps the
 // same Server::handle the stdin loop and the test suite drive.
@@ -76,7 +75,7 @@ extern "C" void on_terminate(int) {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--cache-capacity N] [--max-request-bytes N] [--threads N]"
+            << " [--cache-capacity N] [--max-request-bytes N]"
                " [--default-deadline-ms N] [--port P] [--serve-workers N]"
                " [--max-pending N] [--faults SPEC] [--fault-seed N]\n";
   return 2;
@@ -87,12 +86,10 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   lapclique::serve::ServerOptions opt;
   lapclique::serve::FrontendOptions fopt;
-  int threads = 0;
   int port = -1;
   std::string fault_spec;
   std::uint64_t fault_seed = 1;
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  constexpr int kMaxThreads = lapclique::exec::kMaxThreads;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -114,14 +111,12 @@ int main(int argc, char** argv) {
       opt.cache_capacity = static_cast<std::size_t>(next_int(1, kMax));
     } else if (arg == "--max-request-bytes") {
       opt.max_request_bytes = static_cast<std::size_t>(next_int(1, kMax));
-    } else if (arg == "--threads") {
-      threads = static_cast<int>(next_int(1, kMaxThreads));
     } else if (arg == "--default-deadline-ms") {
       opt.default_deadline_ms = next_int(0, lapclique::serve::kMaxDeadlineMs);
     } else if (arg == "--port") {
       port = static_cast<int>(next_int(0, 65535));
     } else if (arg == "--serve-workers") {
-      fopt.workers = static_cast<int>(next_int(1, kMaxThreads));
+      fopt.workers = static_cast<int>(next_int(1, lapclique::exec::kMaxThreads));
     } else if (arg == "--max-pending") {
       fopt.max_pending = static_cast<std::size_t>(next_int(0, kMax));
     } else if (arg == "--faults") {
@@ -135,8 +130,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (threads > 0) lapclique::exec::set_threads(threads);
-
   std::optional<lapclique::fault::FaultPlan> faults;  // FaultPlan is immovable
   if (!fault_spec.empty()) {
     try {
